@@ -14,7 +14,6 @@ from salemcensus.census import box_sums, count_salem_deg4, count_sr
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--qmax", type=int, default=4000)
-    ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args()
 
     grid = [args.qmax]
@@ -26,8 +25,8 @@ def main() -> None:
           f"{'box_sr':>10} {'box_deg4':>12}")
     deg4_pts, sr_pts = [], []
     for Q in grid:
-        c4 = count_salem_deg4(Q, workers=args.workers)
-        cs = count_sr(Q, workers=args.workers)
+        c4 = count_salem_deg4(Q)
+        cs = count_sr(Q)
         s_sr, s_deg4 = box_sums(Q)
         deg4_pts.append((Q, c4))
         sr_pts.append((Q, cs))

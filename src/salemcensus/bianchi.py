@@ -22,9 +22,9 @@ excluded from the census (they only contribute lower-order terms).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
+from ._bands import map_bands
 from .algebra import QuadIntK, is_perfect_square, is_square_free
 from .census import CensusRecord
 from .errors import ContractError, DomainError
@@ -106,10 +106,9 @@ def salem_from_trace(D: int, t: QuadIntK) -> BianchiSalem | None:
     return BianchiSalem(-n, tr2 - 2, [(t.u, t.v)])
 
 
-def _scan_band(args: tuple[int, int, int, int]) -> tuple[dict, list[int]]:
+def _scan_band(D: int, R: int, v_lo: int, v_hi: int) -> tuple[dict, list[int]]:
     """Scan traces with v in [v_lo, v_hi) and norm <= R; returns the local
     (A, B) -> witnesses dict and the rejection tallies."""
-    D, R, v_lo, v_hi = args
     half = D % 4 == 3
     found: dict[tuple[int, int], list[tuple[int, int]]] = {}
     scanned = real = imag_axis = reducible = 0
@@ -172,13 +171,7 @@ def bianchi_census(D: int, Q: int, workers: int = 1) -> BianchiCensus:
     R = math.isqrt(Q) + 3
     half = D % 4 == 3
     vmax = math.isqrt(4 * R // D) if half else math.isqrt(R // D)
-    bands = _v_bands(-vmax, vmax + 1, workers)
-    args = [(D, R, lo, hi) for lo, hi in bands]
-    if workers <= 1 or len(args) <= 1:
-        results = [_scan_band(a) for a in args]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_band, args))
+    results = map_bands(_scan_band, (D, R), -vmax, vmax + 1, workers)
 
     merged: dict[tuple[int, int], list[tuple[int, int]]] = {}
     tallies = [0, 0, 0, 0]
@@ -205,12 +198,6 @@ def bianchi_census(D: int, Q: int, workers: int = 1) -> BianchiCensus:
         excluded_reducible=tallies[3],
         excluded_over_q=over_q,
     )
-
-
-def _v_bands(lo: int, hi: int, workers: int) -> list[tuple[int, int]]:
-    n = max(1, min(workers, hi - lo))
-    step = (hi - lo + n - 1) // n
-    return [(s, min(s + step, hi)) for s in range(lo, hi, step)]
 
 
 def marklof_constant(D: int) -> float:

@@ -3,24 +3,26 @@ square-rootable subclass, the degree-2 census, and box-sum upper bounds.
 
 The scan region comes from the inequalities forced on Salem coefficients:
 0 < -a < Q+3 and 2a < 2+b < -2a, with the exact cut lambda <= Q applied as
-p(Q) >= 0.  Counting is done per a-value in closed form: for fixed a both
-the lambda cut and the b-inequalities are interval bounds on b, and the
-reducible (a, b) inside the interval biject with perfect squares
-s^2 = a^2 - 4b + 8 of the right parity, so two integer square roots per a
-suffice.  The square-rootable census is parametrized by (a, k) with
-b = k^2 + 2a - 2 and 0 < k^2 < -4a, where the same reshuffle turns the
-lambda cut into a lower bound on k.
+p(Q) >= 0.  For fixed a both the lambda cut and the b-inequalities are
+interval bounds on b, and (a, b) is reducible exactly when
+a^2 - 4b + 8 is a perfect square.  The square-rootable census is
+parametrized by (a, k) with b = k^2 + 2a - 2 and 0 < k^2 < -4a, where the
+same reshuffle turns the lambda cut into a lower bound on k.
+
+The enumerators walk this region row by row.  The counts do not: the
+lambda cut binds only in the top four rows, the reducible points form a
+few explicit families, and what remains are closed forms, so every count
+is a handful of integer operations in exact arithmetic.  The proofs are in
+the docstrings of the count functions.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
-import numpy as np
-
+from ._bands import map_bands
 from .algebra import is_perfect_square
 from .errors import DomainError
 from .quartics import _salem_value_ab
@@ -36,11 +38,6 @@ __all__ = [
     "CENSUS_CSV_HEADER",
     "census_csv_row",
 ]
-
-# Largest Q for which the vectorized counters stay inside exact int64/float64
-# range (documented bound 2^52 on squared quantities, taken with margin).
-# Beyond it the pure-integer path is used; nothing ever wraps silently.
-VECTOR_QMAX = 2**25
 
 CENSUS_CSV_HEADER = "a,b,k,lambda,source"
 
@@ -61,29 +58,23 @@ def census_csv_row(rec: CensusRecord) -> str:
     return f"{rec.a},{rec.b},{k},{rec.lambda_approx:.12g},{rec.source}"
 
 
-def _ceil_sqrt(n: int) -> int:
-    if n <= 0:
-        return 0
-    return math.isqrt(n - 1) + 1
-
-
 def _check_q(Q: int) -> None:
     if not isinstance(Q, int) or Q < 2:
         raise DomainError(f"Q must be an integer >= 2, got {Q}")
 
 
-def _bands(lo: int, hi: int, n: int) -> list[tuple[int, int]]:
-    """Split [lo, hi) into n contiguous bands (possibly fewer when short)."""
-    n = max(1, min(n, hi - lo)) if hi > lo else 1
-    step = (hi - lo + n - 1) // n
-    return [(s, min(s + step, hi)) for s in range(lo, hi, step)] or [(lo, hi)]
+def _isqrt_sum(N: int) -> int:
+    """sum_{n=1}^{N} isqrt(4n - 1), in O(1).
 
-
-def _run_bands(fn, args_list: list, workers: int) -> list:
-    if workers <= 1 or len(args_list) <= 1:
-        return [fn(args) for args in args_list]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, args_list))
+    isqrt(4n - 1) counts the j >= 1 with floor(j^2/4) < n, so swapping the
+    sums gives r N - S(r) with r = isqrt(4N - 1) and
+    S(r) = sum_{j=1}^{r} floor(j^2/4) = floor(r (r+2) (2r-1) / 24): the
+    product is exactly 24 S(r) for even r and 24 S(r) + 3 for odd r.
+    """
+    if N <= 0:
+        return 0
+    r = math.isqrt(4 * N - 1)
+    return r * N - r * (r + 2) * (2 * r - 1) // 24
 
 
 # --- degree-4 census --------------------------------------------------------
@@ -94,37 +85,29 @@ def _deg4_lambda_floor(Q: int, na: int) -> int:
     return -((Q**4 - na * Q**3 - na * Q + 1) // (Q * Q))
 
 
-def _deg4_count_band(args: tuple[int, int, int]) -> int:
-    Q, lo, hi = args
-    total = 0
-    for na in range(lo, hi):
-        b_hi = 2 * na - 3
-        b_lo = max(-2 * na - 1, _deg4_lambda_floor(Q, na))
-        if b_lo > b_hi:
-            continue
-        total += b_hi - b_lo + 1
-        # reducible members <-> squares s^2 in [disc(b_hi), disc(b_lo)],
-        # s of the same parity as a
-        dmin = na * na - 4 * b_hi + 8
-        dmax = na * na - 4 * b_lo + 8
-        s_lo = _ceil_sqrt(dmin)
-        s_hi = math.isqrt(dmax)
-        if s_lo % 2 != na % 2:
-            s_lo += 1
-        if s_lo <= s_hi:
-            total -= (s_hi - s_lo) // 2 + 1
-    return total
+def count_salem_deg4(Q: int) -> int:
+    """Number of degree-4 Salem numbers <= Q, which is exactly 2 (Q-1)^2.
 
+    Row n = -a (1 <= n <= Q+2) scans b in [-2n-1, 2n-3], 4n-1 values,
+    raised to the lambda floor.  Over that window the discriminant
+    n^2 - 4b + 8 runs from (n-4)^2 + 4 up to (n+4)^2 - 4 and keeps the
+    parity of n, so the reducible b are the squares s^2 with
+    s in {n-2, n, n+2}: three of them for n >= 4, but only {n, n+2} at
+    n = 3, {n+2} at n = 2 and none at n = 1.  An uncut row thus keeps
+    4(n-1), or 3, 6, 9 for n = 1, 2, 3.
 
-def count_salem_deg4(Q: int, workers: int = 1) -> int:
-    """Number of degree-4 Salem numbers <= Q."""
+    With n = Q + t the lambda floor is tQ + 1 + ceil((tQ - 1)/Q^2).  For
+    t <= -2 it lies below -2n-1 (by (t+2)(Q+2) - 2 < 0 or more), so rows
+    n <= Q-2 are uncut and keep 2(Q-2)(Q-3) + 6 in total when Q >= 5.  For
+    t = -1, 0, 1, 2 the floor is 1-Q, 1, Q+2, 2Q+2, leaving 3Q-5, 2Q-3,
+    Q-2 and 0 values of b; the discriminant then tops out at (n+2)^2 + 4,
+    n^2 + 4 and (n-2)^2, dropping 3, 2 and 1 reducible b when Q >= 5.
+    The top rows keep 6Q - 16 and the total is
+    2(Q-2)(Q-3) + 6 + 6Q - 16 = 2(Q-1)^2.  Q = 2, 3, 4 give 2, 8, 18 by
+    direct count, which fit the same formula.
+    """
     _check_q(Q)
-    bands = _bands(1, Q + 3, workers)
-    return sum(_run_bands(_deg4_count_band, [(Q, lo, hi) for lo, hi in bands], workers))
-
-
-def _deg4_enum_band(args: tuple[int, int, int]) -> list[CensusRecord]:
-    return list(_iter_deg4(*args))
+    return 2 * (Q - 1) ** 2
 
 
 def _iter_deg4(Q: int, lo: int, hi: int) -> Iterator[CensusRecord]:
@@ -144,12 +127,8 @@ def enumerate_salem_deg4(Q: int, workers: int = 1) -> Iterator[CensusRecord]:
     """All degree-4 Salem records with lambda <= Q, ordered by descending a
     then ascending b.  Streams with O(1) memory when workers == 1."""
     _check_q(Q)
-    if workers <= 1:
-        yield from _iter_deg4(Q, 1, Q + 3)
-        return
-    bands = _bands(1, Q + 3, workers)
-    for chunk in _run_bands(_deg4_enum_band, [(Q, lo, hi) for lo, hi in bands], workers):
-        yield from chunk
+    for band in map_bands(_iter_deg4, (Q,), 1, Q + 3, workers):
+        yield from band
 
 
 # --- square-rootable census -------------------------------------------------
@@ -185,85 +164,57 @@ def _iter_sr_tuples(Q: int, lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
             yield a, k * k - 2 * na - 2, k
 
 
-def _sr_count_band_int(args: tuple[int, int, int]) -> int:
-    Q, lo, hi = args
-    total = 0
-    for na in range(lo, hi):
+# The reducible square-rootable points, one family per (i, m0):
+# k = i m and -a = i m^2 - (4 - i) for m >= m0, i.e. k^2 = i (-a + 4 - i).
+# They are b = a + 1, b = 2 and a + b = 1 (see count_sr).
+_SR_REDUCIBLE = ((1, 3), (2, 2), (3, 2))
+
+
+def count_sr(Q: int) -> int:
+    """Number of degree-4 Salem numbers <= Q square-rootable over Q.
+
+    Row n = -a (1 <= n <= Q+2) holds the k in [klo(n), isqrt(4n - 1)],
+    klo = _sr_k_floor, less the reducible ones.
+
+    Lambda cut: for n <= Q-2 the bound m in _sr_k_floor is at most
+    -Q^2 + (Q-2)(Q+2) + 2 + 1 = -1, so klo = 1 and those rows hold
+    _isqrt_sum(Q-2) points.  The top rows n = Q-1, ..., Q+2 are summed one
+    by one.
+
+    Reducible points: the discriminant is (n+4)^2 - 4k^2 = s^2, s >= 0.
+    Put c = n + 4.  Then (c - s)(c + s) = 4k^2 makes j = c - s even,
+    j = 2i, and j <= 4k^2/c < 16 because k^2 < 4n < 4c, so i <= 7.  It
+    follows that k^2 = i (c - i).  With s = c - 2i >= 0, the bound
+    k^2 < 4n = 4c - 16 reads (i - 4)(c - i - 4) < 0, which fails for
+    i >= 4 and leaves i in {1, 2, 3} with c > i + 4.  Then
+    k = i m and n = i m^2 - (4 - i), and k^2 < 4n holds exactly for
+    m >= 3, 2, 2.  Each (n, k) has one s and hence one i, so the three
+    families are disjoint.  In the uncut rows a family has
+    isqrt((Q + 2 - i) // i) - m0 + 1 members (or none).
+    """
+    _check_q(Q)
+    N = Q - 2
+    total = _isqrt_sum(N)
+    for i, m0 in _SR_REDUCIBLE:
+        total -= max(0, math.isqrt((N + 4 - i) // i) - m0 + 1)
+    for na in range(Q - 1, Q + 3):
         kmax = math.isqrt(4 * na - 1)
         klo = _sr_k_floor(Q, na)
-        if klo > kmax:
-            continue
-        A2 = (na + 4) ** 2
-        for k in range(klo, kmax + 1):
-            disc = A2 - 4 * k * k
-            r = math.isqrt(disc)
-            if r * r != disc:
-                total += 1
+        total += max(0, kmax - klo + 1)
+        for i, _ in _SR_REDUCIBLE:
+            k = is_perfect_square(i * (na + 4 - i))
+            if k is not None and klo <= k <= kmax:
+                total -= 1
     return total
-
-
-def _isqrt_i64(x: np.ndarray) -> np.ndarray:
-    """Exact floor square root of a non-negative int64 array below 2^52."""
-    r = np.sqrt(x.astype(np.float64)).astype(np.int64)
-    r = np.where((r + 1) * (r + 1) <= x, r + 1, r)
-    return np.where(r * r > x, r - 1, r)
-
-
-def _sr_count_band_vec(args: tuple[int, int, int]) -> int:
-    """numpy version of _sr_count_band_int; identical result, used when the
-    squared quantities provably fit int64/float64 exactness."""
-    Q, lo, hi = args
-    Q2 = Q * Q
-    total = 0
-    # keep ~2M flat candidates per block (each a-value carries ~2 sqrt(a) k's)
-    block = max(64, (1 << 21) // max(1, 2 * math.isqrt(hi)))
-    for start in range(lo, hi, block):
-        na = np.arange(start, min(start + block, hi), dtype=np.int64)
-        kmax = _isqrt_i64(4 * na - 1)
-        m = (-Q2 + na * Q + 2 * na + 2) + (na * Q - 1 + Q2 - 1) // Q2
-        klo = np.where(m <= 1, 1, _isqrt_i64(np.maximum(m, 1) - 1) + 1)
-        length = np.maximum(kmax - klo + 1, 0)
-        ncand = int(length.sum())
-        if ncand == 0:
-            continue
-        take = length > 0
-        na_t, klo_t, len_t = na[take], klo[take], length[take]
-        offsets = np.concatenate(([0], np.cumsum(len_t)[:-1]))
-        k = np.arange(ncand, dtype=np.int64) - np.repeat(offsets, len_t) + np.repeat(klo_t, len_t)
-        na_rep = np.repeat(na_t, len_t)
-        disc = (na_rep + 4) ** 2 - 4 * k * k
-        r = _isqrt_i64(disc)
-        total += ncand - int(np.count_nonzero(r * r == disc))
-    return total
-
-
-def count_sr(Q: int, workers: int = 1) -> int:
-    """Number of degree-4 Salem numbers <= Q square-rootable over Q."""
-    _check_q(Q)
-    band_fn = _sr_count_band_vec if Q <= VECTOR_QMAX else _sr_count_band_int
-    bands = _bands(1, Q + 3, workers)
-    return sum(_run_bands(band_fn, [(Q, lo, hi) for lo, hi in bands], workers))
-
-
-def _sr_enum_band(args: tuple[int, int, int]) -> list[CensusRecord]:
-    Q, lo, hi = args
-    return [
-        CensusRecord(a, b, k, _salem_value_ab(a, b), "direct")
-        for a, b, k in _iter_sr_tuples(Q, lo, hi)
-    ]
 
 
 def enumerate_sr(Q: int, workers: int = 1) -> Iterator[CensusRecord]:
     """Square-rootable census records with lambda <= Q, same order as
     enumerate_salem_deg4."""
     _check_q(Q)
-    if workers <= 1:
-        for a, b, k in _iter_sr_tuples(Q, 1, Q + 3):
+    for band in map_bands(_iter_sr_tuples, (Q,), 1, Q + 3, workers):
+        for a, b, k in band:
             yield CensusRecord(a, b, k, _salem_value_ab(a, b), "direct")
-        return
-    bands = _bands(1, Q + 3, workers)
-    for chunk in _run_bands(_sr_enum_band, [(Q, lo, hi) for lo, hi in bands], workers):
-        yield from chunk
 
 
 # --- closed box sums and the degree-2 census --------------------------------
@@ -276,27 +227,24 @@ def box_sums(Q: int) -> tuple[int, int]:
     S_sr = sum_{j=1}^{Q+2} (ceil(sqrt(4j)) - 1) counts the (a, k) box and
     S_deg4 = sum_{j=1}^{Q+2} (4j - 1) = (Q+2)(2Q+5) counts the (a, b) box.
     Both over-count the censuses; useful as estimates and sanity bounds.
+    As ceil(sqrt(4j)) - 1 = isqrt(4j - 1) for j >= 1, S_sr is
+    _isqrt_sum(Q + 2).
     """
     if Q < 0:
         raise DomainError(f"Q must be >= 0, got {Q}")
-    s_sr = sum(_ceil_sqrt(4 * j) - 1 for j in range(1, Q + 3))
-    s_deg4 = sum(4 * j - 1 for j in range(1, Q + 3))
-    return s_sr, s_deg4
+    return _isqrt_sum(Q + 2), (Q + 2) * (2 * Q + 5)
 
 
 def count_deg2(Q: int) -> int:
-    """Number of degree-2 Salem numbers <= Q, by enumeration of x^2 + ax + 1
-    over 0 < -a < Q+1 (comes out to Q - 2)."""
+    """Number of degree-2 Salem numbers <= Q, which is exactly Q - 2.
+
+    The candidates are x^2 + ax + 1 with n = -a.  n = 1 has no real roots
+    and n = 2 gives the root 1 exactly.  For n >= 3 the discriminant
+    n^2 - 4 sits strictly between (n - 1)^2 and n^2, so the quadratic is
+    irreducible with largest root lambda > 1.  The cut lambda <= Q is
+    Q^2 - nQ + 1 >= 0, i.e. n <= Q + 1/Q, i.e. n <= Q.  That leaves
+    n = 3, ..., Q.
+    """
     if not isinstance(Q, int) or Q < 3:
         raise DomainError(f"Q must be an integer >= 3, got {Q}")
-    Q2 = Q * Q
-    count = 0
-    for na in range(1, Q + 1):
-        # na = 1 has no real roots, na = 2 gives the root 1 exactly; for
-        # na >= 3 the discriminant na^2 - 4 sits strictly between
-        # (na - 1)^2 and na^2, so the quadratic is always irreducible.
-        if na < 3:
-            continue
-        if Q2 - na * Q + 1 >= 0:  # lambda <= Q exactly
-            count += 1
-    return count
+    return Q - 2

@@ -94,7 +94,7 @@ def _cmd_census(args) -> int:
     expo = 2.0 if which == "deg4" else 1.5
     if args.plot_data:
         qs = _plot_grid(Q, 8)
-        _emit(_plot_series(qs, [count(q, workers=args.workers) for q in qs], expo), args.out)
+        _emit(_plot_series(qs, [count(q) for q in qs], expo), args.out)
         return 0
     records = enum(Q, workers=args.workers)
     if args.format == "json":
@@ -233,9 +233,9 @@ def _cmd_constants(args) -> int:
 def _series_counts(args, qs: list[int]) -> list[int]:
     series = args.series
     if series == "deg4":
-        return [census.count_salem_deg4(q, workers=args.workers) for q in qs]
+        return [census.count_salem_deg4(q) for q in qs]
     if series == "sr":
-        return [census.count_sr(q, workers=args.workers) for q in qs]
+        return [census.count_sr(q) for q in qs]
     if series == "deg2":
         return [census.count_deg2(q) for q in qs]
     if series == "bianchi":
@@ -310,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="write output to this path instead of stdout")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--workers", type=int, default=_default_workers(),
-                        help="parallel workers (default: SALEM_WORKERS or 1)")
+                        help="parallel workers for enumeration, bianchi and cocompact "
+                             "(default: SALEM_WORKERS or 1)")
     common.add_argument("--seed", type=int, default=0, help="seed for Monte Carlo checks")
     common.add_argument("--plot-data", action="store_true",
                         help="emit a two-column (Q, normalized count) series")

@@ -25,12 +25,12 @@ per-candidate work.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
+from ._bands import map_bands
 from .algebra import RealQuadElem, is_square_free, sign_plus_root
 from .errors import DomainError
 
@@ -207,13 +207,12 @@ def _branch_tag(d: int, half: bool, au: int, av: int, ku: int, kv: int) -> str:
     raise AssertionError("branch windows should cover |sigma2(k)| < 4")
 
 
-def _enum_band(args: tuple[int, int, int, int]) -> list[tuple[int, int, int, int, str]]:
-    d, Q, va_lo, va_hi = args
-    out = []
+def _enum_band(
+    d: int, Q: int, va_lo: int, va_hi: int
+) -> Iterator[tuple[int, int, int, int, str]]:
     for au, av in _iter_a_coords(d, Q, va_lo, va_hi):
         for ku, kv, branch in _iter_k_coords(d, au, av):
-            out.append((au, av, ku, kv, branch))
-    return out
+            yield au, av, ku, kv, branch
 
 
 def enumerate_system(d: int, Q: int, workers: int = 1) -> Iterator[SystemSolution]:
@@ -221,25 +220,11 @@ def enumerate_system(d: int, Q: int, workers: int = 1) -> Iterator[SystemSolutio
     order (a by (v, u), then k by (v, u))."""
     _check_d(d)
     _check_q(Q)
-    va_lo, va_hi = _va_range(d, Q)
-    bands = _split(va_lo, va_hi, workers)
-    args = [(d, Q, lo, hi) for lo, hi in bands]
-    if workers <= 1 or len(args) <= 1:
-        chunks = map(_enum_band, args)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = pool.map(_enum_band, args)
-    for chunk in chunks:
+    for chunk in map_bands(_enum_band, (d, Q), *_va_range(d, Q), workers):
         for au, av, ku, kv, branch in chunk:
             a = RealQuadElem(d, au, av)
             k = RealQuadElem(d, ku, kv)
             yield SystemSolution(a, k, k * k + 2 * a - 2, branch)
-
-
-def _split(lo: int, hi: int, n: int) -> list[tuple[int, int]]:
-    n = max(1, min(n, hi - lo)) if hi > lo else 1
-    step = (hi - lo + n - 1) // n
-    return [(s, min(s + step, hi)) for s in range(lo, hi, step)] or [(lo, hi)]
 
 
 def _count_k_for_a(d: int, half: bool, sd: float, au: int, av: int) -> int:
@@ -291,8 +276,7 @@ def _count_k_for_a(d: int, half: bool, sd: float, au: int, av: int) -> int:
     return total
 
 
-def _count_band(args: tuple[int, int, int, int]) -> int:
-    d, Q, va_lo, va_hi = args
+def _count_band(d: int, Q: int, va_lo: int, va_hi: int) -> int:
     half = d % 4 == 1
     sd = math.sqrt(d)
     return sum(
@@ -307,13 +291,7 @@ def count_system(d: int, Q: int, verified: bool = False, workers: int = 1) -> in
     _check_q(Q)
     if verified:
         return sum(1 for s in enumerate_system(d, Q, workers) if verify_salem_over_L(d, s))
-    va_lo, va_hi = _va_range(d, Q)
-    bands = _split(va_lo, va_hi, workers)
-    args = [(d, Q, lo, hi) for lo, hi in bands]
-    if workers <= 1 or len(args) <= 1:
-        return sum(map(_count_band, args))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(_count_band, args))
+    return sum(map_bands(_count_band, (d, Q), *_va_range(d, Q), workers))
 
 
 # --- verification ------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Independent oracles used to pin expected values in the test suite.
 
 Everything here is deliberately built from different machinery than the
-package under test: numpy root finding for spectral classification, and
-trial division for quartic reducibility.  No module from salemcensus is
-imported.
+package under test: numpy root finding for spectral classification, trial
+division for quartic reducibility, and row-by-row scans for the integer
+censuses that the package counts in closed form.  No module from
+salemcensus is imported.
 """
 
 from __future__ import annotations
@@ -120,3 +121,56 @@ def omega_direct(m: int):
     for k in range(m):
         val *= Fraction(math.factorial(k) ** 2, math.factorial(2 * k + 1))
     return val
+
+
+# --- row-by-row census counts -------------------------------------------------
+#
+# Scan 0 < -a < Q+3 one row at a time: the window in b (or k) is cut from
+# below by the exact lambda <= Q test p(Q) >= 0, and reducible points are
+# dropped by their perfect-square discriminant.  O(Q) for the degree-4 and
+# degree-2 counts, O(Q^1.5) for the square-rootable one.
+
+
+def count_salem_deg4_loop(Q: int) -> int:
+    """Degree-4 Salem numbers <= Q: per row, the b-window length less the
+    squares s^2 of the parity of a in the discriminant range."""
+    total = 0
+    for na in range(1, Q + 3):
+        b_hi = 2 * na - 3
+        b_lo = max(-2 * na - 1, -((Q**4 - na * Q**3 - na * Q + 1) // (Q * Q)))
+        if b_lo > b_hi:
+            continue
+        total += b_hi - b_lo + 1
+        dmin = na * na - 4 * b_hi + 8
+        dmax = na * na - 4 * b_lo + 8
+        s_lo = math.isqrt(dmin - 1) + 1 if dmin > 0 else 0
+        s_hi = math.isqrt(dmax)
+        if s_lo % 2 != na % 2:
+            s_lo += 1
+        if s_lo <= s_hi:
+            total -= (s_hi - s_lo) // 2 + 1
+    return total
+
+
+def count_sr_loop(Q: int) -> int:
+    """Square-rootable degree-4 Salem numbers <= Q: every (a, k) with
+    b = k^2 + 2a - 2, 0 < k^2 < -4a and p(Q) >= 0, less the reducible."""
+    Q2 = Q * Q
+    total = 0
+    for na in range(1, Q + 3):
+        kmax = math.isqrt(4 * na - 1)
+        m = (-Q2 + na * Q + 2 * na + 2) + (na * Q - 1 + Q2 - 1) // Q2
+        klo = 1 if m <= 1 else math.isqrt(m - 1) + 1
+        A2 = (na + 4) ** 2
+        for k in range(klo, kmax + 1):
+            disc = A2 - 4 * k * k
+            r = math.isqrt(disc)
+            if r * r != disc:
+                total += 1
+    return total
+
+
+def count_deg2_loop(Q: int) -> int:
+    """Degree-2 Salem numbers <= Q: x^2 + ax + 1 with -a >= 3 (irreducible,
+    root > 1) and lambda <= Q, i.e. Q^2 + aQ + 1 >= 0."""
+    return sum(1 for na in range(3, Q + 1) if Q * Q - na * Q + 1 >= 0)

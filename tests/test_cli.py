@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -151,6 +152,33 @@ class TestFitCommand:
         code, _, err = run(capsys, "fit", "--series", "bianchi",
                            "--qgrid", "100,200,400")
         assert code == 3 and "kind=domain" in err
+
+
+class TestHugeBounds:
+    """The integer counts are closed forms, so bounds near 1e18 answer at
+    once instead of scanning every row."""
+
+    def test_deg2_count(self, capsys):
+        Q = 10**18
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, "census", "deg2", "--qmax", str(Q))
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 0 and out == f"{Q - 2}\n"
+
+    def test_deg4_fit(self, capsys):
+        qs = [10**16, 10**17, 10**18]
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, "fit", "--series", "deg4",
+                           "--qgrid", ",".join(map(str, qs)), "--plot-data")
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 0
+        lines = out.strip().split("\n")
+        val = dict(tok.split("=") for tok in lines[0].split())
+        assert float(val["constant"]) == pytest.approx(2, rel=1e-9)
+        assert float(val["exponent"]) == pytest.approx(2, rel=1e-9)
+        assert val["points_used"] == "3"
+        assert [ln.split(",")[0] for ln in lines[2:]] == [str(q) for q in qs]
+        assert all(float(ln.split(",")[1]) == pytest.approx(2, rel=1e-9) for ln in lines[2:])
 
 
 class TestReportCommand:
