@@ -36,6 +36,7 @@ __all__ = [
     "salem_from_trace",
     "bianchi_census",
     "marklof_constant",
+    "estimated_traces",
     "BIANCHI_CSV_HEADER",
     "bianchi_csv_row",
     "bianchi_json_obj",
@@ -198,6 +199,15 @@ def bianchi_census(D: int, Q: int, workers: int = 1) -> BianchiCensus:
         excluded_reducible=tallies[3],
         excluded_over_q=over_q,
     )
+
+
+def estimated_traces(D: int, Q: int) -> int:
+    """About how many traces bianchi_census(D, Q) scans: the area of
+    N(t) <= R = isqrt(Q) + 3 in trace coordinates, pi R / sqrt(D), or
+    2 pi R / sqrt(D) when D = 3 (mod 4), where (2u + v, v) runs over a
+    lattice of index 2; the miss is a boundary term, O(sqrt(R))."""
+    R = math.isqrt(Q) + 3
+    return int((2 if D % 4 == 3 else 1) * math.pi * R / math.sqrt(D))
 
 
 def marklof_constant(D: int) -> float:

@@ -21,6 +21,14 @@ from .errors import CapacityError, DomainError
 
 PROG = "salem"
 
+# Field parameters above this are refused before any arithmetic: validating
+# one costs O(d^(1/3)) trial divisions, about 5e5 at the limit.
+MAX_FIELD_PARAM = 10**18
+
+# Trace budget of one bianchi census.  A trace costs about 5 us to scan and
+# write, so the limit stands for several minutes of work.
+MAX_BIANCHI_TRACES = 10**8
+
 
 def _default_workers() -> int:
     env = os.environ.get("SALEM_WORKERS", "")
@@ -49,6 +57,8 @@ def _require_qmax(args, minimum: int = 2) -> int:
 
 
 def _require_squarefree(value: int, flag: str, minimum: int) -> int:
+    if value > MAX_FIELD_PARAM:
+        raise DomainError(f"{flag} must be <= {MAX_FIELD_PARAM}, got {value}")
     if value < minimum or not is_square_free(value):
         raise DomainError(f"{flag} must be a square-free integer >= {minimum}, got {value}")
     return value
@@ -119,15 +129,26 @@ def _cmd_census(args) -> int:
 # --- bianchi -----------------------------------------------------------------
 
 
+def _require_trace_budget(D: int, Q: int) -> int:
+    traces = bianchi.estimated_traces(D, Q)
+    if traces > MAX_BIANCHI_TRACES:
+        raise CapacityError(
+            f"bianchi at d={D} qmax={Q} would scan about {traces} traces, "
+            f"above the limit of {MAX_BIANCHI_TRACES}"
+        )
+    return traces
+
+
 def _cmd_bianchi(args) -> int:
     D = _require_squarefree(args.d, "--d", 1)
     Q = _require_qmax(args)
+    traces = _require_trace_budget(D, Q)
     if args.dry_run:
         R = math.isqrt(Q) + 3
         est = int(bianchi.marklof_constant(D) * math.sqrt(Q))
         _emit(
             f"plan command=bianchi d={D} qmax={Q} norm_bound={R} "
-            f"est_count={est} workers={args.workers}",
+            f"est_count={est} est_traces={traces} workers={args.workers}",
             args.out,
         )
         return 0
@@ -242,6 +263,7 @@ def _series_counts(args, qs: list[int]) -> list[int]:
         if args.d is None:
             raise DomainError("--series bianchi requires --d")
         D = _require_squarefree(args.d, "--d", 1)
+        _require_trace_budget(D, qs[-1])
         return [bianchi.bianchi_census(D, q, workers=args.workers).count for q in qs]
     if args.field is None:
         raise DomainError("--series system requires --field")

@@ -13,13 +13,16 @@ With sigma the non-identity embedding, the system is
 together with the normalization sigma1(k) > 0.  Every inequality is strict
 and is decided exactly: each comparison is the sign of an element of o_L,
 which vanishes only for the zero element, so integer coordinates settle
-all boundary cases (floats only seed search ranges).
+all boundary cases, and every search bound is an integer square root.
 
-For counting, the k's attached to a fixed a form a box in embedding space
-(for quadratic L the union of the two branch windows is the full strip
-|sigma(k)| < 4), so the number of k per (a, v-coordinate) is an exact
-integer interval length; this makes the count O(#a * Q^(1/4)) instead of
-per-candidate work.
+Coordinates are doubled: sigma1(x) = (A + B sqrt(d))/2 and
+sigma2(x) = (A - B sqrt(d))/2 with integers A = B (mod 2); x = u + v w has
+(A, B) = (2u, 2v) for w = sqrt(d) and (2u + v, v) for w = (1 + sqrt(d))/2.
+For a fixed a, the k of one v-coordinate fill one interval of A (step 2).
+Its window sigma1(k) > 0, |sigma2(k)| < 4 depends only on (d, v) and is
+tabulated once per call, and the quadratic cut costs one integer square
+root and at most one sign test.  Counting sums the interval lengths, which
+makes it O(#a * Q^(1/4)); enumerating walks the same intervals.
 """
 
 from __future__ import annotations
@@ -28,10 +31,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-import numpy as np
-
 from ._bands import map_bands
-from .algebra import RealQuadElem, is_square_free, sign_plus_root
+from .algebra import RealQuadElem, is_perfect_square, is_square_free, sign_plus_root
 from .errors import DomainError
 
 __all__ = [
@@ -108,111 +109,113 @@ def _max_lt(A: int, B: int, d: int) -> int:
     return A + _floor_root_mult(B, d)
 
 
-# --- scans -------------------------------------------------------------------
+def _disc(d: int) -> int:
+    return d if d % 4 == 1 else 4 * d
 
 
-def _sigma1_sign_k2_plus_4a(d: int, half: bool, au: int, av: int, ku: int, kv: int) -> int:
-    """Exact sign of sigma1(k^2 + 4a)."""
-    if half:
-        c = (d - 1) // 4
-        eu = ku * ku + kv * kv * c + 4 * au
-        ev = 2 * ku * kv + kv * kv + 4 * av
-        return sign_plus_root(2 * eu + ev, ev, d)
-    eu = ku * ku + d * kv * kv + 4 * au
-    ev = 2 * ku * kv + 4 * av
-    return sign_plus_root(eu, ev, d)
-
-
-def _sigma2_sign(d: int, half: bool, xu: int, xv: int) -> int:
-    if half:
-        return sign_plus_root(2 * xu + xv, -xv, d)
-    return sign_plus_root(xu, -xv, d)
-
-
-def _iter_a_coords(d: int, Q: int, va_lo: int, va_hi: int) -> Iterator[tuple[int, int]]:
-    """Coordinates (u, v) of a in o_L with -(Q+3) < sigma1(a) < 0 and
-    -4 < sigma2(a) < 4, for v in [va_lo, va_hi)."""
-    half = d % 4 == 1
-    for v in range(va_lo, va_hi):
-        if half:
-            # sigma1 = (w + v sqrt d)/2, sigma2 = (w - v sqrt d)/2, w = 2u+v
-            w_lo = max(_min_gt(-2 * (Q + 3), -v, d), _min_gt(-8, v, d))
-            w_hi = min(_max_lt(0, -v, d), _max_lt(8, v, d))
-            if (w_lo - v) % 2:
-                w_lo += 1
-            for w in range(w_lo, w_hi + 1, 2):
-                yield (w - v) // 2, v
-        else:
-            u_lo = max(_min_gt(-(Q + 3), -v, d), _min_gt(-4, v, d))
-            u_hi = min(_max_lt(0, -v, d), _max_lt(4, v, d))
-            for u in range(u_lo, u_hi + 1):
-                yield u, v
+# --- the system as integer intervals -----------------------------------------
 
 
 def _va_range(d: int, Q: int) -> tuple[int, int]:
-    """v-range enclosing all admissible a coordinates (with margin)."""
-    sd = math.sqrt(d)
-    spread = (Q + 7) / (2 * sd) if d % 4 != 1 else (Q + 7) / sd
-    up = 4 / (2 * sd) if d % 4 != 1 else 8 / sd
-    return -int(spread) - 2, int(up) + 3
+    """[lo, hi) holding the v-coordinate of every admissible a.
+
+    sigma1(a) - sigma2(a) = B sqrt(d) lies in (-(Q+7), 4), and B^2 d is
+    v^2 times the field discriminant, so v^2 disc < (Q+7)^2 for v < 0 and
+    v^2 disc < 16 for v > 0.
+    """
+    disc = _disc(d)
+    return -math.isqrt(((Q + 7) ** 2 - 1) // disc), math.isqrt(15 // disc) + 1
 
 
-def _iter_k_coords(d: int, au: int, av: int) -> Iterator[tuple[int, int, str]]:
-    """Coordinates (u, v) and branch tag of every k for a fixed a:
-    sigma1(k) > 0, sigma1(k)^2 < -4 sigma1(a), |sigma2(k)| < 4."""
+def _iter_a_coords(
+    d: int, Q: int, va_lo: int, va_hi: int
+) -> Iterator[tuple[int, int, int, int]]:
+    """(u, v, A, B) of every a in o_L with -(Q+3) < sigma1(a) < 0 and
+    -4 < sigma2(a) < 4, for v in [va_lo, va_hi), in (v, u) order."""
     half = d % 4 == 1
-    sd = math.sqrt(d)
-    if half:
-        s1a = (2 * au + av + av * sd) / 2.0
-    else:
-        s1a = au + av * sd
-    root_T = math.sqrt(-4.0 * s1a)
-    if half:
-        v_lo, v_hi = int(-4 / sd) - 2, int((root_T + 4) / sd) + 3
-    else:
-        v_lo, v_hi = int(-4 / (2 * sd)) - 2, int((root_T + 4) / (2 * sd)) + 3
-    for v in range(v_lo, v_hi):
-        if half:
-            # sigma1(k) = (w + v sqrt d)/2, so the quadratic cut reads
-            # w < 2*root_T - v sqrt d
-            w_lo = max(_min_gt(0, -v, d), _min_gt(-8, v, d))
-            w_hi = min(_max_lt(8, v, d), int(2 * root_T - v * sd) + 2)
-            if (w_lo - v) % 2:
-                w_lo += 1
-            for w in range(w_lo, w_hi + 1, 2):
-                u = (w - v) // 2
-                if _sigma1_sign_k2_plus_4a(d, half, au, av, u, v) >= 0:
-                    break  # sigma1(k^2+4a) increases with u on sigma1(k) > 0
-                yield u, v, _branch_tag(d, half, au, av, u, v)
-        else:
-            u_lo = max(_min_gt(0, -v, d), _min_gt(-4, v, d))
-            u_hi = min(_max_lt(4, v, d), int(root_T - v * sd) + 2)
-            for u in range(u_lo, u_hi + 1):
-                if _sigma1_sign_k2_plus_4a(d, half, au, av, u, v) >= 0:
-                    break
-                yield u, v, _branch_tag(d, half, au, av, u, v)
+    for v in range(va_lo, va_hi):
+        B, off = (v, v) if half else (2 * v, 0)
+        lo = max(_min_gt(-2 * (Q + 3), -B, d), _min_gt(-8, B, d))
+        hi = min(_max_lt(0, -B, d), _max_lt(8, B, d))
+        lo += (lo - B) % 2
+        for A in range(lo, hi + 1, 2):
+            yield (A - off) // 2, v, A, B
 
 
-def _branch_tag(d: int, half: bool, au: int, av: int, ku: int, kv: int) -> str:
-    # plus branch:  (sigma2(a)-4)/2 < sigma2(k)  <=>  sigma2(2k - a + 4) > 0
-    # minus branch: sigma2(k) < (4-sigma2(a))/2  <=>  sigma2(2k + a - 4) < 0
-    plus = _sigma2_sign(d, half, 2 * ku - au + 4, 2 * kv - av) > 0
-    minus = _sigma2_sign(d, half, 2 * ku + au - 4, 2 * kv + av) < 0
-    if plus and minus:
-        return "both"
-    if plus:
-        return "plus"
-    if minus:
-        return "minus"
-    raise AssertionError("branch windows should cover |sigma2(k)| < 4")
+def _k_rows(d: int, Q: int) -> list[tuple[int, int, int, int, int, int]]:
+    """The a-independent part of the k-window, one row (v, off, V, fV, lo, hi)
+    per v-coordinate, in v order.
+
+    k = u + v w has doubled coordinates (W, V) with W = 2u + off, and
+    fV = floor(V sqrt(d)).  lo..hi (step 2) is the W-range of
+    sigma1(k) > 0 and |sigma2(k)| < 4, i.e. of -V sqrt(d) < W,
+    V sqrt(d) - 8 < W < V sqrt(d) + 8.  For v < 0 it is empty unless
+    v^2 disc < 16.  The rows stop where 2 fV - 8 exceeds floor(2 sqrt(4(Q+3))),
+    past which _k_ranges ends for every a.
+    """
+    half = d % 4 == 1
+    top = math.isqrt(16 * (Q + 3))
+    rows = []
+    v = -math.isqrt(15 // _disc(d))
+    while True:
+        V, off = (v, v) if half else (2 * v, 0)
+        fv = _floor_root_mult(V, d)
+        if 2 * fv - 8 > top:
+            return rows
+        on_axis = int(V == 0)  # V sqrt(d) is rational only for V = 0
+        lo = max(on_axis - fv, fv - 7)
+        hi = fv + 8 - on_axis
+        lo += (lo - V) % 2
+        hi -= (hi - V) % 2
+        if lo <= hi:
+            rows.append((v, off, V, fv, lo, hi))
+        v += 1
+
+
+def _k_ranges(
+    d: int, rows: list, A: int, B: int
+) -> Iterator[tuple[int, int, int, int, int]]:
+    """Every k for the a with doubled coordinates (A, B), as one exact
+    W-range (v, off, V, lo, hi), lo <= hi step 2, per row that holds any.
+
+    The quadratic cut sigma1(k)^2 < -4 sigma1(a) reads W < X with
+    X = 2R - V sqrt(d) and 2R = sqrt(-8(A + B sqrt(d))) (sigma1(k) > 0).
+    F = floor(2R) = isqrt(floor(-8(A + B sqrt(d)))), and X lies in
+    (F - fV - 1, F - fV + 1).  So the largest W < X of the parity of V is
+    c - 1 when c = F - fV has the other parity, and otherwise c or c - 2,
+    as the exact sign of sigma1(k^2 + 4a) at W = c says (where sigma1(k)
+    <= 0 at W = c, c < lo and the range is empty either way).  A row needs
+    V sqrt(d) - 8 < X, so 2 fV - 8 > F ends this row and all later ones.
+    """
+    f2r = math.isqrt(_floor_root_mult(-8 * B, d) - 8 * A)
+    for v, off, V, fv, lo, hi in rows:
+        if 2 * fv - 8 > f2r:
+            return
+        c = f2r - fv
+        if (c - V) % 2:
+            c -= 1
+        elif c <= hi and sign_plus_root(c * c + V * V * d + 8 * A, 2 * c * V + 8 * B, d) >= 0:
+            c -= 2
+        hi = min(hi, c)
+        if lo <= hi:
+            yield v, off, V, lo, hi
 
 
 def _enum_band(
     d: int, Q: int, va_lo: int, va_hi: int
 ) -> Iterator[tuple[int, int, int, int, str]]:
-    for au, av in _iter_a_coords(d, Q, va_lo, va_hi):
-        for ku, kv, branch in _iter_k_coords(d, au, av):
-            yield au, av, ku, kv, branch
+    rows = _k_rows(d, Q)
+    for au, av, A, B in _iter_a_coords(d, Q, va_lo, va_hi):
+        for v, off, V, lo, hi in _k_ranges(d, rows, A, B):
+            # plus:  sigma2(2k - a + 4) > 0  <=>  2W > (A - 8) + (2V - B) sqrt(d)
+            # minus: sigma2(2k + a - 4) < 0  <=>  2W < (8 - A) + (2V + B) sqrt(d)
+            # Both fail only if sigma2(a) >= 4, so one of them holds.
+            plus_from = _min_gt(A - 8, 2 * V - B, d)
+            minus_to = _max_lt(8 - A, 2 * V + B, d)
+            for W in range(lo, hi + 1, 2):
+                branch = ("plus" if 2 * W > minus_to else
+                          "minus" if 2 * W < plus_from else "both")
+                yield au, av, (W - off) // 2, v, branch
 
 
 def enumerate_system(d: int, Q: int, workers: int = 1) -> Iterator[SystemSolution]:
@@ -227,66 +230,18 @@ def enumerate_system(d: int, Q: int, workers: int = 1) -> Iterator[SystemSolutio
             yield SystemSolution(a, k, k * k + 2 * a - 2, branch)
 
 
-def _count_k_for_a(d: int, half: bool, sd: float, au: int, av: int) -> int:
-    """Exact count of admissible k for fixed a, one interval per v."""
-    if half:
-        s1a = (2 * au + av + av * sd) / 2.0
-    else:
-        s1a = au + av * sd
-    root_T = math.sqrt(-4.0 * s1a)
-    total = 0
-    if half:
-        v_lo, v_hi = int(-4 / sd) - 2, int((root_T + 4) / sd) + 3
-    else:
-        v_lo, v_hi = int(-4 / (2 * sd)) - 2, int((root_T + 4) / (2 * sd)) + 3
-    for v in range(v_lo, v_hi):
-        if half:
-            w_lo = max(_min_gt(0, -v, d), _min_gt(-8, v, d))
-            if (w_lo - v) % 2:
-                w_lo += 1
-            w_top = _max_lt(8, v, d)
-            w_top -= (w_top - v) % 2
-            if w_top < w_lo:
-                continue
-            # largest parity-correct w passing the quadratic cut: float seed,
-            # then exact walk (predicate is monotone for sigma1(k) > 0)
-            w = int(2 * root_T - v * sd) + 3
-            w -= (w - v) % 2
-            w = min(w, w_top)
-            while w >= w_lo and _sigma1_sign_k2_plus_4a(d, half, au, av, (w - v) // 2, v) >= 0:
-                w -= 2
-            while w + 2 <= w_top and _sigma1_sign_k2_plus_4a(
-                d, half, au, av, (w + 2 - v) // 2, v
-            ) < 0:
-                w += 2
-            if w >= w_lo:
-                total += (w - w_lo) // 2 + 1
-        else:
-            u_lo = max(_min_gt(0, -v, d), _min_gt(-4, v, d))
-            u_hi_win = _max_lt(4, v, d)
-            if u_lo > u_hi_win:
-                continue
-            u = min(int(root_T - v * sd) + 2, u_hi_win)
-            while u >= u_lo and _sigma1_sign_k2_plus_4a(d, half, au, av, u, v) >= 0:
-                u -= 1
-            while u + 1 <= u_hi_win and _sigma1_sign_k2_plus_4a(d, half, au, av, u + 1, v) < 0:
-                u += 1
-            if u >= u_lo:
-                total += u - u_lo + 1
-    return total
-
-
 def _count_band(d: int, Q: int, va_lo: int, va_hi: int) -> int:
-    half = d % 4 == 1
-    sd = math.sqrt(d)
+    rows = _k_rows(d, Q)
     return sum(
-        _count_k_for_a(d, half, sd, au, av) for au, av in _iter_a_coords(d, Q, va_lo, va_hi)
+        (hi - lo) // 2 + 1
+        for _, _, A, B in _iter_a_coords(d, Q, va_lo, va_hi)
+        for _, _, _, lo, hi in _k_ranges(d, rows, A, B)
     )
 
 
 def count_system(d: int, Q: int, verified: bool = False, workers: int = 1) -> int:
     """Number of system solutions; with verified=True, only those passing
-    verify_salem_over_L (slower: per-solution numeric verification)."""
+    verify_salem_over_L (slower: each solution is enumerated and verified)."""
     _check_d(d)
     _check_q(Q)
     if verified:
@@ -300,70 +255,75 @@ def count_system(d: int, Q: int, verified: bool = False, workers: int = 1) -> in
 def ring_square_root(x: RealQuadElem) -> RealQuadElem | None:
     """A square root of x in o_L if one exists, else None.
 
-    Both embeddings of a square are non-negative; candidates are
-    reconstructed from the embedding square roots and verified by exact
-    squaring, so a non-None answer is always correct.
+    Write sigma1(y) = (T + S sqrt(d))/2.  If y^2 = x, then N(y)^2 = N(x),
+    T^2 = Tr(y)^2 = Tr(x) + 2 N(y) and S^2 d = (sigma1(y) - sigma2(y))^2 =
+    Tr(x) - 2 N(y).  So N(x) is a perfect square n^2, and for N(y) = n or
+    -n both T >= 0 and |S| come from integer square roots.  Each candidate
+    is confirmed by exact squaring, so the answer is right at every
+    magnitude.
     """
     if x.is_zero():
-        return RealQuadElem(x.d, 0, 0)
-    if x.sign_sigma1() < 0 or x.sign_sigma2() < 0:
+        return x
+    n = is_perfect_square(x.norm())
+    if n is None:
         return None
-    s1, s2 = x.embeddings()
-    t1 = math.sqrt(max(s1, 0.0))
-    sd = math.sqrt(x.d)
-    for t2 in (math.sqrt(max(s2, 0.0)), -math.sqrt(max(s2, 0.0))):
-        if x.half_basis:
-            v = (t1 - t2) / sd
-            u = (t1 + t2 - v) / 2.0
-        else:
-            v = (t1 - t2) / (2.0 * sd)
-            u = (t1 + t2) / 2.0
-        for du in (0, -1, 1):
-            for dv in (0, -1, 1):
-                c = RealQuadElem(x.d, round(u) + du, round(v) + dv)
-                if c * c == x:
-                    return c
+    d, tr = x.d, x.trace()
+    for norm_y in (n, -n):
+        T = is_perfect_square(tr + 2 * norm_y)
+        S2, rem = divmod(tr - 2 * norm_y, d)
+        S = is_perfect_square(S2) if rem == 0 else None
+        if T is None or S is None:
+            continue
+        for s in (S, -S):
+            if x.half_basis:
+                y = RealQuadElem(d, (T - s) // 2, s) if (T - s) % 2 == 0 else None
+            else:
+                y = RealQuadElem(d, T // 2, s // 2) if T % 2 == s % 2 == 0 else None
+            if y is not None and y * y == x:
+                return y
     return None
 
 
-def _unit_circle_quartic(a2: float, b2: float, tol: float = 1e-9) -> bool:
-    roots = np.roots([1.0, a2, b2, a2, 1.0])
-    return bool(np.all(np.abs(np.abs(roots) - 1.0) <= tol))
-
-
-def _salem_quartic_numeric(a1: float, b1: float, tol: float = 1e-9) -> bool:
-    roots = np.roots([1.0, a1, b1, a1, 1.0])
-    real = [z.real for z in roots if abs(z.imag) <= tol * max(1.0, abs(z.real))]
-    cplx = [z for z in roots if abs(z.imag) > tol * max(1.0, abs(z.real))]
-    if len(real) != 2 or len(cplx) != 2:
-        return False
-    lam, rec = max(real), min(real)
-    if not (lam > 1.0 + tol and abs(rec - 1.0 / lam) <= tol):
-        return False
-    return all(abs(abs(z) - 1.0) <= tol for z in cplx)
-
-
 def verify_salem_over_L(d: int, s: SystemSolution) -> bool:
-    """Full Salem-over-L verification of a system solution:
+    """Full Salem-over-L verification of a system solution, exact:
 
     (i)   the identity-embedded quartic has the Salem root pattern,
     (ii)  the conjugate quartic has all roots on the unit circle,
     (iii) 4 - a + 2k or 4 - a - 2k is totally positive,
     (iv)  r(y) = y^2 + a y + (b-2) has no root in o_L (its discriminant is
           not a square in o_L), so the quartic is irreducible over L.
+
+    Proof of the tests for (i) and (ii): p(x) = x^2 r(x + 1/x), and a root
+    y of r gives the roots x, 1/x of x^2 - y x + 1.  They are real and off
+    the unit circle when y is real with |y| > 2, on the circle when y is
+    real with |y| <= 2 (a non-real pair when |y| < 2), and off it when y is
+    not real, because x + 1/x is real for |x| = 1.  So (i) holds iff the
+    sigma1-image of r has one root above 2 and one in (-2, 2), that is
+    sigma1(r(2)) < 0 < sigma1(r(-2)).  (ii) holds iff both roots of the
+    sigma2-image are real and in [-2, 2]: sigma2 of r(2), r(-2) and
+    disc = a^2 - 4b + 8 are >= 0, and the vertex -sigma2(a)/2 lies in
+    [-2, 2].
+
+    On a system solution r(2) = k^2 + 4a, r(-2) = k^2,
+    disc = (4 - a - 2k)(4 - a + 2k) and |sigma2(a)| < 4, so (i) holds
+    already and (ii) comes down to sigma2(k^2 + 4a) >= 0 and
+    sigma2(disc) >= 0.  Neither element is 0 (sigma1(k^2 + 4a) < 0, and
+    sigma1(disc) > 0 as the two roots of (i) differ), so no boundary case
+    arises.  The general tests are kept, so any (a, b) is decided exactly.
     """
     _check_d(d)
     a, k, b = s.a, s.k, s.b
-    s1a, s2a = a.embeddings()
-    s1b, s2b = b.embeddings()
-    if not _salem_quartic_numeric(s1a, s1b):
-        return False
-    if not _unit_circle_quartic(s2a, s2b):
-        return False
-    four = RealQuadElem.from_int(d, 4)
-    if not ((four - a + 2 * k).is_totally_positive() or (four - a - 2 * k).is_totally_positive()):
-        return False
+    two_a, b_plus_2, four_minus_a = 2 * a, b + 2, 4 - a
+    r_at_2, r_at_minus_2 = b_plus_2 + two_a, b_plus_2 - two_a
     disc = a * a - 4 * b + 8
+    if not r_at_2.sign_sigma1() < 0 < r_at_minus_2.sign_sigma1():
+        return False
+    if any(x.sign_sigma2() < 0 for x in (r_at_2, disc, r_at_minus_2, four_minus_a, 4 + a)):
+        return False
+    two_k = 2 * k
+    if not ((four_minus_a + two_k).is_totally_positive()
+            or (four_minus_a - two_k).is_totally_positive()):
+        return False
     return ring_square_root(disc) is None
 
 
@@ -379,8 +339,7 @@ def lattice_geometry(d: int) -> LatticeGeometry:
     w = RealQuadElem(d, 0, 1)
     diag1 = math.hypot(*(one + w).embeddings())
     diag2 = math.hypot(*(one - w).embeddings())
-    disc = d if d % 4 == 1 else 4 * d
-    return LatticeGeometry(d=d, h=2, disc=disc, delta=2.0 * max(diag1, diag2))
+    return LatticeGeometry(d=d, h=2, disc=_disc(d), delta=2.0 * max(diag1, diag2))
 
 
 def c2_upper_bound(d: int) -> float:
@@ -416,6 +375,8 @@ def volume_monte_carlo(
     terms.  Deterministic for a fixed seed."""
     if h < 1 or delta < 0 or Q < 1 or samples < 1:
         raise DomainError("need h >= 1, delta >= 0, Q >= 1, samples >= 1")
+    import numpy as np  # only here, so importing the package does not load numpy
+
     rng = np.random.default_rng(seed)
     x1_lo, x1_hi = -(Q + 3 + delta), delta
     y1_max = math.sqrt(4 * (Q + 3 + delta)) + delta

@@ -2,9 +2,11 @@
 
 Everything here is deliberately built from different machinery than the
 package under test: numpy root finding for spectral classification, trial
-division for quartic reducibility, and row-by-row scans for the integer
-censuses that the package counts in closed form.  No module from
-salemcensus is imported.
+division for quartic reducibility and square-freeness, row-by-row scans
+for the integer censuses that the package counts in closed form, and the
+float-seeded walk and numeric verifier of the real-quadratic system that
+the package decides with exact intervals.  No module from salemcensus is
+imported.
 """
 
 from __future__ import annotations
@@ -174,3 +176,264 @@ def count_deg2_loop(Q: int) -> int:
     """Degree-2 Salem numbers <= Q: x^2 + ax + 1 with -a >= 3 (irreducible,
     root > 1) and lambda <= Q, i.e. Q^2 + aQ + 1 >= 0."""
     return sum(1 for na in range(3, Q + 1) if Q * Q - na * Q + 1 >= 0)
+
+
+def is_square_free_trial(n: int) -> bool:
+    """n >= 1 with no prime square dividing it, by trial division up to
+    sqrt(n)."""
+    if n < 1:
+        return False
+    f = 2
+    while f * f <= n:
+        if n % (f * f) == 0:
+            return False
+        while n % f == 0:
+            n //= f
+        f += 1
+    return True
+
+
+# --- real quadratic field o_L, L = Q(sqrt(d)), in coordinates -----------------
+#
+# x = (u, v) stands for u + v w, w = sqrt(d) for d = 2, 3 (mod 4) and
+# w = (1 + sqrt(d))/2 for d = 1 (mod 4).  Below: the float-seeded system walk
+# and the numeric Salem-over-L verifier (np.roots with tolerances) that the
+# package replaced by exact integer intervals and sign tests.
+
+
+def _mul(d: int, x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    (u1, v1), (u2, v2) = x, y
+    if d % 4 == 1:
+        c = (d - 1) // 4  # w^2 = w + c
+        return u1 * u2 + v1 * v2 * c, u1 * v2 + u2 * v1 + v1 * v2
+    return u1 * u2 + d * v1 * v2, u1 * v2 + u2 * v1
+
+
+def _embeddings(d: int, x: tuple[int, int]) -> tuple[float, float]:
+    u, v = x
+    rt = math.sqrt(d)
+    if d % 4 == 1:
+        return u + v * (1 + rt) / 2, u + v * (1 - rt) / 2
+    return u + v * rt, u - v * rt
+
+
+def _sign_plus_root(A: int, B: int, d: int) -> int:
+    """Exact sign of A + B sqrt(d), d not a square."""
+    if B == 0:
+        return (A > 0) - (A < 0)
+    if A == 0 or (A > 0) == (B > 0):
+        return 1 if B > 0 else -1
+    bigger_a = A * A > B * B * d
+    return (1 if A > 0 else -1) if bigger_a else (1 if B > 0 else -1)
+
+
+def _sigma_signs(d: int, x: tuple[int, int]) -> tuple[int, int]:
+    u, v = x
+    A, B = (2 * u + v, v) if d % 4 == 1 else (2 * u, 2 * v)
+    return _sign_plus_root(A, B, d), _sign_plus_root(A, -B, d)
+
+
+def ring_square_root_float(d: int, x: tuple[int, int]) -> tuple[int, int] | None:
+    """A square root of x in o_L or None: rounded from the float square
+    roots of the embeddings, with +-1 corrections, confirmed by squaring."""
+    if x == (0, 0):
+        return 0, 0
+    if min(_sigma_signs(d, x)) < 0:
+        return None
+    s1, s2 = _embeddings(d, x)
+    t1, sd = math.sqrt(max(s1, 0.0)), math.sqrt(d)
+    for t2 in (math.sqrt(max(s2, 0.0)), -math.sqrt(max(s2, 0.0))):
+        if d % 4 == 1:
+            v = (t1 - t2) / sd
+            u = (t1 + t2 - v) / 2.0
+        else:
+            v = (t1 - t2) / (2.0 * sd)
+            u = (t1 + t2) / 2.0
+        for du in (0, -1, 1):
+            for dv in (0, -1, 1):
+                c = (round(u) + du, round(v) + dv)
+                if _mul(d, c, c) == x:
+                    return c
+    return None
+
+
+def ring_square_root_bruteforce(d: int, x: tuple[int, int]) -> tuple[int, int] | None:
+    """A square root (s, t) of x in o_L or None, trying every t: with
+    y = s + t w, y^2 has u-coordinate s^2 + t^2 (d or (d-1)/4), so
+    |t| <= sqrt(u / (d or (d-1)/4))."""
+    u, _ = x
+    if u < 0:
+        return None
+    c = (d - 1) // 4 if d % 4 == 1 else d
+    tmax = math.isqrt(u // c)
+    for t in range(-tmax, tmax + 1):
+        s = math.isqrt(u - c * t * t)
+        for cand in ((s, t), (-s, t)):
+            if _mul(d, cand, cand) == x:
+                return cand
+    return None
+
+
+def verify_salem_over_L_numeric(d: int, a: tuple[int, int], k: tuple[int, int]) -> bool:
+    """Salem-over-L test of the system solution (a, k), b = k^2 + 2a - 2:
+    root patterns of both embedded quartics by np.roots with a 1e-9
+    tolerance, total positivity of 4 - a +- 2k by exact signs, and
+    irreducibility by ring_square_root_float of the discriminant of
+    y^2 + a y + (b - 2)."""
+    tol = 1e-9
+    kk = _mul(d, k, k)
+    b = (kk[0] + 2 * a[0] - 2, kk[1] + 2 * a[1])
+    (s1a, s2a), (s1b, s2b) = _embeddings(d, a), _embeddings(d, b)
+    roots = np.roots([1.0, s1a, s1b, s1a, 1.0])
+    real = [z.real for z in roots if abs(z.imag) <= tol * max(1.0, abs(z.real))]
+    cplx = [z for z in roots if abs(z.imag) > tol * max(1.0, abs(z.real))]
+    if len(real) != 2 or len(cplx) != 2:
+        return False
+    lam, rec = max(real), min(real)
+    if not (lam > 1.0 + tol and abs(rec - 1.0 / lam) <= tol):
+        return False
+    if not all(abs(abs(z) - 1.0) <= tol for z in cplx):
+        return False
+    conj = np.roots([1.0, s2a, s2b, s2a, 1.0])
+    if not np.all(np.abs(np.abs(conj) - 1.0) <= tol):
+        return False
+    if not any(min(_sigma_signs(d, (4 - a[0] + 2 * e * k[0], -a[1] + 2 * e * k[1]))) > 0
+               for e in (1, -1)):
+        return False
+    aa = _mul(d, a, a)
+    disc = (aa[0] - 4 * b[0] + 8, aa[1] - 4 * b[1])
+    return ring_square_root_float(d, disc) is None
+
+
+def _floor_root_mult(B: int, d: int) -> int:
+    if B == 0:
+        return 0
+    if B > 0:
+        return math.isqrt(B * B * d)
+    return -math.isqrt(B * B * d) - 1
+
+
+def _min_gt(A: int, B: int, d: int) -> int:
+    return A + _floor_root_mult(B, d) + 1
+
+
+def _max_lt(A: int, B: int, d: int) -> int:
+    return A - 1 if B == 0 else A + _floor_root_mult(B, d)
+
+
+def _sigma1_sign_k2_plus_4a(d: int, au: int, av: int, ku: int, kv: int) -> int:
+    kk = _mul(d, (ku, kv), (ku, kv))
+    return _sigma_signs(d, (kk[0] + 4 * au, kk[1] + 4 * av))[0]
+
+
+def _branch_tag(d: int, au: int, av: int, ku: int, kv: int) -> str:
+    plus = _sigma_signs(d, (2 * ku - au + 4, 2 * kv - av))[1] > 0
+    minus = _sigma_signs(d, (2 * ku + au - 4, 2 * kv + av))[1] < 0
+    return "both" if plus and minus else "plus" if plus else "minus"
+
+
+def _system_a_coords(d: int, Q: int):
+    """a with -(Q+3) < sigma1(a) < 0, |sigma2(a)| < 4, v-range seeded by floats."""
+    half = d % 4 == 1
+    sd = math.sqrt(d)
+    spread = (Q + 7) / sd if half else (Q + 7) / (2 * sd)
+    up = 8 / sd if half else 4 / (2 * sd)
+    for v in range(-int(spread) - 2, int(up) + 3):
+        if half:
+            w_lo = max(_min_gt(-2 * (Q + 3), -v, d), _min_gt(-8, v, d))
+            w_hi = min(_max_lt(0, -v, d), _max_lt(8, v, d))
+            if (w_lo - v) % 2:
+                w_lo += 1
+            for w in range(w_lo, w_hi + 1, 2):
+                yield (w - v) // 2, v
+        else:
+            u_lo = max(_min_gt(-(Q + 3), -v, d), _min_gt(-4, v, d))
+            u_hi = min(_max_lt(0, -v, d), _max_lt(4, v, d))
+            for u in range(u_lo, u_hi + 1):
+                yield u, v
+
+
+def _k_walk(d: int, au: int, av: int):
+    """k of a fixed a, walked one candidate at a time from a float bound,
+    each passed by an exact sign test of sigma1(k^2 + 4a)."""
+    half = d % 4 == 1
+    sd = math.sqrt(d)
+    s1a = (2 * au + av + av * sd) / 2.0 if half else au + av * sd
+    root_t = math.sqrt(-4.0 * s1a)
+    v_lo = int(-4 / sd) - 2 if half else int(-4 / (2 * sd)) - 2
+    v_hi = int((root_t + 4) / sd) + 3 if half else int((root_t + 4) / (2 * sd)) + 3
+    for v in range(v_lo, v_hi):
+        if half:
+            w_lo = max(_min_gt(0, -v, d), _min_gt(-8, v, d))
+            w_hi = min(_max_lt(8, v, d), int(2 * root_t - v * sd) + 2)
+            if (w_lo - v) % 2:
+                w_lo += 1
+            us = ((w - v) // 2 for w in range(w_lo, w_hi + 1, 2))
+        else:
+            u_lo = max(_min_gt(0, -v, d), _min_gt(-4, v, d))
+            us = range(u_lo, min(_max_lt(4, v, d), int(root_t - v * sd) + 2) + 1)
+        for u in us:
+            if _sigma1_sign_k2_plus_4a(d, au, av, u, v) >= 0:
+                break  # increases with u on sigma1(k) > 0
+            yield u, v
+
+
+def enumerate_system_walk(d: int, Q: int) -> list[tuple[int, int, int, int, str]]:
+    """(a_u, a_v, k_u, k_v, branch) of every system solution, in the order
+    of the package's enumerate_system."""
+    return [(au, av, ku, kv, _branch_tag(d, au, av, ku, kv))
+            for au, av in _system_a_coords(d, Q) for ku, kv in _k_walk(d, au, av)]
+
+
+def count_system_walk(d: int, Q: int) -> int:
+    """Number of system solutions: per a and v, the largest k from a float
+    seed fixed up by exact sign tests in both directions."""
+    half = d % 4 == 1
+    sd = math.sqrt(d)
+    total = 0
+    for au, av in _system_a_coords(d, Q):
+        s1a = (2 * au + av + av * sd) / 2.0 if half else au + av * sd
+        root_t = math.sqrt(-4.0 * s1a)
+        v_lo = int(-4 / sd) - 2 if half else int(-4 / (2 * sd)) - 2
+        v_hi = int((root_t + 4) / sd) + 3 if half else int((root_t + 4) / (2 * sd)) + 3
+        for v in range(v_lo, v_hi):
+            if half:
+                w_lo = max(_min_gt(0, -v, d), _min_gt(-8, v, d))
+                if (w_lo - v) % 2:
+                    w_lo += 1
+                w_top = _max_lt(8, v, d)
+                w_top -= (w_top - v) % 2
+                if w_top < w_lo:
+                    continue
+                w = int(2 * root_t - v * sd) + 3
+                w -= (w - v) % 2
+                w = min(w, w_top)
+                while w >= w_lo and _sigma1_sign_k2_plus_4a(d, au, av, (w - v) // 2, v) >= 0:
+                    w -= 2
+                while w + 2 <= w_top and _sigma1_sign_k2_plus_4a(
+                        d, au, av, (w + 2 - v) // 2, v) < 0:
+                    w += 2
+                if w >= w_lo:
+                    total += (w - w_lo) // 2 + 1
+            else:
+                u_lo = max(_min_gt(0, -v, d), _min_gt(-4, v, d))
+                u_top = _max_lt(4, v, d)
+                if u_lo > u_top:
+                    continue
+                u = min(int(root_t - v * sd) + 2, u_top)
+                while u >= u_lo and _sigma1_sign_k2_plus_4a(d, au, av, u, v) >= 0:
+                    u -= 1
+                while u + 1 <= u_top and _sigma1_sign_k2_plus_4a(d, au, av, u + 1, v) < 0:
+                    u += 1
+                if u >= u_lo:
+                    total += u - u_lo + 1
+    return total
+
+
+def system_qmin(d: int, a: tuple[int, int]) -> int:
+    """Least Q >= 2 whose system admits a, i.e. with sigma1(a) > -(Q+3),
+    for a with sigma1(a) < 0."""
+    u, v = a
+    A, B = (2 * u + v, v) if d % 4 == 1 else (2 * u, 2 * v)
+    # Q + 3 > x = -sigma1(a) = (-A - B sqrt d)/2 iff Q + 3 > floor(x)
+    return max(2, (-A + _floor_root_mult(-B, d)) // 2 - 2)

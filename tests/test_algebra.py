@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,8 @@ from salemcensus.algebra import (
     sign_plus_root,
 )
 from salemcensus.errors import DomainError
+
+from oracles import is_square_free_trial
 
 SQUARE_FREE_D = [1, 2, 3, 5, 6, 7, 10, 11, 13, 15, 19, 23]
 REAL_FIELDS = [2, 3, 5, 6, 7, 10, 13, 17, 21]
@@ -46,6 +49,23 @@ def test_square_free():
     assert is_square_free(1) and is_square_free(2) and is_square_free(30)
     assert not is_square_free(4) and not is_square_free(12) and not is_square_free(18)
     assert not is_square_free(0) and not is_square_free(-5)
+
+
+def test_square_free_matches_trial_division():
+    ns = range(-3, 20000)
+    assert [is_square_free(n) for n in ns] == [is_square_free_trial(n) for n in ns]
+
+
+def test_square_free_near_1e18_is_fast():
+    # trial division stops at the cube root of the cofactor
+    p, q = 999_999_937, 999_999_929  # primes
+    is_square_free.cache_clear()
+    t0 = time.perf_counter()
+    assert is_square_free(999_999_999_999_999_877)  # prime
+    assert is_square_free(p * q)
+    assert not is_square_free(p * p)
+    assert not is_square_free(4 * 249_999_999_999_999_969)
+    assert time.perf_counter() - t0 < 1.0
 
 
 class TestSignPlusRoot:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import salemcensus
 from salemcensus.cli import main
 
 
@@ -179,6 +184,71 @@ class TestHugeBounds:
         assert val["points_used"] == "3"
         assert [ln.split(",")[0] for ln in lines[2:]] == [str(q) for q in qs]
         assert all(float(ln.split(",")[1]) == pytest.approx(2, rel=1e-9) for ln in lines[2:])
+
+
+class TestInputGuards:
+    """Inputs that would hang are refused up front: field parameters above
+    1e18 with exit 3, bianchi scans above 1e8 traces with exit 4."""
+
+    def _timed(self, capsys, *argv):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - t0 < 1.0
+        return code, out, err
+
+    def test_huge_field_refused(self, capsys):
+        code, _, err = self._timed(capsys, "cocompact", "--field", "1000000000000000003",
+                                   "--qmax", "10", "--dry-run")
+        assert code == 3 and "kind=domain" in err and "--field must be <=" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("bianchi", "--d", "1000000000000000003", "--qmax", "10"),
+        ("constants", "--marklof-c", "1000000000000000003"),
+        ("constants", "--c2-bound", "1000000000000000003"),
+        ("fit", "--series", "system", "--field", "1000000000000000003",
+         "--qgrid", "10,20,40"),
+    ])
+    def test_every_field_flag_is_capped(self, capsys, argv):
+        code, _, err = self._timed(capsys, *argv)
+        assert code == 3 and "kind=domain" in err
+
+    def test_prime_near_limit_accepted(self, capsys):
+        p = 999_999_999_999_999_989  # the largest prime below 1e18
+        code, out, _ = self._timed(capsys, "cocompact", "--field", str(p), "--qmax", "10",
+                                   "--dry-run")
+        assert code == 0 and out.startswith(f"plan command=cocompact field={p} ")
+
+    def test_bianchi_fit_over_budget(self, capsys):
+        code, _, err = self._timed(
+            capsys, "fit", "--series", "bianchi", "--d", "3",
+            "--qgrid", "1000000000000000,10000000000000000,100000000000000000")
+        assert code == 4 and "kind=capacity" in err
+
+    @pytest.mark.parametrize("extra", [(), ("--dry-run",)])
+    def test_bianchi_over_budget(self, capsys, extra):
+        code, _, err = self._timed(capsys, "bianchi", "--d", "3",
+                                   "--qmax", str(10**18), *extra)
+        assert code == 4 and "kind=capacity" in err and "traces" in err
+
+    def test_bianchi_dry_run_prints_the_guarded_estimate(self, capsys):
+        code, out, _ = run(capsys, "bianchi", "--d", "3", "--qmax", "3000000000", "--dry-run")
+        assert code == 0 and " est_traces=198701 " in out  # 198715 are scanned
+
+
+class TestLazyNumpy:
+    def test_cli_import_does_not_load_numpy(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(salemcensus.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, salemcensus.cli; print('numpy' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True).stdout
+        assert out == "False\n"
+
+    def test_monte_carlo_output_unchanged(self, capsys):
+        code, out, _ = run(capsys, "constants", "--volume", "2", "1.5", "100",
+                           "--mc-samples", "1000", "--seed", "3")
+        assert code == 0
+        assert out == "volume_leading=264000\nmc_estimate=308475.245728 samples=1000 seed=3\n"
 
 
 class TestReportCommand:

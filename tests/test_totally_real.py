@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from salemcensus.algebra import RealQuadElem
@@ -9,6 +9,8 @@ from salemcensus.errors import DomainError
 from salemcensus.totally_real import (
     SYSTEM_CSV_HEADER,
     SystemSolution,
+    _enum_band,
+    _va_range,
     c2_upper_bound,
     count_system,
     enumerate_system,
@@ -18,6 +20,15 @@ from salemcensus.totally_real import (
     verify_salem_over_L,
     volume_leading,
     volume_monte_carlo,
+)
+
+from oracles import (
+    count_system_walk,
+    enumerate_system_walk,
+    ring_square_root_bruteforce,
+    ring_square_root_float,
+    system_qmin,
+    verify_salem_over_L_numeric,
 )
 
 # Frozen by the independent float-with-exact-zero-guard enumeration oracle.
@@ -102,7 +113,44 @@ class TestEnumerateSystem:
         assert 1.3 < fit.exponent < 1.7
 
 
+class TestIntervalKernelAgainstWalks:
+    """The exact interval kernel against the float-seeded walks it replaced.
+
+    The walk runs once at Q = 149; the system at a smaller Q keeps exactly
+    the rows whose a has sigma1(a) > -(Q+3), in the same order.
+    """
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 13])
+    def test_every_small_q(self, d):
+        full = enumerate_system_walk(d, 149)
+        qmin = [system_qmin(d, (au, av)) for au, av, *_ in full]
+        for Q in range(2, 150):
+            want = [row for row, q in zip(full, qmin) if q <= Q]
+            assert count_system(d, Q) == len(want), Q
+            band = _enum_band(d, Q, *_va_range(d, Q))
+            assert list(band) == want, Q
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 13])
+    def test_count_walk(self, d):
+        for Q in (2, 3, 17, 64, 149, 400):
+            assert count_system(d, Q) == count_system_walk(d, Q)
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 13])
+    def test_public_enumeration_matches_walk(self, d):
+        got = [(s.a.u, s.a.v, s.k.u, s.k.v, s.branch) for s in enumerate_system(d, 149)]
+        assert got == enumerate_system_walk(d, 149)
+
+
 class TestVerifySalemOverL:
+    @pytest.mark.parametrize("d", [2, 3, 5, 13])
+    def test_exact_equals_numeric_oracle(self, d):
+        sols = list(enumerate_system(d, 60))
+        got = [verify_salem_over_L(d, s) for s in sols]
+        want = [verify_salem_over_L_numeric(d, (s.a.u, s.a.v), (s.k.u, s.k.v))
+                for s in sols]
+        assert got == want
+        assert 0 < sum(got) < len(got)
+
     def test_frozen_true_example(self):
         # found by the independent numeric verification oracle
         s = _mk(2, -10, -9, 1, 1)
@@ -159,6 +207,26 @@ class TestRingSquareRoot:
 
     def test_negative_embedding_has_no_root(self):
         assert ring_square_root(RealQuadElem(2, 0, 1)) is None  # sigma2 < 0
+
+    def test_huge_square_exact(self):
+        x = RealQuadElem(2, 10**40 + 7, 3 * 10**39 + 1)
+        root = ring_square_root(x * x)
+        assert root is not None and root * root == x * x
+        assert ring_square_root(x * x + 1) is None
+
+    @settings(max_examples=300)
+    @given(st.sampled_from([2, 3, 5, 13]), st.integers(-60, 60), st.integers(-60, 60),
+           st.integers(-6, 6), st.integers(-6, 6))
+    def test_near_squares_match_bruteforce(self, d, u, v, eu, ev):
+        assume((eu, ev) != (0, 0))
+        x = RealQuadElem(d, u, v)
+        y = x * x + RealQuadElem(d, eu, ev)
+        root = ring_square_root(y)
+        brute = ring_square_root_bruteforce(d, (y.u, y.v))
+        assert (root is None) == (brute is None)
+        assert (root is None) == (ring_square_root_float(d, (y.u, y.v)) is None)
+        if root is not None:
+            assert root * root == y
 
     @settings(max_examples=200)
     @given(st.sampled_from([2, 5, 13]), st.integers(-50, 50), st.integers(-50, 50))
