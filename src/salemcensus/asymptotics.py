@@ -90,6 +90,14 @@ def power_fit(points, residual_threshold: float = 0.05) -> FitResult:
                  residual_threshold, dropped[0])
 
 
+def _check_multiplicity_args(n: int, ell_max: float, step: float) -> None:
+    """Raise DomainError unless multiplicity_report accepts these arguments."""
+    if not isinstance(n, int) or n < 4 or n % 2:
+        raise DomainError(f"n must be an even integer >= 4, got {n}")
+    if not (1.0 <= step <= ell_max):
+        raise DomainError(f"need 1 <= step <= ell_max, got step={step}, ell_max={ell_max}")
+
+
 def multiplicity_report(n: int, ell_max: float, step: float) -> list[MultiplicityRow]:
     """Mean-multiplicity lower bounds in the length spectrum of a
     non-compact arithmetic orbifold of even dimension n >= 4.
@@ -101,10 +109,7 @@ def multiplicity_report(n: int, ell_max: float, step: float) -> list[Multiplicit
     bound's constant instantiates the leading count constants; it is one
     admissible choice, not canonical).
     """
-    if not isinstance(n, int) or n < 4 or n % 2:
-        raise DomainError(f"n must be an even integer >= 4, got {n}")
-    if not (1.0 <= step <= ell_max):
-        raise DomainError(f"need 1 <= step <= ell_max, got step={step}, ell_max={ell_max}")
+    _check_multiplicity_args(n, ell_max, step)
     consts = [float(omega(m)) for m in range(1, n // 2)]
     rows = []
     ell = step

@@ -154,14 +154,11 @@ def _iter_sr_tuples(Q: int, lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
         klo = _sr_k_floor(Q, na)
         if klo > kmax:
             continue
-        A2 = (na + 4) ** 2
-        a = -na
+        # the reducible k of this row, as count_sr subtracts them
+        skip = {is_perfect_square(i * (na + 4 - i)) for i, _ in _SR_REDUCIBLE}
         for k in range(klo, kmax + 1):
-            disc = A2 - 4 * k * k  # = a^2 - 4b + 8 at b = k^2 + 2a - 2
-            r = math.isqrt(disc)
-            if r * r == disc:
-                continue
-            yield a, k * k - 2 * na - 2, k
+            if k not in skip:
+                yield -na, k * k - 2 * na - 2, k
 
 
 # The reducible square-rootable points, one family per (i, m0):

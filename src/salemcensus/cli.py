@@ -10,10 +10,13 @@ how many workers run the enumeration.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
+from itertools import chain, islice
+from typing import Iterator
 
 from . import asymptotics, bianchi, census, totally_real
 from .algebra import is_square_free
@@ -29,6 +32,17 @@ MAX_FIELD_PARAM = 10**18
 # write, so the limit stands for several minutes of work.
 MAX_BIANCHI_TRACES = 10**8
 
+# Largest M whose omega(M) prints: beyond it the numerator has more digits
+# than int-to-str conversion allows.
+MAX_OMEGA_M = 120
+
+# Table rows are formatted and written this many at a time.
+BLOCK_ROWS = 1024
+
+# Normalizing exponent and smallest grid Q of each --plot-data series.
+PLOT_SERIES = {"deg4": (2.0, 8), "sr": (1.5, 8), "deg2": (1.0, 4),
+               "bianchi": (0.5, 16), "system": (1.5, 16)}
+
 
 def _default_workers() -> int:
     env = os.environ.get("SALEM_WORKERS", "")
@@ -38,16 +52,70 @@ def _default_workers() -> int:
         return 1
 
 
-def _emit(text: str, out: str | None) -> None:
+def _write(out: str | None, chunks) -> None:
+    """Write the strings of chunks as they come, to stdout or to out.  A new
+    or regular file is written under a temporary name and renamed over out
+    when complete; devices and FIFOs are written in place."""
     if out is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        sys.stdout.writelines(chunks)
+        return
+    target = os.path.realpath(out)
+    exists = os.path.exists(target)
+    atomic = (not exists or os.path.isfile(target)) and os.access(os.path.dirname(target), os.W_OK)
+    path = f"{target}.{os.getpid()}.tmp" if atomic else target
+    try:
+        with _out_errors(out, open, path, "w", encoding="utf-8", newline="\n") as fh:
+            if atomic and exists:
+                _out_errors(out, os.chmod, path, os.stat(target).st_mode & 0o7777)
+            for chunk in chunks:  # errors of the row producers pass unchanged
+                _out_errors(out, fh.write, chunk)
+            _out_errors(out, fh.flush)
+        if atomic:
+            _out_errors(out, os.replace, path, target)
+    except BaseException:
+        if atomic:
+            with contextlib.suppress(OSError):
+                os.unlink(path)
+        raise
+
+
+def _out_errors(out: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs), an OSError turned into a DomainError on out."""
+    try:
+        return fn(*args, **kwargs)
+    except OSError as exc:
+        raise DomainError(f"cannot write --out {out}: {exc.strerror or exc}") from exc
+
+
+def _emit(text: str, out: str | None) -> None:
+    _write(out, (text, "\n"))
+
+
+def _blocks(items) -> Iterator[list]:
+    it = iter(items)
+    while block := list(islice(it, BLOCK_ROWS)):
+        yield block
+
+
+def _json_chunks(objs) -> Iterator[str]:
+    """json.dumps(list(objs), indent=2) + "\n", one block of objects at a
+    time: each block is encoded as a list and its brackets are dropped."""
+    encode, sep = json.JSONEncoder(indent=2).encode, "[\n"
+    for block in _blocks(objs):
+        yield sep + encode(block)[2:-2]
+        sep = ",\n"
+    yield "[]\n" if sep == "[\n" else "\n]\n"
+
+
+def _write_table(args, header: str, rows, csv_row, json_obj) -> None:
+    """Write rows as the JSON list of json_obj(row) (--format json) or as
+    header and the csv_row(row) lines, BLOCK_ROWS rows at a time."""
+    if args.format == "json":
+        chunks = _json_chunks(map(json_obj, rows))
     else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+        lines = ("\n".join(block) + "\n" for block in _blocks(map(csv_row, rows)))
+        chunks = chain([header + "\n"], lines)
+    _write(args.out, chunks)
 
 
 def _require_qmax(args, minimum: int = 2) -> int:
@@ -64,17 +132,20 @@ def _require_squarefree(value: int, flag: str, minimum: int) -> int:
     return value
 
 
-def _plot_grid(qmax: int, qmin: int) -> list[int]:
-    grid = [qmax]
-    while grid[-1] // 2 >= qmin:
-        grid.append(grid[-1] // 2)
-    return sorted(grid)
+def _plot_lines(qs, counts, exponent: float) -> list[str]:
+    """The CSV series (Q, count / Q^exponent), whatever --format."""
+    return ["Q,normalized_count\n", *(f"{q},{c / q**exponent:.12g}\n" for q, c in zip(qs, counts))]
 
 
-def _plot_series(qs, counts, exponent: float) -> str:
-    lines = ["Q,normalized_count"]
-    lines += [f"{q},{c / q**exponent:.12g}" for q, c in zip(qs, counts)]
-    return "\n".join(lines)
+def _plot(args, Q: int) -> int:
+    """--plot-data: the args.series counts on the grid ..., Q//4, Q//2, Q."""
+    exponent, qmin = PLOT_SERIES[args.series]
+    qs = [Q]
+    while qs[-1] // 2 >= qmin:
+        qs.append(qs[-1] // 2)
+    qs.reverse()
+    _write(args.out, _plot_lines(qs, _series_counts(args, qs), exponent))
+    return 0
 
 
 # --- census ------------------------------------------------------------------
@@ -92,38 +163,20 @@ def _cmd_census(args) -> int:
             args.out,
         )
         return 0
+    if args.plot_data:
+        return _plot(args, Q)
     if which == "deg2":
-        if args.plot_data:
-            qs = _plot_grid(Q, 4)
-            _emit(_plot_series(qs, [census.count_deg2(q) for q in qs], 1.0), args.out)
-        else:
-            _emit(str(census.count_deg2(Q)), args.out)
+        _emit(str(census.count_deg2(Q)), args.out)
         return 0
     enum = census.enumerate_salem_deg4 if which == "deg4" else census.enumerate_sr
-    count = census.count_salem_deg4 if which == "deg4" else census.count_sr
-    expo = 2.0 if which == "deg4" else 1.5
-    if args.plot_data:
-        qs = _plot_grid(Q, 8)
-        _emit(_plot_series(qs, [count(q) for q in qs], expo), args.out)
-        return 0
-    records = enum(Q, workers=args.workers)
-    if args.format == "json":
-        objs = [
-            {
-                "a": str(r.a),
-                "b": str(r.b),
-                "k": None if r.k is None else str(r.k),
-                "lambda": r.lambda_approx,
-                "source": r.source,
-            }
-            for r in records
-        ]
-        _emit(json.dumps(objs, indent=2), args.out)
-    else:
-        lines = [census.CENSUS_CSV_HEADER]
-        lines += [census.census_csv_row(r) for r in records]
-        _emit("\n".join(lines), args.out)
+    _write_table(args, census.CENSUS_CSV_HEADER, enum(Q, workers=args.workers),
+                 census.census_csv_row, _census_json_obj)
     return 0
+
+
+def _census_json_obj(r) -> dict:
+    return {"a": str(r.a), "b": str(r.b), "k": None if r.k is None else str(r.k),
+            "lambda": r.lambda_approx, "source": r.source}
 
 
 # --- bianchi -----------------------------------------------------------------
@@ -153,18 +206,10 @@ def _cmd_bianchi(args) -> int:
         )
         return 0
     if args.plot_data:
-        qs = _plot_grid(Q, 16)
-        counts = [bianchi.bianchi_census(D, q, workers=args.workers).count for q in qs]
-        _emit(_plot_series(qs, counts, 0.5), args.out)
-        return 0
-    result = bianchi.bianchi_census(D, Q, workers=args.workers)
-    if args.format == "json":
-        _emit(json.dumps([bianchi.bianchi_json_obj(m) for m in result.members], indent=2),
-              args.out)
-    else:
-        lines = [bianchi.BIANCHI_CSV_HEADER]
-        lines += [bianchi.bianchi_csv_row(m) for m in result.members]
-        _emit("\n".join(lines), args.out)
+        return _plot(args, Q)
+    members = bianchi.bianchi_census(D, Q, workers=args.workers).members
+    _write_table(args, bianchi.BIANCHI_CSV_HEADER, members, bianchi.bianchi_csv_row,
+                 bianchi.bianchi_json_obj)
     return 0
 
 
@@ -183,31 +228,19 @@ def _cmd_cocompact(args) -> int:
         )
         return 0
     if args.plot_data:
-        qs = _plot_grid(Q, 16)
-        counts = [totally_real.count_system(d, q, workers=args.workers) for q in qs]
-        _emit(_plot_series(qs, counts, 1.5), args.out)
-        return 0
-    rows = []
-    objs = []
-    for sol in totally_real.enumerate_system(d, Q, workers=args.workers):
-        ver = totally_real.verify_salem_over_L(d, sol) if args.verified else None
-        if args.format == "json":
-            objs.append(
-                {
-                    "a_u": str(sol.a.u), "a_v": str(sol.a.v),
-                    "k_u": str(sol.k.u), "k_v": str(sol.k.v),
-                    "b_u": str(sol.b.u), "b_v": str(sol.b.v),
-                    "branch": sol.branch, "verified": ver,
-                }
-            )
-        else:
-            rows.append(totally_real.system_csv_row(sol, ver))
-    if args.format == "json":
-        _emit(json.dumps(objs, indent=2), args.out)
-    else:
-        header = f"# field={d} qmax={Q}\n{totally_real.SYSTEM_CSV_HEADER}"
-        _emit("\n".join([header] + rows), args.out)
+        return _plot(args, Q)
+    rows = ((sol, totally_real.verify_salem_over_L(d, sol) if args.verified else None)
+            for sol in totally_real.enumerate_system(d, Q, workers=args.workers))
+    _write_table(args, f"# field={d} qmax={Q}\n{totally_real.SYSTEM_CSV_HEADER}", rows,
+                 lambda row: totally_real.system_csv_row(*row), _system_json_obj)
     return 0
+
+
+def _system_json_obj(row) -> dict:
+    sol, ver = row
+    return {"a_u": str(sol.a.u), "a_v": str(sol.a.v), "k_u": str(sol.k.u),
+            "k_v": str(sol.k.v), "b_u": str(sol.b.u), "b_v": str(sol.b.v),
+            "branch": sol.branch, "verified": ver}
 
 
 # --- constants ---------------------------------------------------------------
@@ -217,6 +250,8 @@ def _cmd_constants(args) -> int:
     chosen = [x is not None for x in (args.omega, args.marklof_c, args.c2_bound, args.volume)]
     if sum(chosen) != 1:
         raise DomainError("pick exactly one of --omega/--marklof-c/--c2-bound/--volume")
+    if args.omega is not None and args.omega > MAX_OMEGA_M:
+        raise CapacityError(f"--omega must be <= {MAX_OMEGA_M}, got {args.omega}")
     if args.dry_run:
         which = ("omega" if args.omega is not None else
                  "marklof-c" if args.marklof_c is not None else
@@ -285,13 +320,10 @@ def _cmd_fit(args) -> int:
         return 0
     counts = _series_counts(args, qs)
     fit = asymptotics.power_fit(list(zip(qs, counts)))
-    lines = [
-        f"constant={fit.constant:.12g} exponent={fit.exponent:.12g} "
-        f"residual={fit.residual:.12g} points_used={fit.points_used}"
-    ]
-    if args.plot_data:
-        lines.append(_plot_series(qs, counts, fit.exponent))
-    _emit("\n".join(lines), args.out)
+    line = (f"constant={fit.constant:.12g} exponent={fit.exponent:.12g} "
+            f"residual={fit.residual:.12g} points_used={fit.points_used}")
+    plot = _plot_lines(qs, counts, fit.exponent) if args.plot_data else []
+    _write(args.out, [line + "\n", *plot])
     return 0
 
 
@@ -301,26 +333,14 @@ def _cmd_fit(args) -> int:
 def _cmd_report(args) -> int:
     if args.which != "multiplicity":
         raise DomainError(f"unknown report {args.which!r}")
+    asymptotics._check_multiplicity_args(args.n, args.ell_max, args.step)
     if args.dry_run:
         n_rows = int(args.ell_max / args.step)
         _emit(f"plan command=report-multiplicity n={args.n} rows={n_rows}", args.out)
         return 0
-    rows = asymptotics.multiplicity_report(args.n, args.ell_max, args.step)
-    if args.format == "json":
-        objs = [
-            {
-                "ell": r.ell,
-                "geodesic_count": r.geodesic_count,
-                "salem_bound": r.salem_bound,
-                "mean_mult_lower": r.mean_mult_lower,
-            }
-            for r in rows
-        ]
-        _emit(json.dumps(objs, indent=2), args.out)
-    else:
-        lines = [asymptotics.MULTIPLICITY_CSV_HEADER]
-        lines += [asymptotics.multiplicity_csv_row(r) for r in rows]
-        _emit("\n".join(lines), args.out)
+    _write_table(args, asymptotics.MULTIPLICITY_CSV_HEADER,
+                 asymptotics.multiplicity_report(args.n, args.ell_max, args.step),
+                 asymptotics.multiplicity_csv_row, vars)  # its fields are the JSON keys
     return 0
 
 
@@ -350,13 +370,13 @@ def build_parser() -> argparse.ArgumentParser:
                          ("deg2", "degree-2 Salem numbers <= Q")):
         sp = census_sub.add_parser(which, parents=[common], help=blurb)
         sp.add_argument("--qmax", type=int, required=True)
-        sp.set_defaults(func=_cmd_census)
+        sp.set_defaults(func=_cmd_census, series=which)
 
     p_b = sub.add_parser("bianchi", parents=[common],
                          help="Salem numbers generated by PSL(2, o_K), K = Q(sqrt(-D))")
     p_b.add_argument("--d", type=int, required=True, help="square-free D >= 1")
     p_b.add_argument("--qmax", type=int, required=True)
-    p_b.set_defaults(func=_cmd_bianchi)
+    p_b.set_defaults(func=_cmd_bianchi, series="bianchi")
 
     p_c = sub.add_parser("cocompact", parents=[common],
                          help="system solutions over the real quadratic field Q(sqrt(d))")
@@ -364,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_c.add_argument("--qmax", type=int, required=True)
     p_c.add_argument("--verified", action="store_true",
                      help="verify the Salem-over-L property per solution")
-    p_c.set_defaults(func=_cmd_cocompact)
+    p_c.set_defaults(func=_cmd_cocompact, series="system")
 
     p_k = sub.add_parser("constants", parents=[common], help="closed-form constants")
     p_k.add_argument("--omega", type=int, default=None, metavar="M")

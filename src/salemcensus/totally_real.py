@@ -223,11 +223,14 @@ def enumerate_system(d: int, Q: int, workers: int = 1) -> Iterator[SystemSolutio
     order (a by (v, u), then k by (v, u))."""
     _check_d(d)
     _check_q(Q)
+    prev = None
     for chunk in map_bands(_enum_band, (d, Q), *_va_range(d, Q), workers):
         for au, av, ku, kv, branch in chunk:
-            a = RealQuadElem(d, au, av)
-            k = RealQuadElem(d, ku, kv)
-            yield SystemSolution(a, k, k * k + 2 * a - 2, branch)
+            if (au, av) != prev:  # consecutive solutions share a
+                prev, a = (au, av), RealQuadElem(d, au, av)
+                two_a_2 = 2 * a - 2
+            k = a._like(ku, kv)
+            yield SystemSolution(a, k, k * k + two_a_2, branch)
 
 
 def _count_band(d: int, Q: int, va_lo: int, va_hi: int) -> int:

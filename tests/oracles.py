@@ -172,6 +172,25 @@ def count_sr_loop(Q: int) -> int:
     return total
 
 
+def enumerate_sr_filter(Q: int) -> list[tuple[int, int, int]]:
+    """(a, b, k) of the square-rootable census in row order: the scan of
+    count_sr_loop, each reducible candidate dropped by an integer square
+    root of its discriminant."""
+    Q2 = Q * Q
+    out = []
+    for na in range(1, Q + 3):
+        kmax = math.isqrt(4 * na - 1)
+        m = (-Q2 + na * Q + 2 * na + 2) + (na * Q - 1 + Q2 - 1) // Q2
+        klo = 1 if m <= 1 else math.isqrt(m - 1) + 1
+        A2 = (na + 4) ** 2
+        for k in range(klo, kmax + 1):
+            disc = A2 - 4 * k * k  # = a^2 - 4b + 8 at b = k^2 + 2a - 2
+            r = math.isqrt(disc)
+            if r * r != disc:
+                out.append((-na, k * k - 2 * na - 2, k))
+    return out
+
+
 def count_deg2_loop(Q: int) -> int:
     """Degree-2 Salem numbers <= Q: x^2 + ax + 1 with -a >= 3 (irreducible,
     root > 1) and lambda <= Q, i.e. Q^2 + aQ + 1 >= 0."""

@@ -23,6 +23,7 @@ from oracles import (
     count_deg2_loop,
     count_salem_deg4_loop,
     count_sr_loop,
+    enumerate_sr_filter,
     is_salem_oracle,
     salem_root_numeric,
 )
@@ -155,6 +156,14 @@ class TestClosedFormsAgainstLoops:
         # about as much as one at 3e5
         for Q in (rng.randrange(600, 10**4 + 1) for _ in range(20)):
             assert count_sr(Q) == count_sr_loop(Q), Q
+
+    def test_sr_enumeration_skips_exactly_the_reducible(self):
+        # the skip set of the reducible families against the per-candidate
+        # discriminant filter
+        for Q in range(2, 300):
+            expected = enumerate_sr_filter(Q)
+            assert [(r.a, r.b, r.k) for r in enumerate_sr(Q)] == expected, Q
+            assert len(expected) == count_sr(Q), Q
 
     def test_sr_error_term(self):
         # the paper's count (4/3) Q^(3/2) + O(Q); the error is about -Q/2

@@ -1,14 +1,19 @@
+import argparse
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
 import salemcensus
+from salemcensus import census, cli
 from salemcensus.cli import main
+from salemcensus.errors import CapacityError
 
 
 def run(capsys, *argv):
@@ -134,6 +139,16 @@ class TestConstantsCommand:
     def test_dry_run(self, capsys):
         code, out, _ = run(capsys, "constants", "--omega", "3", "--dry-run")
         assert code == 0 and out.strip() == "plan command=constants which=omega"
+
+    def test_omega_limit(self, capsys):
+        code, out, _ = run(capsys, "constants", "--omega", "120")
+        num, den = out.strip().split("/")
+        assert code == 0 and int(num) > 0 and int(den) > 0
+        for m in ("121", "1000000"):
+            t0 = time.perf_counter()
+            code, out, err = run(capsys, "constants", "--omega", m)
+            assert time.perf_counter() - t0 < 1.0
+            assert code == 4 and out == "" and err.startswith("salem-error kind=capacity")
 
 
 class TestFitCommand:
@@ -267,6 +282,14 @@ class TestReportCommand:
         assert code == 0 and len(objs) == 4
         assert all(o["mean_mult_lower"] > 0 for o in objs)
 
+    @pytest.mark.parametrize("flags", [("--ell-max", "6", "--step", "0"),
+                                       ("--ell-max", "nan", "--step", "1"),
+                                       ("--n", "5", "--ell-max", "6", "--step", "2")])
+    def test_dry_run_validates_like_the_run(self, capsys, flags):
+        for extra in ((), ("--dry-run",)):
+            code, out, err = run(capsys, "report", "multiplicity", "--n", "4", *flags, *extra)
+            assert code == 3 and out == "" and err.startswith("salem-error kind=domain")
+
 
 class TestDeterminism:
     def test_workers_env_default(self, capsys, monkeypatch):
@@ -294,3 +317,100 @@ class TestDeterminism:
         assert main(["census", "deg4", "--qmax", "5", "--out", str(path)]) == 0
         data = path.read_bytes()
         assert b"\r" not in data and data.endswith(b"\n")
+
+
+class TestTableWriter:
+    """Tables are formatted and written cli.BLOCK_ROWS rows at a time, with
+    the bytes of the whole-table json.dumps and join; an --out file appears
+    only when complete."""
+
+    @staticmethod
+    def _csv_row(r):
+        return f"{r[0]},{r[1]},{r[2]:.12g}"
+
+    @staticmethod
+    def _json_obj(r):
+        return {"i": str(r[0]), "s": r[1], "x": r[2], "none": None}
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("n", [0, 1, cli.BLOCK_ROWS - 1, cli.BLOCK_ROWS,
+                                   cli.BLOCK_ROWS + 1])
+    def test_bytes_equal_the_whole_table(self, capsys, tmp_path, fmt, n):
+        rows = [(i, f"r{i}", i / 7) for i in range(n)]
+        if fmt == "json":
+            expected = json.dumps([self._json_obj(r) for r in rows], indent=2) + "\n"
+        else:
+            expected = "\n".join(["h1,h2,h3"] + [self._csv_row(r) for r in rows]) + "\n"
+        path = tmp_path / "t"
+        for out in (None, str(path)):
+            args = argparse.Namespace(format=fmt, out=out)
+            cli._write_table(args, "h1,h2,h3", iter(rows), self._csv_row, self._json_obj)
+        assert capsys.readouterr().out == expected
+        assert path.read_bytes() == expected.encode()
+
+    # an OSError of the row producer is not a write error: it passes unchanged
+    @pytest.mark.parametrize("exc", [CapacityError("injected"), RuntimeError("injected"),
+                                     OSError(24, "injected")])
+    def test_failure_keeps_the_old_out_file(self, capsys, tmp_path, monkeypatch, exc):
+        path = tmp_path / "sr.csv"
+        path.write_bytes(b"old contents\n")
+        real = census.enumerate_sr
+
+        def failing(Q, workers=1):
+            for i, rec in enumerate(real(Q, workers)):
+                if i == 3 * cli.BLOCK_ROWS:  # some blocks are already written
+                    raise exc
+                yield rec
+
+        monkeypatch.setattr(census, "enumerate_sr", failing)
+        argv = ["census", "sr", "--qmax", "500", "--out", str(path)]
+        if isinstance(exc, CapacityError):
+            assert main(argv) == 4
+        else:
+            with pytest.raises(type(exc), match="injected"):
+                main(argv)
+        assert path.read_bytes() == b"old contents\n"
+        assert os.listdir(tmp_path) == ["sr.csv"]
+
+    def test_unwritable_out_exits_3(self, capsys, tmp_path):
+        code, out, err = run(capsys, "census", "sr", "--qmax", "10",
+                             "--out", str(tmp_path / "missing" / "x.csv"))
+        assert code == 3 and out == ""
+        assert err.startswith("salem-error kind=domain") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == []
+
+    def test_out_through_a_symlink_keeps_the_link(self, capsys, tmp_path):
+        real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+        real.write_bytes(b"old contents\n")
+        real.chmod(0o640)
+        link.symlink_to(real.name)
+        assert main(["census", "sr", "--qmax", "10", "--out", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == real.name
+        assert real.read_text().startswith(census.CENSUS_CSV_HEADER + "\n")
+        assert stat.S_IMODE(real.stat().st_mode) == 0o640
+        assert sorted(os.listdir(tmp_path)) == ["link.csv", "real.csv"]
+
+    def test_out_to_a_fifo_and_a_device(self, capsys, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert main(["census", "sr", "--qmax", "10", "--out", str(fifo)]) == 0
+        reader.join(10)
+        assert got and got[0].startswith(census.CENSUS_CSV_HEADER.encode() + b"\n")
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode) and os.listdir(tmp_path) == ["fifo"]
+        assert main(["census", "sr", "--qmax", "10", "--out", os.devnull]) == 0
+        assert stat.S_ISCHR(os.lstat(os.devnull).st_mode)
+        assert not any(n.startswith("null.") for n in os.listdir(os.path.dirname(os.devnull)))
+
+    def test_out_in_an_unwritable_directory_is_written_in_place(self, capsys, tmp_path,
+                                                                monkeypatch):
+        # no temporary file can be made beside it, as in a read-only directory
+        path = tmp_path / "sr.csv"
+        path.write_bytes(b"old contents\n")
+        inode = path.stat().st_ino
+        monkeypatch.setattr(os, "access", lambda p, mode: False)
+        assert main(["census", "sr", "--qmax", "10", "--out", str(path)]) == 0
+        assert path.stat().st_ino == inode
+        assert path.read_text().startswith(census.CENSUS_CSV_HEADER + "\n")
