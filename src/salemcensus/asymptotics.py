@@ -94,8 +94,9 @@ def _check_multiplicity_args(n: int, ell_max: float, step: float) -> None:
     """Raise DomainError unless multiplicity_report accepts these arguments."""
     if not isinstance(n, int) or n < 4 or n % 2:
         raise DomainError(f"n must be an even integer >= 4, got {n}")
-    if not (1.0 <= step <= ell_max):
-        raise DomainError(f"need 1 <= step <= ell_max, got step={step}, ell_max={ell_max}")
+    if not (1.0 <= step <= ell_max) or step == math.inf:
+        raise DomainError(f"need 1 <= step <= ell_max and a finite step, "
+                          f"got step={step}, ell_max={ell_max}")
 
 
 def multiplicity_report(n: int, ell_max: float, step: float) -> list[MultiplicityRow]:
@@ -110,18 +111,24 @@ def multiplicity_report(n: int, ell_max: float, step: float) -> list[Multiplicit
     admissible choice, not canonical).
     """
     _check_multiplicity_args(n, ell_max, step)
-    consts = [float(omega(m)) for m in range(1, n // 2)]
-    rows = []
+    # The geodesic term is the largest exponential of a row, since
+    # m + 2 <= n/2 < n - 1, so it overflows first: rows end there (for
+    # every ell when n >= 712, as ell >= 1), before any omega is computed.
+    ells, geods = [], []
     ell = step
     try:
         while ell <= ell_max * (1 + 1e-12):
-            geod = math.exp((n - 1) * ell) / ((n - 1) * ell)
-            bound = sum(c * math.exp((m + 2) * ell) for m, c in enumerate(consts))
-            bound += math.exp(ell) - 2.0
-            rows.append(MultiplicityRow(ell, geod, bound, geod / bound))
+            geods.append(math.exp((n - 1) * ell) / ((n - 1) * ell))
+            ells.append(ell)
             ell += step
     except OverflowError as exc:
         raise CapacityError(f"exp overflow at ell={ell:g} (n={n})") from exc
+    consts = [float(omega(m)) for m in range(1, n // 2)]
+    rows = []
+    for ell, geod in zip(ells, geods):
+        bound = sum(c * math.exp((m + 2) * ell) for m, c in enumerate(consts))
+        bound += math.exp(ell) - 2.0
+        rows.append(MultiplicityRow(ell, geod, bound, geod / bound))
     return rows
 
 

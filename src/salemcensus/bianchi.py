@@ -17,6 +17,13 @@ whenever y is irrational; its quartic is lift_half_power((A, B)).
 Rejections: real traces (v = 0) and the reducible cases Re(t) = 0 or
 N^2 - 4 Tr(t^2) + 16 a perfect square all force deg(lambda) <= 2 and are
 excluded from the census (they only contribute lower-order terms).
+
+With w = 2 Re(t) (2u + v when D = 3 (mod 4), else 2u) and E = D or 4D,
+4 N(t) = w^2 + E v^2 and 2 Tr(t^2) = w^2 - E v^2, so the key (A, B) fixes
+w^2 and v^2.  The traces of a member are therefore exactly its sign orbit
+(+-w, +-v) with w, v > 0: the census scans that quadrant once, keeps one
+member per orbit, and lists its four traces as witnesses
+(num_witness_traces is always 4).
 """
 
 from __future__ import annotations
@@ -42,15 +49,14 @@ __all__ = [
     "bianchi_json_obj",
 ]
 
-WITNESS_CAP = 16
-
 BIANCHI_CSV_HEADER = "A,B,a_lift,b_lift,k,lambda,num_witness_traces"
 
 
 @dataclass
 class BianchiSalem:
     """Quartic x^4 + A x^3 + B x^2 + A x + 1 of lambda^(1/2), plus the
-    trace coordinates that produced it (capped at WITNESS_CAP)."""
+    trace coordinates (u, v) that produce it: in a census, the four traces
+    of its sign orbit."""
 
     A: int
     B: int
@@ -62,7 +68,7 @@ class BianchiSalem:
 
 @dataclass
 class BianchiCensus:
-    """Deduplicated census plus the diagnostic tallies of rejected traces."""
+    """One member per key, plus the diagnostic tallies of rejected traces."""
 
     D: int
     qmax: int
@@ -107,96 +113,69 @@ def salem_from_trace(D: int, t: QuadIntK) -> BianchiSalem | None:
     return BianchiSalem(-n, tr2 - 2, [(t.u, t.v)])
 
 
-def _scan_band(D: int, R: int, v_lo: int, v_hi: int) -> tuple[dict, list[int]]:
-    """Scan traces with v in [v_lo, v_hi) and norm <= R; returns the local
-    (A, B) -> witnesses dict and the rejection tallies."""
+def _scan_band(D: int, R: int, v_lo: int, v_hi: int) -> tuple[list, int, int]:
+    """Scan the quadrant traces w = 2 Re(t) > 0, v in [v_lo, v_hi) with
+    v >= 1 and N(t) <= R; returns (A, B, w, v) for every trace that is not
+    reducible, the number scanned and the number reducible."""
     half = D % 4 == 3
-    found: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    scanned = real = imag_axis = reducible = 0
+    E = D if half else 4 * D
+    rows = []
+    scanned = reducible = 0
     for v in range(v_lo, v_hi):
-        if half:
-            rem = 4 * R - D * v * v
-            if rem < 0:
-                continue
-            wmax = math.isqrt(rem)
-            # w = 2u + v runs over [-wmax, wmax]
-            u_range = range((-wmax - v + 1) // 2, (wmax - v) // 2 + 1)
-        else:
-            rem = R - D * v * v
-            if rem < 0:
-                continue
-            umax = math.isqrt(rem)
-            u_range = range(-umax, umax + 1)
-        for u in u_range:
-            scanned += 1
-            if v == 0:
-                real += 1
-                continue
-            if half:
-                w = 2 * u + v
-                if w == 0:
-                    imag_axis += 1
-                    continue
-                n = (w * w + D * v * v) // 4
-                tr2 = (w * w - D * v * v) // 2
-            else:
-                if u == 0:
-                    imag_axis += 1
-                    continue
-                n = u * u + D * v * v
-                tr2 = 2 * (u * u - D * v * v)
+        Ev2 = E * v * v
+        # w = 2u + v (half basis) or 2u keeps the parity of the basis
+        ws = range(1 if half and v % 2 else 2, math.isqrt(4 * R - Ev2) + 1, 2)
+        scanned += len(ws)
+        for w in ws:
+            n = (w * w + Ev2) // 4
+            tr2 = (w * w - Ev2) // 2
             disc = n * n - 4 * tr2 + 16
             r = math.isqrt(disc)
             if r * r == disc:
                 reducible += 1
-                continue
-            key = (-n, tr2 - 2)
-            wit = found.setdefault(key, [])
-            if len(wit) < WITNESS_CAP:
-                wit.append((u, v))
-    return found, [scanned, real, imag_axis, reducible]
+            else:
+                rows.append((-n, tr2 - 2, w, v))
+    return rows, scanned, reducible
 
 
 def bianchi_census(D: int, Q: int, workers: int = 1) -> BianchiCensus:
     """All degree-4 square-rootable Salem numbers lambda <= Q arising from
-    traces of PSL(2, o_K), deduplicated on the (A, B) key.
+    traces of PSL(2, o_K), one member per (A, B) key.
 
-    Traces are scanned over norm(t) <= floor(sqrt(Q)) + 3, which covers
+    Traces are scanned over norm(t) <= R = floor(sqrt(Q)) + 3, which covers
     every candidate since N(t) differs from y = lambda^(1/2) + lambda^(-1/2)
     by at most 2; exactness is restored by the p(Q) >= 0 cut on the lifted
-    quartic.  Asymptotically count / sqrt(Q) approaches marklof_constant(D).
+    quartic.  A key is one sign orbit (+-w, +-v), so only the quadrant
+    w, v > 0 is scanned; the axes are real or imaginary-axis traces, all
+    rejected, and are tallied in closed form.  Asymptotically
+    count / sqrt(Q) approaches marklof_constant(D).
     """
     _check_d(D)
     if not isinstance(Q, int) or Q < 2:
         raise DomainError(f"Q must be an integer >= 2, got {Q}")
     R = math.isqrt(Q) + 3
     half = D % 4 == 3
-    vmax = math.isqrt(4 * R // D) if half else math.isqrt(R // D)
-    results = map_bands(_scan_band, (D, R), -vmax, vmax + 1, workers)
-
-    merged: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    tallies = [0, 0, 0, 0]
-    for found, t in results:
-        for i in range(4):
-            tallies[i] += t[i]
-        for key, wit in found.items():
-            cur = merged.setdefault(key, [])
-            cur.extend(wit[: WITNESS_CAP - len(cur)])
+    vmax = math.isqrt(4 * R // (D if half else 4 * D))
+    bands, scanned, reducible = zip(*map_bands(_scan_band, (D, R), 1, vmax + 1, workers))
 
     over_q = 0
     members = []
-    for (A, B) in sorted(merged):
+    for A, B, w, v in sorted(row for band in bands for row in band):
         a, b = 2 * B - A * A, B * B - 2 * A * A + 2
         if Q**4 + a * Q**3 + b * Q * Q + a * Q + 1 < 0:  # lifted lambda > Q
             over_q += 1
             continue
-        members.append(BianchiSalem(A, B, merged[(A, B)]))
+        # t = u + v w with 2 Re(t) = 2u + v (half basis) or 2u
+        wit = [((sw * w - half * sv * v) // 2, sv * v) for sv in (-1, 1) for sw in (-1, 1)]
+        members.append(BianchiSalem(A, B, wit))
+    real = 2 * math.isqrt(R) + 1  # v = 0, 4 N(t) = w^2 <= 4R
+    imag_axis = 2 * math.isqrt(R // D)  # w = 0, v != 0
     return BianchiCensus(
         D, Q, members,
-        traces_scanned=tallies[0],
-        excluded_real=tallies[1],
-        excluded_imag_axis=tallies[2],
-        excluded_reducible=tallies[3],
+        traces_scanned=real + imag_axis + 4 * sum(scanned),
+        excluded_real=real,
+        excluded_imag_axis=imag_axis,
+        excluded_reducible=4 * sum(reducible),
         excluded_over_q=over_q,
     )
 

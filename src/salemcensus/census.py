@@ -114,10 +114,11 @@ def _iter_deg4(Q: int, lo: int, hi: int) -> Iterator[CensusRecord]:
     for na in range(lo, hi):
         a = -na
         b_lo = max(-2 * na - 1, _deg4_lambda_floor(Q, na))
+        # the reducible b of the window (see count_salem_deg4), the three
+        # families of _SR_REDUCIBLE: b = a + 1, b = 2 and a + b = 1
+        skip = (a + 1, 2, 1 - a)
         for b in range(b_lo, 2 * na - 2):
-            disc = na * na - 4 * b + 8
-            r = math.isqrt(disc)
-            if r * r == disc:
+            if b in skip:
                 continue
             k = is_perfect_square(2 + b + 2 * na)
             yield CensusRecord(a, b, k, _salem_value_ab(a, b), "direct")

@@ -28,8 +28,10 @@ PROG = "salem"
 # one costs O(d^(1/3)) trial divisions, about 5e5 at the limit.
 MAX_FIELD_PARAM = 10**18
 
-# Trace budget of one bianchi census.  A trace costs about 5 us to scan and
-# write, so the limit stands for several minutes of work.
+# Trace budget of one bianchi census, counted over the whole disk although
+# only its quadrant w, v > 0 is visited.  bianchi --d 3 --qmax 3e10 (628,393
+# traces) takes about 1.7 us a trace to scan and write on a 2-vCPU Xeon VM,
+# so the limit stands for about three minutes of work.
 MAX_BIANCHI_TRACES = 10**8
 
 # Largest M whose omega(M) prints: beyond it the numerator has more digits

@@ -3,10 +3,11 @@
 Everything here is deliberately built from different machinery than the
 package under test: numpy root finding for spectral classification, trial
 division for quartic reducibility and square-freeness, row-by-row scans
-for the integer censuses that the package counts in closed form, and the
-float-seeded walk and numeric verifier of the real-quadratic system that
-the package decides with exact intervals.  No module from salemcensus is
-imported.
+for the integer censuses that the package counts in closed form, a
+whole-disk trace scan with a dedup dict for the Bianchi census that the
+package takes from one quadrant, and the float-seeded walk and numeric
+verifier of the real-quadratic system that the package decides with exact
+intervals.  No module from salemcensus is imported.
 """
 
 from __future__ import annotations
@@ -188,6 +189,24 @@ def enumerate_sr_filter(Q: int) -> list[tuple[int, int, int]]:
             r = math.isqrt(disc)
             if r * r != disc:
                 out.append((-na, k * k - 2 * na - 2, k))
+    return out
+
+
+def enumerate_deg4_filter(Q: int) -> list[tuple[int, int, int | None]]:
+    """(a, b, k) of the degree-4 census in row order: each b of the window
+    raised to the lambda floor, dropped when a^2 - 4b + 8 is a perfect
+    square; k is the root of a square p(-1) = 2 + b - 2a, else None."""
+    out = []
+    for na in range(1, Q + 3):
+        b_lo = max(-2 * na - 1, -((Q**4 - na * Q**3 - na * Q + 1) // (Q * Q)))
+        for b in range(b_lo, 2 * na - 2):
+            disc = na * na - 4 * b + 8
+            r = math.isqrt(disc)
+            if r * r == disc:
+                continue
+            p1 = 2 + b + 2 * na
+            k = math.isqrt(p1)
+            out.append((-na, b, k if k * k == p1 else None))
     return out
 
 
@@ -456,3 +475,54 @@ def system_qmin(d: int, a: tuple[int, int]) -> int:
     A, B = (2 * u + v, v) if d % 4 == 1 else (2 * u, 2 * v)
     # Q + 3 > x = -sigma1(a) = (-A - B sqrt d)/2 iff Q + 3 > floor(x)
     return max(2, (-A + _floor_root_mult(-B, d)) // 2 - 2)
+
+
+# --- Bianchi census by a scan of the whole disk ------------------------------
+
+
+def bianchi_census_dict(D: int, Q: int):
+    """(members, tallies) of the Bianchi census from every trace
+    t = u + v w with N(t) <= isqrt(Q) + 3, deduplicated in a dict on
+    (A, B) = (-N(t), Tr(t^2) - 2) that keeps the witnesses (u, v) in scan
+    order (v, then u ascending).  members is [(A, B, witnesses)] in key
+    order after the exact lambda <= Q cut on the lifted quartic; tallies is
+    (traces_scanned, excluded_real, excluded_imag_axis, excluded_reducible,
+    excluded_over_q)."""
+    R = math.isqrt(Q) + 3
+    half = D % 4 == 3
+    vmax = math.isqrt(4 * R // D) if half else math.isqrt(R // D)
+    found: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    scanned = real = imag_axis = reducible = 0
+    for v in range(-vmax, vmax + 1):
+        if half:
+            wmax = math.isqrt(4 * R - D * v * v)
+            u_range = range((-wmax - v + 1) // 2, (wmax - v) // 2 + 1)
+        else:
+            umax = math.isqrt(R - D * v * v)
+            u_range = range(-umax, umax + 1)
+        for u in u_range:
+            scanned += 1
+            w = 2 * u + v if half else 2 * u
+            if v == 0:
+                real += 1
+                continue
+            if w == 0:
+                imag_axis += 1
+                continue
+            n = u * u + u * v + (D + 1) // 4 * v * v if half else u * u + D * v * v
+            tr2 = 2 * (u * u + u * v) - (D - 1) // 2 * v * v if half else 2 * (u * u - D * v * v)
+            disc = n * n - 4 * tr2 + 16
+            r = math.isqrt(disc)
+            if r * r == disc:
+                reducible += 1
+                continue
+            found.setdefault((-n, tr2 - 2), []).append((u, v))
+    members = []
+    over_q = 0
+    for (A, B) in sorted(found):
+        a, b = 2 * B - A * A, B * B - 2 * A * A + 2
+        if Q**4 + a * Q**3 + b * Q * Q + a * Q + 1 < 0:
+            over_q += 1
+            continue
+        members.append((A, B, found[(A, B)]))
+    return members, (scanned, real, imag_axis, reducible, over_q)

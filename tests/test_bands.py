@@ -97,8 +97,8 @@ def test_censuses_through_the_pool_match_inline(pool, monkeypatch):
     bianchi = bianchi_census(3, 10**5, workers=500)
     system = [(s.a.u, s.a.v, s.k.u, s.k.v) for s in enumerate_system(2, 40, workers=5)]
     count = count_system(5, 300, workers=3)
-    # 32 rows of a, 41 trace coordinates v, and fewer workers than rows
-    assert pool == [32, 7, 41, 5, 3]
+    # 32 rows of a, 20 trace coordinates v >= 1, and fewer workers than rows
+    assert pool == [32, 7, 20, 5, 3]
     monkeypatch.undo()
     assert deg4 == [(r.a, r.b, r.k) for r in enumerate_salem_deg4(30)]
     assert sr == [(r.a, r.b, r.k) for r in enumerate_sr(30)]

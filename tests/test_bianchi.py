@@ -17,7 +17,7 @@ from salemcensus.census import enumerate_sr
 from salemcensus.errors import ContractError, DomainError
 from salemcensus.quartics import SalemQuartic, is_salem, salem_value
 
-from oracles import sqrt_lambda_from_trace
+from oracles import bianchi_census_dict, sqrt_lambda_from_trace
 
 
 class TestSalemFromTrace:
@@ -133,11 +133,29 @@ class TestCensus:
             assert salem_value(m.lift()) <= 10**4 + 1e-6
 
     def test_deduplication_key_and_witnesses(self):
-        c = bianchi_census(1, 10**6)
-        keys = [(m.A, m.B) for m in c.members]
-        assert len(keys) == len(set(keys))
-        for m in c.members:
-            assert 1 <= len(m.witnesses) <= 16
+        for D in (1, 3):
+            c = bianchi_census(D, 10**6)
+            keys = [(m.A, m.B) for m in c.members]
+            assert len(keys) == len(set(keys))
+            for m in c.members:
+                # exactly the sign orbit (+-w, +-v) of one quadrant trace
+                traces = [QuadIntK(D, u, v) for u, v in m.witnesses]
+                wv = {(t.real_part_doubled(), t.v) for t in traces}
+                w, v = max(wv)
+                assert len(m.witnesses) == 4 and w > 0 and v > 0
+                assert wv == {(sw * w, sv * v) for sw in (-1, 1) for sv in (-1, 1)}
+                for t in traces:
+                    m2 = salem_from_trace(D, t)
+                    assert (m2.A, m2.B) == (m.A, m.B)
+
+    @pytest.mark.parametrize("D", [1, 2, 3, 5, 7, 11, 15, 19, 163, 1365])
+    def test_quadrant_scan_matches_the_disk_scan(self, D):
+        for Q in [*range(2, 300), 10**4, 10**6, 10**8]:
+            c = bianchi_census(D, Q)
+            members, tallies = bianchi_census_dict(D, Q)
+            assert [(m.A, m.B, m.witnesses) for m in c.members] == members, Q
+            assert (c.traces_scanned, c.excluded_real, c.excluded_imag_axis,
+                    c.excluded_reducible, c.excluded_over_q) == tallies, Q
 
     def test_diagnostics_tally(self):
         c = bianchi_census(1, 50)

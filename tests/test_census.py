@@ -23,6 +23,7 @@ from oracles import (
     count_deg2_loop,
     count_salem_deg4_loop,
     count_sr_loop,
+    enumerate_deg4_filter,
     enumerate_sr_filter,
     is_salem_oracle,
     salem_root_numeric,
@@ -156,6 +157,15 @@ class TestClosedFormsAgainstLoops:
         # about as much as one at 3e5
         for Q in (rng.randrange(600, 10**4 + 1) for _ in range(20)):
             assert count_sr(Q) == count_sr_loop(Q), Q
+
+    def test_deg4_enumeration_skips_exactly_the_reducible(self):
+        # the three reducible b of each row against the per-candidate
+        # discriminant filter; every Q below 100, then every tenth (a row's
+        # lambda floor binds only in the top four rows of each Q)
+        for Q in [*range(2, 100), *range(100, 250, 10), 249]:
+            expected = enumerate_deg4_filter(Q)
+            assert [(r.a, r.b, r.k) for r in enumerate_salem_deg4(Q)] == expected, Q
+            assert len(expected) == count_salem_deg4(Q), Q
 
     def test_sr_enumeration_skips_exactly_the_reducible(self):
         # the skip set of the reducible families against the per-candidate

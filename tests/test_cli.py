@@ -282,9 +282,19 @@ class TestReportCommand:
         assert code == 0 and len(objs) == 4
         assert all(o["mean_mult_lower"] > 0 for o in objs)
 
+    def test_large_n_exits_at_once(self, capsys):
+        # (n - 1) ell > 709 overflows the geodesic term of the first row
+        for n in ("712", "1000000"):
+            t0 = time.perf_counter()
+            code, out, err = run(capsys, "report", "multiplicity", "--n", n,
+                                 "--ell-max", "2", "--step", "1")
+            assert time.perf_counter() - t0 < 1.0
+            assert code == 4 and out == "" and err.startswith("salem-error kind=capacity")
+
     @pytest.mark.parametrize("flags", [("--ell-max", "6", "--step", "0"),
                                        ("--ell-max", "nan", "--step", "1"),
-                                       ("--n", "5", "--ell-max", "6", "--step", "2")])
+                                       ("--n", "5", "--ell-max", "6", "--step", "2"),
+                                       ("--ell-max", "inf", "--step", "inf")])
     def test_dry_run_validates_like_the_run(self, capsys, flags):
         for extra in ((), ("--dry-run",)):
             code, out, err = run(capsys, "report", "multiplicity", "--n", "4", *flags, *extra)
