@@ -22,11 +22,11 @@ from salemcensus.totally_real import (
 )
 
 
-def bianchi_table(qmax: int, workers: int) -> None:
+def bianchi_table(qmax: int) -> None:
     print(f"Bianchi censuses at Q = {qmax:g}")
     print(f"{'D':>4} {'count':>8} {'count/sqrt(Q)':>14} {'constant':>10} {'rel':>8}")
     for D in (1, 2, 3, 5, 6, 7, 10, 11, 13, 15):
-        c = bianchi_census(D, qmax, workers=workers)
+        c = bianchi_census(D, qmax)
         ratio = c.count / math.sqrt(qmax)
         const = marklof_constant(D)
         print(f"{D:>4} {c.count:>8} {ratio:>14.5f} {const:>10.5f} "
@@ -59,7 +59,7 @@ def main() -> None:
     ap.add_argument("--verify-q", type=int, default=50)
     ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args()
-    bianchi_table(args.qmax_bianchi, args.workers)
+    bianchi_table(args.qmax_bianchi)
     system_table(args.qmax_system, args.workers, args.verify_q)
 
 

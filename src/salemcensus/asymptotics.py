@@ -15,6 +15,7 @@ __all__ = [
     "FitResult",
     "MultiplicityRow",
     "omega",
+    "omega_series",
     "power_fit",
     "multiplicity_report",
     "MULTIPLICITY_CSV_HEADER",
@@ -56,6 +57,18 @@ def omega(m: int) -> Fraction:
     return val
 
 
+def omega_series(M: int) -> list[Fraction]:
+    """[omega(1), ..., omega(M)] by one running product, O(M) Fraction
+    steps: omega(m + 1) / omega(m) = 4^(m+1) (m+1) m!^2 / ((m+2) (2m+1)!)
+    and m!^2 / (2m+1)! = 1 / ((2m+1) C(2m, m))."""
+    out = []
+    val = Fraction(2)
+    for m in range(1, M + 1):
+        out.append(val)
+        val *= Fraction(4 ** (m + 1) * (m + 1), (m + 2) * (2 * m + 1) * math.comb(2 * m, m))
+    return out
+
+
 def _ols_loglog(points: list[tuple[float, float]]) -> tuple[float, float, float]:
     xs = [math.log(q) for q, _ in points]
     ys = [math.log(c) for _, c in points]
@@ -94,9 +107,28 @@ def _check_multiplicity_args(n: int, ell_max: float, step: float) -> None:
     """Raise DomainError unless multiplicity_report accepts these arguments."""
     if not isinstance(n, int) or n < 4 or n % 2:
         raise DomainError(f"n must be an even integer >= 4, got {n}")
-    if not (1.0 <= step <= ell_max) or step == math.inf:
-        raise DomainError(f"need 1 <= step <= ell_max and a finite step, "
+    if not (1.0 <= step <= ell_max) or ell_max == math.inf:
+        raise DomainError(f"need 1 <= step <= ell_max, both finite, "
                           f"got step={step}, ell_max={ell_max}")
+
+
+def _geodesic_terms(n: int, ell_max: float, step: float) -> list[tuple[float, float]]:
+    """(ell, e^((n-1) ell) / ((n-1) ell)) for ell = step, 2 step, ... <= ell_max,
+    the rows of multiplicity_report; CapacityError where the term overflows.
+
+    The geodesic term is the largest exponential of a row, since
+    m + 2 <= n/2 < n - 1, so it overflows first: rows end there (for every
+    ell when n >= 712, as ell >= 1), before any omega is computed.
+    """
+    out = []
+    ell = step
+    try:
+        while ell <= ell_max * (1 + 1e-12):
+            out.append((ell, math.exp((n - 1) * ell) / ((n - 1) * ell)))
+            ell += step
+    except OverflowError as exc:
+        raise CapacityError(f"exp overflow at ell={ell:g} (n={n})") from exc
+    return out
 
 
 def multiplicity_report(n: int, ell_max: float, step: float) -> list[MultiplicityRow]:
@@ -111,21 +143,10 @@ def multiplicity_report(n: int, ell_max: float, step: float) -> list[Multiplicit
     admissible choice, not canonical).
     """
     _check_multiplicity_args(n, ell_max, step)
-    # The geodesic term is the largest exponential of a row, since
-    # m + 2 <= n/2 < n - 1, so it overflows first: rows end there (for
-    # every ell when n >= 712, as ell >= 1), before any omega is computed.
-    ells, geods = [], []
-    ell = step
-    try:
-        while ell <= ell_max * (1 + 1e-12):
-            geods.append(math.exp((n - 1) * ell) / ((n - 1) * ell))
-            ells.append(ell)
-            ell += step
-    except OverflowError as exc:
-        raise CapacityError(f"exp overflow at ell={ell:g} (n={n})") from exc
-    consts = [float(omega(m)) for m in range(1, n // 2)]
+    terms = _geodesic_terms(n, ell_max, step)
+    consts = [float(c) for c in omega_series(n // 2 - 1)]
     rows = []
-    for ell, geod in zip(ells, geods):
+    for ell, geod in terms:
         bound = sum(c * math.exp((m + 2) * ell) for m, c in enumerate(consts))
         bound += math.exp(ell) - 2.0
         rows.append(MultiplicityRow(ell, geod, bound, geod / bound))

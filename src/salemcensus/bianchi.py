@@ -21,17 +21,59 @@ excluded from the census (they only contribute lower-order terms).
 With w = 2 Re(t) (2u + v when D = 3 (mod 4), else 2u) and E = D or 4D,
 4 N(t) = w^2 + E v^2 and 2 Tr(t^2) = w^2 - E v^2, so the key (A, B) fixes
 w^2 and v^2.  The traces of a member are therefore exactly its sign orbit
-(+-w, +-v) with w, v > 0: the census scans that quadrant once, keeps one
-member per orbit, and lists its four traces as witnesses
-(num_witness_traces is always 4).
+(+-w, +-v) with w, v > 0: the census keeps one member per orbit and lists
+its four traces as witnesses (num_witness_traces is always 4).
+
+The quadrant is read row by row, v = 1..vmax with E v^2 <= 4R, so
+vmax = O(R^(1/2)) = O(Q^(1/4)); row v holds the w of one parity with
+N = (w^2 + E v^2)/4 <= R.  Two facts about a row make its census closed
+form, without visiting its w.
+
+At most three w of a row are reducible.  Since w^2 = 4N - E v^2,
+
+    N^2 - 4 Tr(t^2) + 16 = N^2 - 2(w^2 - E v^2) + 16 = (N - 4)^2 + 4 E v^2.
+
+If that is s^2 with s >= 0, then s > |N - 4| and
+(s - |N-4|)(s + |N-4|) = 4 E v^2 with both factors even (s = N mod 2, as
+s^2 - (N - 4)^2 = 0 mod 4), so they are 2f, 2g with f g = E v^2, f <= g
+and |N - 4| = g - f.  When N >= 4,
+N = 4 + g - f and w^2 = 4N - f g = (4 - f)(4 + g), which is positive only
+if f <= 3; when N < 4, N = 4 - g + f and w^2 = (4 + f)(4 - g), positive
+only if g <= 3.  Either way E v^2 = d e with d in {1, 2, 3} (d = f, resp.
+d = g), N = 4 + e - d and w^2 = (4 - d)(4 + e); conversely such d, e make
+the discriminant (e - d)^2 + 4 d e = (e + d)^2.  So a row holds at most
+three reducible w, found without visiting the row: d | E v^2,
+(4 - d)(4 + e) a square w^2 and N <= R.  Such a w has the row's parity by
+itself (w^2 = -3v^2 = v^2 mod 4 when E = D = 3 mod 4, and w^2 is a
+multiple of 4 when E = 4D).
+
+The cut lambda <= Q keeps a prefix of the row.  The roots of
+z^2 - N z + (Tr(t^2) - 4) are y = (N + sqrt(disc))/2 and
+y' = (N - sqrt(disc))/2 with disc = (N - 4)^2 + 4 E v^2 > (N - 4)^2, so
+y' < (N - |N - 4|)/2 <= 2, and y' >= -2 iff disc <= (N + 4)^2 iff
+E v^2 <= 4N = w^2 + E v^2.  The lifted quartic p has the y-roots
+Y = y^2 - 2 and Y' = y'^2 - 2, with Y' in [-2, 2], so for Q >= 2
+
+    p(Q) = Q^2 (Q + 1/Q - Y) (Q + 1/Q - Y'),
+
+whose second factor is positive: p(Q) >= 0 iff Y <= Q + 1/Q iff
+y <= Q^(1/2) + Q^(-1/2), for every trace of the row, reducible or not.
+And y is strictly increasing in N, since
+dy/dN = (1 + (N - 4)/sqrt(disc))/2 > 0, while N grows with w.  So one
+binary search with the exact test p(Q) >= 0 finds the row's kept prefix,
+and the census counts it in O(Q^(1/4) log Q) exact steps.  Descending w
+gives ascending (A, B) = (-N, 2N - E v^2 - 2) within a row, so a heap
+merge of the rows lists the members in key order with O(Q^(1/4)) live
+state.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
-from ._bands import map_bands
 from .algebra import QuadIntK, is_perfect_square, is_square_free
 from .census import CensusRecord
 from .errors import ContractError, DomainError
@@ -44,6 +86,7 @@ __all__ = [
     "bianchi_census",
     "marklof_constant",
     "estimated_traces",
+    "row_count",
     "BIANCHI_CSV_HEADER",
     "bianchi_csv_row",
     "bianchi_json_obj",
@@ -66,22 +109,37 @@ class BianchiSalem:
         return lift_half_power(SalemQuartic(self.A, self.B))
 
 
+class MemberStream:
+    """The members of bianchi_census(D, Q) in (A, B) order, computed again
+    on each iteration; list(stream) builds them all."""
+
+    def __init__(self, D: int, Q: int) -> None:
+        self.D, self.Q = D, Q
+
+    def __iter__(self) -> Iterator[BianchiSalem]:
+        half = self.D % 4 == 3
+        rows = [_row_members(v, E_v2, ws[:kept], red)
+                for v, E_v2, ws, kept, red in _rows(self.D, self.Q)]
+        for A, B, w, v in heapq.merge(*rows):
+            # t = u + v w with 2 Re(t) = 2u + v (half basis) or 2u
+            wit = [((sw * w - half * sv * v) // 2, sv * v) for sv in (-1, 1) for sw in (-1, 1)]
+            yield BianchiSalem(A, B, wit)
+
+
 @dataclass
 class BianchiCensus:
-    """One member per key, plus the diagnostic tallies of rejected traces."""
+    """The count of members, one per key, their stream, and the diagnostic
+    tallies of rejected traces."""
 
     D: int
     qmax: int
-    members: list[BianchiSalem]
+    members: MemberStream
+    count: int = 0
     traces_scanned: int = 0
     excluded_real: int = 0
     excluded_imag_axis: int = 0
     excluded_reducible: int = 0
     excluded_over_q: int = 0
-
-    @property
-    def count(self) -> int:
-        return len(self.members)
 
     def to_census_records(self) -> list[CensusRecord]:
         out = []
@@ -113,75 +171,106 @@ def salem_from_trace(D: int, t: QuadIntK) -> BianchiSalem | None:
     return BianchiSalem(-n, tr2 - 2, [(t.u, t.v)])
 
 
-def _scan_band(D: int, R: int, v_lo: int, v_hi: int) -> tuple[list, int, int]:
-    """Scan the quadrant traces w = 2 Re(t) > 0, v in [v_lo, v_hi) with
-    v >= 1 and N(t) <= R; returns (A, B, w, v) for every trace that is not
-    reducible, the number scanned and the number reducible."""
+def _reducible(E_v2: int, R: int) -> set[int]:
+    """The w > 0 of row v with N = (w^2 + E v^2)/4 <= R whose
+    discriminant is a square: w^2 = (4 - d)(4 + e) for E v^2 = d e,
+    d in {1, 2, 3}, with N = 4 + e - d (see the module notes)."""
+    out = set()
+    for d in (1, 2, 3):
+        if E_v2 % d == 0:
+            e = E_v2 // d
+            w2 = (4 - d) * (4 + e)
+            w = math.isqrt(w2)
+            if w * w == w2 and 4 + e - d <= R:
+                out.add(w)
+    return out
+
+
+def _rows(D: int, Q: int) -> Iterator[tuple[int, int, range, int, set[int]]]:
+    """(v, E v^2, ws, kept, reducible) for each row v = 1..row_count(D, Q):
+    ws are the quadrant's w of row v with N(t) <= R = isqrt(Q) + 3, the
+    first kept of them have lambda <= Q, and reducible lists the ws whose
+    discriminant is a square."""
+    R = math.isqrt(Q) + 3
     half = D % 4 == 3
     E = D if half else 4 * D
-    rows = []
-    scanned = reducible = 0
-    for v in range(v_lo, v_hi):
-        Ev2 = E * v * v
+    Q2 = Q * Q
+    Q3, Q4 = Q2 * Q, Q2 * Q2
+
+    def within_q(w: int, E_v2: int) -> bool:  # p(Q) >= 0 on the lifted quartic
+        N = (w * w + E_v2) // 4
+        B = 2 * N - E_v2 - 2
+        a, b = 2 * B - N * N, B * B - 2 * N * N + 2
+        return Q4 + a * Q3 + b * Q2 + a * Q + 1 >= 0
+
+    for v in range(1, row_count(D, Q) + 1):
+        E_v2 = E * v * v
         # w = 2u + v (half basis) or 2u keeps the parity of the basis
-        ws = range(1 if half and v % 2 else 2, math.isqrt(4 * R - Ev2) + 1, 2)
-        scanned += len(ws)
-        for w in ws:
-            n = (w * w + Ev2) // 4
-            tr2 = (w * w - Ev2) // 2
-            disc = n * n - 4 * tr2 + 16
-            r = math.isqrt(disc)
-            if r * r == disc:
-                reducible += 1
+        ws = range(1 if half and v % 2 else 2, math.isqrt(4 * R - E_v2) + 1, 2)
+        lo, hi = 0, len(ws)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if within_q(ws[mid], E_v2):
+                lo = mid + 1
             else:
-                rows.append((-n, tr2 - 2, w, v))
-    return rows, scanned, reducible
+                hi = mid
+        yield v, E_v2, ws, lo, _reducible(E_v2, R)
 
 
-def bianchi_census(D: int, Q: int, workers: int = 1) -> BianchiCensus:
+def _row_members(v: int, E_v2: int, kept: range, reducible: set[int]):
+    """(A, B, w, v) of the row's members, descending w: ascending (A, B)."""
+    for w in reversed(kept):
+        if w not in reducible:
+            N = (w * w + E_v2) // 4
+            yield -N, 2 * N - E_v2 - 2, w, v
+
+
+def bianchi_census(D: int, Q: int) -> BianchiCensus:
     """All degree-4 square-rootable Salem numbers lambda <= Q arising from
     traces of PSL(2, o_K), one member per (A, B) key.
 
-    Traces are scanned over norm(t) <= R = floor(sqrt(Q)) + 3, which covers
+    Traces are taken over norm(t) <= R = floor(sqrt(Q)) + 3, which covers
     every candidate since N(t) differs from y = lambda^(1/2) + lambda^(-1/2)
     by at most 2; exactness is restored by the p(Q) >= 0 cut on the lifted
     quartic.  A key is one sign orbit (+-w, +-v), so only the quadrant
-    w, v > 0 is scanned; the axes are real or imaginary-axis traces, all
-    rejected, and are tallied in closed form.  Asymptotically
-    count / sqrt(Q) approaches marklof_constant(D).
+    w, v > 0 counts; the axes are real or imaginary-axis traces, all
+    rejected, and are tallied in closed form.  The count and the tallies
+    come from the rows in O(Q^(1/4) log Q) steps (see the module notes);
+    the members are a stream that visits the kept traces again.
+    Asymptotically count / sqrt(Q) approaches marklof_constant(D).
     """
     _check_d(D)
     if not isinstance(Q, int) or Q < 2:
         raise DomainError(f"Q must be an integer >= 2, got {Q}")
     R = math.isqrt(Q) + 3
-    half = D % 4 == 3
-    vmax = math.isqrt(4 * R // (D if half else 4 * D))
-    bands, scanned, reducible = zip(*map_bands(_scan_band, (D, R), 1, vmax + 1, workers))
-
-    over_q = 0
-    members = []
-    for A, B, w, v in sorted(row for band in bands for row in band):
-        a, b = 2 * B - A * A, B * B - 2 * A * A + 2
-        if Q**4 + a * Q**3 + b * Q * Q + a * Q + 1 < 0:  # lifted lambda > Q
-            over_q += 1
-            continue
-        # t = u + v w with 2 Re(t) = 2u + v (half basis) or 2u
-        wit = [((sw * w - half * sv * v) // 2, sv * v) for sv in (-1, 1) for sw in (-1, 1)]
-        members.append(BianchiSalem(A, B, wit))
+    count = scanned = reducible = over_q = 0
+    for _v, _E_v2, ws, kept, red in _rows(D, Q):
+        red_kept = sum(w in ws[:kept] for w in red)
+        count += kept - red_kept
+        over_q += len(ws) - kept - (len(red) - red_kept)
+        scanned += len(ws)
+        reducible += len(red)
     real = 2 * math.isqrt(R) + 1  # v = 0, 4 N(t) = w^2 <= 4R
     imag_axis = 2 * math.isqrt(R // D)  # w = 0, v != 0
     return BianchiCensus(
-        D, Q, members,
-        traces_scanned=real + imag_axis + 4 * sum(scanned),
+        D, Q, MemberStream(D, Q), count,
+        traces_scanned=real + imag_axis + 4 * scanned,
         excluded_real=real,
         excluded_imag_axis=imag_axis,
-        excluded_reducible=4 * sum(reducible),
+        excluded_reducible=4 * reducible,
         excluded_over_q=over_q,
     )
 
 
+def row_count(D: int, Q: int) -> int:
+    """The rows v = 1..vmax that bianchi_census(D, Q) reads, vmax =
+    isqrt(4R // E) with R = isqrt(Q) + 3 and E = D or 4D."""
+    R = math.isqrt(Q) + 3
+    return math.isqrt(4 * R // (D if D % 4 == 3 else 4 * D))
+
+
 def estimated_traces(D: int, Q: int) -> int:
-    """About how many traces bianchi_census(D, Q) scans: the area of
+    """About the traces_scanned of bianchi_census(D, Q): the area of
     N(t) <= R = isqrt(Q) + 3 in trace coordinates, pi R / sqrt(D), or
     2 pi R / sqrt(D) when D = 3 (mod 4), where (2u + v, v) runs over a
     lattice of index 2; the miss is a boundary term, O(sqrt(R))."""

@@ -28,11 +28,19 @@ PROG = "salem"
 # one costs O(d^(1/3)) trial divisions, about 5e5 at the limit.
 MAX_FIELD_PARAM = 10**18
 
-# Trace budget of one bianchi census, counted over the whole disk although
-# only its quadrant w, v > 0 is visited.  bianchi --d 3 --qmax 3e10 (628,393
-# traces) takes about 1.7 us a trace to scan and write on a 2-vCPU Xeon VM,
-# so the limit stands for about three minutes of work.
+# Trace budget of one bianchi enumeration, counted over the whole disk
+# although only the members of its quadrant w, v > 0 are listed, so it
+# bounds the members written.  bianchi --d 3 --qmax 3e10 (628,393 traces,
+# 156,770 members) takes about 1.8 s to list and write on a 2-vCPU Xeon
+# VM, so the limit stands for about five minutes of work.
 MAX_BIANCHI_TRACES = 10**8
+
+# Row budget of the bianchi counts of one series (fit --series bianchi,
+# bianchi --plot-data), summed over its grid; a count does O(log Q) exact
+# steps per row v.  The count at d=3, Q=1e26 (3,651,483 rows) took 136 s
+# on a 2-vCPU Xeon VM, about 37 us a row, so the limit stands for about
+# three minutes of work.
+MAX_BIANCHI_ROWS = 5 * 10**6
 
 # Largest M whose omega(M) prints: beyond it the numerator has more digits
 # than int-to-str conversion allows.
@@ -194,9 +202,20 @@ def _require_trace_budget(D: int, Q: int) -> int:
     return traces
 
 
+def _require_row_budget(D: int, qs: list[int]) -> None:
+    rows = sum(bianchi.row_count(D, q) for q in qs)
+    if rows > MAX_BIANCHI_ROWS:
+        raise CapacityError(
+            f"bianchi counts at d={D} up to qmax={qs[-1]} would read {rows} rows, "
+            f"above the limit of {MAX_BIANCHI_ROWS}"
+        )
+
+
 def _cmd_bianchi(args) -> int:
     D = _require_squarefree(args.d, "--d", 1)
     Q = _require_qmax(args)
+    if args.plot_data and not args.dry_run:
+        return _plot(args, Q)
     traces = _require_trace_budget(D, Q)
     if args.dry_run:
         R = math.isqrt(Q) + 3
@@ -207,11 +226,8 @@ def _cmd_bianchi(args) -> int:
             args.out,
         )
         return 0
-    if args.plot_data:
-        return _plot(args, Q)
-    members = bianchi.bianchi_census(D, Q, workers=args.workers).members
-    _write_table(args, bianchi.BIANCHI_CSV_HEADER, members, bianchi.bianchi_csv_row,
-                 bianchi.bianchi_json_obj)
+    _write_table(args, bianchi.BIANCHI_CSV_HEADER, bianchi.bianchi_census(D, Q).members,
+                 bianchi.bianchi_csv_row, bianchi.bianchi_json_obj)
     return 0
 
 
@@ -300,8 +316,8 @@ def _series_counts(args, qs: list[int]) -> list[int]:
         if args.d is None:
             raise DomainError("--series bianchi requires --d")
         D = _require_squarefree(args.d, "--d", 1)
-        _require_trace_budget(D, qs[-1])
-        return [bianchi.bianchi_census(D, q, workers=args.workers).count for q in qs]
+        _require_row_budget(D, qs)
+        return [bianchi.bianchi_census(D, q).count for q in qs]
     if args.field is None:
         raise DomainError("--series system requires --field")
     d = _require_squarefree(args.field, "--field", 2)
@@ -337,7 +353,7 @@ def _cmd_report(args) -> int:
         raise DomainError(f"unknown report {args.which!r}")
     asymptotics._check_multiplicity_args(args.n, args.ell_max, args.step)
     if args.dry_run:
-        n_rows = int(args.ell_max / args.step)
+        n_rows = len(asymptotics._geodesic_terms(args.n, args.ell_max, args.step))
         _emit(f"plan command=report-multiplicity n={args.n} rows={n_rows}", args.out)
         return 0
     _write_table(args, asymptotics.MULTIPLICITY_CSV_HEADER,
@@ -354,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="write output to this path instead of stdout")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--workers", type=int, default=_default_workers(),
-                        help="parallel workers for enumeration, bianchi and cocompact "
+                        help="parallel workers for census deg4|sr, cocompact and the "
+                             "system fit series; accepted and unused elsewhere "
                              "(default: SALEM_WORKERS or 1)")
     common.add_argument("--seed", type=int, default=0, help="seed for Monte Carlo checks")
     common.add_argument("--plot-data", action="store_true",

@@ -4,10 +4,11 @@ Everything here is deliberately built from different machinery than the
 package under test: numpy root finding for spectral classification, trial
 division for quartic reducibility and square-freeness, row-by-row scans
 for the integer censuses that the package counts in closed form, a
-whole-disk trace scan with a dedup dict for the Bianchi census that the
-package takes from one quadrant, and the float-seeded walk and numeric
-verifier of the real-quadratic system that the package decides with exact
-intervals.  No module from salemcensus is imported.
+whole-disk trace scan with a dedup dict and a sorted quadrant scan for the
+Bianchi census that the package counts and merges row by row, and the
+float-seeded walk and numeric verifier of the real-quadratic system that
+the package decides with exact intervals.  No module from salemcensus is
+imported.
 """
 
 from __future__ import annotations
@@ -526,3 +527,48 @@ def bianchi_census_dict(D: int, Q: int):
             continue
         members.append((A, B, found[(A, B)]))
     return members, (scanned, real, imag_axis, reducible, over_q)
+
+
+# --- Bianchi census by a scan of the quadrant w, v > 0 -----------------------
+
+
+def bianchi_census_scan(D: int, Q: int):
+    """(members, tallies) of the Bianchi census, in the format of
+    bianchi_census_dict, from every trace of the quadrant w = 2 Re(t) > 0,
+    v >= 1 with N(t) <= isqrt(Q) + 3: each trace that is not reducible is
+    one sign orbit (+-w, +-v), so the rows are sorted on (A, B), cut by the
+    exact lambda <= Q test on the lifted quartic, and given the four
+    traces of the orbit as witnesses.  The axes are tallied in closed
+    form, and the quadrant's scanned and reducible traces count four
+    times, once for each sign."""
+    R = math.isqrt(Q) + 3
+    half = D % 4 == 3
+    E = D if half else 4 * D
+    rows = []
+    scanned = reducible = 0
+    for v in range(1, math.isqrt(4 * R // E) + 1):
+        Ev2 = E * v * v
+        # w = 2u + v (half basis) or 2u keeps the parity of the basis
+        ws = range(1 if half and v % 2 else 2, math.isqrt(4 * R - Ev2) + 1, 2)
+        scanned += len(ws)
+        for w in ws:
+            n = (w * w + Ev2) // 4
+            tr2 = (w * w - Ev2) // 2
+            disc = n * n - 4 * tr2 + 16
+            r = math.isqrt(disc)
+            if r * r == disc:
+                reducible += 1
+            else:
+                rows.append((-n, tr2 - 2, w, v))
+    over_q = 0
+    members = []
+    for A, B, w, v in sorted(rows):
+        a, b = 2 * B - A * A, B * B - 2 * A * A + 2
+        if Q**4 + a * Q**3 + b * Q * Q + a * Q + 1 < 0:  # lifted lambda > Q
+            over_q += 1
+            continue
+        wit = [((sw * w - half * sv * v) // 2, sv * v) for sv in (-1, 1) for sw in (-1, 1)]
+        members.append((A, B, wit))
+    real = 2 * math.isqrt(R) + 1  # v = 0, 4 N(t) = w^2 <= 4R
+    imag_axis = 2 * math.isqrt(R // D)  # w = 0, v != 0
+    return members, (real + imag_axis + 4 * scanned, real, imag_axis, 4 * reducible, over_q)

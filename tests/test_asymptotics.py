@@ -10,6 +10,7 @@ from salemcensus.asymptotics import (
     multiplicity_csv_row,
     multiplicity_report,
     omega,
+    omega_series,
     power_fit,
 )
 from salemcensus.errors import CapacityError, DomainError
@@ -26,6 +27,10 @@ class TestOmega:
     def test_matches_direct_evaluation_up_to_50(self):
         for m in range(1, 51):
             assert omega(m) == omega_direct(m)
+
+    def test_running_series_matches_each_omega(self):
+        for n in range(4, 61, 2):
+            assert omega_series(n // 2 - 1) == [omega(m) for m in range(1, n // 2)]
 
     def test_exact_rational_no_overflow(self):
         val = omega(50)
@@ -102,6 +107,9 @@ class TestMultiplicityReport:
                 multiplicity_report(bad, 10.0, 1.0)
         with pytest.raises(DomainError):
             multiplicity_report(4, 5.0, 6.0)
+        for ell_max in (math.inf, math.nan):
+            with pytest.raises(DomainError):
+                multiplicity_report(4, ell_max, 1.0)
 
     def test_overflow_is_a_capacity_error(self):
         with pytest.raises(CapacityError):

@@ -17,7 +17,7 @@ from salemcensus.census import enumerate_sr
 from salemcensus.errors import ContractError, DomainError
 from salemcensus.quartics import SalemQuartic, is_salem, salem_value
 
-from oracles import bianchi_census_dict, sqrt_lambda_from_trace
+from oracles import bianchi_census_dict, bianchi_census_scan, sqrt_lambda_from_trace
 
 
 class TestSalemFromTrace:
@@ -179,11 +179,28 @@ class TestCensus:
         got = {(m.A, m.B) for m in bianchi_census(D, Q).members}
         assert got == expected
 
-    def test_workers_do_not_change_output(self):
-        a = bianchi_census(3, 10**5, workers=1)
-        b = bianchi_census(3, 10**5, workers=4)
-        assert [(m.A, m.B, m.witnesses) for m in a.members] == \
-               [(m.A, m.B, m.witnesses) for m in b.members]
+    @pytest.mark.parametrize("D", [1, 3, 7])
+    def test_row_kernel_matches_the_quadrant_scan(self, D):
+        # Q = 1e10 is out of the disk scan's reach
+        c = bianchi_census(D, 10**10)
+        members, tallies = bianchi_census_scan(D, 10**10)
+        assert [(m.A, m.B, m.witnesses) for m in c.members] == members
+        assert c.count == len(members)
+        assert (c.traces_scanned, c.excluded_real, c.excluded_imag_axis,
+                c.excluded_reducible, c.excluded_over_q) == tallies
+
+    def test_members_stream_again_on_each_iteration(self):
+        c = bianchi_census(2, 10**6)
+        first = [(m.A, m.B, m.witnesses) for m in c.members]
+        assert len(first) == c.count
+        assert [(m.A, m.B, m.witnesses) for m in c.members] == first
+
+    @pytest.mark.parametrize("D", [1, 2, 3, 7, 11, 19, 163])
+    def test_count_is_marklof_sqrt_q_plus_o_q_quarter(self, D):
+        # the abstract's c Q^(1/2) + O(Q^(1/4)), with a fixed constant 1.25
+        for Q in (10**e for e in range(6, 17, 2)):
+            err = bianchi_census(D, Q).count - marklof_constant(D) * math.sqrt(Q)
+            assert abs(err) <= 1.25 * Q**0.25, (Q, err / Q**0.25)
 
     def test_validation(self):
         with pytest.raises(DomainError):

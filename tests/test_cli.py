@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -91,6 +92,27 @@ class TestBianchiCommand:
                            "--format", "json")
         objs = json.loads(out)
         assert code == 0 and all("witnesses" in o for o in objs)
+
+    def test_members_stream_in_bounded_memory(self, capsys, tmp_path):
+        # 49,487 members at Q = 3e9 against 4,913 at 3e7: no member list is held
+        peaks = []
+        for qmax in ("30000000", "3000000000"):
+            tracemalloc.start()
+            try:
+                code = main(["bianchi", "--d", "3", "--qmax", qmax,
+                             "--out", str(tmp_path / "b.csv")])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+        assert peaks[1] - peaks[0] < 2 * 2**20, peaks
+
+    def test_workers_are_accepted_and_unused(self, capsys, tmp_path):
+        f1, f2 = tmp_path / "w1.csv", tmp_path / "w3.csv"
+        for path, workers in ((f1, "1"), (f2, "3")):
+            assert main(["bianchi", "--d", "7", "--qmax", "1000000", "--out", str(path),
+                         "--workers", workers]) == 0
+        assert f1.read_bytes() == f2.read_bytes()
 
 
 class TestCocompactCommand:
@@ -203,7 +225,8 @@ class TestHugeBounds:
 
 class TestInputGuards:
     """Inputs that would hang are refused up front: field parameters above
-    1e18 with exit 3, bianchi scans above 1e8 traces with exit 4."""
+    1e18 with exit 3, bianchi enumerations above 1e8 traces and bianchi
+    count series above cli.MAX_BIANCHI_ROWS rows with exit 4."""
 
     def _timed(self, capsys, *argv):
         t0 = time.perf_counter()
@@ -236,8 +259,21 @@ class TestInputGuards:
     def test_bianchi_fit_over_budget(self, capsys):
         code, _, err = self._timed(
             capsys, "fit", "--series", "bianchi", "--d", "3",
-            "--qgrid", "1000000000000000,10000000000000000,100000000000000000")
-        assert code == 4 and "kind=capacity" in err
+            "--qgrid", ",".join(str(10**e) for e in (26, 27, 28)))
+        assert code == 4 and "kind=capacity" in err and "rows" in err
+
+    def test_bianchi_fit_counts_past_the_trace_budget(self, capsys):
+        # 3.6e8 traces at Q = 1e17, but only 20,533 rows
+        code, out, _ = run(capsys, "fit", "--series", "bianchi", "--d", "3",
+                           "--qgrid", ",".join(str(10**e) for e in (15, 16, 17)))
+        assert code == 0 and "points_used=3" in out
+        exponent = float(dict(tok.split("=") for tok in out.split())["exponent"])
+        assert exponent == pytest.approx(0.5, abs=1e-3)
+
+    def test_bianchi_plot_data_counts_past_the_trace_budget(self, capsys):
+        code, out, _ = run(capsys, "bianchi", "--d", "3", "--qmax", str(10**15),
+                           "--plot-data")
+        assert code == 0 and out.split("\n")[-2].startswith(f"{10**15},")
 
     @pytest.mark.parametrize("extra", [(), ("--dry-run",)])
     def test_bianchi_over_budget(self, capsys, extra):
@@ -294,11 +330,23 @@ class TestReportCommand:
     @pytest.mark.parametrize("flags", [("--ell-max", "6", "--step", "0"),
                                        ("--ell-max", "nan", "--step", "1"),
                                        ("--n", "5", "--ell-max", "6", "--step", "2"),
-                                       ("--ell-max", "inf", "--step", "inf")])
+                                       ("--ell-max", "inf", "--step", "inf"),
+                                       ("--ell-max", "inf", "--step", "1")])
     def test_dry_run_validates_like_the_run(self, capsys, flags):
         for extra in ((), ("--dry-run",)):
             code, out, err = run(capsys, "report", "multiplicity", "--n", "4", *flags, *extra)
             assert code == 3 and out == "" and err.startswith("salem-error kind=domain")
+
+    def test_dry_run_counts_the_rows_of_the_run(self, capsys):
+        code, out, _ = run(capsys, "report", "multiplicity", "--n", "4",
+                           "--ell-max", "7", "--step", "2", "--dry-run")
+        assert code == 0 and out == "plan command=report-multiplicity n=4 rows=3\n"
+        # the run overflows after 236 rows: so does its plan, with the same message
+        argv = ("report", "multiplicity", "--n", "4", "--ell-max", "1e300", "--step", "1")
+        results = [run(capsys, *argv, *extra) for extra in ((), ("--dry-run",))]
+        assert results[0] == results[1]
+        code, out, err = results[0]
+        assert code == 4 and out == "" and "exp overflow at ell=237" in err
 
 
 class TestDeterminism:
