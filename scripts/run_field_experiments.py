@@ -33,7 +33,7 @@ def bianchi_table(qmax: int) -> None:
               f"{ratio / const - 1:>+8.2%}")
 
 
-def system_table(qmax: int, workers: int, verify_q: int) -> None:
+def system_table(qmax: int, verify_q: int) -> None:
     print(f"\nReal-quadratic system counts up to Q = {qmax}")
     print(f"{'d':>4} {'disc':>5} {'delta':>7} {'c2 bound':>9} "
           f"{'exponent':>9} {'verified@Q=' + str(verify_q):>14}")
@@ -41,9 +41,9 @@ def system_table(qmax: int, workers: int, verify_q: int) -> None:
         grid = [qmax]
         while grid[-1] // 2 >= qmax // 16:
             grid.append(grid[-1] // 2)
-        fit = power_fit([(q, count_system(d, q, workers=workers)) for q in sorted(grid)])
+        fit = power_fit([(q, count_system(d, q)) for q in sorted(grid)])
         total = verified = 0
-        for s in enumerate_system(d, verify_q, workers=workers):
+        for s in enumerate_system(d, verify_q):
             total += 1
             verified += verify_salem_over_L(d, s)
         geo = lattice_geometry(d)
@@ -57,10 +57,9 @@ def main() -> None:
     ap.add_argument("--qmax-bianchi", type=int, default=10**8)
     ap.add_argument("--qmax-system", type=int, default=2000)
     ap.add_argument("--verify-q", type=int, default=50)
-    ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args()
     bianchi_table(args.qmax_bianchi)
-    system_table(args.qmax_system, args.workers, args.verify_q)
+    system_table(args.qmax_system, args.verify_q)
 
 
 if __name__ == "__main__":

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from ._bands import map_bands
 from .algebra import is_perfect_square
 from .errors import DomainError
 from .quartics import _salem_value_ab
@@ -110,26 +109,25 @@ def count_salem_deg4(Q: int) -> int:
     return 2 * (Q - 1) ** 2
 
 
-def _iter_deg4(Q: int, lo: int, hi: int) -> Iterator[CensusRecord]:
-    for na in range(lo, hi):
-        a = -na
-        b_lo = max(-2 * na - 1, _deg4_lambda_floor(Q, na))
-        # the reducible b of the window (see count_salem_deg4), the three
-        # families of _SR_REDUCIBLE: b = a + 1, b = 2 and a + b = 1
-        skip = (a + 1, 2, 1 - a)
-        for b in range(b_lo, 2 * na - 2):
-            if b in skip:
-                continue
-            k = is_perfect_square(2 + b + 2 * na)
-            yield CensusRecord(a, b, k, _salem_value_ab(a, b), "direct")
+def _deg4_rows(Q: int) -> Iterator[tuple[int, int, int, tuple[int, int, int]]]:
+    """(n, lo, hi, skip) for each row a = -n, n = 1..Q+2: the row's members
+    are the b in range(lo, hi), lo raised to the lambda floor, that are not
+    in skip, the reducible b = a + 1, 2, 1 - a of the window (the families
+    of _SR_REDUCIBLE; see count_salem_deg4)."""
+    for n in range(1, Q + 3):
+        yield n, max(-2 * n - 1, _deg4_lambda_floor(Q, n)), 2 * n - 2, (1 - n, 2, 1 + n)
 
 
-def enumerate_salem_deg4(Q: int, workers: int = 1) -> Iterator[CensusRecord]:
+def enumerate_salem_deg4(Q: int) -> Iterator[CensusRecord]:
     """All degree-4 Salem records with lambda <= Q, ordered by descending a
-    then ascending b.  Streams with O(1) memory when workers == 1."""
+    then ascending b.  Streams with O(1) memory."""
     _check_q(Q)
-    for band in map_bands(_iter_deg4, (Q,), 1, Q + 3, workers):
-        yield from band
+    for n, lo, hi, skip in _deg4_rows(Q):
+        a = -n
+        for b in range(lo, hi):
+            if b not in skip:
+                k = is_perfect_square(2 + b + 2 * n)
+                yield CensusRecord(a, b, k, _salem_value_ab(a, b), "direct")
 
 
 # --- square-rootable census -------------------------------------------------
@@ -148,18 +146,27 @@ def _sr_k_floor(Q: int, na: int) -> int:
     return math.isqrt(m - 1) + 1
 
 
-def _iter_sr_tuples(Q: int, lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
+def _sr_row(Q: int, n: int) -> tuple[int, int, set[int]]:
+    """(lo, hi, skip) of row a = -n: its members are the k in range(lo, hi),
+    lo = _sr_k_floor and hi = isqrt(4n - 1) + 1, with b = k^2 - 2n - 2, that
+    are not in skip, the integer k with k^2 = i (n + 4 - i), i = 1, 2, 3:
+    the row's reducible points where they fall in the range (see count_sr)."""
+    skip = {is_perfect_square(i * (n + 4 - i)) for i, _ in _SR_REDUCIBLE} - {None}
+    return _sr_k_floor(Q, n), math.isqrt(4 * n - 1) + 1, skip
+
+
+def _sr_rows(Q: int) -> Iterator[tuple[int, int, int, set[int]]]:
+    """(n, lo, hi, skip) for each row a = -n, n = 1..Q+2 (see _sr_row)."""
+    for n in range(1, Q + 3):
+        yield n, *_sr_row(Q, n)
+
+
+def _iter_sr_tuples(Q: int) -> Iterator[tuple[int, int, int]]:
     """(a, b, k) stream of the square-rootable census, no record overhead."""
-    for na in range(lo, hi):
-        kmax = math.isqrt(4 * na - 1)
-        klo = _sr_k_floor(Q, na)
-        if klo > kmax:
-            continue
-        # the reducible k of this row, as count_sr subtracts them
-        skip = {is_perfect_square(i * (na + 4 - i)) for i, _ in _SR_REDUCIBLE}
-        for k in range(klo, kmax + 1):
+    for n, lo, hi, skip in _sr_rows(Q):
+        for k in range(lo, hi):
             if k not in skip:
-                yield -na, k * k - 2 * na - 2, k
+                yield -n, k * k - 2 * n - 2, k
 
 
 # The reducible square-rootable points, one family per (i, m0):
@@ -172,7 +179,7 @@ def count_sr(Q: int) -> int:
     """Number of degree-4 Salem numbers <= Q square-rootable over Q.
 
     Row n = -a (1 <= n <= Q+2) holds the k in [klo(n), isqrt(4n - 1)],
-    klo = _sr_k_floor, less the reducible ones.
+    klo = _sr_k_floor, less the reducible ones (_sr_row).
 
     Lambda cut: for n <= Q-2 the bound m in _sr_k_floor is at most
     -Q^2 + (Q-2)(Q+2) + 2 + 1 = -1, so klo = 1 and those rows hold
@@ -195,24 +202,18 @@ def count_sr(Q: int) -> int:
     total = _isqrt_sum(N)
     for i, m0 in _SR_REDUCIBLE:
         total -= max(0, math.isqrt((N + 4 - i) // i) - m0 + 1)
-    for na in range(Q - 1, Q + 3):
-        kmax = math.isqrt(4 * na - 1)
-        klo = _sr_k_floor(Q, na)
-        total += max(0, kmax - klo + 1)
-        for i, _ in _SR_REDUCIBLE:
-            k = is_perfect_square(i * (na + 4 - i))
-            if k is not None and klo <= k <= kmax:
-                total -= 1
+    for n in range(Q - 1, Q + 3):
+        lo, hi, skip = _sr_row(Q, n)
+        total += max(0, hi - lo) - sum(lo <= k < hi for k in skip)
     return total
 
 
-def enumerate_sr(Q: int, workers: int = 1) -> Iterator[CensusRecord]:
+def enumerate_sr(Q: int) -> Iterator[CensusRecord]:
     """Square-rootable census records with lambda <= Q, same order as
     enumerate_salem_deg4."""
     _check_q(Q)
-    for band in map_bands(_iter_sr_tuples, (Q,), 1, Q + 3, workers):
-        for a, b, k in band:
-            yield CensusRecord(a, b, k, _salem_value_ab(a, b), "direct")
+    for a, b, k in _iter_sr_tuples(Q):
+        yield CensusRecord(a, b, k, _salem_value_ab(a, b), "direct")
 
 
 # --- closed box sums and the degree-2 census --------------------------------

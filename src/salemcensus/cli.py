@@ -3,8 +3,8 @@ reproducible file output.
 
 Exit codes: 0 success, 2 usage error, 3 domain-validation error,
 4 arithmetic capacity failure.  Errors are one machine-parsable line on
-stderr.  Identical argv (and seed) produce byte-identical output no matter
-how many workers run the enumeration.
+stderr.  Identical argv (and seed) produce byte-identical output; --workers
+is accepted and validated but runs nothing in parallel.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import contextlib
 import json
 import math
 import os
+import signal
 import sys
 from itertools import chain, islice
 from typing import Iterator
@@ -41,6 +42,11 @@ MAX_BIANCHI_TRACES = 10**8
 # on a 2-vCPU Xeon VM, about 37 us a row, so the limit stands for about
 # three minutes of work.
 MAX_BIANCHI_ROWS = 5 * 10**6
+
+# Row budget of one census deg4|sr table, compared with its exact row count.
+# At 1.4-2.2 us a row to format and write (CSV-JSON, 2-vCPU Xeon VM) the limit
+# stands for two to four minutes of work and a file of several GB.
+MAX_CENSUS_ROWS = 10**8
 
 # Largest M whose omega(M) prints: beyond it the numerator has more digits
 # than int-to-str conversion allows.
@@ -107,25 +113,32 @@ def _blocks(items) -> Iterator[list]:
         yield block
 
 
-def _json_chunks(objs) -> Iterator[str]:
-    """json.dumps(list(objs), indent=2) + "\n", one block of objects at a
-    time: each block is encoded as a list and its brackets are dropped."""
-    encode, sep = json.JSONEncoder(indent=2).encode, "[\n"
-    for block in _blocks(objs):
-        yield sep + encode(block)[2:-2]
+def _json_list(chunks) -> Iterator[str]:
+    """The chunks, each some objects of an indent-2 JSON list joined by
+    ",\n", framed as json.dumps frames the list ("[]\n" when empty)."""
+    sep = "[\n"
+    for chunk in chunks:
+        yield sep + chunk
         sep = ",\n"
     yield "[]\n" if sep == "[\n" else "\n]\n"
+
+
+def _write_chunks(args, header: str, chunks) -> None:
+    """Write a table from chunks of formatted rows: CSV lines under header,
+    or (--format json) the objects of one JSON list."""
+    _write(args.out, _json_list(chunks) if args.format == "json" else
+           chain([header + "\n"], chunks))
 
 
 def _write_table(args, header: str, rows, csv_row, json_obj) -> None:
     """Write rows as the JSON list of json_obj(row) (--format json) or as
     header and the csv_row(row) lines, BLOCK_ROWS rows at a time."""
     if args.format == "json":
-        chunks = _json_chunks(map(json_obj, rows))
+        encode = json.JSONEncoder(indent=2).encode
+        chunks = (encode(block)[2:-2] for block in _blocks(map(json_obj, rows)))
     else:
-        lines = ("\n".join(block) + "\n" for block in _blocks(map(csv_row, rows)))
-        chunks = chain([header + "\n"], lines)
-    _write(args.out, chunks)
+        chunks = ("\n".join(block) + "\n" for block in _blocks(map(csv_row, rows)))
+    _write_chunks(args, header, chunks)
 
 
 def _require_qmax(args, minimum: int = 2) -> int:
@@ -147,14 +160,19 @@ def _plot_lines(qs, counts, exponent: float) -> list[str]:
     return ["Q,normalized_count\n", *(f"{q},{c / q**exponent:.12g}\n" for q, c in zip(qs, counts))]
 
 
-def _plot(args, Q: int) -> int:
-    """--plot-data: the args.series counts on the grid ..., Q//4, Q//2, Q."""
-    exponent, qmin = PLOT_SERIES[args.series]
+def _plot_grid(series: str, Q: int) -> list[int]:
+    """The --plot-data grid ..., Q//4, Q//2, Q of series, ascending."""
     qs = [Q]
-    while qs[-1] // 2 >= qmin:
+    while qs[-1] // 2 >= PLOT_SERIES[series][1]:
         qs.append(qs[-1] // 2)
-    qs.reverse()
-    _write(args.out, _plot_lines(qs, _series_counts(args, qs), exponent))
+    return qs[::-1]
+
+
+def _plot(args, Q: int) -> int:
+    """--plot-data: the args.series counts on _plot_grid."""
+    qs = _plot_grid(args.series, Q)
+    counts = list(map(_series_counter(args, qs), qs))
+    _write(args.out, _plot_lines(qs, counts, PLOT_SERIES[args.series][0]))
     return 0
 
 
@@ -163,30 +181,59 @@ def _plot(args, Q: int) -> int:
 
 def _cmd_census(args) -> int:
     which = args.which
-    qmin = 3 if which == "deg2" else 2
-    Q = _require_qmax(args, qmin)
+    Q = _require_qmax(args, 3 if which == "deg2" else 2)
+    count = (census.count_deg2 if which == "deg2" else
+             census.count_sr if which == "sr" else census.count_salem_deg4)(Q)
+    if which != "deg2" and not args.plot_data and count > MAX_CENSUS_ROWS:
+        raise CapacityError(f"census {which} at qmax={Q} would write {count} rows, "
+                            f"above the limit of {MAX_CENSUS_ROWS}")
     if args.dry_run:
-        est = {"deg4": 2 * Q * Q, "sr": int(4 / 3 * Q**1.5), "deg2": Q - 2}[which]
         _emit(
             f"plan command=census-{which} qmax={Q} a_scan=[-{Q + 2},-1] "
-            f"est_items={est} workers={args.workers}",
+            f"est_items={count} workers={args.workers}",
             args.out,
         )
         return 0
     if args.plot_data:
         return _plot(args, Q)
     if which == "deg2":
-        _emit(str(census.count_deg2(Q)), args.out)
+        _emit(str(count), args.out)
         return 0
-    enum = census.enumerate_salem_deg4 if which == "deg4" else census.enumerate_sr
-    _write_table(args, census.CENSUS_CSV_HEADER, enum(Q, workers=args.workers),
-                 census.census_csv_row, _census_json_obj)
+    _write_chunks(args, census.CENSUS_CSV_HEADER,
+                  _census_chunks(which, Q, args.format == "json"))
     return 0
 
 
-def _census_json_obj(r) -> dict:
-    return {"a": str(r.a), "b": str(r.b), "k": None if r.k is None else str(r.k),
-            "lambda": r.lambda_approx, "source": r.source}
+def _census_chunks(which: str, Q: int, json_out: bool) -> Iterator[str]:
+    """census deg4|sr formatted straight from the row intervals of
+    census._deg4_rows / census._sr_rows, at most BLOCK_ROWS members to a
+    chunk, with the bytes of census_csv_row or json.dumps(indent=2) on their
+    records.  lambda repeats quartics._salem_value_ab's float steps on the
+    same integer a^2 - 4b + 8 = n^2 + 8 - 4b; k is the root of a square
+    p(-1) = b + 2n + 2."""
+    sqrt, isqrt = math.sqrt, math.isqrt
+    none = "null" if json_out else ""
+    for n, lo, hi, skip in (census._sr_rows if which == "sr" else census._deg4_rows)(Q):
+        c, b0 = n * n + 8, -2 * n - 2
+        for start in range(lo, hi, BLOCK_ROWS):
+            stop = min(start + BLOCK_ROWS, hi)
+            if which == "sr":  # the range is over k
+                bks = [(k * k + b0, f'"{k}"' if json_out else k)
+                       for k in range(start, stop) if k not in skip]
+            else:  # over b, where p(-1) = b - b0 >= 1
+                ks = {k * k + b0: f'"{k}"' if json_out else k
+                      for k in range(isqrt(start - b0 - 1) + 1, isqrt(stop - 1 - b0) + 1)}
+                bks = [(b, ks.get(b, none)) for b in range(start, stop) if b not in skip]
+            if not bks:
+                continue
+            if json_out:
+                yield ",\n".join([
+                    f'  {{\n    "a": "-{n}",\n    "b": "{b}",\n    "k": {k},\n    '
+                    f'"lambda": {(y + sqrt(y * y - 4.0)) / 2.0!r},\n    "source": "direct"\n  }}'
+                    for b, k in bks for y in [(n + sqrt(c - 4 * b)) / 2.0]])
+            else:
+                yield "".join([f"-{n},{b},{k},{(y + sqrt(y * y - 4.0)) / 2.0:.12g},direct\n"
+                               for b, k in bks for y in [(n + sqrt(c - 4 * b)) / 2.0]])
 
 
 # --- bianchi -----------------------------------------------------------------
@@ -202,20 +249,26 @@ def _require_trace_budget(D: int, Q: int) -> int:
     return traces
 
 
-def _require_row_budget(D: int, qs: list[int]) -> None:
+def _require_row_budget(D: int, qs: list[int]) -> int:
     rows = sum(bianchi.row_count(D, q) for q in qs)
     if rows > MAX_BIANCHI_ROWS:
         raise CapacityError(
             f"bianchi counts at d={D} up to qmax={qs[-1]} would read {rows} rows, "
             f"above the limit of {MAX_BIANCHI_ROWS}"
         )
+    return rows
 
 
 def _cmd_bianchi(args) -> int:
     D = _require_squarefree(args.d, "--d", 1)
     Q = _require_qmax(args)
-    if args.plot_data and not args.dry_run:
-        return _plot(args, Q)
+    if args.plot_data:
+        if not args.dry_run:
+            return _plot(args, Q)
+        qs = _plot_grid("bianchi", Q)
+        _emit(f"plan command=bianchi-plot d={D} qmax={Q} grid_points={len(qs)} "
+              f"rows={_require_row_budget(D, qs)} workers={args.workers}", args.out)
+        return 0
     traces = _require_trace_budget(D, Q)
     if args.dry_run:
         R = math.isqrt(Q) + 3
@@ -248,7 +301,7 @@ def _cmd_cocompact(args) -> int:
     if args.plot_data:
         return _plot(args, Q)
     rows = ((sol, totally_real.verify_salem_over_L(d, sol) if args.verified else None)
-            for sol in totally_real.enumerate_system(d, Q, workers=args.workers))
+            for sol in totally_real.enumerate_system(d, Q))
     _write_table(args, f"# field={d} qmax={Q}\n{totally_real.SYSTEM_CSV_HEADER}", rows,
                  lambda row: totally_real.system_csv_row(*row), _system_json_obj)
     return 0
@@ -304,24 +357,26 @@ def _cmd_constants(args) -> int:
 # --- fit ---------------------------------------------------------------------
 
 
-def _series_counts(args, qs: list[int]) -> list[int]:
+def _series_counter(args, qs: list[int]):
+    """The count function of args.series on the grid qs, after the checks of
+    its flags and, for bianchi, of the row budget over qs."""
     series = args.series
     if series == "deg4":
-        return [census.count_salem_deg4(q) for q in qs]
+        return census.count_salem_deg4
     if series == "sr":
-        return [census.count_sr(q) for q in qs]
+        return census.count_sr
     if series == "deg2":
-        return [census.count_deg2(q) for q in qs]
+        return census.count_deg2
     if series == "bianchi":
         if args.d is None:
             raise DomainError("--series bianchi requires --d")
         D = _require_squarefree(args.d, "--d", 1)
         _require_row_budget(D, qs)
-        return [bianchi.bianchi_census(D, q).count for q in qs]
+        return lambda q: bianchi.bianchi_census(D, q).count
     if args.field is None:
         raise DomainError("--series system requires --field")
     d = _require_squarefree(args.field, "--field", 2)
-    return [totally_real.count_system(d, q, workers=args.workers) for q in qs]
+    return lambda q: totally_real.count_system(d, q)
 
 
 def _cmd_fit(args) -> int:
@@ -333,10 +388,11 @@ def _cmd_fit(args) -> int:
     if len(qs) < 3 or qs[0] < qmin:
         raise DomainError(f"--qgrid needs >= 3 values, all >= {qmin}")
     if args.dry_run:
+        _series_counter(args, qs)
         _emit(f"plan command=fit series={args.series} qgrid={','.join(map(str, qs))} "
               f"workers={args.workers}", args.out)
         return 0
-    counts = _series_counts(args, qs)
+    counts = list(map(_series_counter(args, qs), qs))
     fit = asymptotics.power_fit(list(zip(qs, counts)))
     line = (f"constant={fit.constant:.12g} exponent={fit.exponent:.12g} "
             f"residual={fit.residual:.12g} points_used={fit.points_used}")
@@ -370,9 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="write output to this path instead of stdout")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--workers", type=int, default=_default_workers(),
-                        help="parallel workers for census deg4|sr, cocompact and the "
-                             "system fit series; accepted and unused elsewhere "
-                             "(default: SALEM_WORKERS or 1)")
+                        help="accepted for compatibility and validated (>= 1), but "
+                             "every command runs in one process (default: SALEM_WORKERS or 1)")
     common.add_argument("--seed", type=int, default=0, help="seed for Monte Carlo checks")
     common.add_argument("--plot-data", action="store_true",
                         help="emit a two-column (Q, normalized count) series")
@@ -450,6 +505,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
+    # SIGTERM unwinds like an exception, so _write removes its temporary file
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     try:
         code = main()
         sys.stdout.flush()

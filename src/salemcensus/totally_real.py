@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from ._bands import map_bands
 from .algebra import RealQuadElem, is_perfect_square, is_square_free, sign_plus_root
 from .errors import DomainError
 
@@ -127,13 +126,11 @@ def _va_range(d: int, Q: int) -> tuple[int, int]:
     return -math.isqrt(((Q + 7) ** 2 - 1) // disc), math.isqrt(15 // disc) + 1
 
 
-def _iter_a_coords(
-    d: int, Q: int, va_lo: int, va_hi: int
-) -> Iterator[tuple[int, int, int, int]]:
+def _iter_a_coords(d: int, Q: int) -> Iterator[tuple[int, int, int, int]]:
     """(u, v, A, B) of every a in o_L with -(Q+3) < sigma1(a) < 0 and
-    -4 < sigma2(a) < 4, for v in [va_lo, va_hi), in (v, u) order."""
+    -4 < sigma2(a) < 4, in (v, u) order."""
     half = d % 4 == 1
-    for v in range(va_lo, va_hi):
+    for v in range(*_va_range(d, Q)):
         B, off = (v, v) if half else (2 * v, 0)
         lo = max(_min_gt(-2 * (Q + 3), -B, d), _min_gt(-8, B, d))
         hi = min(_max_lt(0, -B, d), _max_lt(8, B, d))
@@ -201,11 +198,9 @@ def _k_ranges(
             yield v, off, V, lo, hi
 
 
-def _enum_band(
-    d: int, Q: int, va_lo: int, va_hi: int
-) -> Iterator[tuple[int, int, int, int, str]]:
+def _iter_solutions(d: int, Q: int) -> Iterator[tuple[int, int, int, int, str]]:
     rows = _k_rows(d, Q)
-    for au, av, A, B in _iter_a_coords(d, Q, va_lo, va_hi):
+    for au, av, A, B in _iter_a_coords(d, Q):
         for v, off, V, lo, hi in _k_ranges(d, rows, A, B):
             # plus:  sigma2(2k - a + 4) > 0  <=>  2W > (A - 8) + (2V - B) sqrt(d)
             # minus: sigma2(2k + a - 4) < 0  <=>  2W < (8 - A) + (2V + B) sqrt(d)
@@ -218,38 +213,33 @@ def _enum_band(
                 yield au, av, (W - off) // 2, v, branch
 
 
-def enumerate_system(d: int, Q: int, workers: int = 1) -> Iterator[SystemSolution]:
+def enumerate_system(d: int, Q: int) -> Iterator[SystemSolution]:
     """Every solution of the system with sigma1(k) > 0, in deterministic
     order (a by (v, u), then k by (v, u))."""
     _check_d(d)
     _check_q(Q)
     prev = None
-    for chunk in map_bands(_enum_band, (d, Q), *_va_range(d, Q), workers):
-        for au, av, ku, kv, branch in chunk:
-            if (au, av) != prev:  # consecutive solutions share a
-                prev, a = (au, av), RealQuadElem(d, au, av)
-                two_a_2 = 2 * a - 2
-            k = a._like(ku, kv)
-            yield SystemSolution(a, k, k * k + two_a_2, branch)
+    for au, av, ku, kv, branch in _iter_solutions(d, Q):
+        if (au, av) != prev:  # consecutive solutions share a
+            prev, a = (au, av), RealQuadElem(d, au, av)
+            two_a_2 = 2 * a - 2
+        k = a._like(ku, kv)
+        yield SystemSolution(a, k, k * k + two_a_2, branch)
 
 
-def _count_band(d: int, Q: int, va_lo: int, va_hi: int) -> int:
-    rows = _k_rows(d, Q)
-    return sum(
-        (hi - lo) // 2 + 1
-        for _, _, A, B in _iter_a_coords(d, Q, va_lo, va_hi)
-        for _, _, _, lo, hi in _k_ranges(d, rows, A, B)
-    )
-
-
-def count_system(d: int, Q: int, verified: bool = False, workers: int = 1) -> int:
+def count_system(d: int, Q: int, verified: bool = False) -> int:
     """Number of system solutions; with verified=True, only those passing
     verify_salem_over_L (slower: each solution is enumerated and verified)."""
     _check_d(d)
     _check_q(Q)
     if verified:
-        return sum(1 for s in enumerate_system(d, Q, workers) if verify_salem_over_L(d, s))
-    return sum(map_bands(_count_band, (d, Q), *_va_range(d, Q), workers))
+        return sum(1 for s in enumerate_system(d, Q) if verify_salem_over_L(d, s))
+    rows = _k_rows(d, Q)
+    return sum(
+        (hi - lo) // 2 + 1
+        for _, _, A, B in _iter_a_coords(d, Q)
+        for _, _, _, lo, hi in _k_ranges(d, rows, A, B)
+    )
 
 
 # --- verification ------------------------------------------------------------

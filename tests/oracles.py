@@ -14,6 +14,7 @@ imported.
 from __future__ import annotations
 
 import cmath
+import json
 import math
 
 import numpy as np
@@ -209,6 +210,26 @@ def enumerate_deg4_filter(Q: int) -> list[tuple[int, int, int | None]]:
             k = math.isqrt(p1)
             out.append((-na, b, k if k * k == p1 else None))
     return out
+
+
+def census_record_texts(records, fmt: str) -> list[str]:
+    """Each census record as the CLI once wrote it, one call per record: the
+    census_csv_row line, or the record's object in an indent-2 JSON list
+    (its block encoded by json.JSONEncoder, the list brackets dropped)."""
+    if fmt == "csv":
+        return [f"{r.a},{r.b},{'' if r.k is None else r.k},{r.lambda_approx:.12g},{r.source}"
+                for r in records]
+    encode = json.JSONEncoder(indent=2).encode
+    return [encode([{"a": str(r.a), "b": str(r.b), "k": None if r.k is None else str(r.k),
+                     "lambda": r.lambda_approx, "source": r.source}])[2:-2] for r in records]
+
+
+def census_table(texts: list[str], fmt: str) -> str:
+    """The census table of census_record_texts: the CSV header and lines, or
+    the JSON list framed as json.dumps frames it ("[]" when empty)."""
+    if fmt == "csv":
+        return "\n".join(["a,b,k,lambda,source", *texts]) + "\n"
+    return "[\n" + ",\n".join(texts) + "\n]\n" if texts else "[]\n"
 
 
 def count_deg2_loop(Q: int) -> int:

@@ -118,7 +118,7 @@ def test_criterion_07_pipeline_oracles():
     for m in bianchi_census(1, 10**4).members:
         p = m.lift()
         pending[(p.a, p.b)] = False
-    for a, b, _k in _iter_sr_tuples(10**4, 1, 10**4 + 3):
+    for a, b, _k in _iter_sr_tuples(10**4):
         if (a, b) in pending:
             pending[(a, b)] = True
     subset = all(pending.values())

@@ -5,9 +5,12 @@ import time
 import pytest
 
 from salemcensus.algebra import is_perfect_square
+from salemcensus.cli import main
 from salemcensus.census import (
     CENSUS_CSV_HEADER,
+    _deg4_rows,
     _iter_sr_tuples,
+    _sr_rows,
     box_sums,
     census_csv_row,
     count_deg2,
@@ -20,6 +23,8 @@ from salemcensus.errors import DomainError
 from salemcensus.quartics import SalemQuartic, is_salem, salem_value
 
 from oracles import (
+    census_record_texts,
+    census_table,
     count_deg2_loop,
     count_salem_deg4_loop,
     count_sr_loop,
@@ -82,10 +87,13 @@ class TestDeg4Census:
         recs = [(r.a, r.b) for r in enumerate_salem_deg4(30)]
         assert recs == sorted(recs, key=lambda ab: (-ab[0], ab[1]))
 
-    def test_workers_do_not_change_output(self):
-        seq = [(r.a, r.b, r.k) for r in enumerate_salem_deg4(60, workers=1)]
-        par = [(r.a, r.b, r.k) for r in enumerate_salem_deg4(60, workers=3)]
-        assert seq == par
+    def test_workers_do_not_change_output(self, tmp_path):
+        expected = census_table(census_record_texts(enumerate_salem_deg4(60), "csv"), "csv")
+        for workers in ("1", "3"):
+            path = tmp_path / f"w{workers}.csv"
+            assert main(["census", "deg4", "--qmax", "60", "--out", str(path),
+                         "--workers", workers]) == 0
+            assert path.read_text() == expected
 
 
 class TestSrCensus:
@@ -121,10 +129,13 @@ class TestSrCensus:
         for Q in (10, 100, 1000):
             assert count_sr(Q) <= count_salem_deg4(Q)
 
-    def test_workers_do_not_change_output(self):
-        seq = [(r.a, r.b) for r in enumerate_sr(80, workers=1)]
-        par = [(r.a, r.b) for r in enumerate_sr(80, workers=2)]
-        assert seq == par
+    def test_workers_do_not_change_output(self, tmp_path):
+        expected = census_table(census_record_texts(enumerate_sr(80), "json"), "json")
+        for workers in ("1", "2"):
+            path = tmp_path / f"w{workers}.json"
+            assert main(["census", "sr", "--qmax", "80", "--format", "json",
+                         "--out", str(path), "--workers", workers]) == 0
+            assert path.read_text() == expected
 
     def test_reducible_family_cross_check(self):
         # every (a, k) candidate failing the discriminant test must land in
@@ -239,6 +250,17 @@ class TestCsv:
 
 
 def test_sr_tuple_stream_matches_records():
-    tuples = list(_iter_sr_tuples(60, 1, 63))
+    tuples = list(_iter_sr_tuples(60))
     recs = [(r.a, r.b, r.k) for r in enumerate_sr(60)]
     assert tuples == recs
+
+
+@pytest.mark.parametrize("rows, count", [(_deg4_rows, count_salem_deg4), (_sr_rows, count_sr)])
+def test_row_kernel_sums_to_the_count(rows, count):
+    # each row is range(lo, hi) less the skipped values that fall in it
+    for Q in range(2, 2000):
+        total = 0
+        for _, lo, hi, skip in rows(Q):
+            if lo < hi:
+                total += hi - lo - len({s for s in skip if lo <= s < hi})
+        assert total == count(Q), Q

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import signal
 import stat
 import subprocess
 import sys
@@ -12,9 +13,11 @@ from pathlib import Path
 import pytest
 
 import salemcensus
-from salemcensus import census, cli
+from salemcensus import bianchi, census, cli
 from salemcensus.cli import main
 from salemcensus.errors import CapacityError
+
+from oracles import census_record_texts, census_table
 
 
 def run(capsys, *argv):
@@ -45,10 +48,11 @@ class TestCensusCommands:
             {**o, "lambda": pytest.approx(o["lambda"])} for o in objs]
 
     def test_dry_run_plan(self, capsys):
-        code, out, _ = run(capsys, "census", "deg4", "--qmax", "1000000", "--dry-run")
+        # the largest Q whose deg4 table fits cli.MAX_CENSUS_ROWS
+        code, out, _ = run(capsys, "census", "deg4", "--qmax", "7072", "--dry-run")
         assert code == 0
-        assert out.startswith("plan command=census-deg4 qmax=1000000")
-        assert "est_items=" in out and "workers=" in out
+        assert out.startswith("plan command=census-deg4 qmax=7072")
+        assert " est_items=99998082 " in out and "workers=" in out  # 2 (Q-1)^2
 
     def test_plot_data(self, capsys):
         code, out, _ = run(capsys, "census", "sr", "--qmax", "64", "--plot-data")
@@ -56,6 +60,55 @@ class TestCensusCommands:
         lines = out.strip().split("\n")
         assert lines[0] == "Q,normalized_count"
         assert lines[-1].startswith("64,")
+
+
+class TestCensusTables:
+    """census deg4|sr format each row of a straight from its integer
+    interval; the bytes are those of the record-by-record writer in
+    tests/oracles.py."""
+
+    @staticmethod
+    def _qmin(rec) -> int:
+        """Smallest Q >= 2 with lambda <= Q, by the exact test p(Q) >= 0."""
+        def p(q):
+            return q**4 + rec.a * q**3 + rec.b * q * q + rec.a * q + 1
+        q = max(2, int(rec.lambda_approx))
+        while p(q) < 0:
+            q += 1
+        while q > 2 and p(q - 1) >= 0:
+            q -= 1
+        return q
+
+    @pytest.mark.parametrize("which, qmax", [("sr", 300), ("deg4", 100)])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_bytes_equal_the_record_writer(self, capsys, tmp_path, monkeypatch, which, qmax, fmt):
+        # every Q below qmax; a deg4 table holds 2 (Q-1)^2 rows, so its range is shorter
+        enum = census.enumerate_sr if which == "sr" else census.enumerate_salem_deg4
+        # the members at Q are those at qmax - 1 with lambda <= Q, in the same order
+        records = list(enum(qmax - 1))
+        texts = census_record_texts(records, fmt)
+        qmins = [self._qmin(r) for r in records]
+        path = tmp_path / "t"
+        for Q in range(2, qmax):
+            want = census_table([t for t, q in zip(texts, qmins) if q <= Q], fmt)
+            argv = ["census", which, "--qmax", str(Q), "--format", fmt]
+            assert main(argv) == 0
+            assert capsys.readouterr().out == want, Q
+            with monkeypatch.context() as m:  # split the rows into many chunks
+                m.setattr(cli, "BLOCK_ROWS", 7)
+                assert main([*argv, "--out", str(path)]) == 0
+            assert path.read_text() == want, Q
+
+    def test_chunks_hold_at_most_block_rows(self, monkeypatch):
+        chunks = []
+        monkeypatch.setattr(cli, "_write", lambda out, items: chunks.extend(items))
+        assert main(["census", "deg4", "--qmax", "600"]) == 0
+        assert chunks[0] == census.CENSUS_CSV_HEADER + "\n"
+        sizes = [c.count("\n") for c in chunks[1:]]
+        assert max(sizes) <= cli.BLOCK_ROWS and sum(sizes) == census.count_salem_deg4(600)
+        # row a = -598, the longest, holds 2,388 members: 4n - 1 less the
+        # reducible b = -597, 2, 599, one in its first chunk and two in its second
+        assert [n for c, n in zip(chunks[1:], sizes) if c.startswith("-598,")] == [1023, 1022, 343]
 
 
 class TestExitCodes:
@@ -281,6 +334,57 @@ class TestInputGuards:
                                    "--qmax", str(10**18), *extra)
         assert code == 4 and "kind=capacity" in err and "traces" in err
 
+    @pytest.mark.parametrize("extra", [(), ("--dry-run",)])
+    def test_census_table_over_budget(self, capsys, tmp_path, extra):
+        # 2 (Q-1)^2 = 2e18 rows
+        code, out, err = self._timed(capsys, "census", "deg4", "--qmax", str(10**9),
+                                     "--out", str(tmp_path / "big.csv"), *extra)
+        assert code == 4 and out == "" and "kind=capacity" in err and "rows" in err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("which, count", [("deg4", census.count_salem_deg4),
+                                              ("sr", census.count_sr)])
+    def test_census_budget_boundary(self, capsys, monkeypatch, which, count):
+        monkeypatch.setattr(cli, "MAX_CENSUS_ROWS", count(50))
+        code, out, _ = run(capsys, "census", which, "--qmax", "50")
+        assert code == 0 and out.count("\n") == count(50) + 1
+        code, out, _ = run(capsys, "census", which, "--qmax", "50", "--dry-run")
+        assert code == 0 and f" est_items={count(50)} " in out
+        monkeypatch.setattr(cli, "MAX_CENSUS_ROWS", count(50) - 1)
+        for extra in ((), ("--dry-run",)):
+            code, out, err = run(capsys, "census", which, "--qmax", "50", *extra)
+            assert code == 4 and out == "" and "kind=capacity" in err
+        # a count series writes no table
+        code, out, _ = run(capsys, "census", which, "--qmax", "50", "--plot-data")
+        assert code == 0 and out.split("\n")[-2].startswith("50,")
+
+    @pytest.mark.parametrize("argv", [
+        ("fit", "--series", "bianchi", "--qgrid", "10,20,40"),
+        ("fit", "--series", "bianchi", "--d", "4", "--qgrid", "10,20,40"),
+        ("fit", "--series", "system", "--qgrid", "10,20,40"),
+        ("fit", "--series", "system", "--field", "9", "--qgrid", "10,20,40"),
+        ("fit", "--series", "bianchi", "--d", "3",
+         "--qgrid", ",".join(str(10**e) for e in (24, 25, 26))),
+    ])
+    def test_fit_dry_run_validates_like_the_run(self, capsys, argv):
+        results = [self._timed(capsys, *argv, *extra) for extra in ((), ("--dry-run",))]
+        assert results[0] == results[1]
+        code, out, err = results[0]
+        assert code in (3, 4) and out == "" and err.startswith("salem-error kind=")
+
+    def test_bianchi_plot_data_dry_run_plans_the_counts(self, capsys):
+        # the enumeration would scan about 3.6e9 traces; the plot counts rows
+        argv = ("bianchi", "--d", "3", "--qmax", str(10**18), "--plot-data")
+        code, out, _ = self._timed(capsys, *argv, "--dry-run")
+        qs = cli._plot_grid("bianchi", 10**18)
+        rows = sum(bianchi.row_count(3, q) for q in qs)
+        assert code == 0 and out == (f"plan command=bianchi-plot d=3 qmax={10**18} "
+                                     f"grid_points={len(qs)} rows={rows} workers=1\n")
+        assert rows < cli.MAX_BIANCHI_ROWS
+        code, _, err = self._timed(capsys, "bianchi", "--d", "3", "--qmax", str(10**28),
+                                   "--plot-data", "--dry-run")
+        assert code == 4 and "kind=capacity" in err and "rows" in err
+
     def test_bianchi_dry_run_prints_the_guarded_estimate(self, capsys):
         code, out, _ = run(capsys, "bianchi", "--d", "3", "--qmax", "3000000000", "--dry-run")
         assert code == 0 and " est_traces=198701 " in out  # 198715 are scanned
@@ -412,15 +516,15 @@ class TestTableWriter:
     def test_failure_keeps_the_old_out_file(self, capsys, tmp_path, monkeypatch, exc):
         path = tmp_path / "sr.csv"
         path.write_bytes(b"old contents\n")
-        real = census.enumerate_sr
+        real = census._sr_rows
 
-        def failing(Q, workers=1):
-            for i, rec in enumerate(real(Q, workers)):
-                if i == 3 * cli.BLOCK_ROWS:  # some blocks are already written
+        def failing(Q):
+            for i, row in enumerate(real(Q)):
+                if i == 300:  # some chunks are already written
                     raise exc
-                yield rec
+                yield row
 
-        monkeypatch.setattr(census, "enumerate_sr", failing)
+        monkeypatch.setattr(census, "_sr_rows", failing)
         argv = ["census", "sr", "--qmax", "500", "--out", str(path)]
         if isinstance(exc, CapacityError):
             assert main(argv) == 4
@@ -429,6 +533,26 @@ class TestTableWriter:
                 main(argv)
         assert path.read_bytes() == b"old contents\n"
         assert os.listdir(tmp_path) == ["sr.csv"]
+
+    def test_sigterm_removes_the_temporary_file(self, tmp_path):
+        # about 5e7 rows, inside the budget: the run is still writing when stopped
+        env = dict(os.environ, PYTHONPATH=str(Path(salemcensus.__file__).parents[1]))
+        path = tmp_path / "f.csv"
+        proc = subprocess.Popen([sys.executable, "-m", "salemcensus.cli", "census", "deg4",
+                                 "--qmax", "5000", "--out", str(path)],
+                                env=env, stderr=subprocess.PIPE)
+        try:
+            deadline = time.monotonic() + 30
+            while not list(tmp_path.glob("f.csv.*.tmp")):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(30) == 143
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.stderr.read() == b""
+        assert os.listdir(tmp_path) == []
 
     def test_unwritable_out_exits_3(self, capsys, tmp_path):
         code, out, err = run(capsys, "census", "sr", "--qmax", "10",

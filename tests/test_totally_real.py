@@ -5,12 +5,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from salemcensus.algebra import RealQuadElem
+from salemcensus.cli import main
 from salemcensus.errors import DomainError
 from salemcensus.totally_real import (
     SYSTEM_CSV_HEADER,
     SystemSolution,
-    _enum_band,
-    _va_range,
+    _iter_solutions,
     c2_upper_bound,
     count_system,
     enumerate_system,
@@ -100,11 +100,19 @@ class TestEnumerateSystem:
         with pytest.raises(DomainError):
             count_system(2, 1)
 
-    def test_workers_do_not_change_output(self):
-        seq = [(s.a.u, s.a.v, s.k.u, s.k.v) for s in enumerate_system(2, 40, workers=1)]
-        par = [(s.a.u, s.a.v, s.k.u, s.k.v) for s in enumerate_system(2, 40, workers=3)]
-        assert seq == par
-        assert count_system(5, 300, workers=1) == count_system(5, 300, workers=3)
+    def test_workers_do_not_change_output(self, tmp_path):
+        rows = [system_csv_row(s) for s in enumerate_system(2, 40)]
+        table = "".join(f"{line}\n" for line in
+                        ["# field=2 qmax=40", SYSTEM_CSV_HEADER, *rows])
+        plot = f"300,{count_system(5, 300) / 300**1.5:.12g}\n"
+        for workers in ("1", "3"):
+            path = tmp_path / f"w{workers}.csv"
+            assert main(["cocompact", "--field", "2", "--qmax", "40", "--out", str(path),
+                         "--workers", workers]) == 0
+            assert path.read_text() == table
+            assert main(["cocompact", "--field", "5", "--qmax", "300", "--plot-data",
+                         "--out", str(path), "--workers", workers]) == 0
+            assert path.read_text().endswith(plot)
 
     def test_growth_exponent_window(self):
         from salemcensus.asymptotics import power_fit
@@ -127,8 +135,7 @@ class TestIntervalKernelAgainstWalks:
         for Q in range(2, 150):
             want = [row for row, q in zip(full, qmin) if q <= Q]
             assert count_system(d, Q) == len(want), Q
-            band = _enum_band(d, Q, *_va_range(d, Q))
-            assert list(band) == want, Q
+            assert list(_iter_solutions(d, Q)) == want, Q
 
     @pytest.mark.parametrize("d", [2, 3, 5, 13])
     def test_count_walk(self, d):
