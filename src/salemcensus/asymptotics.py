@@ -86,17 +86,17 @@ def power_fit(points, residual_threshold: float = 0.05) -> FitResult:
     """Least squares of log(count) against log(Q).
 
     While the RMS residual exceeds ``residual_threshold`` and more than
-    three points remain, the smallest-Q point is dropped (lower-order terms
-    contaminate the small side); every drop is logged.  Deterministic.
+    three distinct Q remain, the smallest-Q point is dropped (lower-order
+    terms contaminate the small side); every drop is logged.  Deterministic.
     """
     pts = sorted((float(q), float(c)) for q, c in points)
-    if len(pts) < 3:
-        raise DomainError(f"need at least 3 points, got {len(pts)}")
+    if len({q for q, _ in pts}) < 3:
+        raise DomainError(f"need at least 3 distinct Q, got {len({q for q, _ in pts})}")
     if any(q <= 0 or c <= 0 for q, c in pts):
         raise DomainError("all points must be positive")
     while True:
         constant, exponent, rms = _ols_loglog(pts)
-        if rms <= residual_threshold or len(pts) <= 3:
+        if rms <= residual_threshold or len({q for q, _ in pts}) <= 3:
             return FitResult(constant, exponent, rms, len(pts))
         dropped = pts.pop(0)
         log.info("power_fit: residual %.4g above %.4g, dropping Q=%g", rms,

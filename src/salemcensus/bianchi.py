@@ -75,7 +75,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .algebra import QuadIntK, is_perfect_square, is_square_free
-from .census import CensusRecord
+from .census import CensusRecord, _check_q
 from .errors import ContractError, DomainError
 from .quartics import SalemQuartic, lift_half_power, salem_value
 
@@ -85,8 +85,8 @@ __all__ = [
     "salem_from_trace",
     "bianchi_census",
     "marklof_constant",
-    "estimated_traces",
     "row_count",
+    "census_bounds",
     "BIANCHI_CSV_HEADER",
     "bianchi_csv_row",
     "bianchi_json_obj",
@@ -240,8 +240,7 @@ def bianchi_census(D: int, Q: int) -> BianchiCensus:
     Asymptotically count / sqrt(Q) approaches marklof_constant(D).
     """
     _check_d(D)
-    if not isinstance(Q, int) or Q < 2:
-        raise DomainError(f"Q must be an integer >= 2, got {Q}")
+    _check_q(Q)
     R = math.isqrt(Q) + 3
     count = scanned = reducible = over_q = 0
     for _v, _E_v2, ws, kept, red in _rows(D, Q):
@@ -269,13 +268,13 @@ def row_count(D: int, Q: int) -> int:
     return math.isqrt(4 * R // (D if D % 4 == 3 else 4 * D))
 
 
-def estimated_traces(D: int, Q: int) -> int:
-    """About the traces_scanned of bianchi_census(D, Q): the area of
-    N(t) <= R = isqrt(Q) + 3 in trace coordinates, pi R / sqrt(D), or
-    2 pi R / sqrt(D) when D = 3 (mod 4), where (2u + v, v) runs over a
-    lattice of index 2; the miss is a boundary term, O(sqrt(R))."""
-    R = math.isqrt(Q) + 3
-    return int((2 if D % 4 == 3 else 1) * math.pi * R / math.sqrt(D))
+def census_bounds(D: int, Q: int) -> tuple[int, int]:
+    """(members, tests), in O(1): upper bounds on bianchi_census(D, Q).count
+    and on its exact p(Q) >= 0 tests.  Each of the row_count(D, Q) rows
+    holds at most L = isqrt(4R) // 2 + 1 traces (R = isqrt(Q) + 3), and
+    its binary search makes at most L.bit_length() tests."""
+    rows, L = row_count(D, Q), math.isqrt(4 * (math.isqrt(Q) + 3)) // 2 + 1
+    return rows * L, rows * L.bit_length()
 
 
 def marklof_constant(D: int) -> float:

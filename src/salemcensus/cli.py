@@ -1,6 +1,18 @@
 """Command-line surface: censuses, constants, fits, and reports with
 reproducible file output.
 
+Every subcommand is first planned (Plan): its arguments are validated as
+the run validates them, and its work, an exact upper bound on its kernel
+steps, is computed in O(1) per grid point before any kernel runs.  main
+exits 4 before any output when the work is above the budget of its unit,
+MAX_ROWS (records written) or MAX_STEPS (count steps), and --dry-run
+prints one line instead of running:
+
+    plan command=<cmd> <validated params> rows=R work=W workers=N
+
+where R is the exact number of records (CSV data lines or JSON objects)
+the run writes.
+
 Exit codes: 0 success, 2 usage error, 3 domain-validation error,
 4 arithmetic capacity failure.  Errors are one machine-parsable line on
 stderr.  Identical argv (and seed) produce byte-identical output; --workers
@@ -17,7 +29,7 @@ import os
 import signal
 import sys
 from itertools import chain, islice
-from typing import Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from . import asymptotics, bianchi, census, totally_real
 from .algebra import is_square_free
@@ -29,24 +41,20 @@ PROG = "salem"
 # one costs O(d^(1/3)) trial divisions, about 5e5 at the limit.
 MAX_FIELD_PARAM = 10**18
 
-# Trace budget of one bianchi enumeration, counted over the whole disk
-# although only the members of its quadrant w, v > 0 are listed, so it
-# bounds the members written.  bianchi --d 3 --qmax 3e10 (628,393 traces,
-# 156,770 members) takes about 1.8 s to list and write on a 2-vCPU Xeon
-# VM, so the limit stands for about five minutes of work.
-MAX_BIANCHI_TRACES = 10**8
+# Budget of the work of a table (census deg4|sr, bianchi, cocompact): an
+# upper bound on the records it writes, so a file of at most several GB.
+# Just under it, to /dev/null on a 2-vCPU Xeon VM, a census table takes two
+# to four minutes, cocompact --field 2 --qmax 33470 7 minutes and
+# bianchi --d 3 --qmax 7.5e15 18 minutes.
+MAX_ROWS = 10**8
 
-# Row budget of the bianchi counts of one series (fit --series bianchi,
-# bianchi --plot-data), summed over its grid; a count does O(log Q) exact
-# steps per row v.  The count at d=3, Q=1e26 (3,651,483 rows) took 136 s
-# on a 2-vCPU Xeon VM, about 37 us a row, so the limit stands for about
-# three minutes of work.
-MAX_BIANCHI_ROWS = 5 * 10**6
-
-# Row budget of one census deg4|sr table, compared with its exact row count.
-# At 1.4-2.2 us a row to format and write (CSV-JSON, 2-vCPU Xeon VM) the limit
-# stands for two to four minutes of work and a file of several GB.
-MAX_CENSUS_ROWS = 10**8
+# Budget of the work of every other command, above all the count series of
+# fit and --plot-data: an upper bound on its exact count steps, a closed
+# form, a p(Q) >= 0 test of a bianchi row (1-1.5 us on a 2-vCPU Xeon VM)
+# or an (a, k-row) pair of count_system (about 0.4 us).  Just under it, fit
+# --series system --field 2 --qgrid 16255,32510,65021 takes 23 s and fit
+# --series bianchi --d 3 on Q/100, Q/10, Q = 1.64e24 takes 83 s.
+MAX_STEPS = 5 * 10**7
 
 # Largest M whose omega(M) prints: beyond it the numerator has more digits
 # than int-to-str conversion allows.
@@ -58,6 +66,18 @@ BLOCK_ROWS = 1024
 # Normalizing exponent and smallest grid Q of each --plot-data series.
 PLOT_SERIES = {"deg4": (2.0, 8), "sr": (1.5, 8), "deg2": (1.0, 4),
                "bianchi": (0.5, 16), "system": (1.5, 16)}
+
+
+class Plan(NamedTuple):
+    """A validated command: what names it and its parameters, work bounds
+    its kernel steps in unit ("rows" or "steps"), rows() counts the records
+    it writes, and run() writes them.  main calls one of rows() and run()."""
+
+    what: str
+    work: int
+    unit: str
+    rows: Callable[[], int]
+    run: Callable[[], None]
 
 
 def _default_workers() -> int:
@@ -168,40 +188,30 @@ def _plot_grid(series: str, Q: int) -> list[int]:
     return qs[::-1]
 
 
-def _plot(args, Q: int) -> int:
-    """--plot-data: the args.series counts on _plot_grid."""
+def _plot_plan(args, command: str, Q: int) -> Plan:
+    """--plot-data: the plan of the args.series counts on _plot_grid."""
     qs = _plot_grid(args.series, Q)
-    counts = list(map(_series_counter(args, qs), qs))
-    _write(args.out, _plot_lines(qs, counts, PLOT_SERIES[args.series][0]))
-    return 0
+    params, work, count = _series(args, qs)
+    return Plan(f"{command}-plot {params}qmax={Q} grid_points={len(qs)}", work, "steps",
+                lambda: len(qs), lambda: _write(args.out, _plot_lines(
+                    qs, list(map(count, qs)), PLOT_SERIES[args.series][0])))
 
 
 # --- census ------------------------------------------------------------------
 
 
-def _cmd_census(args) -> int:
+def _plan_census(args) -> Plan:
     which = args.which
     Q = _require_qmax(args, 3 if which == "deg2" else 2)
-    count = (census.count_deg2 if which == "deg2" else
-             census.count_sr if which == "sr" else census.count_salem_deg4)(Q)
-    if which != "deg2" and not args.plot_data and count > MAX_CENSUS_ROWS:
-        raise CapacityError(f"census {which} at qmax={Q} would write {count} rows, "
-                            f"above the limit of {MAX_CENSUS_ROWS}")
-    if args.dry_run:
-        _emit(
-            f"plan command=census-{which} qmax={Q} a_scan=[-{Q + 2},-1] "
-            f"est_items={count} workers={args.workers}",
-            args.out,
-        )
-        return 0
     if args.plot_data:
-        return _plot(args, Q)
+        return _plot_plan(args, f"census-{which}", Q)
+    what = f"census-{which} qmax={Q}"
     if which == "deg2":
-        _emit(str(count), args.out)
-        return 0
-    _write_chunks(args, census.CENSUS_CSV_HEADER,
-                  _census_chunks(which, Q, args.format == "json"))
-    return 0
+        return Plan(what, 1, "steps", lambda: 1,
+                    lambda: _emit(str(census.count_deg2(Q)), args.out))
+    count = (census.count_sr if which == "sr" else census.count_salem_deg4)(Q)
+    return Plan(what, count, "rows", lambda: count, lambda: _write_chunks(
+        args, census.CENSUS_CSV_HEADER, _census_chunks(which, Q, args.format == "json")))
 
 
 def _census_chunks(which: str, Q: int, json_out: bool) -> Iterator[str]:
@@ -239,72 +249,35 @@ def _census_chunks(which: str, Q: int, json_out: bool) -> Iterator[str]:
 # --- bianchi -----------------------------------------------------------------
 
 
-def _require_trace_budget(D: int, Q: int) -> int:
-    traces = bianchi.estimated_traces(D, Q)
-    if traces > MAX_BIANCHI_TRACES:
-        raise CapacityError(
-            f"bianchi at d={D} qmax={Q} would scan about {traces} traces, "
-            f"above the limit of {MAX_BIANCHI_TRACES}"
-        )
-    return traces
-
-
-def _require_row_budget(D: int, qs: list[int]) -> int:
-    rows = sum(bianchi.row_count(D, q) for q in qs)
-    if rows > MAX_BIANCHI_ROWS:
-        raise CapacityError(
-            f"bianchi counts at d={D} up to qmax={qs[-1]} would read {rows} rows, "
-            f"above the limit of {MAX_BIANCHI_ROWS}"
-        )
-    return rows
-
-
-def _cmd_bianchi(args) -> int:
+def _plan_bianchi(args) -> Plan:
     D = _require_squarefree(args.d, "--d", 1)
     Q = _require_qmax(args)
     if args.plot_data:
-        if not args.dry_run:
-            return _plot(args, Q)
-        qs = _plot_grid("bianchi", Q)
-        _emit(f"plan command=bianchi-plot d={D} qmax={Q} grid_points={len(qs)} "
-              f"rows={_require_row_budget(D, qs)} workers={args.workers}", args.out)
-        return 0
-    traces = _require_trace_budget(D, Q)
-    if args.dry_run:
-        R = math.isqrt(Q) + 3
-        est = int(bianchi.marklof_constant(D) * math.sqrt(Q))
-        _emit(
-            f"plan command=bianchi d={D} qmax={Q} norm_bound={R} "
-            f"est_count={est} est_traces={traces} workers={args.workers}",
-            args.out,
-        )
-        return 0
-    _write_table(args, bianchi.BIANCHI_CSV_HEADER, bianchi.bianchi_census(D, Q).members,
-                 bianchi.bianchi_csv_row, bianchi.bianchi_json_obj)
-    return 0
+        return _plot_plan(args, "bianchi", Q)
+    return Plan(f"bianchi d={D} qmax={Q}", bianchi.census_bounds(D, Q)[0], "rows",
+                lambda: bianchi.bianchi_census(D, Q).count,
+                lambda: _write_table(args, bianchi.BIANCHI_CSV_HEADER,
+                                     bianchi.bianchi_census(D, Q).members,
+                                     bianchi.bianchi_csv_row, bianchi.bianchi_json_obj))
 
 
 # --- cocompact (real quadratic fields) ---------------------------------------
 
 
-def _cmd_cocompact(args) -> int:
+def _plan_cocompact(args) -> Plan:
     d = _require_squarefree(args.field, "--field", 2)
     Q = _require_qmax(args)
-    if args.dry_run:
-        disc = d if d % 4 == 1 else 4 * d
-        _emit(
-            f"plan command=cocompact field={d} qmax={Q} "
-            f"est_items={int(64 * Q**1.5 / disc)} workers={args.workers}",
-            args.out,
-        )
-        return 0
     if args.plot_data:
-        return _plot(args, Q)
-    rows = ((sol, totally_real.verify_salem_over_L(d, sol) if args.verified else None)
-            for sol in totally_real.enumerate_system(d, Q))
-    _write_table(args, f"# field={d} qmax={Q}\n{totally_real.SYSTEM_CSV_HEADER}", rows,
-                 lambda row: totally_real.system_csv_row(*row), _system_json_obj)
-    return 0
+        return _plot_plan(args, "cocompact", Q)
+
+    def run():
+        rows = ((sol, totally_real.verify_salem_over_L(d, sol) if args.verified else None)
+                for sol in totally_real.enumerate_system(d, Q))
+        _write_table(args, f"# field={d} qmax={Q}\n{totally_real.SYSTEM_CSV_HEADER}", rows,
+                     lambda row: totally_real.system_csv_row(*row), _system_json_obj)
+
+    return Plan(f"cocompact field={d} qmax={Q}", totally_real.count_bounds(d, Q)[0], "rows",
+                lambda: totally_real.count_system(d, Q), run)
 
 
 def _system_json_obj(row) -> dict:
@@ -317,105 +290,100 @@ def _system_json_obj(row) -> dict:
 # --- constants ---------------------------------------------------------------
 
 
-def _cmd_constants(args) -> int:
+def _plan_constants(args) -> Plan:
     chosen = [x is not None for x in (args.omega, args.marklof_c, args.c2_bound, args.volume)]
     if sum(chosen) != 1:
         raise DomainError("pick exactly one of --omega/--marklof-c/--c2-bound/--volume")
-    if args.omega is not None and args.omega > MAX_OMEGA_M:
-        raise CapacityError(f"--omega must be <= {MAX_OMEGA_M}, got {args.omega}")
-    if args.dry_run:
-        which = ("omega" if args.omega is not None else
-                 "marklof-c" if args.marklof_c is not None else
-                 "c2-bound" if args.c2_bound is not None else "volume")
-        _emit(f"plan command=constants which={which}", args.out)
-        return 0
+    mc = []  # the Monte Carlo line, the only one left to the run
     if args.omega is not None:
+        if args.omega > MAX_OMEGA_M:
+            raise CapacityError(f"--omega must be <= {MAX_OMEGA_M}, got {args.omega}")
         val = asymptotics.omega(args.omega)
-        _emit(f"{val.numerator}/{val.denominator}", args.out)
-        return 0
-    if args.marklof_c is not None:
+        which, lines = "omega", [f"{val.numerator}/{val.denominator}"]
+    elif args.marklof_c is not None:
         D = _require_squarefree(args.marklof_c, "--marklof-c", 1)
-        _emit(f"{bianchi.marklof_constant(D):.12g}", args.out)
-        return 0
-    if args.c2_bound is not None:
+        which, lines = "marklof-c", [f"{bianchi.marklof_constant(D):.12g}"]
+    elif args.c2_bound is not None:
         d = _require_squarefree(args.c2_bound, "--c2-bound", 2)
-        _emit(f"{totally_real.c2_upper_bound(d):.12g}", args.out)
-        return 0
-    try:
-        h, delta, q = int(args.volume[0]), float(args.volume[1]), int(args.volume[2])
-    except ValueError as exc:
-        raise DomainError(f"--volume expects H DELTA QMAX, got {args.volume}") from exc
-    lines = [f"volume_leading={totally_real.volume_leading(h, delta, q):.12g}"]
-    if args.mc_samples:
-        est = totally_real.volume_monte_carlo(h, delta, q, samples=args.mc_samples,
-                                              seed=args.seed)
-        lines.append(f"mc_estimate={est:.12g} samples={args.mc_samples} seed={args.seed}")
-    _emit("\n".join(lines), args.out)
-    return 0
+        which, lines = "c2-bound", [f"{totally_real.c2_upper_bound(d):.12g}"]
+    else:
+        try:
+            h, delta, q = int(args.volume[0]), float(args.volume[1]), int(args.volume[2])
+        except ValueError as exc:
+            raise DomainError(f"--volume expects H DELTA QMAX, got {args.volume}") from exc
+        which, lines = "volume", [f"volume_leading={totally_real.volume_leading(h, delta, q):.12g}"]
+        if args.mc_samples < 0:
+            raise DomainError(f"--mc-samples must be >= 0, got {args.mc_samples}")
+
+        def mc_line():
+            est = totally_real.volume_monte_carlo(h, delta, q, samples=args.mc_samples,
+                                                  seed=args.seed)
+            return f"mc_estimate={est:.12g} samples={args.mc_samples} seed={args.seed}"
+        mc = [mc_line] if args.mc_samples else []
+    return Plan(f"constants which={which}", 1 + len(mc) * args.mc_samples, "steps",
+                lambda: len(lines) + len(mc),
+                lambda: _emit("\n".join(lines + [line() for line in mc]), args.out))
 
 
 # --- fit ---------------------------------------------------------------------
 
 
-def _series_counter(args, qs: list[int]):
-    """The count function of args.series on the grid qs, after the checks of
-    its flags and, for bianchi, of the row budget over qs."""
+def _series(args, qs: list[int]) -> tuple[str, int, Callable[[int], int]]:
+    """(params, work, count) of the count series args.series on the grid
+    qs, after the checks of its flags: the flags for the plan line, the
+    bound on the count steps over qs, one step per closed form, and the
+    count of one Q."""
     series = args.series
-    if series == "deg4":
-        return census.count_salem_deg4
-    if series == "sr":
-        return census.count_sr
-    if series == "deg2":
-        return census.count_deg2
     if series == "bianchi":
         if args.d is None:
             raise DomainError("--series bianchi requires --d")
         D = _require_squarefree(args.d, "--d", 1)
-        _require_row_budget(D, qs)
-        return lambda q: bianchi.bianchi_census(D, q).count
-    if args.field is None:
-        raise DomainError("--series system requires --field")
-    d = _require_squarefree(args.field, "--field", 2)
-    return lambda q: totally_real.count_system(d, q)
+        return (f"d={D} ", sum(bianchi.census_bounds(D, q)[1] for q in qs),
+                lambda q: bianchi.bianchi_census(D, q).count)
+    if series == "system":
+        if args.field is None:
+            raise DomainError("--series system requires --field")
+        d = _require_squarefree(args.field, "--field", 2)
+        return (f"field={d} ", sum(totally_real.count_bounds(d, q)[1] for q in qs),
+                lambda q: totally_real.count_system(d, q))
+    return "", len(qs), {"deg4": census.count_salem_deg4, "sr": census.count_sr,
+                         "deg2": census.count_deg2}[series]
 
 
-def _cmd_fit(args) -> int:
+def _plan_fit(args) -> Plan:
     try:
         qs = sorted(int(tok) for tok in args.qgrid.split(","))
     except ValueError as exc:
         raise DomainError(f"--qgrid expects comma-separated integers, got {args.qgrid!r}") from exc
     qmin = 3 if args.series == "deg2" else 2
-    if len(qs) < 3 or qs[0] < qmin:
-        raise DomainError(f"--qgrid needs >= 3 values, all >= {qmin}")
-    if args.dry_run:
-        _series_counter(args, qs)
-        _emit(f"plan command=fit series={args.series} qgrid={','.join(map(str, qs))} "
-              f"workers={args.workers}", args.out)
-        return 0
-    counts = list(map(_series_counter(args, qs), qs))
-    fit = asymptotics.power_fit(list(zip(qs, counts)))
-    line = (f"constant={fit.constant:.12g} exponent={fit.exponent:.12g} "
-            f"residual={fit.residual:.12g} points_used={fit.points_used}")
-    plot = _plot_lines(qs, counts, fit.exponent) if args.plot_data else []
-    _write(args.out, [line + "\n", *plot])
-    return 0
+    if len(set(qs)) < 3 or qs[0] < qmin:
+        raise DomainError(f"--qgrid needs >= 3 distinct values, all >= {qmin}")
+    params, work, count = _series(args, qs)
+
+    def run():
+        counts = list(map(count, qs))
+        fit = asymptotics.power_fit(list(zip(qs, counts)))
+        line = (f"constant={fit.constant:.12g} exponent={fit.exponent:.12g} "
+                f"residual={fit.residual:.12g} points_used={fit.points_used}")
+        plot = _plot_lines(qs, counts, fit.exponent) if args.plot_data else []
+        _write(args.out, [line + "\n", *plot])
+
+    return Plan(f"fit series={args.series} {params}qgrid={','.join(map(str, qs))}", work,
+                "steps", lambda: 1 + len(qs) * args.plot_data, run)
 
 
 # --- report ------------------------------------------------------------------
 
 
-def _cmd_report(args) -> int:
-    if args.which != "multiplicity":
-        raise DomainError(f"unknown report {args.which!r}")
+def _plan_report(args) -> Plan:
     asymptotics._check_multiplicity_args(args.n, args.ell_max, args.step)
-    if args.dry_run:
-        n_rows = len(asymptotics._geodesic_terms(args.n, args.ell_max, args.step))
-        _emit(f"plan command=report-multiplicity n={args.n} rows={n_rows}", args.out)
-        return 0
-    _write_table(args, asymptotics.MULTIPLICITY_CSV_HEADER,
-                 asymptotics.multiplicity_report(args.n, args.ell_max, args.step),
-                 asymptotics.multiplicity_csv_row, vars)  # its fields are the JSON keys
-    return 0
+    n_rows = len(asymptotics._geodesic_terms(args.n, args.ell_max, args.step))
+    # the omega series and n/2 terms a row
+    return Plan(f"report-multiplicity n={args.n}", (n_rows + 1) * (args.n // 2), "steps",
+                lambda: n_rows, lambda: _write_table(
+                    args, asymptotics.MULTIPLICITY_CSV_HEADER,
+                    asymptotics.multiplicity_report(args.n, args.ell_max, args.step),
+                    asymptotics.multiplicity_csv_row, vars))  # its fields are the JSON keys
 
 
 # --- parser ------------------------------------------------------------------
@@ -432,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--plot-data", action="store_true",
                         help="emit a two-column (Q, normalized count) series")
     common.add_argument("--dry-run", action="store_true",
-                        help="print the validated plan without enumerating")
+                        help="print the validated plan, its rows and work, instead of running")
 
     p = argparse.ArgumentParser(prog=PROG, description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -444,13 +412,13 @@ def build_parser() -> argparse.ArgumentParser:
                          ("deg2", "degree-2 Salem numbers <= Q")):
         sp = census_sub.add_parser(which, parents=[common], help=blurb)
         sp.add_argument("--qmax", type=int, required=True)
-        sp.set_defaults(func=_cmd_census, series=which)
+        sp.set_defaults(plan=_plan_census, series=which)
 
     p_b = sub.add_parser("bianchi", parents=[common],
                          help="Salem numbers generated by PSL(2, o_K), K = Q(sqrt(-D))")
     p_b.add_argument("--d", type=int, required=True, help="square-free D >= 1")
     p_b.add_argument("--qmax", type=int, required=True)
-    p_b.set_defaults(func=_cmd_bianchi, series="bianchi")
+    p_b.set_defaults(plan=_plan_bianchi, series="bianchi")
 
     p_c = sub.add_parser("cocompact", parents=[common],
                          help="system solutions over the real quadratic field Q(sqrt(d))")
@@ -458,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_c.add_argument("--qmax", type=int, required=True)
     p_c.add_argument("--verified", action="store_true",
                      help="verify the Salem-over-L property per solution")
-    p_c.set_defaults(func=_cmd_cocompact, series="system")
+    p_c.set_defaults(plan=_plan_cocompact, series="system")
 
     p_k = sub.add_parser("constants", parents=[common], help="closed-form constants")
     p_k.add_argument("--omega", type=int, default=None, metavar="M")
@@ -467,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_k.add_argument("--volume", nargs=3, default=None, metavar=("H", "DELTA", "QMAX"))
     p_k.add_argument("--mc-samples", type=int, default=0,
                      help="also Monte Carlo the exact volume with this many samples")
-    p_k.set_defaults(func=_cmd_constants)
+    p_k.set_defaults(plan=_plan_constants)
 
     p_f = sub.add_parser("fit", parents=[common], help="power-law fit of a count series")
     p_f.add_argument("--series", choices=("deg4", "sr", "deg2", "bianchi", "system"),
@@ -475,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_f.add_argument("--qgrid", required=True, help="comma-separated Q values")
     p_f.add_argument("--d", type=int, default=None)
     p_f.add_argument("--field", type=int, default=None)
-    p_f.set_defaults(func=_cmd_fit)
+    p_f.set_defaults(plan=_plan_fit)
 
     p_r = sub.add_parser("report", help="derived reports")
     report_sub = p_r.add_subparsers(dest="which", required=True)
@@ -484,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True, help="even orbifold dimension >= 4")
     sp.add_argument("--ell-max", type=float, required=True)
     sp.add_argument("--step", type=float, required=True)
-    sp.set_defaults(func=_cmd_report, which="multiplicity")
+    sp.set_defaults(plan=_plan_report, which="multiplicity")
     return p
 
 
@@ -495,7 +463,17 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{PROG}-error kind=domain detail=\"--workers must be >= 1\"", file=sys.stderr)
         return 3
     try:
-        return args.func(args)
+        plan = args.plan(args)
+        budget = MAX_ROWS if plan.unit == "rows" else MAX_STEPS
+        if plan.work > budget:
+            raise CapacityError(f"{plan.what} needs up to {plan.work} {plan.unit}, "
+                                f"above the limit of {budget}")
+        if args.dry_run:
+            _emit(f"plan command={plan.what} rows={plan.rows()} work={plan.work} "
+                  f"workers={args.workers}", args.out)
+        else:
+            plan.run()
+        return 0
     except DomainError as exc:
         print(f"{PROG}-error kind=domain detail=\"{exc}\"", file=sys.stderr)
         return 3

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .algebra import RealQuadElem, is_perfect_square, is_square_free, sign_plus_root
+from .census import _check_q
 from .errors import DomainError
 
 __all__ = [
@@ -39,6 +40,7 @@ __all__ = [
     "LatticeGeometry",
     "enumerate_system",
     "count_system",
+    "count_bounds",
     "verify_salem_over_L",
     "ring_square_root",
     "lattice_geometry",
@@ -77,11 +79,6 @@ class LatticeGeometry:
 def _check_d(d: int) -> None:
     if not isinstance(d, int) or d < 2 or not is_square_free(d):
         raise DomainError(f"d must be a square-free integer >= 2, got {d}")
-
-
-def _check_q(Q: int) -> None:
-    if not isinstance(Q, int) or Q < 2:
-        raise DomainError(f"Q must be an integer >= 2, got {Q}")
 
 
 # --- exact interval endpoints ------------------------------------------------
@@ -240,6 +237,20 @@ def count_system(d: int, Q: int, verified: bool = False) -> int:
         for _, _, A, B in _iter_a_coords(d, Q)
         for _, _, _, lo, hi in _k_ranges(d, rows, A, B)
     )
+
+
+def count_bounds(d: int, Q: int) -> tuple[int, int]:
+    """(solutions, steps), in O(1): upper bounds on count_system(d, Q) and on
+    the (a, k-row) pairs it reads.  A v-row of _iter_a_coords holds at most
+    8 a (A lies in an open interval of length 16, step 2), _k_rows ends at
+    the last v with floor(V sqrt(d)) <= M = (top + 8) // 2, and a k-row
+    holds at most 8 k (hi - lo <= 15, step 2)."""
+    lo, hi = _va_range(d, Q)
+    n_a = 8 * (hi - lo)
+    M = (math.isqrt(16 * (Q + 3)) + 8) // 2
+    V = math.isqrt(((M + 1) ** 2 - 1) // d)  # the largest V >= 0 with floor(V sqrt(d)) <= M
+    n_k = (V if d % 4 == 1 else V // 2) + math.isqrt(15 // _disc(d)) + 1
+    return 8 * n_a * n_k, n_a * n_k
 
 
 # --- verification ------------------------------------------------------------

@@ -66,9 +66,18 @@ class TestPowerFit:
         assert fit.points_used == 4
         assert fit.exponent == pytest.approx(1.5, abs=1e-9)
 
+    def test_drops_stop_at_three_distinct_q(self):
+        # a repeated largest Q is no reason to drop: 10 and 20 stay, not a 0/0 fit
+        pts = [(10, 1e6), (20, 5.0), (40, 9.0), (40, 9.0), (40, 9.0)]
+        fit = power_fit(pts)
+        assert fit.points_used == 5 and math.isfinite(fit.exponent)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             power_fit([(10, 100), (20, 400)])
+        for pts in ([(10, 8), (10, 8), (10, 8)], [(3, 1), (3, 1), (4, 2)]):
+            with pytest.raises(DomainError, match="3 distinct Q"):
+                power_fit(pts)
         with pytest.raises(DomainError):
             power_fit([(10, 100), (20, 0), (30, 900)])
 

@@ -7,7 +7,9 @@ import pytest
 from salemcensus.algebra import QuadIntK, is_perfect_square
 from salemcensus.bianchi import (
     BIANCHI_CSV_HEADER,
+    _rows,
     bianchi_census,
+    census_bounds,
     bianchi_csv_row,
     bianchi_json_obj,
     marklof_constant,
@@ -201,6 +203,18 @@ class TestCensus:
         for Q in (10**e for e in range(6, 17, 2)):
             err = bianchi_census(D, Q).count - marklof_constant(D) * math.sqrt(Q)
             assert abs(err) <= 1.25 * Q**0.25, (Q, err / Q**0.25)
+
+    @pytest.mark.parametrize("D", [1, 2, 3, 7, 163])
+    def test_census_bounds_hold(self, D):
+        # each row's binary search makes at most len(ws).bit_length() tests
+        for Q in (2, 3, 10, 1000, 10**6, 10**8, 10**12):
+            members, tests = census_bounds(D, Q)
+            lens = [len(ws) for _, _, ws, _, _ in _rows(D, Q)]
+            count = bianchi_census(D, Q).count
+            assert count <= sum(lens) <= members
+            assert sum(n.bit_length() for n in lens) <= tests
+            if Q >= 10**8:  # and the bound stays close
+                assert members <= 1.35 * count
 
     def test_validation(self):
         with pytest.raises(DomainError):

@@ -264,3 +264,15 @@ def test_row_kernel_sums_to_the_count(rows, count):
             if lo < hi:
                 total += hi - lo - len({s for s in skip if lo <= s < hi})
         assert total == count(Q), Q
+
+
+@pytest.mark.parametrize("Q", [1, 0, -5, 2.0, "10"])
+def test_one_q_check_for_every_census(Q):
+    from salemcensus.bianchi import bianchi_census
+    from salemcensus.totally_real import count_system, enumerate_system
+
+    for census_of in (count_sr, count_salem_deg4, lambda q: list(enumerate_sr(q)),
+                      lambda q: count_system(2, q), lambda q: list(enumerate_system(2, q)),
+                      lambda q: bianchi_census(1, q)):
+        with pytest.raises(DomainError, match=rf"^Q must be an integer >= 2, got {Q}$"):
+            census_of(Q)

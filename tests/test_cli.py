@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import salemcensus
-from salemcensus import bianchi, census, cli
+from salemcensus import bianchi, census, cli, totally_real
 from salemcensus.cli import main
 from salemcensus.errors import CapacityError
 
@@ -48,11 +48,12 @@ class TestCensusCommands:
             {**o, "lambda": pytest.approx(o["lambda"])} for o in objs]
 
     def test_dry_run_plan(self, capsys):
-        # the largest Q whose deg4 table fits cli.MAX_CENSUS_ROWS
+        # the largest Q whose deg4 table fits cli.MAX_ROWS: 2 (Q-1)^2 rows
         code, out, _ = run(capsys, "census", "deg4", "--qmax", "7072", "--dry-run")
-        assert code == 0
-        assert out.startswith("plan command=census-deg4 qmax=7072")
-        assert " est_items=99998082 " in out and "workers=" in out  # 2 (Q-1)^2
+        assert code == 0 and out == ("plan command=census-deg4 qmax=7072 "
+                                     "rows=99998082 work=99998082 workers=1\n")
+        code, out, err = run(capsys, "census", "deg4", "--qmax", "7073", "--dry-run")
+        assert code == 4 and out == "" and "needs up to 100026368 rows" in err
 
     def test_plot_data(self, capsys):
         code, out, _ = run(capsys, "census", "sr", "--qmax", "64", "--plot-data")
@@ -213,7 +214,18 @@ class TestConstantsCommand:
 
     def test_dry_run(self, capsys):
         code, out, _ = run(capsys, "constants", "--omega", "3", "--dry-run")
-        assert code == 0 and out.strip() == "plan command=constants which=omega"
+        assert code == 0 and out == "plan command=constants which=omega rows=1 work=1 workers=1\n"
+        code, out, _ = run(capsys, "constants", "--volume", "2", "1.0", "100",
+                           "--mc-samples", "1000", "--dry-run")
+        assert code == 0 and out == ("plan command=constants which=volume "
+                                     "rows=2 work=1001 workers=1\n")
+
+    @pytest.mark.parametrize("argv", [("--omega", "0"), ("--volume", "0", "1.0", "100"),
+                                      ("--volume", "2", "1.0", "100", "--mc-samples", "-5")])
+    def test_dry_run_validates_like_the_run(self, capsys, argv):
+        for extra in ((), ("--dry-run",)):
+            code, out, err = run(capsys, "constants", *argv, *extra)
+            assert code == 3 and out == "" and err.startswith("salem-error kind=domain")
 
     def test_omega_limit(self, capsys):
         code, out, _ = run(capsys, "constants", "--omega", "120")
@@ -248,6 +260,19 @@ class TestFitCommand:
                            "--qgrid", "100,200,400")
         assert code == 3 and "kind=domain" in err
 
+    @pytest.mark.parametrize("series, qgrid", [("deg4", "10,10,10"), ("deg2", "3,3,4")])
+    def test_fewer_than_three_distinct_q_is_3(self, capsys, series, qgrid):
+        for extra in ((), ("--dry-run",)):
+            code, out, err = run(capsys, "fit", "--series", series, "--qgrid", qgrid, *extra)
+            assert code == 3 and out == "" and err.count("\n") == 1
+            assert err.startswith("salem-error kind=domain") and "distinct" in err
+
+    def test_a_repeated_q_is_a_point_of_its_own(self, capsys):
+        # three distinct Q, four points: nothing is dropped and both 10s are plotted
+        code, out, _ = run(capsys, "fit", "--series", "deg2", "--qgrid", "10,10,20,40",
+                           "--plot-data")
+        assert code == 0 and "points_used=4" in out and out.count("\n10,") == 2
+
 
 class TestHugeBounds:
     """The integer counts are closed forms, so bounds near 1e18 answer at
@@ -278,8 +303,8 @@ class TestHugeBounds:
 
 class TestInputGuards:
     """Inputs that would hang are refused up front: field parameters above
-    1e18 with exit 3, bianchi enumerations above 1e8 traces and bianchi
-    count series above cli.MAX_BIANCHI_ROWS rows with exit 4."""
+    1e18 with exit 3, tables whose work is above cli.MAX_ROWS rows and
+    count series whose work is above cli.MAX_STEPS steps with exit 4."""
 
     def _timed(self, capsys, *argv):
         t0 = time.perf_counter()
@@ -313,7 +338,7 @@ class TestInputGuards:
         code, _, err = self._timed(
             capsys, "fit", "--series", "bianchi", "--d", "3",
             "--qgrid", ",".join(str(10**e) for e in (26, 27, 28)))
-        assert code == 4 and "kind=capacity" in err and "rows" in err
+        assert code == 4 and "kind=capacity" in err and "steps" in err
 
     def test_bianchi_fit_counts_past_the_trace_budget(self, capsys):
         # 3.6e8 traces at Q = 1e17, but only 20,533 rows
@@ -332,7 +357,7 @@ class TestInputGuards:
     def test_bianchi_over_budget(self, capsys, extra):
         code, _, err = self._timed(capsys, "bianchi", "--d", "3",
                                    "--qmax", str(10**18), *extra)
-        assert code == 4 and "kind=capacity" in err and "traces" in err
+        assert code == 4 and "kind=capacity" in err and "rows" in err
 
     @pytest.mark.parametrize("extra", [(), ("--dry-run",)])
     def test_census_table_over_budget(self, capsys, tmp_path, extra):
@@ -345,12 +370,12 @@ class TestInputGuards:
     @pytest.mark.parametrize("which, count", [("deg4", census.count_salem_deg4),
                                               ("sr", census.count_sr)])
     def test_census_budget_boundary(self, capsys, monkeypatch, which, count):
-        monkeypatch.setattr(cli, "MAX_CENSUS_ROWS", count(50))
+        monkeypatch.setattr(cli, "MAX_ROWS", count(50))
         code, out, _ = run(capsys, "census", which, "--qmax", "50")
         assert code == 0 and out.count("\n") == count(50) + 1
         code, out, _ = run(capsys, "census", which, "--qmax", "50", "--dry-run")
-        assert code == 0 and f" est_items={count(50)} " in out
-        monkeypatch.setattr(cli, "MAX_CENSUS_ROWS", count(50) - 1)
+        assert code == 0 and f" rows={count(50)} work={count(50)} " in out
+        monkeypatch.setattr(cli, "MAX_ROWS", count(50) - 1)
         for extra in ((), ("--dry-run",)):
             code, out, err = run(capsys, "census", which, "--qmax", "50", *extra)
             assert code == 4 and out == "" and "kind=capacity" in err
@@ -373,21 +398,55 @@ class TestInputGuards:
         assert code in (3, 4) and out == "" and err.startswith("salem-error kind=")
 
     def test_bianchi_plot_data_dry_run_plans_the_counts(self, capsys):
-        # the enumeration would scan about 3.6e9 traces; the plot counts rows
+        # the table would write up to 1.15e9 rows; the plot counts 56 points
         argv = ("bianchi", "--d", "3", "--qmax", str(10**18), "--plot-data")
         code, out, _ = self._timed(capsys, *argv, "--dry-run")
         qs = cli._plot_grid("bianchi", 10**18)
-        rows = sum(bianchi.row_count(3, q) for q in qs)
+        work = sum(bianchi.census_bounds(3, q)[1] for q in qs)
         assert code == 0 and out == (f"plan command=bianchi-plot d=3 qmax={10**18} "
-                                     f"grid_points={len(qs)} rows={rows} workers=1\n")
-        assert rows < cli.MAX_BIANCHI_ROWS
+                                     f"grid_points={len(qs)} rows={len(qs)} work={work} "
+                                     f"workers=1\n")
+        assert work == 3212817 < cli.MAX_STEPS
         code, _, err = self._timed(capsys, "bianchi", "--d", "3", "--qmax", str(10**28),
                                    "--plot-data", "--dry-run")
-        assert code == 4 and "kind=capacity" in err and "rows" in err
+        assert code == 4 and "kind=capacity" in err and "steps" in err
 
     def test_bianchi_dry_run_prints_the_guarded_estimate(self, capsys):
+        # the exact member count and the O(1) bound that the budget reads
         code, out, _ = run(capsys, "bianchi", "--d", "3", "--qmax", "3000000000", "--dry-run")
-        assert code == 0 and " est_traces=198701 " in out  # 198715 are scanned
+        assert code == 0 and out == ("plan command=bianchi d=3 qmax=3000000000 "
+                                     "rows=49487 work=63450 workers=1\n")
+        assert bianchi.bianchi_census(3, 3 * 10**9).count == 49487
+
+    @pytest.mark.parametrize("unit, argv", [
+        ("rows", ("cocompact", "--field", "2", "--qmax", "100000")),
+        ("steps", ("fit", "--series", "system", "--field", "2",
+                   "--qgrid", "100000,200000,400000")),
+        ("steps", ("cocompact", "--field", "2", "--qmax", "100000", "--plot-data")),
+    ])
+    @pytest.mark.parametrize("extra", [(), ("--dry-run",)])
+    def test_field_counts_over_budget(self, capsys, tmp_path, unit, argv, extra):
+        code, out, err = self._timed(capsys, *argv, "--out", str(tmp_path / "f.csv"), *extra)
+        assert code == 4 and out == "" and err.startswith("salem-error kind=capacity")
+        assert f" {unit}, above the limit" in err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("budget, argv", [  # census: test_census_budget_boundary
+        ("MAX_ROWS", ("bianchi", "--d", "7", "--qmax", "100000")),
+        ("MAX_ROWS", ("cocompact", "--field", "5", "--qmax", "30")),
+        ("MAX_STEPS", ("cocompact", "--field", "5", "--qmax", "400", "--plot-data")),
+        ("MAX_STEPS", ("fit", "--series", "bianchi", "--d", "2", "--qgrid", "1000,2000,4000")),
+    ])
+    def test_budget_boundary(self, capsys, monkeypatch, budget, argv):
+        code, out, _ = run(capsys, *argv, "--dry-run")
+        work = int(out.split(" work=")[1].split()[0])
+        monkeypatch.setattr(cli, budget, work)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out
+        monkeypatch.setattr(cli, budget, work - 1)
+        for extra in ((), ("--dry-run",)):
+            code, out, err = run(capsys, *argv, *extra)
+            assert code == 4 and out == "" and f"needs up to {work} " in err
 
 
 class TestLazyNumpy:
@@ -444,7 +503,7 @@ class TestReportCommand:
     def test_dry_run_counts_the_rows_of_the_run(self, capsys):
         code, out, _ = run(capsys, "report", "multiplicity", "--n", "4",
                            "--ell-max", "7", "--step", "2", "--dry-run")
-        assert code == 0 and out == "plan command=report-multiplicity n=4 rows=3\n"
+        assert code == 0 and out == "plan command=report-multiplicity n=4 rows=3 work=8 workers=1\n"
         # the run overflows after 236 rows: so does its plan, with the same message
         argv = ("report", "multiplicity", "--n", "4", "--ell-max", "1e300", "--step", "1")
         results = [run(capsys, *argv, *extra) for extra in ((), ("--dry-run",))]
@@ -596,3 +655,57 @@ class TestTableWriter:
         assert main(["census", "sr", "--qmax", "10", "--out", str(path)]) == 0
         assert path.stat().st_ino == inode
         assert path.read_text().startswith(census.CENSUS_CSV_HEADER + "\n")
+
+
+def _fit_argvs(*flags):
+    return [("fit", "--series", series, *extra, "--qgrid", "100,200,400,800", *flags)
+            for series, extra in (("deg4", ()), ("sr", ()), ("deg2", ()),
+                                  ("bianchi", ("--d", "3")), ("system", ("--field", "2")))]
+
+
+class TestPlanEqualsRun:
+    """The rows of a dry run are the records its run writes: CSV data lines
+    (header lines, the given number, not counted) or JSON objects (None)."""
+
+    @pytest.mark.parametrize("argv, headers", [
+        *[(("census", which, "--qmax", "30", *fmt), h)
+          for which in ("deg4", "sr") for fmt, h in (((), 1), (("--format", "json"), None))],
+        (("census", "deg2", "--qmax", "30"), 0),
+        *[(("census", which, "--qmax", "300", "--plot-data"), 1) for which in ("deg4", "sr", "deg2")],
+        (("bianchi", "--d", "3", "--qmax", "100000"), 1),
+        (("bianchi", "--d", "3", "--qmax", "100000", "--format", "json"), None),
+        (("bianchi", "--d", "3", "--qmax", "100000", "--plot-data"), 1),
+        (("cocompact", "--field", "5", "--qmax", "20"), 2),
+        (("cocompact", "--field", "5", "--qmax", "20", "--verified"), 2),
+        (("cocompact", "--field", "5", "--qmax", "20", "--verified", "--format", "json"), None),
+        (("cocompact", "--field", "5", "--qmax", "200", "--plot-data"), 1),
+        (("constants", "--omega", "3"), 0),
+        (("constants", "--marklof-c", "3"), 0),
+        (("constants", "--c2-bound", "5"), 0),
+        (("constants", "--volume", "2", "1.0", "100"), 0),
+        (("constants", "--volume", "2", "1.0", "100", "--mc-samples", "1000"), 0),
+        *[(argv, 0) for argv in _fit_argvs()],
+        *[(argv, 1) for argv in _fit_argvs("--plot-data")],
+        (("report", "multiplicity", "--n", "6", "--ell-max", "5", "--step", "1"), 1),
+        (("report", "multiplicity", "--n", "6", "--ell-max", "5", "--step", "1",
+          "--format", "json"), None),
+    ], ids=lambda x: " ".join(x) if isinstance(x, tuple) else str(x))
+    def test_rows_are_the_records_written(self, capsys, argv, headers):
+        code, plan, _ = run(capsys, *argv, "--dry-run")
+        assert code == 0 and plan.startswith("plan command=") and plan.count("\n") == 1
+        rows = int(plan.split(" rows=")[1].split()[0])
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert (len(json.loads(out)) if headers is None else out.count("\n") - headers) == rows
+
+    def test_plot_dry_runs_plan_the_series(self, capsys):
+        code, out, _ = run(capsys, "census", "sr", "--qmax", "1000", "--plot-data", "--dry-run")
+        assert code == 0 and out == ("plan command=census-sr-plot qmax=1000 grid_points=7 "
+                                     "rows=7 work=7 workers=1\n")
+        code, out, _ = run(capsys, "cocompact", "--field", "2", "--qmax", "1000",
+                           "--plot-data", "--dry-run")
+        qs = cli._plot_grid("system", 1000)
+        work = sum(totally_real.count_bounds(2, q)[1] for q in qs)
+        assert code == 0 and out == (f"plan command=cocompact-plot field=2 qmax=1000 "
+                                     f"grid_points=6 rows=6 work={work} workers=1\n")
+        assert qs == [31, 62, 125, 250, 500, 1000]

@@ -10,8 +10,11 @@ from salemcensus.errors import DomainError
 from salemcensus.totally_real import (
     SYSTEM_CSV_HEADER,
     SystemSolution,
+    _iter_a_coords,
     _iter_solutions,
+    _k_rows,
     c2_upper_bound,
+    count_bounds,
     count_system,
     enumerate_system,
     lattice_geometry,
@@ -146,6 +149,22 @@ class TestIntervalKernelAgainstWalks:
     def test_public_enumeration_matches_walk(self, d):
         got = [(s.a.u, s.a.v, s.k.u, s.k.v, s.branch) for s in enumerate_system(d, 149)]
         assert got == enumerate_system_walk(d, 149)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 13, 10**6 + 3])
+def test_count_bounds_hold(d):
+    for Q in (2, 3, 10, 100, 1000):
+        solutions, steps = count_bounds(d, Q)
+        a_rows = {}
+        for _, v, _, _ in _iter_a_coords(d, Q):
+            a_rows[v] = a_rows.get(v, 0) + 1
+        k_rows = _k_rows(d, Q)
+        assert max(a_rows.values(), default=0) <= 8
+        assert all((hi - lo) // 2 + 1 <= 8 for *_, lo, hi in k_rows)
+        assert count_system(d, Q) <= 8 * sum(a_rows.values()) * len(k_rows) <= solutions
+        assert solutions == 8 * steps
+        if Q == 1000 and d < 100:  # and the bound stays close
+            assert solutions <= 1.8 * count_system(d, Q)
 
 
 class TestVerifySalemOverL:
