@@ -16,6 +16,7 @@ from .errors import DomainError
 __all__ = [
     "is_perfect_square",
     "is_square_free",
+    "require_square_free",
     "sign_plus_root",
     "QuadIntK",
     "RealQuadElem",
@@ -59,6 +60,13 @@ def is_square_free(n: int) -> bool:
     return m == 1 or is_perfect_square(m) is None
 
 
+def require_square_free(n: int, minimum: int, name: str) -> int:
+    """n, or DomainError unless n is a square-free integer >= minimum."""
+    if not isinstance(n, int) or n < minimum or not is_square_free(n):
+        raise DomainError(f"{name} must be a square-free integer >= {minimum}, got {n}")
+    return n
+
+
 def sign_plus_root(A: int, B: int, d: int) -> int:
     """Exact sign of A + B*sqrt(d) for integers A, B and non-square d >= 2.
 
@@ -94,8 +102,7 @@ class QuadIntK:
     v: int
 
     def __post_init__(self) -> None:
-        if self.D < 1 or not is_square_free(self.D):
-            raise DomainError(f"D must be square-free and >= 1, got {self.D}")
+        require_square_free(self.D, 1, "D")
 
     @property
     def half_basis(self) -> bool:
@@ -152,8 +159,7 @@ class RealQuadElem:
     v: int
 
     def __post_init__(self) -> None:
-        if self.d < 2 or not is_square_free(self.d):
-            raise DomainError(f"d must be square-free and >= 2, got {self.d}")
+        require_square_free(self.d, 2, "d")
 
     @property
     def half_basis(self) -> bool:

@@ -4,7 +4,6 @@ the mean-multiplicity lower-bound report for even-dimensional orbifolds.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,9 +21,10 @@ __all__ = [
     "multiplicity_csv_row",
 ]
 
-log = logging.getLogger(__name__)
-
 MULTIPLICITY_CSV_HEADER = "ell,geodesic_count,salem_bound,mean_mult_lower"
+
+# power_fit drops small-Q points while the RMS log residual is above this.
+RESIDUAL_THRESHOLD = 0.05
 
 
 @dataclass(frozen=True)
@@ -51,10 +51,7 @@ def omega(m: int) -> Fraction:
     2^(m(m+1))/(m+1) * prod_{k=0}^{m-1} k!^2 / (2k+1)!, exact."""
     if not isinstance(m, int) or m < 1:
         raise DomainError(f"m must be a positive integer, got {m}")
-    val = Fraction(2 ** (m * (m + 1)), m + 1)
-    for k in range(m):
-        val *= Fraction(math.factorial(k) ** 2, math.factorial(2 * k + 1))
-    return val
+    return omega_series(m)[-1]
 
 
 def omega_series(M: int) -> list[Fraction]:
@@ -82,12 +79,13 @@ def _ols_loglog(points: list[tuple[float, float]]) -> tuple[float, float, float]
     return math.exp(intercept), slope, rms
 
 
-def power_fit(points, residual_threshold: float = 0.05) -> FitResult:
+def power_fit(points) -> FitResult:
     """Least squares of log(count) against log(Q).
 
-    While the RMS residual exceeds ``residual_threshold`` and more than
-    three distinct Q remain, the smallest-Q point is dropped (lower-order
-    terms contaminate the small side); every drop is logged.  Deterministic.
+    While the RMS residual exceeds RESIDUAL_THRESHOLD and more than three
+    distinct Q remain, the smallest-Q point is dropped (lower-order terms
+    contaminate the small side); points_used tells how many are left.
+    Deterministic.
     """
     pts = sorted((float(q), float(c)) for q, c in points)
     if len({q for q, _ in pts}) < 3:
@@ -96,11 +94,9 @@ def power_fit(points, residual_threshold: float = 0.05) -> FitResult:
         raise DomainError("all points must be positive")
     while True:
         constant, exponent, rms = _ols_loglog(pts)
-        if rms <= residual_threshold or len({q for q, _ in pts}) <= 3:
+        if rms <= RESIDUAL_THRESHOLD or len({q for q, _ in pts}) <= 3:
             return FitResult(constant, exponent, rms, len(pts))
-        dropped = pts.pop(0)
-        log.info("power_fit: residual %.4g above %.4g, dropping Q=%g", rms,
-                 residual_threshold, dropped[0])
+        pts.pop(0)
 
 
 def _check_multiplicity_args(n: int, ell_max: float, step: float) -> None:

@@ -74,9 +74,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .algebra import QuadIntK, is_perfect_square, is_square_free
+from .algebra import QuadIntK, is_perfect_square, require_square_free
 from .census import CensusRecord, _check_q
-from .errors import ContractError, DomainError
+from .errors import ContractError
 from .quartics import SalemQuartic, lift_half_power, salem_value
 
 __all__ = [
@@ -151,15 +151,10 @@ class BianchiCensus:
         return out
 
 
-def _check_d(D: int) -> None:
-    if not isinstance(D, int) or D < 1 or not is_square_free(D):
-        raise DomainError(f"D must be a square-free integer >= 1, got {D}")
-
-
 def salem_from_trace(D: int, t: QuadIntK) -> BianchiSalem | None:
     """The lambda^(1/2)-quartic attached to trace t, or None when t does
     not yield a degree-4 Salem number."""
-    _check_d(D)
+    require_square_free(D, 1, "D")
     if t.D != D:
         raise ContractError(f"trace lives in D={t.D}, expected D={D}")
     if t.is_real() or t.real_part_doubled() == 0:
@@ -239,7 +234,7 @@ def bianchi_census(D: int, Q: int) -> BianchiCensus:
     the members are a stream that visits the kept traces again.
     Asymptotically count / sqrt(Q) approaches marklof_constant(D).
     """
-    _check_d(D)
+    require_square_free(D, 1, "D")
     _check_q(Q)
     R = math.isqrt(Q) + 3
     count = scanned = reducible = over_q = 0
@@ -281,7 +276,7 @@ def marklof_constant(D: int) -> float:
     """Leading constant of the distinct-real-length count for PSL(2, o_K):
     pi/(4 sqrt(D)) when D = 1, 2 (mod 4) and pi/(2 sqrt(D)) when
     D = 3 (mod 4)."""
-    _check_d(D)
+    require_square_free(D, 1, "D")
     if D % 4 == 3:
         return math.pi / (2.0 * math.sqrt(D))
     return math.pi / (4.0 * math.sqrt(D))

@@ -8,7 +8,7 @@ exits 4 before any output when the work is above the budget of its unit,
 MAX_ROWS (records written) or MAX_STEPS (count steps), and --dry-run
 prints one line instead of running:
 
-    plan command=<cmd> <validated params> rows=R work=W workers=N
+    plan command=<cmd> <validated params> rows=R work=W
 
 where R is the exact number of records (CSV data lines or JSON objects)
 the run writes.
@@ -32,7 +32,7 @@ from itertools import chain, islice
 from typing import Callable, Iterator, NamedTuple
 
 from . import asymptotics, bianchi, census, totally_real
-from .algebra import is_square_free
+from .algebra import require_square_free
 from .errors import CapacityError, DomainError
 
 PROG = "salem"
@@ -78,14 +78,6 @@ class Plan(NamedTuple):
     unit: str
     rows: Callable[[], int]
     run: Callable[[], None]
-
-
-def _default_workers() -> int:
-    env = os.environ.get("SALEM_WORKERS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
 
 
 def _write(out: str | None, chunks) -> None:
@@ -170,9 +162,7 @@ def _require_qmax(args, minimum: int = 2) -> int:
 def _require_squarefree(value: int, flag: str, minimum: int) -> int:
     if value > MAX_FIELD_PARAM:
         raise DomainError(f"{flag} must be <= {MAX_FIELD_PARAM}, got {value}")
-    if value < minimum or not is_square_free(value):
-        raise DomainError(f"{flag} must be a square-free integer >= {minimum}, got {value}")
-    return value
+    return require_square_free(value, minimum, flag)
 
 
 def _plot_lines(qs, counts, exponent: float) -> list[str]:
@@ -393,9 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="write output to this path instead of stdout")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--workers", type=int, default=_default_workers(),
+    common.add_argument("--workers", type=int, default=1,
                         help="accepted for compatibility and validated (>= 1), but "
-                             "every command runs in one process (default: SALEM_WORKERS or 1)")
+                             "every command runs in one process")
     common.add_argument("--seed", type=int, default=0, help="seed for Monte Carlo checks")
     common.add_argument("--plot-data", action="store_true",
                         help="emit a two-column (Q, normalized count) series")
@@ -469,8 +459,7 @@ def main(argv: list[str] | None = None) -> int:
             raise CapacityError(f"{plan.what} needs up to {plan.work} {plan.unit}, "
                                 f"above the limit of {budget}")
         if args.dry_run:
-            _emit(f"plan command={plan.what} rows={plan.rows()} work={plan.work} "
-                  f"workers={args.workers}", args.out)
+            _emit(f"plan command={plan.what} rows={plan.rows()} work={plan.work}", args.out)
         else:
             plan.run()
         return 0

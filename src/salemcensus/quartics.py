@@ -54,10 +54,6 @@ class SalemQuartic:
     def at_minus_one(self) -> int:
         return 2 + self.b - 2 * self.a
 
-    def discriminant_r(self) -> int:
-        """Discriminant of r(y) = y^2 + a y + (b - 2)."""
-        return self.a * self.a - 4 * self.b + 8
-
 
 @dataclass(frozen=True)
 class SqrtWitness:

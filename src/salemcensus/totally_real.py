@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .algebra import RealQuadElem, is_perfect_square, is_square_free, sign_plus_root
+from .algebra import RealQuadElem, is_perfect_square, require_square_free, sign_plus_root
 from .census import _check_q
 from .errors import DomainError
 
@@ -74,11 +74,6 @@ class LatticeGeometry:
     h: int
     disc: int
     delta: float
-
-
-def _check_d(d: int) -> None:
-    if not isinstance(d, int) or d < 2 or not is_square_free(d):
-        raise DomainError(f"d must be a square-free integer >= 2, got {d}")
 
 
 # --- exact interval endpoints ------------------------------------------------
@@ -213,7 +208,7 @@ def _iter_solutions(d: int, Q: int) -> Iterator[tuple[int, int, int, int, str]]:
 def enumerate_system(d: int, Q: int) -> Iterator[SystemSolution]:
     """Every solution of the system with sigma1(k) > 0, in deterministic
     order (a by (v, u), then k by (v, u))."""
-    _check_d(d)
+    require_square_free(d, 2, "d")
     _check_q(Q)
     prev = None
     for au, av, ku, kv, branch in _iter_solutions(d, Q):
@@ -227,7 +222,7 @@ def enumerate_system(d: int, Q: int) -> Iterator[SystemSolution]:
 def count_system(d: int, Q: int, verified: bool = False) -> int:
     """Number of system solutions; with verified=True, only those passing
     verify_salem_over_L (slower: each solution is enumerated and verified)."""
-    _check_d(d)
+    require_square_free(d, 2, "d")
     _check_q(Q)
     if verified:
         return sum(1 for s in enumerate_system(d, Q) if verify_salem_over_L(d, s))
@@ -315,7 +310,7 @@ def verify_salem_over_L(d: int, s: SystemSolution) -> bool:
     sigma1(disc) > 0 as the two roots of (i) differ), so no boundary case
     arises.  The general tests are kept, so any (a, b) is decided exactly.
     """
-    _check_d(d)
+    require_square_free(d, 2, "d")
     a, k, b = s.a, s.k, s.b
     two_a, b_plus_2, four_minus_a = 2 * a, b + 2, 4 - a
     r_at_2, r_at_minus_2 = b_plus_2 + two_a, b_plus_2 - two_a
@@ -338,7 +333,7 @@ def lattice_geometry(d: int) -> LatticeGeometry:
     """Field discriminant and twice the longer diagonal of the fundamental
     parallelotope of o_L under x -> (sigma1(x), sigma2(x)), standard basis
     {1, w}."""
-    _check_d(d)
+    require_square_free(d, 2, "d")
     one = RealQuadElem.from_int(d, 1)
     w = RealQuadElem(d, 0, 1)
     diag1 = math.hypot(*(one + w).embeddings())

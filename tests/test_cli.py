@@ -51,7 +51,7 @@ class TestCensusCommands:
         # the largest Q whose deg4 table fits cli.MAX_ROWS: 2 (Q-1)^2 rows
         code, out, _ = run(capsys, "census", "deg4", "--qmax", "7072", "--dry-run")
         assert code == 0 and out == ("plan command=census-deg4 qmax=7072 "
-                                     "rows=99998082 work=99998082 workers=1\n")
+                                     "rows=99998082 work=99998082\n")
         code, out, err = run(capsys, "census", "deg4", "--qmax", "7073", "--dry-run")
         assert code == 4 and out == "" and "needs up to 100026368 rows" in err
 
@@ -122,6 +122,10 @@ class TestExitCodes:
         code, _, err = run(capsys, "bianchi", "--d", "12", "--qmax", "100")
         assert code == 3
         assert err.count("\n") == 1 and "kind=domain" in err
+
+    def test_workers_below_one_is_3(self, capsys):
+        code, out, err = run(capsys, "census", "deg2", "--qmax", "10", "--workers", "0")
+        assert code == 3 and out == "" and "--workers must be >= 1" in err
 
     def test_qmax_too_small_is_3(self, capsys):
         code, _, err = run(capsys, "census", "deg4", "--qmax", "1")
@@ -214,11 +218,11 @@ class TestConstantsCommand:
 
     def test_dry_run(self, capsys):
         code, out, _ = run(capsys, "constants", "--omega", "3", "--dry-run")
-        assert code == 0 and out == "plan command=constants which=omega rows=1 work=1 workers=1\n"
+        assert code == 0 and out == "plan command=constants which=omega rows=1 work=1\n"
         code, out, _ = run(capsys, "constants", "--volume", "2", "1.0", "100",
                            "--mc-samples", "1000", "--dry-run")
         assert code == 0 and out == ("plan command=constants which=volume "
-                                     "rows=2 work=1001 workers=1\n")
+                                     "rows=2 work=1001\n")
 
     @pytest.mark.parametrize("argv", [("--omega", "0"), ("--volume", "0", "1.0", "100"),
                                       ("--volume", "2", "1.0", "100", "--mc-samples", "-5")])
@@ -374,7 +378,8 @@ class TestInputGuards:
         code, out, _ = run(capsys, "census", which, "--qmax", "50")
         assert code == 0 and out.count("\n") == count(50) + 1
         code, out, _ = run(capsys, "census", which, "--qmax", "50", "--dry-run")
-        assert code == 0 and f" rows={count(50)} work={count(50)} " in out
+        assert code == 0 and out == (f"plan command=census-{which} qmax=50 "
+                                     f"rows={count(50)} work={count(50)}\n")
         monkeypatch.setattr(cli, "MAX_ROWS", count(50) - 1)
         for extra in ((), ("--dry-run",)):
             code, out, err = run(capsys, "census", which, "--qmax", "50", *extra)
@@ -404,8 +409,7 @@ class TestInputGuards:
         qs = cli._plot_grid("bianchi", 10**18)
         work = sum(bianchi.census_bounds(3, q)[1] for q in qs)
         assert code == 0 and out == (f"plan command=bianchi-plot d=3 qmax={10**18} "
-                                     f"grid_points={len(qs)} rows={len(qs)} work={work} "
-                                     f"workers=1\n")
+                                     f"grid_points={len(qs)} rows={len(qs)} work={work}\n")
         assert work == 3212817 < cli.MAX_STEPS
         code, _, err = self._timed(capsys, "bianchi", "--d", "3", "--qmax", str(10**28),
                                    "--plot-data", "--dry-run")
@@ -415,7 +419,7 @@ class TestInputGuards:
         # the exact member count and the O(1) bound that the budget reads
         code, out, _ = run(capsys, "bianchi", "--d", "3", "--qmax", "3000000000", "--dry-run")
         assert code == 0 and out == ("plan command=bianchi d=3 qmax=3000000000 "
-                                     "rows=49487 work=63450 workers=1\n")
+                                     "rows=49487 work=63450\n")
         assert bianchi.bianchi_census(3, 3 * 10**9).count == 49487
 
     @pytest.mark.parametrize("unit, argv", [
@@ -503,7 +507,7 @@ class TestReportCommand:
     def test_dry_run_counts_the_rows_of_the_run(self, capsys):
         code, out, _ = run(capsys, "report", "multiplicity", "--n", "4",
                            "--ell-max", "7", "--step", "2", "--dry-run")
-        assert code == 0 and out == "plan command=report-multiplicity n=4 rows=3 work=8 workers=1\n"
+        assert code == 0 and out == "plan command=report-multiplicity n=4 rows=3 work=8\n"
         # the run overflows after 236 rows: so does its plan, with the same message
         argv = ("report", "multiplicity", "--n", "4", "--ell-max", "1e300", "--step", "1")
         results = [run(capsys, *argv, *extra) for extra in ((), ("--dry-run",))]
@@ -513,18 +517,6 @@ class TestReportCommand:
 
 
 class TestDeterminism:
-    def test_workers_env_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("SALEM_WORKERS", "2")
-        import importlib
-
-        from salemcensus import cli as cli_mod
-        importlib.reload(cli_mod)
-        code = cli_mod.main(["census", "sr", "--qmax", "100", "--dry-run"])
-        out = capsys.readouterr().out
-        assert code == 0 and "workers=2" in out
-        monkeypatch.delenv("SALEM_WORKERS")
-        importlib.reload(cli_mod)
-
     def test_byte_identical_files_across_workers(self, capsys, tmp_path):
         f1, f2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
         assert main(["census", "sr", "--qmax", "200", "--out", str(f1),
@@ -701,11 +693,11 @@ class TestPlanEqualsRun:
     def test_plot_dry_runs_plan_the_series(self, capsys):
         code, out, _ = run(capsys, "census", "sr", "--qmax", "1000", "--plot-data", "--dry-run")
         assert code == 0 and out == ("plan command=census-sr-plot qmax=1000 grid_points=7 "
-                                     "rows=7 work=7 workers=1\n")
+                                     "rows=7 work=7\n")
         code, out, _ = run(capsys, "cocompact", "--field", "2", "--qmax", "1000",
                            "--plot-data", "--dry-run")
         qs = cli._plot_grid("system", 1000)
         work = sum(totally_real.count_bounds(2, q)[1] for q in qs)
         assert code == 0 and out == (f"plan command=cocompact-plot field=2 qmax=1000 "
-                                     f"grid_points=6 rows=6 work={work} workers=1\n")
+                                     f"grid_points=6 rows=6 work={work}\n")
         assert qs == [31, 62, 125, 250, 500, 1000]
