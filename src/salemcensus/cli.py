@@ -15,8 +15,9 @@ the run writes.
 
 Exit codes: 0 success, 2 usage error, 3 domain-validation error,
 4 arithmetic capacity failure.  Errors are one machine-parsable line on
-stderr.  Identical argv (and seed) produce byte-identical output; --workers
-is accepted and validated but runs nothing in parallel.
+stderr, a " or backslash in its detail="..." escaped by a backslash.  Each
+command accepts only the flags it reads.  Identical argv produce
+byte-identical output; --workers is validated but runs nothing in parallel.
 """
 
 from __future__ import annotations
@@ -302,8 +303,9 @@ def _plan_constants(args) -> Plan:
         except ValueError as exc:
             raise DomainError(f"--volume expects H DELTA QMAX, got {args.volume}") from exc
         which, lines = "volume", [f"volume_leading={totally_real.volume_leading(h, delta, q):.12g}"]
-        if args.mc_samples < 0:
-            raise DomainError(f"--mc-samples must be >= 0, got {args.mc_samples}")
+        for flag, value in (("--mc-samples", args.mc_samples), ("--seed", args.seed)):
+            if value < 0:
+                raise DomainError(f"{flag} must be >= 0, got {value}")
 
         def mc_line():
             est = totally_real.volume_monte_carlo(h, delta, q, samples=args.mc_samples,
@@ -380,37 +382,37 @@ def _plan_report(args) -> Plan:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", default=None, help="write output to this path instead of stdout")
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--workers", type=int, default=1,
-                        help="accepted for compatibility and validated (>= 1), but "
-                             "every command runs in one process")
-    common.add_argument("--seed", type=int, default=0, help="seed for Monte Carlo checks")
-    common.add_argument("--plot-data", action="store_true",
-                        help="emit a two-column (Q, normalized count) series")
-    common.add_argument("--dry-run", action="store_true",
-                        help="print the validated plan, its rows and work, instead of running")
+    every = argparse.ArgumentParser(add_help=False)
+    every.add_argument("--out", default=None, help="write output to this path instead of stdout")
+    every.add_argument("--workers", type=int, default=1,
+                       help="validated (>= 1), but every command runs in one process")
+    every.add_argument("--dry-run", action="store_true",
+                       help="print the validated plan, its rows and work, instead of running")
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument("--format", choices=("csv", "json"), default="csv")
+    plot = argparse.ArgumentParser(add_help=False)
+    plot.add_argument("--plot-data", action="store_true",
+                      help="emit a two-column (Q, normalized count) series")
 
     p = argparse.ArgumentParser(prog=PROG, description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    p_census = sub.add_parser("census", help="integer censuses", parents=[])
+    p_census = sub.add_parser("census", help="integer censuses")
     census_sub = p_census.add_subparsers(dest="which", required=True)
-    for which, blurb in (("deg4", "all degree-4 Salem numbers <= Q"),
-                         ("sr", "square-rootable degree-4 Salem numbers <= Q"),
-                         ("deg2", "degree-2 Salem numbers <= Q")):
-        sp = census_sub.add_parser(which, parents=[common], help=blurb)
+    for which, blurb, tables in (("deg4", "all degree-4 Salem numbers <= Q", [table]),
+                                 ("sr", "square-rootable degree-4 Salem numbers <= Q", [table]),
+                                 ("deg2", "degree-2 Salem numbers <= Q", [])):
+        sp = census_sub.add_parser(which, parents=[every, *tables, plot], help=blurb)
         sp.add_argument("--qmax", type=int, required=True)
         sp.set_defaults(plan=_plan_census, series=which)
 
-    p_b = sub.add_parser("bianchi", parents=[common],
+    p_b = sub.add_parser("bianchi", parents=[every, table, plot],
                          help="Salem numbers generated by PSL(2, o_K), K = Q(sqrt(-D))")
     p_b.add_argument("--d", type=int, required=True, help="square-free D >= 1")
     p_b.add_argument("--qmax", type=int, required=True)
     p_b.set_defaults(plan=_plan_bianchi, series="bianchi")
 
-    p_c = sub.add_parser("cocompact", parents=[common],
+    p_c = sub.add_parser("cocompact", parents=[every, table, plot],
                          help="system solutions over the real quadratic field Q(sqrt(d))")
     p_c.add_argument("--field", type=int, required=True, help="square-free d >= 2")
     p_c.add_argument("--qmax", type=int, required=True)
@@ -418,16 +420,17 @@ def build_parser() -> argparse.ArgumentParser:
                      help="verify the Salem-over-L property per solution")
     p_c.set_defaults(plan=_plan_cocompact, series="system")
 
-    p_k = sub.add_parser("constants", parents=[common], help="closed-form constants")
+    p_k = sub.add_parser("constants", parents=[every], help="closed-form constants")
     p_k.add_argument("--omega", type=int, default=None, metavar="M")
     p_k.add_argument("--marklof-c", type=int, default=None, metavar="D")
     p_k.add_argument("--c2-bound", type=int, default=None, metavar="D_FIELD")
     p_k.add_argument("--volume", nargs=3, default=None, metavar=("H", "DELTA", "QMAX"))
     p_k.add_argument("--mc-samples", type=int, default=0,
                      help="also Monte Carlo the exact volume with this many samples")
+    p_k.add_argument("--seed", type=int, default=0, help="seed of the Monte Carlo samples")
     p_k.set_defaults(plan=_plan_constants)
 
-    p_f = sub.add_parser("fit", parents=[common], help="power-law fit of a count series")
+    p_f = sub.add_parser("fit", parents=[every, plot], help="power-law fit of a count series")
     p_f.add_argument("--series", choices=("deg4", "sr", "deg2", "bianchi", "system"),
                      required=True)
     p_f.add_argument("--qgrid", required=True, help="comma-separated Q values")
@@ -437,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_r = sub.add_parser("report", help="derived reports")
     report_sub = p_r.add_subparsers(dest="which", required=True)
-    sp = report_sub.add_parser("multiplicity", parents=[common],
+    sp = report_sub.add_parser("multiplicity", parents=[every, table],
                                help="mean-multiplicity lower bounds")
     sp.add_argument("--n", type=int, required=True, help="even orbifold dimension >= 4")
     sp.add_argument("--ell-max", type=float, required=True)
@@ -447,12 +450,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.workers < 1:
-        print(f"{PROG}-error kind=domain detail=\"--workers must be >= 1\"", file=sys.stderr)
-        return 3
+    args = build_parser().parse_args(argv)
     try:
+        if args.workers < 1:
+            raise DomainError("--workers must be >= 1")
         plan = args.plan(args)
         budget = MAX_ROWS if plan.unit == "rows" else MAX_STEPS
         if plan.work > budget:
@@ -463,12 +464,11 @@ def main(argv: list[str] | None = None) -> int:
         else:
             plan.run()
         return 0
-    except DomainError as exc:
-        print(f"{PROG}-error kind=domain detail=\"{exc}\"", file=sys.stderr)
-        return 3
-    except (CapacityError, OverflowError) as exc:
-        print(f"{PROG}-error kind=capacity detail=\"{exc}\"", file=sys.stderr)
-        return 4
+    except (DomainError, CapacityError, OverflowError) as exc:
+        kind, code = ("domain", 3) if isinstance(exc, DomainError) else ("capacity", 4)
+        detail = str(exc).replace("\\", "\\\\").replace('"', '\\"')
+        print(f'{PROG}-error kind={kind} detail="{detail}"', file=sys.stderr)
+        return code
 
 
 def entrypoint() -> None:

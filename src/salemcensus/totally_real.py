@@ -33,7 +33,7 @@ from typing import Iterator
 
 from .algebra import RealQuadElem, is_perfect_square, require_square_free, sign_plus_root
 from .census import _check_q
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 
 __all__ = [
     "SystemSolution",
@@ -219,13 +219,10 @@ def enumerate_system(d: int, Q: int) -> Iterator[SystemSolution]:
         yield SystemSolution(a, k, k * k + two_a_2, branch)
 
 
-def count_system(d: int, Q: int, verified: bool = False) -> int:
-    """Number of system solutions; with verified=True, only those passing
-    verify_salem_over_L (slower: each solution is enumerated and verified)."""
+def count_system(d: int, Q: int) -> int:
+    """Number of system solutions."""
     require_square_free(d, 2, "d")
     _check_q(Q)
-    if verified:
-        return sum(1 for s in enumerate_system(d, Q) if verify_salem_over_L(d, s))
     rows = _k_rows(d, Q)
     return sum(
         (hi - lo) // 2 + 1
@@ -359,11 +356,14 @@ def volume_leading(h: int, delta: float, Q: int) -> float:
     the search-region volume for a degree-h totally real field."""
     if h < 1:
         raise DomainError(f"h must be >= 1, got {h}")
-    if delta < 0:
-        raise DomainError(f"delta must be >= 0, got {delta}")
+    if not 0 <= delta < math.inf:
+        raise DomainError(f"delta must be finite and >= 0, got {delta}")
     if Q < 1:
         raise DomainError(f"Q must be >= 1, got {Q}")
-    return (48 + 28 * delta + 4 * delta * delta) ** (h - 1) * (8.0 / 3.0) * Q**1.5
+    volume = (48 + 28 * delta + 4 * delta * delta) ** (h - 1) * (8.0 / 3.0) * Q**1.5
+    if volume == math.inf:
+        raise CapacityError(f"the leading volume overflows a double at delta={delta}")
+    return volume
 
 
 def volume_monte_carlo(
@@ -372,8 +372,8 @@ def volume_monte_carlo(
     """Monte Carlo estimate of the exact volume of the fattened search
     region; converges to volume_leading(h, delta, Q) up to O(Q) fringe
     terms.  Deterministic for a fixed seed."""
-    if h < 1 or delta < 0 or Q < 1 or samples < 1:
-        raise DomainError("need h >= 1, delta >= 0, Q >= 1, samples >= 1")
+    if h < 1 or not 0 <= delta < math.inf or Q < 1 or samples < 1:
+        raise DomainError("need h >= 1, finite delta >= 0, Q >= 1, samples >= 1")
     import numpy as np  # only here, so importing the package does not load numpy
 
     rng = np.random.default_rng(seed)

@@ -1,6 +1,8 @@
 import argparse
+import importlib.util
 import json
 import os
+import re
 import signal
 import stat
 import subprocess
@@ -112,16 +114,49 @@ class TestCensusTables:
         assert [n for c, n in zip(chunks[1:], sizes) if c.startswith("-598,")] == [1023, 1022, 343]
 
 
+# Each command's flags that it does not read, all usage errors, after the
+# argv that runs without them.
+UNREAD_FLAGS = {
+    "census deg4 --qmax 10": ["--seed 1"],
+    "census sr --qmax 10": ["--seed 1"],
+    "census deg2 --qmax 10": ["--seed 1", "--format json"],
+    "bianchi --d 1 --qmax 50": ["--seed 1"],
+    "cocompact --field 2 --qmax 10": ["--seed 1"],
+    "constants --omega 2": ["--format json", "--plot-data"],
+    "fit --series sr --qgrid 1000,2000,4000": ["--seed 1", "--format json"],
+    "report multiplicity --n 4 --ell-max 10 --step 2": ["--seed 1", "--plot-data"],
+}
+
+
+def _error_detail(err: str) -> str:
+    """The unescaped detail of a one-line salem-error."""
+    m = re.fullmatch(r'salem-error kind=\w+ detail="((?:[^"\\]|\\.)*)"\n', err)
+    return re.sub(r"\\(.)", r"\1", m.group(1))
+
+
 class TestExitCodes:
     def test_usage_error_is_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["census", "deg2"])  # missing --qmax
-        assert exc.value.code == 2
+        argvs = [["census", "deg2"]]  # missing --qmax
+        for base, flags in UNREAD_FLAGS.items():
+            assert main([*base.split(), "--dry-run"]) == 0
+            argvs += [[*base.split(), *flag.split()] for flag in flags]
+        assert len(argvs) == 13
+        capsys.readouterr()
+        for argv in argvs:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+            assert capsys.readouterr().out == "", argv
 
     def test_domain_error_is_3(self, capsys):
         code, _, err = run(capsys, "bianchi", "--d", "12", "--qmax", "100")
         assert code == 3
         assert err.count("\n") == 1 and "kind=domain" in err
+        # a " or \ in the detail is escaped, so the quoted field ends where it should
+        qgrid = '1,x"y\\z'
+        code, out, err = run(capsys, "fit", "--series", "sr", "--qgrid", qgrid)
+        assert code == 3 and out == "" and err.startswith("salem-error kind=domain ")
+        assert _error_detail(err) == f"--qgrid expects comma-separated integers, got {qgrid!r}"
 
     def test_workers_below_one_is_3(self, capsys):
         code, out, err = run(capsys, "census", "deg2", "--qmax", "10", "--workers", "0")
@@ -135,6 +170,54 @@ class TestExitCodes:
         code, _, err = run(capsys, "report", "multiplicity", "--n", "4",
                            "--ell-max", "1000", "--step", "1000")
         assert code == 4 and "kind=capacity" in err
+        # a finite DELTA whose leading volume overflows a double
+        for extra in ((), ("--dry-run",), ("--mc-samples", "10")):
+            code, out, err = run(capsys, "constants", "--volume", "2", "1e308", "100", *extra)
+            assert code == 4 and out == ""
+            assert _error_detail(err) == "the leading volume overflows a double at delta=1e+308"
+
+
+def _leaf_parsers(parser, name=""):
+    """(name, parser) of each leaf command under parser."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield name, parser
+    for action in subs:
+        for word, sub in action.choices.items():
+            yield from _leaf_parsers(sub, f"{name} {word}".strip())
+
+
+class TestParser:
+    def test_each_command_accepts_only_the_flags_it_reads(self):
+        every = {"--help", "--out", "--workers", "--dry-run"}
+        table, plot = {"--format"}, {"--plot-data"}
+        want = {
+            "census deg4": every | table | plot | {"--qmax"},
+            "census sr": every | table | plot | {"--qmax"},
+            "census deg2": every | plot | {"--qmax"},
+            "bianchi": every | table | plot | {"--d", "--qmax"},
+            "cocompact": every | table | plot | {"--field", "--qmax", "--verified"},
+            "constants": every | {"--omega", "--marklof-c", "--c2-bound", "--volume",
+                                  "--mc-samples", "--seed"},
+            "fit": every | plot | {"--series", "--qgrid", "--d", "--field"},
+            "report multiplicity": every | table | {"--n", "--ell-max", "--step"},
+        }
+        got = {name: {opt for a in parser._actions for opt in a.option_strings
+                      if opt.startswith("--")}
+               for name, parser in _leaf_parsers(cli.build_parser())}
+        assert got == want
+
+    def test_benchmark_argv_parse(self, monkeypatch):
+        path = Path(__file__).resolve().parents[1] / "salembench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("salembench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
+        spec.loader.exec_module(workloads)
+        parser = cli.build_parser()
+        argvs = [cmd.resolved("out") for name in workloads.WHY for cmd in workloads.build(name, 1)]
+        assert len(argvs) == 8
+        for argv in argvs:
+            assert parser.parse_args(argv).plan is not None, argv
 
 
 class TestBianchiCommand:
@@ -225,7 +308,12 @@ class TestConstantsCommand:
                                      "rows=2 work=1001\n")
 
     @pytest.mark.parametrize("argv", [("--omega", "0"), ("--volume", "0", "1.0", "100"),
-                                      ("--volume", "2", "1.0", "100", "--mc-samples", "-5")])
+                                      ("--volume", "2", "1.0", "100", "--mc-samples", "-5"),
+                                      ("--volume", "2", "nan", "100"),
+                                      ("--volume", "2", "inf", "100"),
+                                      ("--volume", "2", "nan", "100", "--mc-samples", "10"),
+                                      ("--volume", "2", "1.0", "100", "--mc-samples", "5",
+                                       "--seed", "-1")])
     def test_dry_run_validates_like_the_run(self, capsys, argv):
         for extra in ((), ("--dry-run",)):
             code, out, err = run(capsys, "constants", *argv, *extra)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from salemcensus.algebra import RealQuadElem
 from salemcensus.cli import main
-from salemcensus.errors import DomainError
+from salemcensus.errors import CapacityError, DomainError
 from salemcensus.totally_real import (
     SYSTEM_CSV_HEADER,
     SystemSolution,
@@ -197,7 +197,7 @@ class TestVerifySalemOverL:
 
     def test_verified_count_subset(self):
         total = count_system(2, 20)
-        verified = count_system(2, 20, verified=True)
+        verified = sum(verify_salem_over_L(2, s) for s in enumerate_system(2, 20))
         assert verified == 156  # frozen by the independent oracle
         assert 0 < verified < total
 
@@ -299,6 +299,13 @@ class TestVolume:
             volume_leading(0, 0.0, 10)
         with pytest.raises(DomainError):
             volume_leading(1, -1.0, 10)
+        for delta in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                volume_leading(2, delta, 10)
+            with pytest.raises(DomainError):
+                volume_monte_carlo(2, delta, 10, samples=10)
+        with pytest.raises(CapacityError):  # finite, but the leading volume is not
+            volume_leading(2, 1e308, 10)
 
     def test_monte_carlo_matches_exact_volume(self):
         # exact volume of the fattened region: the x1-integral in closed form
