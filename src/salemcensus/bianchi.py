@@ -57,14 +57,64 @@ Y = y^2 - 2 and Y' = y'^2 - 2, with Y' in [-2, 2], so for Q >= 2
     p(Q) = Q^2 (Q + 1/Q - Y) (Q + 1/Q - Y'),
 
 whose second factor is positive: p(Q) >= 0 iff Y <= Q + 1/Q iff
-y <= Q^(1/2) + Q^(-1/2), for every trace of the row, reducible or not.
-And y is strictly increasing in N, since
-dy/dN = (1 + (N - 4)/sqrt(disc))/2 > 0, while N grows with w.  So one
-binary search with the exact test p(Q) >= 0 finds the row's kept prefix,
-and the census counts it in O(Q^(1/4) log Q) exact steps.  Descending w
-gives ascending (A, B) = (-N, 2N - E v^2 - 2) within a row, so a heap
-merge of the rows lists the members in key order with O(Q^(1/4)) live
-state.
+y <= T = Q^(1/2) + Q^(-1/2), for every trace of the row, reducible or
+not.
+
+The cut is one exact formula per row.  Tr(t^2) = 2N - E v^2, so y is the
+larger root of f(z) = z^2 - N z + 2N - E v^2 - 4, and y <= T iff
+f(T) >= 0 and N/2 <= T.  As T^2 - 4 = (Q - 1)^2 / Q and
+T - 2 = (Q^(1/2) - 1)^2 / Q^(1/2) > 0, f(T) >= 0 reads
+
+    N <= N*(v) = X / (Q^(1/2) (Q^(1/2) - 1)^2),    X = (Q - 1)^2 - Q E v^2,
+
+and then N/2 <= N*/2 <= (Q - 1)^2 / (2 Q^(1/2) (Q^(1/2) - 1)^2) =
+(T + 2)/2 <= T holds by itself.  So the row is empty when X < 0 (as
+N >= 1), and otherwise keeps the w with N <= N_max = floor(N*).
+Multiplying N* above and below by (Q^(1/2) + 1)^2 gives, for X >= 0,
+
+    N* = (2 Q X + sqrt(X^2 Q (Q + 1)^2)) / (Q (Q - 1)^2),
+
+the positive root of Q (Q - 1)^2 N^2 - 4 Q X N - X^2.  For integers a, b
+and c with b >= 0 and c > 0, floor((a + sqrt(b)) / c) = (a + isqrt(b)) // c:
+if m is the left side, then m c - a <= sqrt(b) gives m c - a <= isqrt(b),
+and a + isqrt(b) <= a + sqrt(b) < (m + 1) c.  So
+
+    N_max = (2 Q X + isqrt(X^2 Q (Q + 1)^2)) // (Q (Q - 1)^2)
+
+exactly, with no float and no fix-up, and the row keeps its w with
+w^2 <= 4 N_max - E v^2: one more isqrt.  The sign of X needs no test:
+when X < 0 the same formula is the floor of |X| / (Q^(1/2) (Q^(1/2) + 1)^2)
+< Q^(1/2) E v^2 / (Q^(1/2) + 1)^2 <= E v^2 / 4, so it keeps no w.  The
+kept w are a prefix of the row, since
+N* <= (Q - 1)^2 / (Q^(1/2) (Q^(1/2) - 1)^2) = T + 2 < R + 1.  The census
+counts in O(Q^(1/4)) exact steps, one a row.  Descending w gives
+ascending (A, B) = (-N, 2N - E v^2 - 2) within a row, so a heap merge of
+the rows lists the members in key order with O(Q^(1/4)) live state.
+
+The count is c Q^(1/2) - (1 + D^(-1/2))/2 Q^(1/4) + O(Q^(1/6)), with
+c = pi / (2 E^(1/2)) = marklof_constant(D).  The cut N <= N*(v) is linear
+in v^2: with K = Q^(1/2) (Q^(1/2) - 1)^2, so that K + 4Q =
+Q^(1/2) (Q^(1/2) + 1)^2, it reads K w^2 + (K + 4Q) E v^2 <= 4 (Q - 1)^2,
+the ellipse
+
+    w^2 / a^2 + v^2 / b^2 <= 1,   a = 2 (Q^(1/4) + Q^(-1/4)),
+                                  b = 2 (Q^(1/4) - Q^(-1/4)) / E^(1/2).
+
+The traces (w, v) form a lattice of covolume 2 (w = v mod 2 when E = D,
+w even when E = 4D), symmetric under both sign changes, so if the
+ellipse holds P of its points, P_0 of them on the axes, the open quadrant
+holds (P - P_0)/4.  The ellipse has area pi a b = 4 pi (Q - 1) / (Q E)^(1/2),
+and its shape converges as Q grows, so van der Corput's bound for a
+smooth convex region of area A, A / covolume + O(A^(1/3)) lattice points,
+gives P/4 = c Q^(1/2) + O(Q^(1/6)).  The axes hold the even w with
+|w| <= a, a + O(1) = 2 Q^(1/4) + O(1) of them, and the (0, v) with
+|v| <= b: the even v when E = D and every v when E = 4D, in both cases
+2 D^(-1/2) Q^(1/4) + O(1) of them.  So P_0/4 = (1 + D^(-1/2))/2 Q^(1/4)
++ O(1).  Last, the count leaves out the reducible quadrant traces, the
+solutions of d w^2 - (4 - d) E v^2 = 4 d (4 - d) for d in {1, 2, 3}.  Each
+is a Pell-type equation, whose solutions fall in finitely many classes
+that grow geometrically (or are finitely many when d (4 - d) E is a
+square), so O(log Q) of them have v <= Q^(1/4).
 """
 
 from __future__ import annotations
@@ -75,7 +125,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .algebra import QuadIntK, is_perfect_square, require_square_free
-from .census import CensusRecord, _check_q
+from .census import _check_q
 from .errors import ContractError
 from .quartics import SalemQuartic, lift_half_power, salem_value
 
@@ -141,15 +191,6 @@ class BianchiCensus:
     excluded_reducible: int = 0
     excluded_over_q: int = 0
 
-    def to_census_records(self) -> list[CensusRecord]:
-        out = []
-        for m in self.members:
-            p = m.lift()
-            out.append(
-                CensusRecord(p.a, p.b, abs(m.B - 2), salem_value(p), f"bianchi({self.D})")
-            )
-        return out
-
 
 def salem_from_trace(D: int, t: QuadIntK) -> BianchiSalem | None:
     """The lambda^(1/2)-quartic attached to trace t, or None when t does
@@ -189,27 +230,15 @@ def _rows(D: int, Q: int) -> Iterator[tuple[int, int, range, int, set[int]]]:
     R = math.isqrt(Q) + 3
     half = D % 4 == 3
     E = D if half else 4 * D
-    Q2 = Q * Q
-    Q3, Q4 = Q2 * Q, Q2 * Q2
-
-    def within_q(w: int, E_v2: int) -> bool:  # p(Q) >= 0 on the lifted quartic
-        N = (w * w + E_v2) // 4
-        B = 2 * N - E_v2 - 2
-        a, b = 2 * B - N * N, B * B - 2 * N * N + 2
-        return Q4 + a * Q3 + b * Q2 + a * Q + 1 >= 0
-
+    Q1 = (Q - 1) ** 2
     for v in range(1, row_count(D, Q) + 1):
         E_v2 = E * v * v
         # w = 2u + v (half basis) or 2u keeps the parity of the basis
         ws = range(1 if half and v % 2 else 2, math.isqrt(4 * R - E_v2) + 1, 2)
-        lo, hi = 0, len(ws)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if within_q(ws[mid], E_v2):
-                lo = mid + 1
-            else:
-                hi = mid
-        yield v, E_v2, ws, lo, _reducible(E_v2, R)
+        X = Q1 - Q * E_v2  # N_max = floor(N*(v)), see the module notes
+        N_max = (2 * Q * X + math.isqrt(Q * (X * (Q + 1)) ** 2)) // (Q * Q1)
+        kept = len(range(ws.start, math.isqrt(max(4 * N_max - E_v2, 0)) + 1, 2))
+        yield v, E_v2, ws, kept, _reducible(E_v2, R)
 
 
 def _row_members(v: int, E_v2: int, kept: range, reducible: set[int]):
@@ -230,7 +259,7 @@ def bianchi_census(D: int, Q: int) -> BianchiCensus:
     quartic.  A key is one sign orbit (+-w, +-v), so only the quadrant
     w, v > 0 counts; the axes are real or imaginary-axis traces, all
     rejected, and are tallied in closed form.  The count and the tallies
-    come from the rows in O(Q^(1/4) log Q) steps (see the module notes);
+    come from the rows in O(Q^(1/4)) steps (see the module notes);
     the members are a stream that visits the kept traces again.
     Asymptotically count / sqrt(Q) approaches marklof_constant(D).
     """
@@ -264,12 +293,12 @@ def row_count(D: int, Q: int) -> int:
 
 
 def census_bounds(D: int, Q: int) -> tuple[int, int]:
-    """(members, tests), in O(1): upper bounds on bianchi_census(D, Q).count
-    and on its exact p(Q) >= 0 tests.  Each of the row_count(D, Q) rows
-    holds at most L = isqrt(4R) // 2 + 1 traces (R = isqrt(Q) + 3), and
-    its binary search makes at most L.bit_length() tests."""
-    rows, L = row_count(D, Q), math.isqrt(4 * (math.isqrt(Q) + 3)) // 2 + 1
-    return rows * L, rows * L.bit_length()
+    """(members, steps), in O(1): an upper bound on
+    bianchi_census(D, Q).count and the count's exact steps, one cut formula
+    for each of its row_count(D, Q) rows.  A row holds at most
+    L = isqrt(4R) // 2 + 1 traces (R = isqrt(Q) + 3)."""
+    rows = row_count(D, Q)
+    return rows * (math.isqrt(4 * (math.isqrt(Q) + 3)) // 2 + 1), rows
 
 
 def marklof_constant(D: int) -> float:

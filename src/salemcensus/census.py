@@ -196,6 +196,17 @@ def count_sr(Q: int) -> int:
     m >= 3, 2, 2.  Each (n, k) has one s and hence one i, so the three
     families are disjoint.  In the uncut rows a family has
     isqrt((Q + 2 - i) // i) - m0 + 1 members (or none).
+
+    Second-order term: count_sr(Q) = (4/3) Q^(3/2) - Q/2 + O(Q^(1/2)).  The
+    three families and the four top rows (k < 2 (Q + 3)^(1/2)) hold
+    O(Q^(1/2)) points, so the count is _isqrt_sum(N) + O(Q^(1/2)), N = Q - 2.
+    There r = isqrt(4N - 1) = 2 N^(1/2) - delta with
+    0 < delta < 1 + N^(-1/2)/2, and _isqrt_sum(N) = g(r) + O(r) with
+    g(r) = r N - r^3/12 - r^2/8.  At r0 = 2 N^(1/2), g(r0) =
+    (4/3) N^(3/2) - N/2 and g'(r0) = N - r0^2/4 - r0/4 = -N^(1/2)/2, and
+    |g''| = r/2 + 1/4 <= r0, so g(r) = g(r0) + delta N^(1/2)/2 + O(N^(1/2))
+    = (4/3) N^(3/2) - N/2 + O(N^(1/2)).  Last, (4/3) (Q - 2)^(3/2) =
+    (4/3) Q^(3/2) - 4 Q^(1/2) + O(Q^(-1/2)) and N/2 = Q/2 - 1.
     """
     _check_q(Q)
     N = Q - 2

@@ -51,10 +51,10 @@ MAX_ROWS = 10**8
 
 # Budget of the work of every other command, above all the count series of
 # fit and --plot-data: an upper bound on its exact count steps, a closed
-# form, a p(Q) >= 0 test of a bianchi row (1-1.5 us on a 2-vCPU Xeon VM)
-# or an (a, k-row) pair of count_system (about 0.4 us).  Just under it, fit
-# --series system --field 2 --qgrid 16255,32510,65021 takes 23 s and fit
-# --series bianchi --d 3 on Q/100, Q/10, Q = 1.64e24 takes 83 s.
+# form, a bianchi row (its cut and its reducible w, 6-10 us on a 2-vCPU Xeon
+# VM) or an (a, k-row) pair of count_system (about 0.4 us).  Just under it,
+# fit --series system --field 2 --qgrid 16255,32510,65021 takes 23 s and fit
+# --series bianchi --d 3 on Q/100, Q/10, Q = 2.82e29 takes 8 minutes.
 MAX_STEPS = 5 * 10**7
 
 # Largest M whose omega(M) prints: beyond it the numerator has more digits

@@ -360,9 +360,12 @@ def volume_leading(h: int, delta: float, Q: int) -> float:
         raise DomainError(f"delta must be finite and >= 0, got {delta}")
     if Q < 1:
         raise DomainError(f"Q must be >= 1, got {Q}")
-    volume = (48 + 28 * delta + 4 * delta * delta) ** (h - 1) * (8.0 / 3.0) * Q**1.5
+    try:
+        volume = (48 + 28 * delta + 4 * delta * delta) ** (h - 1) * (8.0 / 3.0) * Q**1.5
+    except OverflowError:  # a power past the largest double raises; a product is inf
+        volume = math.inf
     if volume == math.inf:
-        raise CapacityError(f"the leading volume overflows a double at delta={delta}")
+        raise CapacityError(f"the leading volume overflows a double at h={h}, delta={delta}, Q={Q}")
     return volume
 
 

@@ -4,8 +4,9 @@ Everything here is deliberately built from different machinery than the
 package under test: numpy root finding for spectral classification, trial
 division for quartic reducibility and square-freeness, row-by-row scans
 for the integer censuses that the package counts in closed form, a
-whole-disk trace scan with a dedup dict and a sorted quadrant scan for the
-Bianchi census that the package counts and merges row by row, and the
+whole-disk trace scan with a dedup dict, a sorted quadrant scan and a
+binary search of each row for the Bianchi census that the package counts
+and merges row by row with a closed-form cut, and the
 float-seeded walk and numeric verifier of the real-quadratic system that
 the package decides with exact intervals.  No module from salemcensus is
 imported.
@@ -593,3 +594,34 @@ def bianchi_census_scan(D: int, Q: int):
     real = 2 * math.isqrt(R) + 1  # v = 0, 4 N(t) = w^2 <= 4R
     imag_axis = 2 * math.isqrt(R // D)  # w = 0, v != 0
     return members, (real + imag_axis + 4 * scanned, real, imag_axis, 4 * reducible, over_q)
+
+
+# --- Bianchi row cut by binary search ----------------------------------------
+
+
+def bianchi_rows_bisect(D: int, Q: int) -> list[tuple[int, int]]:
+    """(v, kept) for each row v >= 1 of the Bianchi quadrant with
+    E v^2 <= 4R, R = isqrt(Q) + 3: kept is the length of the prefix of the
+    row's w (w = v mod 2 when D = 3 mod 4, else even; N(t) <= R) whose
+    lifted quartic has p(Q) >= 0, found by a binary search of that exact
+    test.  The prefix property, that the lambda of a row grows with w, is
+    what the search assumes; the scans above check the cut without it."""
+    R = math.isqrt(Q) + 3
+    half = D % 4 == 3
+    E = D if half else 4 * D
+    out = []
+    for v in range(1, math.isqrt(4 * R // E) + 1):
+        Ev2 = E * v * v
+        ws = range(1 if half and v % 2 else 2, math.isqrt(4 * R - Ev2) + 1, 2)
+        lo, hi = 0, len(ws)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            n = (ws[mid] ** 2 + Ev2) // 4
+            B = 2 * n - Ev2 - 2
+            a, b = 2 * B - n * n, B * B - 2 * n * n + 2
+            if Q**4 + a * Q**3 + b * Q * Q + a * Q + 1 >= 0:
+                lo = mid + 1
+            else:
+                hi = mid
+        out.append((v, lo))
+    return out

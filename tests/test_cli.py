@@ -170,11 +170,14 @@ class TestExitCodes:
         code, _, err = run(capsys, "report", "multiplicity", "--n", "4",
                            "--ell-max", "1000", "--step", "1000")
         assert code == 4 and "kind=capacity" in err
-        # a finite DELTA whose leading volume overflows a double
-        for extra in ((), ("--dry-run",), ("--mc-samples", "10")):
-            code, out, err = run(capsys, "constants", "--volume", "2", "1e308", "100", *extra)
-            assert code == 4 and out == ""
-            assert _error_detail(err) == "the leading volume overflows a double at delta=1e+308"
+        # a finite H, DELTA or QMAX whose leading volume overflows a double
+        for h, delta, q in (("2", "1e308", "100"), ("100000", "1", "100"),
+                            ("1", "1", str(10**300))):
+            for extra in ((), ("--dry-run",), ("--mc-samples", "10")):
+                code, out, err = run(capsys, "constants", "--volume", h, delta, q, *extra)
+                assert code == 4 and out == ""
+                assert _error_detail(err) == (f"the leading volume overflows a double at "
+                                              f"h={h}, delta={float(delta)}, Q={q}")
 
 
 def _leaf_parsers(parser, name=""):
@@ -429,7 +432,7 @@ class TestInputGuards:
     def test_bianchi_fit_over_budget(self, capsys):
         code, _, err = self._timed(
             capsys, "fit", "--series", "bianchi", "--d", "3",
-            "--qgrid", ",".join(str(10**e) for e in (26, 27, 28)))
+            "--qgrid", ",".join(str(10**e) for e in (30, 31, 32)))
         assert code == 4 and "kind=capacity" in err and "steps" in err
 
     def test_bianchi_fit_counts_past_the_trace_budget(self, capsys):
@@ -482,7 +485,7 @@ class TestInputGuards:
         ("fit", "--series", "system", "--qgrid", "10,20,40"),
         ("fit", "--series", "system", "--field", "9", "--qgrid", "10,20,40"),
         ("fit", "--series", "bianchi", "--d", "3",
-         "--qgrid", ",".join(str(10**e) for e in (24, 25, 26))),
+         "--qgrid", ",".join(str(10**e) for e in (30, 31, 32))),
     ])
     def test_fit_dry_run_validates_like_the_run(self, capsys, argv):
         results = [self._timed(capsys, *argv, *extra) for extra in ((), ("--dry-run",))]
@@ -498,7 +501,7 @@ class TestInputGuards:
         work = sum(bianchi.census_bounds(3, q)[1] for q in qs)
         assert code == 0 and out == (f"plan command=bianchi-plot d=3 qmax={10**18} "
                                      f"grid_points={len(qs)} rows={len(qs)} work={work}\n")
-        assert work == 3212817 < cli.MAX_STEPS
+        assert work == 229462 < cli.MAX_STEPS
         code, _, err = self._timed(capsys, "bianchi", "--d", "3", "--qmax", str(10**28),
                                    "--plot-data", "--dry-run")
         assert code == 4 and "kind=capacity" in err and "steps" in err
