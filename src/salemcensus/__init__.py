@@ -2,7 +2,7 @@
 
 from .algebra import QuadIntK, RealQuadElem, is_perfect_square, is_square_free
 from .asymptotics import FitResult, MultiplicityRow, multiplicity_report, omega, power_fit
-from .bianchi import BianchiCensus, BianchiSalem, bianchi_census, marklof_constant, salem_from_trace
+from .bianchi import BianchiCensus, bianchi_census, marklof_constant, salem_from_trace
 from .census import (
     CensusRecord,
     box_sums,

@@ -196,9 +196,6 @@ class RealQuadElem:
         A, B = self._doubled_coords()
         return sign_plus_root(A, -B, self.d)
 
-    def is_totally_positive(self) -> bool:
-        return self.sign_sigma1() > 0 and self.sign_sigma2() > 0
-
     def embeddings(self) -> tuple[float, float]:
         """(sigma1(x), sigma2(x)) at double precision, identity first
         (w maps to +sqrt(d) under sigma1)."""

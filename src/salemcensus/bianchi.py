@@ -121,7 +121,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from .algebra import QuadIntK, is_perfect_square, require_square_free
@@ -130,7 +130,6 @@ from .errors import ContractError
 from .quartics import SalemQuartic, lift_half_power, salem_value
 
 __all__ = [
-    "BianchiSalem",
     "BianchiCensus",
     "salem_from_trace",
     "bianchi_census",
@@ -146,44 +145,12 @@ BIANCHI_CSV_HEADER = "A,B,a_lift,b_lift,k,lambda,num_witness_traces"
 
 
 @dataclass
-class BianchiSalem:
-    """Quartic x^4 + A x^3 + B x^2 + A x + 1 of lambda^(1/2), plus the
-    trace coordinates (u, v) that produce it: in a census, the four traces
-    of its sign orbit."""
-
-    A: int
-    B: int
-    witnesses: list[tuple[int, int]] = field(default_factory=list)
-
-    def lift(self) -> SalemQuartic:
-        return lift_half_power(SalemQuartic(self.A, self.B))
-
-
-class MemberStream:
-    """The members of bianchi_census(D, Q) in (A, B) order, computed again
-    on each iteration; list(stream) builds them all."""
-
-    def __init__(self, D: int, Q: int) -> None:
-        self.D, self.Q = D, Q
-
-    def __iter__(self) -> Iterator[BianchiSalem]:
-        half = self.D % 4 == 3
-        rows = [_row_members(v, E_v2, ws[:kept], red)
-                for v, E_v2, ws, kept, red in _rows(self.D, self.Q)]
-        for A, B, w, v in heapq.merge(*rows):
-            # t = u + v w with 2 Re(t) = 2u + v (half basis) or 2u
-            wit = [((sw * w - half * sv * v) // 2, sv * v) for sv in (-1, 1) for sw in (-1, 1)]
-            yield BianchiSalem(A, B, wit)
-
-
-@dataclass
 class BianchiCensus:
-    """The count of members, one per key, their stream, and the diagnostic
-    tallies of rejected traces."""
+    """The count of members, one per key, and the diagnostic tallies of
+    rejected traces; members() lists the members."""
 
     D: int
     qmax: int
-    members: MemberStream
     count: int = 0
     traces_scanned: int = 0
     excluded_real: int = 0
@@ -191,10 +158,16 @@ class BianchiCensus:
     excluded_reducible: int = 0
     excluded_over_q: int = 0
 
+    def members(self) -> Iterator[tuple[int, int, int, int]]:
+        """(A, B, w, v) of each member in (A, B) order: its key and its
+        quadrant trace, computed again on each call."""
+        return heapq.merge(*(_row_members(v, E_v2, ws[:kept], red)
+                             for v, E_v2, ws, kept, red in _rows(self.D, self.qmax)))
 
-def salem_from_trace(D: int, t: QuadIntK) -> BianchiSalem | None:
-    """The lambda^(1/2)-quartic attached to trace t, or None when t does
-    not yield a degree-4 Salem number."""
+
+def salem_from_trace(D: int, t: QuadIntK) -> SalemQuartic | None:
+    """The lambda^(1/2)-quartic (A, B) attached to trace t, or None when t
+    does not yield a degree-4 Salem number."""
     require_square_free(D, 1, "D")
     if t.D != D:
         raise ContractError(f"trace lives in D={t.D}, expected D={D}")
@@ -204,7 +177,7 @@ def salem_from_trace(D: int, t: QuadIntK) -> BianchiSalem | None:
     tr2 = t.trace_sq()
     if is_perfect_square(n * n - 4 * tr2 + 16) is not None:
         return None
-    return BianchiSalem(-n, tr2 - 2, [(t.u, t.v)])
+    return SalemQuartic(-n, tr2 - 2)
 
 
 def _reducible(E_v2: int, R: int) -> set[int]:
@@ -260,7 +233,7 @@ def bianchi_census(D: int, Q: int) -> BianchiCensus:
     w, v > 0 counts; the axes are real or imaginary-axis traces, all
     rejected, and are tallied in closed form.  The count and the tallies
     come from the rows in O(Q^(1/4)) steps (see the module notes);
-    the members are a stream that visits the kept traces again.
+    members() streams the members by visiting the kept traces again.
     Asymptotically count / sqrt(Q) approaches marklof_constant(D).
     """
     require_square_free(D, 1, "D")
@@ -276,7 +249,7 @@ def bianchi_census(D: int, Q: int) -> BianchiCensus:
     real = 2 * math.isqrt(R) + 1  # v = 0, 4 N(t) = w^2 <= 4R
     imag_axis = 2 * math.isqrt(R // D)  # w = 0, v != 0
     return BianchiCensus(
-        D, Q, MemberStream(D, Q), count,
+        D, Q, count,
         traces_scanned=real + imag_axis + 4 * scanned,
         excluded_real=real,
         excluded_imag_axis=imag_axis,
@@ -311,20 +284,29 @@ def marklof_constant(D: int) -> float:
     return math.pi / (4.0 * math.sqrt(D))
 
 
-def bianchi_csv_row(m: BianchiSalem) -> str:
-    p = m.lift()
+def bianchi_csv_row(m: tuple[int, int, int, int]) -> str:
+    """The CSV row of a member (A, B, w, v); its sign orbit is its four
+    witness traces (see the module notes)."""
+    A, B, _, _ = m
+    p = lift_half_power(SalemQuartic(A, B))
     lam = salem_value(p)
-    return f"{m.A},{m.B},{p.a},{p.b},{abs(m.B - 2)},{lam:.12g},{len(m.witnesses)}"
+    return f"{A},{B},{p.a},{p.b},{abs(B - 2)},{lam:.12g},4"
 
 
-def bianchi_json_obj(m: BianchiSalem) -> dict:
-    p = m.lift()
+def bianchi_json_obj(D: int, m: tuple[int, int, int, int]) -> dict:
+    """The JSON object of a member (A, B, w, v) of bianchi_census(D, Q),
+    with the traces t = u + v w of its sign orbit (+-w, +-v) as witnesses:
+    2 Re(t) = 2u + v (D = 3 mod 4) or 2u."""
+    A, B, w, v = m
+    half = D % 4 == 3
+    p = lift_half_power(SalemQuartic(A, B))
     return {
-        "A": str(m.A),
-        "B": str(m.B),
+        "A": str(A),
+        "B": str(B),
         "a_lift": str(p.a),
         "b_lift": str(p.b),
-        "k": str(abs(m.B - 2)),
+        "k": str(abs(B - 2)),
         "lambda": salem_value(p),
-        "witnesses": [[u, v] for u, v in m.witnesses],
+        "witnesses": [[(sw * w - half * sv * v) // 2, sv * v]
+                      for sv in (-1, 1) for sw in (-1, 1)],
     }

@@ -248,8 +248,9 @@ def _plan_bianchi(args) -> Plan:
     return Plan(f"bianchi d={D} qmax={Q}", bianchi.census_bounds(D, Q)[0], "rows",
                 lambda: bianchi.bianchi_census(D, Q).count,
                 lambda: _write_table(args, bianchi.BIANCHI_CSV_HEADER,
-                                     bianchi.bianchi_census(D, Q).members,
-                                     bianchi.bianchi_csv_row, bianchi.bianchi_json_obj))
+                                     bianchi.bianchi_census(D, Q).members(),
+                                     bianchi.bianchi_csv_row,
+                                     lambda m: bianchi.bianchi_json_obj(D, m)))
 
 
 # --- cocompact (real quadratic fields) ---------------------------------------
@@ -259,6 +260,8 @@ def _plan_cocompact(args) -> Plan:
     d = _require_squarefree(args.field, "--field", 2)
     Q = _require_qmax(args)
     if args.plot_data:
+        if args.verified:
+            raise DomainError("--verified cannot be combined with --plot-data")
         return _plot_plan(args, "cocompact", Q)
 
     def run():

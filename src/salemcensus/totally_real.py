@@ -281,7 +281,8 @@ def ring_square_root(x: RealQuadElem) -> RealQuadElem | None:
 
 
 def verify_salem_over_L(d: int, s: SystemSolution) -> bool:
-    """Full Salem-over-L verification of a system solution, exact:
+    """Salem-over-L verification of a solution s from enumerate_system,
+    exact.  The full property is
 
     (i)   the identity-embedded quartic has the Salem root pattern,
     (ii)  the conjugate quartic has all roots on the unit circle,
@@ -301,26 +302,26 @@ def verify_salem_over_L(d: int, s: SystemSolution) -> bool:
     [-2, 2].
 
     On a system solution r(2) = k^2 + 4a, r(-2) = k^2,
-    disc = (4 - a - 2k)(4 - a + 2k) and |sigma2(a)| < 4, so (i) holds
-    already and (ii) comes down to sigma2(k^2 + 4a) >= 0 and
-    sigma2(disc) >= 0.  Neither element is 0 (sigma1(k^2 + 4a) < 0, and
-    sigma1(disc) > 0 as the two roots of (i) differ), so no boundary case
-    arises.  The general tests are kept, so any (a, b) is decided exactly.
+    disc = x y with x = 4 - a + 2k, y = 4 - a - 2k, and |sigma2(a)| < 4,
+    so (i) holds already and (ii) comes down to sigma2(k^2 + 4a) >= 0 and
+    sigma2(disc) >= 0.  sigma1 of x and of y is positive, so neither is
+    0: with m = -sigma1(a) > 0 and t = sigma1(k) in (0, 2 sqrt m),
+    4 + m - 2t >= 4 sqrt(m) - 2t > 0, as (2 - sqrt m)^2 >= 0.  So (iii)
+    reads sigma2(x) > 0 or sigma2(y) > 0, which are the 'plus' and 'minus'
+    tests of the branch tag.  Both fail only if sigma2(a) >= 4, so every
+    solution passes one of them and (iii) always holds.
+    sigma2(disc) = sigma2(x) sigma2(y) with both factors nonzero and one
+    positive, so sigma2(disc) >= 0 iff both are positive, that is iff the
+    branch is 'both'.  k^2 + 4a is nonzero (sigma1(k^2 + 4a) < 0), so its
+    sigma2 sign is strict.  What is left is the branch, one sign and (iv),
+    one square root in o_L.
+
+    The branch tag is trusted, so s must come from enumerate_system.
     """
     require_square_free(d, 2, "d")
-    a, k, b = s.a, s.k, s.b
-    two_a, b_plus_2, four_minus_a = 2 * a, b + 2, 4 - a
-    r_at_2, r_at_minus_2 = b_plus_2 + two_a, b_plus_2 - two_a
-    disc = a * a - 4 * b + 8
-    if not r_at_2.sign_sigma1() < 0 < r_at_minus_2.sign_sigma1():
-        return False
-    if any(x.sign_sigma2() < 0 for x in (r_at_2, disc, r_at_minus_2, four_minus_a, 4 + a)):
-        return False
-    two_k = 2 * k
-    if not ((four_minus_a + two_k).is_totally_positive()
-            or (four_minus_a - two_k).is_totally_positive()):
-        return False
-    return ring_square_root(disc) is None
+    a, k = s.a, s.k
+    return (s.branch == "both" and (k * k + 4 * a).sign_sigma2() > 0
+            and ring_square_root(a * a - 4 * s.b + 8) is None)
 
 
 # --- geometry of numbers -----------------------------------------------------

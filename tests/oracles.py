@@ -6,10 +6,10 @@ division for quartic reducibility and square-freeness, row-by-row scans
 for the integer censuses that the package counts in closed form, a
 whole-disk trace scan with a dedup dict, a sorted quadrant scan and a
 binary search of each row for the Bianchi census that the package counts
-and merges row by row with a closed-form cut, and the
-float-seeded walk and numeric verifier of the real-quadratic system that
-the package decides with exact intervals.  No module from salemcensus is
-imported.
+and merges row by row with a closed-form cut, the float-seeded walk of the
+real-quadratic system that the package decides with exact intervals, and
+its numeric and general exact verifiers, where the package reads most
+conditions off the branch tag.  No module from salemcensus is imported.
 """
 
 from __future__ import annotations
@@ -259,7 +259,8 @@ def is_square_free_trial(n: int) -> bool:
 # x = (u, v) stands for u + v w, w = sqrt(d) for d = 2, 3 (mod 4) and
 # w = (1 + sqrt(d))/2 for d = 1 (mod 4).  Below: the float-seeded system walk
 # and the numeric Salem-over-L verifier (np.roots with tolerances) that the
-# package replaced by exact integer intervals and sign tests.
+# package replaced by exact integer intervals and sign tests, and the general
+# exact verifier that it replaced by the branch tag, one sign and one root.
 
 
 def _mul(d: int, x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
@@ -364,6 +365,31 @@ def verify_salem_over_L_numeric(d: int, a: tuple[int, int], k: tuple[int, int]) 
     aa = _mul(d, a, a)
     disc = (aa[0] - 4 * b[0] + 8, aa[1] - 4 * b[1])
     return ring_square_root_float(d, disc) is None
+
+
+def verify_salem_over_L_exact(d: int, a: tuple[int, int], k: tuple[int, int]) -> bool:
+    """Salem-over-L test of any (a, k), b = k^2 + 2a - 2, by the general
+    exact tests: (i) sigma1(r(2)) < 0 < sigma1(r(-2)) for
+    r(y) = y^2 + a y + (b - 2); (ii) sigma2 of r(2), disc = a^2 - 4b + 8,
+    r(-2), 4 - a and 4 + a all >= 0; (iii) 4 - a + 2k or 4 - a - 2k
+    totally positive; (iv) disc not a square in o_L, by
+    ring_square_root_bruteforce.  It trusts no branch tag, so it decides
+    pairs that are not system solutions too."""
+    kk = _mul(d, k, k)
+    b = (kk[0] + 2 * a[0] - 2, kk[1] + 2 * a[1])
+    r_at_2 = (b[0] + 2 + 2 * a[0], b[1] + 2 * a[1])
+    r_at_minus_2 = (b[0] + 2 - 2 * a[0], b[1] - 2 * a[1])
+    aa = _mul(d, a, a)
+    disc = (aa[0] - 4 * b[0] + 8, aa[1] - 4 * b[1])
+    if not _sigma_signs(d, r_at_2)[0] < 0 < _sigma_signs(d, r_at_minus_2)[0]:
+        return False
+    if any(_sigma_signs(d, x)[1] < 0
+           for x in (r_at_2, disc, r_at_minus_2, (4 - a[0], -a[1]), (4 + a[0], a[1]))):
+        return False
+    if not any(min(_sigma_signs(d, (4 - a[0] + 2 * e * k[0], -a[1] + 2 * e * k[1]))) > 0
+               for e in (1, -1)):
+        return False
+    return ring_square_root_bruteforce(d, disc) is None
 
 
 def _floor_root_mult(B: int, d: int) -> int:

@@ -18,7 +18,7 @@ from salemcensus.bianchi import (
 )
 from salemcensus.census import enumerate_sr
 from salemcensus.errors import ContractError, DomainError
-from salemcensus.quartics import SalemQuartic, is_salem, salem_value
+from salemcensus.quartics import SalemQuartic, is_salem, lift_half_power, salem_value
 
 from oracles import (
     bianchi_census_dict,
@@ -28,12 +28,22 @@ from oracles import (
 )
 
 
+def _witnesses(D, m):
+    """The witness traces of member m as (u, v) tuples, from its JSON."""
+    return [tuple(t) for t in bianchi_json_obj(D, m)["witnesses"]]
+
+
+def _with_witnesses(D, c):
+    """[(A, B, witnesses)] of the members of census c."""
+    return [(m[0], m[1], _witnesses(D, m)) for m in c.members()]
+
+
 class TestSalemFromTrace:
     def test_worked_example(self):
-        m = salem_from_trace(1, QuadIntK(1, 1, 2))  # t = 1 + 2i
-        assert m is not None and (m.A, m.B) == (-5, -8)
-        assert m.lift() == SalemQuartic(-41, 16)
-        assert is_perfect_square(m.lift().at_minus_one()) == 10
+        p = salem_from_trace(1, QuadIntK(1, 1, 2))  # t = 1 + 2i
+        assert p == SalemQuartic(-5, -8)
+        assert lift_half_power(p) == SalemQuartic(-41, 16)
+        assert is_perfect_square(lift_half_power(p).at_minus_one()) == 10
 
     def test_rejects_real_trace(self):
         assert salem_from_trace(1, QuadIntK(1, 3, 0)) is None
@@ -53,20 +63,20 @@ class TestSalemFromTrace:
             salem_from_trace(2, QuadIntK(1, 1, 2))
 
     def test_y_quadratic_against_eigenvalue_oracle(self):
-        m = salem_from_trace(1, QuadIntK(1, 1, 2))
+        p = salem_from_trace(1, QuadIntK(1, 1, 2))
         s = sqrt_lambda_from_trace(1 + 2j)  # |mu|^2 for trace t
         assert s == pytest.approx(6.3742476137085315, rel=1e-12)
         y = s + 1 / s
         # y is the larger root of z^2 - N z + (Tr t^2 - 4) = z^2 + A z + (B - 2)
-        assert y * y + m.A * y + (m.B - 2) == pytest.approx(0.0, abs=1e-9)
-        assert salem_value(m.lift()) == pytest.approx(s * s, rel=1e-9)
+        assert y * y + p.a * y + (p.b - 2) == pytest.approx(0.0, abs=1e-9)
+        assert salem_value(lift_half_power(p)) == pytest.approx(s * s, rel=1e-9)
 
     def test_accepted_traces_give_salem_quartics(self):
         for D in (1, 2, 3, 7):
             c = bianchi_census(D, 10**4)
-            for m in c.members:
-                assert is_salem(SalemQuartic(m.A, m.B))
-                assert m.A < 0
+            for A, B, _, _ in c.members():
+                assert is_salem(SalemQuartic(A, B))
+                assert A < 0
 
 
 def _traces_in_disk(D, R):
@@ -98,7 +108,7 @@ class TestTraceSymmetry:
                 if m is None:
                     assert m2 is None
                 else:
-                    assert m2 is not None and (m2.A, m2.B) == (m.A, m.B)
+                    assert m2 is not None and m2 == m
 
 
 class TestSpectralIdentity:
@@ -120,6 +130,7 @@ class TestSpectralIdentity:
             n, tr2 = t.norm(), t.trace_sq()
             y_exact = (n + math.sqrt(n * n - 4 * (tr2 - 4))) / 2
             assert y_num == pytest.approx(y_exact, rel=1e-9)
+            assert (m.a, m.b) == (-n, tr2 - 2)
 
 
 class TestCensus:
@@ -132,36 +143,35 @@ class TestCensus:
     def test_members_subset_of_sr_census(self):
         c = bianchi_census(1, 50)
         sr = {(r.a, r.b) for r in enumerate_sr(50)}
-        for m in c.members:
-            p = m.lift()
+        for A, B, _, _ in c.members():
+            p = lift_half_power(SalemQuartic(A, B))
             assert (p.a, p.b) in sr
 
     def test_lambda_cut_is_exact(self):
-        for m in bianchi_census(1, 10**4).members:
-            assert salem_value(m.lift()) <= 10**4 + 1e-6
+        for A, B, _, _ in bianchi_census(1, 10**4).members():
+            assert salem_value(lift_half_power(SalemQuartic(A, B))) <= 10**4 + 1e-6
 
     def test_deduplication_key_and_witnesses(self):
         for D in (1, 3):
             c = bianchi_census(D, 10**6)
-            keys = [(m.A, m.B) for m in c.members]
+            keys = [m[:2] for m in c.members()]
             assert len(keys) == len(set(keys))
-            for m in c.members:
-                # exactly the sign orbit (+-w, +-v) of one quadrant trace
-                traces = [QuadIntK(D, u, v) for u, v in m.witnesses]
+            for m in c.members():
+                # exactly the sign orbit (+-w, +-v) of the quadrant trace (w, v)
+                traces = [QuadIntK(D, u, v) for u, v in _witnesses(D, m)]
                 wv = {(t.real_part_doubled(), t.v) for t in traces}
                 w, v = max(wv)
-                assert len(m.witnesses) == 4 and w > 0 and v > 0
+                assert len(traces) == 4 and w > 0 and v > 0 and (w, v) == m[2:]
                 assert wv == {(sw * w, sv * v) for sw in (-1, 1) for sv in (-1, 1)}
                 for t in traces:
-                    m2 = salem_from_trace(D, t)
-                    assert (m2.A, m2.B) == (m.A, m.B)
+                    assert salem_from_trace(D, t) == SalemQuartic(*m[:2])
 
     @pytest.mark.parametrize("D", [1, 2, 3, 5, 7, 11, 15, 19, 163, 1365])
     def test_quadrant_scan_matches_the_disk_scan(self, D):
         for Q in [*range(2, 300), 10**4, 10**6, 10**8]:
             c = bianchi_census(D, Q)
             members, tallies = bianchi_census_dict(D, Q)
-            assert [(m.A, m.B, m.witnesses) for m in c.members] == members, Q
+            assert _with_witnesses(D, c) == members, Q
             assert (c.traces_scanned, c.excluded_real, c.excluded_imag_axis,
                     c.excluded_reducible, c.excluded_over_q) == tallies, Q
 
@@ -181,10 +191,9 @@ class TestCensus:
             m = salem_from_trace(D, t)
             if m is None:
                 continue
-            p = m.lift()
-            if p.eval_at(Q) >= 0:
-                expected.add((m.A, m.B))
-        got = {(m.A, m.B) for m in bianchi_census(D, Q).members}
+            if lift_half_power(m).eval_at(Q) >= 0:
+                expected.add((m.a, m.b))
+        got = {m[:2] for m in bianchi_census(D, Q).members()}
         assert got == expected
 
     @pytest.mark.parametrize("D", [1, 3, 7])
@@ -192,7 +201,7 @@ class TestCensus:
         # Q = 1e10 is out of the disk scan's reach
         c = bianchi_census(D, 10**10)
         members, tallies = bianchi_census_scan(D, 10**10)
-        assert [(m.A, m.B, m.witnesses) for m in c.members] == members
+        assert _with_witnesses(D, c) == members
         assert c.count == len(members)
         assert (c.traces_scanned, c.excluded_real, c.excluded_imag_axis,
                 c.excluded_reducible, c.excluded_over_q) == tallies
@@ -208,9 +217,9 @@ class TestCensus:
 
     def test_members_stream_again_on_each_iteration(self):
         c = bianchi_census(2, 10**6)
-        first = [(m.A, m.B, m.witnesses) for m in c.members]
+        first = list(c.members())
         assert len(first) == c.count
-        assert [(m.A, m.B, m.witnesses) for m in c.members] == first
+        assert list(c.members()) == first
 
     @pytest.mark.parametrize("D", [1, 2, 3, 7, 11, 19, 163])
     def test_count_is_marklof_sqrt_q_plus_o_q_quarter(self, D):
@@ -259,13 +268,19 @@ class TestMarklofConstant:
 
 
 class TestSerialization:
+    # t = 1 + 2i at D = 1: the member (A, B) = (-5, -8) with (w, v) = (2, 2)
+    MEMBER = (-5, -8, 2, 2)
+
     def test_csv_row(self):
+        assert self.MEMBER in bianchi_census(1, 100).members()
         assert BIANCHI_CSV_HEADER == "A,B,a_lift,b_lift,k,lambda,num_witness_traces"
-        m = salem_from_trace(1, QuadIntK(1, 1, 2))
-        assert bianchi_csv_row(m) == "-5,-8,-41,16,10,40.6310326409,1"
+        assert bianchi_csv_row(self.MEMBER) == "-5,-8,-41,16,10,40.6310326409,4"
 
     def test_json_mirror(self):
-        m = salem_from_trace(1, QuadIntK(1, 1, 2))
-        obj = bianchi_json_obj(m)
+        obj = bianchi_json_obj(1, self.MEMBER)
         assert obj["A"] == "-5" and obj["k"] == "10"
-        assert obj["witnesses"] == [[1, 2]]
+        assert obj["witnesses"] == [[-1, -2], [1, -2], [-1, 2], [1, 2]]
+        # D = 3 (mod 4): 2 Re(t) = 2u + v, so u = (+-w -+ v) / 2
+        m = (-3, 1, 3, 1)
+        assert m in bianchi_census(3, 10**4).members()
+        assert bianchi_json_obj(3, m)["witnesses"] == [[-1, -1], [2, -1], [-2, 1], [1, 1]]

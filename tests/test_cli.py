@@ -157,6 +157,12 @@ class TestExitCodes:
         code, out, err = run(capsys, "fit", "--series", "sr", "--qgrid", qgrid)
         assert code == 3 and out == "" and err.startswith("salem-error kind=domain ")
         assert _error_detail(err) == f"--qgrid expects comma-separated integers, got {qgrid!r}"
+        # --plot-data never reads --verified, so the pair is refused, dry run or not
+        for extra in ((), ("--dry-run",)):
+            code, out, err = run(capsys, "cocompact", "--field", "5", "--qmax", "20",
+                                 "--verified", "--plot-data", *extra)
+            assert code == 3 and out == ""
+            assert _error_detail(err) == "--verified cannot be combined with --plot-data"
 
     def test_workers_below_one_is_3(self, capsys):
         code, out, err = run(capsys, "census", "deg2", "--qmax", "10", "--workers", "0")

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from salemcensus.algebra import RealQuadElem
 from salemcensus.cli import main
 from salemcensus.errors import CapacityError, DomainError
+from salemcensus.quartics import SalemQuartic, is_salem
 from salemcensus.totally_real import (
     SYSTEM_CSV_HEADER,
-    SystemSolution,
     _iter_a_coords,
     _iter_solutions,
     _k_rows,
@@ -31,6 +31,7 @@ from oracles import (
     ring_square_root_bruteforce,
     ring_square_root_float,
     system_qmin,
+    verify_salem_over_L_exact,
     verify_salem_over_L_numeric,
 )
 
@@ -42,10 +43,10 @@ ORACLE_COUNTS = {
 }
 
 
-def _mk(d, au, av, ku, kv):
-    a = RealQuadElem(d, au, av)
-    k = RealQuadElem(d, ku, kv)
-    return SystemSolution(a, k, k * k + 2 * a - 2, "both")
+def _solution(d, Q, au, av, ku, kv):
+    """The solution of enumerate_system(d, Q) with these coordinates."""
+    return next(s for s in enumerate_system(d, Q)
+                if (s.a.u, s.a.v, s.k.u, s.k.v) == (au, av, ku, kv))
 
 
 class TestEnumerateSystem:
@@ -170,30 +171,50 @@ def test_count_bounds_hold(d):
 class TestVerifySalemOverL:
     @pytest.mark.parametrize("d", [2, 3, 5, 13])
     def test_exact_equals_numeric_oracle(self, d):
+        # the verifier reads (ii) and (iii) off the branch tag; the general
+        # exact tests and the numeric oracle decide every condition
         sols = list(enumerate_system(d, 60))
         got = [verify_salem_over_L(d, s) for s in sols]
-        want = [verify_salem_over_L_numeric(d, (s.a.u, s.a.v), (s.k.u, s.k.v))
-                for s in sols]
-        assert got == want
+        coords = [((s.a.u, s.a.v), (s.k.u, s.k.v)) for s in sols]
+        assert got == [verify_salem_over_L_exact(d, a, k) for a, k in coords]
+        assert got == [verify_salem_over_L_numeric(d, a, k) for a, k in coords]
         assert 0 < sum(got) < len(got)
+        for s in sols:
+            # (iii) holds on every solution, and sigma2(disc) >= 0 iff 'both'
+            x, y = 4 - s.a + 2 * s.k, 4 - s.a - 2 * s.k
+            assert any(z.sign_sigma1() > 0 and z.sign_sigma2() > 0 for z in (x, y))
+            disc = s.a * s.a - 4 * s.b + 8
+            assert (disc.sign_sigma2() >= 0) == (s.branch == "both")
 
     def test_frozen_true_example(self):
         # found by the independent numeric verification oracle
-        s = _mk(2, -10, -9, 1, 1)
-        assert (s.b.u, s.b.v) == (-19, -16)
+        s = _solution(2, 20, -10, -9, 1, 1)
+        assert (s.b.u, s.b.v) == (-19, -16) and s.branch == "both"
         assert verify_salem_over_L(2, s)
 
     def test_rational_solution_fails_conjugate_condition(self):
-        # identity quartic x^4 - 5x^3 - 11x^2 - 5x + 1 is Salem, but the
-        # conjugate embedding is the same quartic: roots off the unit circle
-        s = _mk(2, -5, 0, 1, 0)
-        assert (s.b.u, s.b.v) == (-11, 0)
-        assert not verify_salem_over_L(2, s)
+        # a = -5, k = 1 is no system solution (sigma2(a) = -5), so the general
+        # exact tests decide it: the identity quartic x^4 - 5x^3 - 11x^2 - 5x + 1
+        # is Salem, but the conjugate embedding is the same quartic, with
+        # roots off the unit circle
+        assert is_salem(SalemQuartic(-5, -11))
+        assert not verify_salem_over_L_exact(2, (-5, 0), (1, 0))
+        # the rational system solutions fail (ii) the same way
+        rational = [s for s in enumerate_system(2, 10) if s.a.v == 0 and s.k.v == 0]
+        assert len(rational) == 6
+        assert not any(verify_salem_over_L(2, s) for s in rational)
 
     def test_reducible_over_ring_fails(self):
-        # a = -1, k = 2: disc = (a-4)^2 - 4k^2 = 9 is a square in o_L
-        s = _mk(2, -1, 0, 2, 0)
+        # a = -1, k = 2 (k^2 = -4a, no system solution): disc = 9 is a square
+        assert not verify_salem_over_L_exact(2, (-1, 0), (2, 0))
+        # a = -10 - 8 sqrt2, k = 4 + 2 sqrt2 passes (i)-(iii), but
+        # disc = (10 + 8 sqrt2)^2, so only (iv) rejects it
+        s = _solution(2, 20, -10, -8, 4, 2)
+        disc = s.a * s.a - 4 * s.b + 8
+        assert s.branch == "both" and (s.k * s.k + 4 * s.a).sign_sigma2() > 0
+        assert ring_square_root(disc) in (RealQuadElem(2, 10, 8), RealQuadElem(2, -10, -8))
         assert not verify_salem_over_L(2, s)
+        assert not verify_salem_over_L_exact(2, (-10, -8), (4, 2))
 
     def test_verified_count_subset(self):
         total = count_system(2, 20)
@@ -325,6 +346,6 @@ class TestVolume:
 
 def test_csv_row_format():
     assert SYSTEM_CSV_HEADER == "a_u,a_v,k_u,k_v,b_u,b_v,branch,verified"
-    s = _mk(2, -3, 0, 1, 0)
+    s = _solution(2, 10, -3, 0, 1, 0)
     assert system_csv_row(s, True) == "-3,0,1,0,-7,0,both,1"
     assert system_csv_row(s) == "-3,0,1,0,-7,0,both,"
