@@ -119,6 +119,7 @@ square), so O(log Q) of them have v <= Q^(1/4).
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -180,30 +181,43 @@ def salem_from_trace(D: int, t: QuadIntK) -> SalemQuartic | None:
     return SalemQuartic(-n, tr2 - 2)
 
 
-def _reducible(E_v2: int, R: int) -> set[int]:
+def _reducible(E_v2: int, R: int) -> tuple[int, ...]:
     """The w > 0 of row v with N = (w^2 + E v^2)/4 <= R whose
     discriminant is a square: w^2 = (4 - d)(4 + e) for E v^2 = d e,
     d in {1, 2, 3}, with N = 4 + e - d (see the module notes)."""
-    out = set()
+    out = ()
     for d in (1, 2, 3):
         if E_v2 % d == 0:
             e = E_v2 // d
             w2 = (4 - d) * (4 + e)
             w = math.isqrt(w2)
             if w * w == w2 and 4 + e - d <= R:
-                out.add(w)
+                out += (w,)
     return out
 
 
-def _rows(D: int, Q: int) -> Iterator[tuple[int, int, range, int, set[int]]]:
+@functools.cache
+def _reducible_residues() -> int:
+    """Bit x (0 <= x < 576) is clear when no row with E v^2 = x (mod 576)
+    holds a reducible w: for no d in {1, 2, 3} that divides x is
+    (4 - d)(4 + E v^2 / d) a square modulo 576 / d, which x fixes it to."""
+    squares = {m: {i * i % m for i in range(m)} for m in (576, 288, 192)}
+    return sum(1 << x for x in range(576)
+               if any(x % d == 0 and (4 - d) * (4 + x // d) % (576 // d) in squares[576 // d]
+                      for d in (1, 2, 3)))
+
+
+def _rows(D: int, Q: int) -> Iterator[tuple[int, int, range, int, tuple[int, ...]]]:
     """(v, E v^2, ws, kept, reducible) for each row v = 1..row_count(D, Q):
     ws are the quadrant's w of row v with N(t) <= R = isqrt(Q) + 3, the
     first kept of them have lambda <= Q, and reducible lists the ws whose
-    discriminant is a square."""
+    discriminant is a square.  Only the rows whose E v^2 passes the
+    residue test of _reducible_residues are searched for them."""
     R = math.isqrt(Q) + 3
     half = D % 4 == 3
     E = D if half else 4 * D
     Q1 = (Q - 1) ** 2
+    residues = _reducible_residues()
     for v in range(1, row_count(D, Q) + 1):
         E_v2 = E * v * v
         # w = 2u + v (half basis) or 2u keeps the parity of the basis
@@ -211,10 +225,10 @@ def _rows(D: int, Q: int) -> Iterator[tuple[int, int, range, int, set[int]]]:
         X = Q1 - Q * E_v2  # N_max = floor(N*(v)), see the module notes
         N_max = (2 * Q * X + math.isqrt(Q * (X * (Q + 1)) ** 2)) // (Q * Q1)
         kept = len(range(ws.start, math.isqrt(max(4 * N_max - E_v2, 0)) + 1, 2))
-        yield v, E_v2, ws, kept, _reducible(E_v2, R)
+        yield v, E_v2, ws, kept, _reducible(E_v2, R) if residues >> E_v2 % 576 & 1 else ()
 
 
-def _row_members(v: int, E_v2: int, kept: range, reducible: set[int]):
+def _row_members(v: int, E_v2: int, kept: range, reducible: tuple[int, ...]):
     """(A, B, w, v) of the row's members, descending w: ascending (A, B)."""
     for w in reversed(kept):
         if w not in reducible:
@@ -239,13 +253,15 @@ def bianchi_census(D: int, Q: int) -> BianchiCensus:
     require_square_free(D, 1, "D")
     _check_q(Q)
     R = math.isqrt(Q) + 3
-    count = scanned = reducible = over_q = 0
+    count = scanned = reducible = red_kept = 0
     for _v, _E_v2, ws, kept, red in _rows(D, Q):
-        red_kept = sum(w in ws[:kept] for w in red)
-        count += kept - red_kept
-        over_q += len(ws) - kept - (len(red) - red_kept)
+        count += kept
         scanned += len(ws)
-        reducible += len(red)
+        if red:  # each w of red is in ws, and kept iff before ws[kept]
+            reducible += len(red)
+            red_kept += sum(w < ws.start + 2 * kept for w in red)
+    over_q = scanned - count - (reducible - red_kept)
+    count -= red_kept
     real = 2 * math.isqrt(R) + 1  # v = 0, 4 N(t) = w^2 <= 4R
     imag_axis = 2 * math.isqrt(R // D)  # w = 0, v != 0
     return BianchiCensus(

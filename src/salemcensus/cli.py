@@ -51,10 +51,11 @@ MAX_ROWS = 10**8
 
 # Budget of the work of every other command, above all the count series of
 # fit and --plot-data: an upper bound on its exact count steps, a closed
-# form, a bianchi row (its cut and its reducible w, 6-10 us on a 2-vCPU Xeon
-# VM) or an (a, k-row) pair of count_system (about 0.4 us).  Just under it,
-# fit --series system --field 2 --qgrid 16255,32510,65021 takes 23 s and fit
-# --series bianchi --d 3 on Q/100, Q/10, Q = 2.82e29 takes 8 minutes.
+# form, a bianchi row (its cut and its reducible w) or an exact floor of
+# count_system (at most 1 + 2 r of them a k, 9 at d = 2).  Just under it, on
+# a 2-vCPU Xeon VM, fit --series system --field 2 on Q/4, Q/2, Q = 1.93e11
+# takes 63 s, 1.3 us a step, and fit --series bianchi --d 3 on Q/100, Q/10,
+# Q = 2.82e29 takes 5.3 minutes, 6.4 us a row.
 MAX_STEPS = 5 * 10**7
 
 # Largest M whose omega(M) prints: beyond it the numerator has more digits

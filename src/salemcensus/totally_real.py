@@ -18,11 +18,74 @@ all boundary cases, and every search bound is an integer square root.
 Coordinates are doubled: sigma1(x) = (A + B sqrt(d))/2 and
 sigma2(x) = (A - B sqrt(d))/2 with integers A = B (mod 2); x = u + v w has
 (A, B) = (2u, 2v) for w = sqrt(d) and (2u + v, v) for w = (1 + sqrt(d))/2.
-For a fixed a, the k of one v-coordinate fill one interval of A (step 2).
+For a fixed a, the k of one v-coordinate fill one interval of W (step 2).
 Its window sigma1(k) > 0, |sigma2(k)| < 4 depends only on (d, v) and is
 tabulated once per call, and the quadratic cut costs one integer square
-root and at most one sign test.  Counting sums the interval lengths, which
-makes it O(#a * Q^(1/4)); enumerating walks the same intervals.
+root and at most one sign test.  Enumerating walks these intervals: an a
+with sigma1(a) near -Q meets O(Q^(1/2)) k-rows, so the O(Q) a take
+O(Q^(3/2)) (a, k-row) pairs, the order of the solutions they list.
+
+Counting runs over k instead, in O(Q^(1/2)) exact steps.
+
+The branch never removes a solution.  Its 'plus' and 'minus' tests,
+sigma2(2k - a + 4) > 0 and sigma2(2k + a - 4) < 0, both fail only if
+sigma2(a) >= 4, so every pair that meets the other inequalities is a
+solution.  So the count is the sum over the k of the window
+(sigma1(k) > 0, |sigma2(k)| < 4; the rows of _k_rows) of the number of
+a with -(Q+3) < sigma1(a) < c = -sigma1(k)^2/4 and |sigma2(a)| < 4
+(sigma1(a) < 0 follows, as c < 0).
+
+The a-rows.  Group the a of the strip |sigma2(a)| < 4 by their
+v-coordinate, with B = v or 2v (step 1 or 2).  Row B holds the A = B
+(mod 2) with B sqrt(d) - 8 < A < B sqrt(d) + 8.  For B != 0 both ends
+are irrational, and an open interval of length 16 with irrational ends
+holds exactly 8 integers of each parity: the row is lo, lo + 2, ..,
+lo + 14, with lo the first A above B sqrt(d) - 8.  Row 0 holds the 7
+even A in (-8, 8).  As sigma1(a) = sigma2(a) + B sqrt(d) and sigma2
+runs in steps of 1 through (-4, 4), the least sigma1(a) of row B lies in
+(B sqrt(d) - 4, B sqrt(d) - 3] and the greatest in
+[B sqrt(d) + 3, B sqrt(d) + 4).  Both grow strictly with v, as
+sqrt(d) > 1.  So for any cut c, the rows whose every a has sigma1(a) < c
+form a prefix, the rows with no such a form a suffix, and each row
+between holds an a below c, not all of them: B sqrt(d) lies in
+(c - 4, c + 4).
+
+The clipped end rows.  The bounds -(Q+3) < sigma1(a) < 0 clip the rows
+at both ends of the system.  The top clip is implied by sigma1(a) < c.
+The bottom clip is a subtraction: with v_lo = _va_range(d, Q)[0], below
+which no a has sigma1(a) > -(Q+3), let F(c) count the a of the whole
+rows v >= v_lo with sigma1(a) < c.  No a of the strip has
+sigma1(a) = -(Q+3) (an irrational value unless B = 0, and row 0 has
+sigma1(a) = sigma2(a) > -4).  So k adds F(c) - F(-(Q+3)) when
+c > -(Q+3) and nothing otherwise, and as F grows with c, it adds
+max(0, F(c) - F(-(Q+3))) either way.  F(-(Q+3)) is computed once.
+Within a k-row c falls as W grows, so the row ends at its first k that
+adds nothing.  Strictness excludes k^2 + 4a = 0 by itself.
+
+One F(c), exact.  Write the cut as A + B sqrt(d) < -(P + G sqrt(d))/8,
+that is c = -(P + G sqrt(d))/16, with P = W^2 + V^2 d and G = 2WV for
+k = (W, V), and P = 16(Q+3), G = 0 for the floor.  The greatest sigma1
+of row B != 0 is below B sqrt(d) + 4, so the row is whole when
+B sqrt(d) + 4 <= c, i.e. 16 B sqrt(d) <= -(64 + P) - G sqrt(d), i.e.
+B <= B1 = floor((floor(-(64 + P) sqrt(d)) - G d) / (16 d)), exact as
+floor(x / m) = floor(floor(x) / m) for an integer m > 0.  These rows have
+B < 0 (as c < 0), so each holds 8 a and the rows v_lo..v1, v1 = B1 // step,
+add 8 each.  From v = max(v1 + 1, v_lo) the rows are walked: row B adds
+the A = lo + 2j <= top, where top, the greatest A with
+8A < -P - (8B + G) sqrt(d), is one exact floor and lo another (the
+strict < is exact also where 8B + G = 0 and the bound is rational).
+That is (top - lo) // 2 + 1 of them, and never more than the row holds:
+v > v1 means B sqrt(d) + 4 > c, while lo + 16 has sigma1 above
+B sqrt(d) + 4, so top < lo + 16 (and row 0 adds at most 3, as its
+A < 2c < 0).  The walk stops at the first row that adds nothing, the
+first of the suffix.  Every other walked row has v > v1 and an a below
+c, so B sqrt(d) lies in (c - 4, c + 4), which holds at most
+floor(8 / (step sqrt(d))) + 1 such rows.  So one F(c) takes
+one floor for the seed and two for each of at most
+r = floor(8 / (step sqrt(d))) + 2 rows.  No float seeds it: the seed is
+a floor of exact integers and the walk fixes it up with exact floors.
+There are about 16 (Q / disc)^(1/2) k, so the count takes O(Q^(1/2))
+steps in O(1) memory, reading the rows of _k_rows once.
 """
 
 from __future__ import annotations
@@ -131,7 +194,7 @@ def _iter_a_coords(d: int, Q: int) -> Iterator[tuple[int, int, int, int]]:
             yield (A - off) // 2, v, A, B
 
 
-def _k_rows(d: int, Q: int) -> list[tuple[int, int, int, int, int, int]]:
+def _k_rows(d: int, Q: int) -> Iterator[tuple[int, int, int, int, int, int]]:
     """The a-independent part of the k-window, one row (v, off, V, fV, lo, hi)
     per v-coordinate, in v order.
 
@@ -144,20 +207,19 @@ def _k_rows(d: int, Q: int) -> list[tuple[int, int, int, int, int, int]]:
     """
     half = d % 4 == 1
     top = math.isqrt(16 * (Q + 3))
-    rows = []
     v = -math.isqrt(15 // _disc(d))
     while True:
         V, off = (v, v) if half else (2 * v, 0)
         fv = _floor_root_mult(V, d)
         if 2 * fv - 8 > top:
-            return rows
+            return
         on_axis = int(V == 0)  # V sqrt(d) is rational only for V = 0
         lo = max(on_axis - fv, fv - 7)
         hi = fv + 8 - on_axis
         lo += (lo - V) % 2
         hi -= (hi - V) % 2
         if lo <= hi:
-            rows.append((v, off, V, fv, lo, hi))
+            yield v, off, V, fv, lo, hi
         v += 1
 
 
@@ -191,7 +253,7 @@ def _k_ranges(
 
 
 def _iter_solutions(d: int, Q: int) -> Iterator[tuple[int, int, int, int, str]]:
-    rows = _k_rows(d, Q)
+    rows = list(_k_rows(d, Q))
     for au, av, A, B in _iter_a_coords(d, Q):
         for v, off, V, lo, hi in _k_ranges(d, rows, A, B):
             # plus:  sigma2(2k - a + 4) > 0  <=>  2W > (A - 8) + (2V - B) sqrt(d)
@@ -219,30 +281,60 @@ def enumerate_system(d: int, Q: int) -> Iterator[SystemSolution]:
         yield SystemSolution(a, k, k * k + two_a_2, branch)
 
 
+def _a_below(d: int, v_lo: int, P: int, G: int) -> int:
+    """F(c) of the module notes: the number of a with v-coordinate >= v_lo,
+    |sigma2(a)| < 4 and sigma1(a) < c = -(P + G sqrt(d))/16 < 0.  The rows
+    up to the seed hold 8 a each; the later ones are walked, two exact
+    floors a row, up to the first that holds none."""
+    step = 1 if d % 4 == 1 else 2  # B = step * v
+    v = max((_floor_root_mult(-(64 + P), d) - G * d) // (16 * d) // step + 1, v_lo)
+    n = 8 * (v - v_lo)
+    while True:
+        B = step * v
+        lo = _min_gt(-8, B, d)
+        lo += (lo - B) % 2
+        top = _max_lt(-P, -(8 * B + G), d) // 8
+        got = (top - lo) // 2 + 1
+        if got <= 0:
+            return n
+        n += got
+        v += 1
+
+
 def count_system(d: int, Q: int) -> int:
-    """Number of system solutions."""
+    """Number of system solutions, summed over k: each k of _k_rows with
+    sigma1(k)^2 < 4(Q+3) adds the a with -(Q+3) < sigma1(a) < -sigma1(k)^2/4
+    and |sigma2(a)| < 4, as the difference of two _a_below counts."""
     require_square_free(d, 2, "d")
     _check_q(Q)
-    rows = _k_rows(d, Q)
-    return sum(
-        (hi - lo) // 2 + 1
-        for _, _, A, B in _iter_a_coords(d, Q)
-        for _, _, _, lo, hi in _k_ranges(d, rows, A, B)
-    )
+    v_lo = _va_range(d, Q)[0]
+    bottom = _a_below(d, v_lo, 16 * (Q + 3), 0)  # the a with sigma1(a) < -(Q+3)
+    total = 0
+    for _, _, V, _, lo, hi in _k_rows(d, Q):
+        for W in range(lo, hi + 1, 2):
+            n = _a_below(d, v_lo, W * W + V * V * d, 2 * W * V) - bottom
+            if n <= 0:  # sigma1(k) grows with W, so the row ends here
+                break
+            total += n
+    return total
 
 
 def count_bounds(d: int, Q: int) -> tuple[int, int]:
     """(solutions, steps), in O(1): upper bounds on count_system(d, Q) and on
-    the (a, k-row) pairs it reads.  A v-row of _iter_a_coords holds at most
-    8 a (A lies in an open interval of length 16, step 2), _k_rows ends at
-    the last v with floor(V sqrt(d)) <= M = (top + 8) // 2, and a k-row
-    holds at most 8 k (hi - lo <= 15, step 2)."""
+    its exact steps, the _floor_root_mult calls it makes.  A v-row of
+    _iter_a_coords holds at most 8 a, and a k-row at most 8 k.  _k_rows
+    reads the n_k rows up to the last v with floor(V sqrt(d)) <= M =
+    (top + 8) // 2, one call each, and one call more.  count_system calls
+    _a_below once for the bottom clip and at most once a k, and each call
+    takes at most 1 + 2r steps (see the module notes)."""
     lo, hi = _va_range(d, Q)
     n_a = 8 * (hi - lo)
+    step = 1 if d % 4 == 1 else 2
     M = (math.isqrt(16 * (Q + 3)) + 8) // 2
     V = math.isqrt(((M + 1) ** 2 - 1) // d)  # the largest V >= 0 with floor(V sqrt(d)) <= M
-    n_k = (V if d % 4 == 1 else V // 2) + math.isqrt(15 // _disc(d)) + 1
-    return 8 * n_a * n_k, n_a * n_k
+    n_k = V // step + math.isqrt(15 // _disc(d)) + 1
+    r = math.isqrt(64 // (step * step * d)) + 2
+    return 8 * n_a * n_k, n_k + 1 + (8 * n_k + 1) * (1 + 2 * r)
 
 
 # --- verification ------------------------------------------------------------

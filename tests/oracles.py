@@ -7,7 +7,8 @@ for the integer censuses that the package counts in closed form, a
 whole-disk trace scan with a dedup dict, a sorted quadrant scan and a
 binary search of each row for the Bianchi census that the package counts
 and merges row by row with a closed-form cut, the float-seeded walk of the
-real-quadratic system that the package decides with exact intervals, and
+real-quadratic system that the package decides with exact intervals, the
+(a, k-row) pair sum of that system that the package counts over k, and
 its numeric and general exact verifiers, where the package reads most
 conditions off the branch tag.  No module from salemcensus is imported.
 """
@@ -514,6 +515,49 @@ def count_system_walk(d: int, Q: int) -> int:
                     u += 1
                 if u >= u_lo:
                     total += u - u_lo + 1
+    return total
+
+
+def count_system_pairs(d: int, Q: int) -> int:
+    """Number of system solutions, summed over the (a, k-row) pairs in
+    doubled coordinates (A, B) of a and (W, V) of k: per a, each v-row of k
+    is one exact W-interval, cut by one integer square root and at most one
+    exact sign test of sigma1(k^2 + 4a).  O(#a * Q^(1/2)) pairs."""
+    half = d % 4 == 1
+    disc = d if half else 4 * d
+    top = math.isqrt(16 * (Q + 3))
+    rows = []  # (V, floor(V sqrt d), lo, hi): 0 < sigma1(k), |sigma2(k)| < 4
+    v = -math.isqrt(15 // disc)
+    while True:
+        V = v if half else 2 * v
+        fv = _floor_root_mult(V, d)
+        if 2 * fv - 8 > top:
+            break
+        on_axis = int(V == 0)
+        lo, hi = max(on_axis - fv, fv - 7), fv + 8 - on_axis
+        lo += (lo - V) % 2
+        hi -= (hi - V) % 2
+        if lo <= hi:
+            rows.append((V, fv, lo, hi))
+        v += 1
+    total = 0
+    for v in range(-math.isqrt(((Q + 7) ** 2 - 1) // disc), math.isqrt(15 // disc) + 1):
+        B = v if half else 2 * v
+        a_lo = max(_min_gt(-2 * (Q + 3), -B, d), _min_gt(-8, B, d))
+        a_hi = min(_max_lt(0, -B, d), _max_lt(8, B, d))
+        for A in range(a_lo + (a_lo - B) % 2, a_hi + 1, 2):
+            f2r = math.isqrt(_floor_root_mult(-8 * B, d) - 8 * A)  # floor(2 sqrt(-2 sigma1(a)))
+            for V, fv, lo, hi in rows:
+                if 2 * fv - 8 > f2r:
+                    break
+                c = f2r - fv  # the largest W with sigma1(k)^2 < -4 sigma1(a) is c, c-1 or c-2
+                if (c - V) % 2:
+                    c -= 1
+                elif c <= hi and _sign_plus_root(c * c + V * V * d + 8 * A,
+                                                  2 * c * V + 8 * B, d) >= 0:
+                    c -= 2
+                if lo <= min(hi, c):
+                    total += (min(hi, c) - lo) // 2 + 1
     return total
 
 

@@ -7,6 +7,8 @@ import pytest
 from salemcensus.algebra import QuadIntK, is_perfect_square
 from salemcensus.bianchi import (
     BIANCHI_CSV_HEADER,
+    _reducible,
+    _reducible_residues,
     _rows,
     bianchi_census,
     census_bounds,
@@ -214,6 +216,13 @@ class TestCensus:
         for Q in [*range(2, 200), *(rng.randrange(2, 10**14) for _ in range(6)),
                   10**14 - 1, 10**14, 10**14 + 1]:
             assert [(v, kept) for v, _, _, kept, _ in _rows(D, Q)] == bianchi_rows_bisect(D, Q), Q
+
+    def test_residue_test_keeps_every_reducible_row(self):
+        # _rows searches a row for reducible w only if its E v^2 passes
+        residues = _reducible_residues()
+        hits = [x for x in range(1, 200_000) if _reducible(x, 10**6)]
+        assert len(hits) > 50 and all(residues >> x % 576 & 1 for x in hits)
+        assert bin(residues).count("1") == 75  # of the 576 residues
 
     def test_members_stream_again_on_each_iteration(self):
         c = bianchi_census(2, 10**6)

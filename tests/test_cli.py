@@ -522,8 +522,8 @@ class TestInputGuards:
     @pytest.mark.parametrize("unit, argv", [
         ("rows", ("cocompact", "--field", "2", "--qmax", "100000")),
         ("steps", ("fit", "--series", "system", "--field", "2",
-                   "--qgrid", "100000,200000,400000")),
-        ("steps", ("cocompact", "--field", "2", "--qmax", "100000", "--plot-data")),
+                   "--qgrid", "1000000000000,2000000000000,4000000000000")),
+        ("steps", ("cocompact", "--field", "2", "--qmax", "1000000000000", "--plot-data")),
     ])
     @pytest.mark.parametrize("extra", [(), ("--dry-run",)])
     def test_field_counts_over_budget(self, capsys, tmp_path, unit, argv, extra):

@@ -1,10 +1,13 @@
 import math
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from salemcensus.algebra import RealQuadElem
+from salemcensus import totally_real
+from salemcensus.algebra import RealQuadElem, sign_plus_root
 from salemcensus.cli import main
 from salemcensus.errors import CapacityError, DomainError
 from salemcensus.quartics import SalemQuartic, is_salem
@@ -26,6 +29,7 @@ from salemcensus.totally_real import (
 )
 
 from oracles import (
+    count_system_pairs,
     count_system_walk,
     enumerate_system_walk,
     ring_square_root_bruteforce,
@@ -152,18 +156,76 @@ class TestIntervalKernelAgainstWalks:
         assert got == enumerate_system_walk(d, 149)
 
 
+@pytest.mark.parametrize("d", [2, 3, 5, 6, 7, 10, 13, 17, 101, 10**6 + 3])
+def test_count_matches_the_pair_sum(d):
+    """The count over k against the (a, k-row) pair sum it replaced at every
+    Q < 300 and at seeded Q < 5000, and against the walk and the enumeration:
+    the enumeration at Q keeps the solutions of Q = 299 whose a has
+    system_qmin <= Q (test_every_small_q)."""
+    rng = random.Random(d)
+    extra = [rng.randrange(300, 5000) for _ in range(3)]
+    for Q in [*range(2, 300), *extra]:
+        assert count_system(d, Q) == count_system_pairs(d, Q), Q
+    by_qmin = Counter(system_qmin(d, (au, av)) for au, av, *_ in _iter_solutions(d, 299))
+    enumerated = 0
+    for Q in range(2, 300):
+        enumerated += by_qmin[Q]
+        assert count_system(d, Q) == enumerated, Q
+    for Q in (2, 3, 41, 157, 299):
+        assert count_system(d, Q) == count_system_walk(d, Q) == \
+            sum(1 for _ in _iter_solutions(d, Q)), Q
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 13, 101, 10**6 + 3])
+def test_bulk_a_rows_hold_eight(d):
+    """Row B of the strip |sigma2(a)| < 4 holds the A = B (mod 2) with
+    |A - B sqrt(d)| < 8, decided by exact sign tests: 8 of them for B != 0,
+    7 for B = 0.  So every row of _iter_a_coords that neither bound on
+    sigma1(a) clips holds 8 a."""
+    step = 1 if d % 4 == 1 else 2
+    for B in range(-60 * step, 61 * step, step):
+        c = math.isqrt(B * B * d) * (1 if B > 0 else -1)
+        row = [A for A in range(c - 12, c + 13) if (A - B) % 2 == 0
+               and sign_plus_root(A - 8, -B, d) < 0 < sign_plus_root(A + 8, -B, d)]
+        assert len(row) == (8 if B else 7), B
+    Q = 1000
+    rows = Counter(v for _, v, _, _ in _iter_a_coords(d, Q))
+    # unclipped: sigma1(a) = sigma2(a) + B sqrt(d) stays in (-(Q+3), 0)
+    bulk = [v for v in rows if v < 0 and 16 < (step * v) ** 2 * d < (Q - 1) ** 2]
+    assert all(rows[v] == 8 for v in bulk) and max(rows.values()) <= 8
+    assert len(bulk) >= len(rows) - 8
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 13, 101, 10**6 + 3])
+def test_exact_steps_within_the_bound(d, monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(totally_real, name)
+        return lambda *args: calls.update([name]) or fn(*args)
+
+    for name in ("sign_plus_root", "_floor_root_mult"):
+        monkeypatch.setattr(totally_real, name, counted(name))
+    for Q in (2, 3, 10, 100, 1000, 20000):
+        calls.clear()
+        count_system(d, Q)
+        steps = count_bounds(d, Q)[1]
+        assert 0 < sum(calls.values()) <= steps, Q
+        if d < 100 and Q >= 1000:  # and the bound stays close
+            assert steps <= 2 * sum(calls.values())
+
+
 @pytest.mark.parametrize("d", [2, 3, 5, 13, 10**6 + 3])
 def test_count_bounds_hold(d):
     for Q in (2, 3, 10, 100, 1000):
-        solutions, steps = count_bounds(d, Q)
+        solutions, _ = count_bounds(d, Q)
         a_rows = {}
         for _, v, _, _ in _iter_a_coords(d, Q):
             a_rows[v] = a_rows.get(v, 0) + 1
-        k_rows = _k_rows(d, Q)
+        k_rows = list(_k_rows(d, Q))
         assert max(a_rows.values(), default=0) <= 8
         assert all((hi - lo) // 2 + 1 <= 8 for *_, lo, hi in k_rows)
         assert count_system(d, Q) <= 8 * sum(a_rows.values()) * len(k_rows) <= solutions
-        assert solutions == 8 * steps
         if Q == 1000 and d < 100:  # and the bound stays close
             assert solutions <= 1.8 * count_system(d, Q)
 
