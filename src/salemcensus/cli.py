@@ -44,9 +44,13 @@ MAX_FIELD_PARAM = 10**18
 
 # Budget of the work of a table (census deg4|sr, bianchi, cocompact): an
 # upper bound on the records it writes, so a file of at most several GB.
-# Just under it, to /dev/null on a 2-vCPU Xeon VM, a census table takes two
-# to four minutes, cocompact --field 2 --qmax 33470 7 minutes and
-# bianchi --d 3 --qmax 7.5e15 18 minutes.
+# To /dev/null on a 2-vCPU Xeon VM, at mid sizes, a census row takes about
+# 1.3 us (census sr --qmax 20000, deg4 --qmax 2000), a cocompact row 2.7 us,
+# 3.9 us with --verified (--field 2 --qmax 1000 and 4000), and a bianchi
+# member 10-12 us (--d 3 --qmax 1e12).  So just under it a census table
+# takes about 2 minutes, cocompact --field 2 --qmax 33470 (65M rows) 3
+# minutes, 4 with --verified, and bianchi --d 3 --qmax 7.5e15 (78.5M
+# members) about 15 minutes (18 measured).
 MAX_ROWS = 10**8
 
 # Budget of the work of every other command, above all the count series of
@@ -212,30 +216,42 @@ def _census_chunks(which: str, Q: int, json_out: bool) -> Iterator[str]:
     chunk, with the bytes of census_csv_row or json.dumps(indent=2) on their
     records.  lambda repeats quartics._salem_value_ab's float steps on the
     same integer a^2 - 4b + 8 = n^2 + 8 - 4b; k is the root of a square
-    p(-1) = b + 2n + 2."""
+    p(-1) = b + 2n + 2.
+
+    A chunk is one % on the row template repeated once a member, over the
+    flat (b, k, lambda) values of the chunk.  %d of an int is str(int), and
+    %.12g and %r of a float run the float formatter of format(x, ".12g")
+    and repr(x), which the f-string's :.12g and json.dumps call, so the
+    bytes are those of the per-member f-strings."""
     sqrt, isqrt = math.sqrt, math.isqrt
     none = "null" if json_out else ""
     for n, lo, hi, skip in (census._sr_rows if which == "sr" else census._deg4_rows)(Q):
         c, b0 = n * n + 8, -2 * n - 2
+        if json_out:
+            row, sep = (f'  {{\n    "a": "-{n}",\n    "b": "%d",\n    "k": %s,\n    '
+                        f'"lambda": %r,\n    "source": "direct"\n  }}', ",\n")
+        else:
+            row, sep = f"-{n},%d,%s,%.12g,direct\n", ""
         for start in range(lo, hi, BLOCK_ROWS):
             stop = min(start + BLOCK_ROWS, hi)
             if which == "sr":  # the range is over k
-                bks = [(k * k + b0, f'"{k}"' if json_out else k)
-                       for k in range(start, stop) if k not in skip]
+                ks = [k for k in range(start, stop) if k not in skip]
+                bs = [k * k + b0 for k in ks]
+                if json_out:
+                    ks = [f'"{k}"' for k in ks]
             else:  # over b, where p(-1) = b - b0 >= 1
-                ks = {k * k + b0: f'"{k}"' if json_out else k
-                      for k in range(isqrt(start - b0 - 1) + 1, isqrt(stop - 1 - b0) + 1)}
-                bks = [(b, ks.get(b, none)) for b in range(start, stop) if b not in skip]
-            if not bks:
+                squares = {k * k + b0: f'"{k}"' if json_out else k
+                           for k in range(isqrt(start - b0 - 1) + 1, isqrt(stop - 1 - b0) + 1)}
+                bs = [b for b in range(start, stop) if b not in skip]
+                ks = [squares.get(b, none) for b in bs]
+            m = len(bs)
+            if not m:
                 continue
-            if json_out:
-                yield ",\n".join([
-                    f'  {{\n    "a": "-{n}",\n    "b": "{b}",\n    "k": {k},\n    '
-                    f'"lambda": {(y + sqrt(y * y - 4.0)) / 2.0!r},\n    "source": "direct"\n  }}'
-                    for b, k in bks for y in [(n + sqrt(c - 4 * b)) / 2.0]])
-            else:
-                yield "".join([f"-{n},{b},{k},{(y + sqrt(y * y - 4.0)) / 2.0:.12g},direct\n"
-                               for b, k in bks for y in [(n + sqrt(c - 4 * b)) / 2.0]])
+            values = [0] * (3 * m)
+            values[0::3], values[1::3] = bs, ks
+            values[2::3] = [(y + sqrt(y * y - 4.0)) / 2.0
+                            for b in bs for y in [(n + sqrt(c - 4 * b)) / 2.0]]
+            yield sep.join([row] * m) % tuple(values)
 
 
 # --- bianchi -----------------------------------------------------------------
@@ -266,20 +282,19 @@ def _plan_cocompact(args) -> Plan:
         return _plot_plan(args, "cocompact", Q)
 
     def run():
-        rows = ((sol, totally_real.verify_salem_over_L(d, sol) if args.verified else None)
-                for sol in totally_real.enumerate_system(d, Q))
-        _write_table(args, f"# field={d} qmax={Q}\n{totally_real.SYSTEM_CSV_HEADER}", rows,
-                     lambda row: totally_real.system_csv_row(*row), _system_json_obj)
+        # verified is a bool under --verified (%d prints 1 or 0), else None (%.0s prints "")
+        csv_row = f"%d,%d,%d,%d,%d,%d,%s,{'%d' if args.verified else '%.0s'}".__mod__
+        _write_table(args, f"# field={d} qmax={Q}\n{totally_real.SYSTEM_CSV_HEADER}",
+                     totally_real.system_rows(d, Q, args.verified), csv_row, _system_json_obj)
 
     return Plan(f"cocompact field={d} qmax={Q}", totally_real.count_bounds(d, Q)[0], "rows",
                 lambda: totally_real.count_system(d, Q), run)
 
 
 def _system_json_obj(row) -> dict:
-    sol, ver = row
-    return {"a_u": str(sol.a.u), "a_v": str(sol.a.v), "k_u": str(sol.k.u),
-            "k_v": str(sol.k.v), "b_u": str(sol.b.u), "b_v": str(sol.b.v),
-            "branch": sol.branch, "verified": ver}
+    au, av, ku, kv, bu, bv, branch, verified = row
+    return {"a_u": str(au), "a_v": str(av), "k_u": str(ku), "k_v": str(kv),
+            "b_u": str(bu), "b_v": str(bv), "branch": branch, "verified": verified}
 
 
 # --- constants ---------------------------------------------------------------

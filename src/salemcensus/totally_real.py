@@ -102,6 +102,7 @@ __all__ = [
     "SystemSolution",
     "LatticeGeometry",
     "enumerate_system",
+    "system_rows",
     "count_system",
     "count_bounds",
     "verify_salem_over_L",
@@ -111,7 +112,6 @@ __all__ = [
     "volume_leading",
     "volume_monte_carlo",
     "SYSTEM_CSV_HEADER",
-    "system_csv_row",
 ]
 
 SYSTEM_CSV_HEADER = "a_u,a_v,k_u,k_v,b_u,b_v,branch,verified"
@@ -267,18 +267,37 @@ def _iter_solutions(d: int, Q: int) -> Iterator[tuple[int, int, int, int, str]]:
                 yield au, av, (W - off) // 2, v, branch
 
 
+def _square_coeffs(d: int) -> tuple[int, int]:
+    """(c, h) with (u + v w)^2 = (u^2 + c v^2) + (2uv + h v^2) w: w^2 = d
+    gives (d, 0), and w^2 = w + (d-1)/4 gives ((d-1)/4, 1)."""
+    return ((d - 1) // 4, 1) if d % 4 == 1 else (d, 0)
+
+
+def system_rows(
+    d: int, Q: int, verified: bool = False
+) -> Iterator[tuple[int, int, int, int, int, int, str, bool | None]]:
+    """(a_u, a_v, k_u, k_v, b_u, b_v, branch, verified) of every solution,
+    in the order of enumerate_system, in integer coordinates with no
+    element built: b = k^2 + 2a - 2 by _square_coeffs.  verified is
+    verify_salem_over_L's answer when asked for, else None."""
+    require_square_free(d, 2, "d")
+    _check_q(Q)
+    c, h = _square_coeffs(d)
+    for au, av, ku, kv, branch in _iter_solutions(d, Q):
+        bu = ku * ku + c * kv * kv + 2 * au - 2
+        bv = (2 * ku + h * kv) * kv + 2 * av
+        yield (au, av, ku, kv, bu, bv, branch,
+               (branch == "both" and _salem_over_L(d, au, av, bu, bv)) if verified else None)
+
+
 def enumerate_system(d: int, Q: int) -> Iterator[SystemSolution]:
     """Every solution of the system with sigma1(k) > 0, in deterministic
     order (a by (v, u), then k by (v, u))."""
-    require_square_free(d, 2, "d")
-    _check_q(Q)
     prev = None
-    for au, av, ku, kv, branch in _iter_solutions(d, Q):
+    for au, av, ku, kv, bu, bv, branch, _ in system_rows(d, Q):
         if (au, av) != prev:  # consecutive solutions share a
             prev, a = (au, av), RealQuadElem(d, au, av)
-            two_a_2 = 2 * a - 2
-        k = a._like(ku, kv)
-        yield SystemSolution(a, k, k * k + two_a_2, branch)
+        yield SystemSolution(a, a._like(ku, kv), a._like(bu, bv), branch)
 
 
 def _a_below(d: int, v_lo: int, P: int, G: int) -> int:
@@ -411,9 +430,20 @@ def verify_salem_over_L(d: int, s: SystemSolution) -> bool:
     The branch tag is trusted, so s must come from enumerate_system.
     """
     require_square_free(d, 2, "d")
-    a, k = s.a, s.k
-    return (s.branch == "both" and (k * k + 4 * a).sign_sigma2() > 0
-            and ring_square_root(a * a - 4 * s.b + 8) is None)
+    return s.branch == "both" and _salem_over_L(d, s.a.u, s.a.v, s.b.u, s.b.v)
+
+
+def _salem_over_L(d: int, au: int, av: int, bu: int, bv: int) -> bool:
+    """The two tests of verify_salem_over_L left after the branch 'both', on
+    integer coordinates: sigma2(k^2 + 4a) > 0, with k^2 + 4a = b + 2a + 2,
+    and no square root of disc = a^2 - 4b + 8 in o_L, the only element
+    built."""
+    x, y = bu + 2 * au + 2, bv + 2 * av
+    c, h = _square_coeffs(d)
+    if sign_plus_root(2 * x + h * y, -y if h else -2 * y, d) <= 0:
+        return False
+    disc = RealQuadElem(d, au * au + c * av * av - 4 * bu + 8, (2 * au + h * av) * av - 4 * bv)
+    return ring_square_root(disc) is None
 
 
 # --- geometry of numbers -----------------------------------------------------
@@ -495,6 +525,8 @@ def volume_monte_carlo(
 
 
 def system_csv_row(s: SystemSolution, verified: bool | None = None) -> str:
+    """One cocompact CSV line of a solution.  The CLI formats system_rows'
+    tuples instead; this stays while salembench/tracer.py wraps it by name."""
     v = "" if verified is None else ("1" if verified else "0")
     return (
         f"{s.a.u},{s.a.v},{s.k.u},{s.k.v},{s.b.u},{s.b.v},{s.branch},{v}"

@@ -10,7 +10,9 @@ and merges row by row with a closed-form cut, the float-seeded walk of the
 real-quadratic system that the package decides with exact intervals, the
 (a, k-row) pair sum of that system that the package counts over k, and
 its numeric and general exact verifiers, where the package reads most
-conditions off the branch tag.  No module from salemcensus is imported.
+conditions off the branch tag.  The census and cocompact table writers
+format one record or solution at a time, where the package formats whole
+blocks from integer rows.  No module from salemcensus is imported.
 """
 
 from __future__ import annotations
@@ -226,11 +228,12 @@ def census_record_texts(records, fmt: str) -> list[str]:
                      "lambda": r.lambda_approx, "source": r.source}])[2:-2] for r in records]
 
 
-def census_table(texts: list[str], fmt: str) -> str:
-    """The census table of census_record_texts: the CSV header and lines, or
-    the JSON list framed as json.dumps frames it ("[]" when empty)."""
+def census_table(texts: list[str], fmt: str, header: str = "a,b,k,lambda,source") -> str:
+    """The table of census_record_texts or system_record_texts: the CSV
+    header and lines, or the JSON list framed as json.dumps frames it ("[]"
+    when empty)."""
     if fmt == "csv":
-        return "\n".join(["a,b,k,lambda,source", *texts]) + "\n"
+        return "\n".join([header, *texts]) + "\n"
     return "[\n" + ",\n".join(texts) + "\n]\n" if texts else "[]\n"
 
 
@@ -559,6 +562,31 @@ def count_system_pairs(d: int, Q: int) -> int:
                 if lo <= min(hi, c):
                     total += (min(hi, c) - lo) // 2 + 1
     return total
+
+
+def system_csv_row(a, k, b, branch: str, verified: bool | None = None) -> str:
+    """One cocompact CSV line as the CLI once wrote it from a solution."""
+    v = "" if verified is None else ("1" if verified else "0")
+    return f"{a[0]},{a[1]},{k[0]},{k[1]},{b[0]},{b[1]},{branch},{v}"
+
+
+def system_record_texts(d: int, solutions, verified, fmt: str) -> list[str]:
+    """Each (a_u, a_v, k_u, k_v, branch) of enumerate_system_walk as the CLI
+    once wrote it, one call per solution, with b = k^2 + 2a - 2 by _mul and
+    verified[i] (None without --verified): the system_csv_row line, or the
+    solution's object in an indent-2 JSON list (as census_record_texts)."""
+    encode = json.JSONEncoder(indent=2).encode
+    texts = []
+    for (au, av, ku, kv, branch), ok in zip(solutions, verified or [None] * len(solutions)):
+        kk = _mul(d, (ku, kv), (ku, kv))
+        b = (kk[0] + 2 * au - 2, kk[1] + 2 * av)
+        if fmt == "csv":
+            texts.append(system_csv_row((au, av), (ku, kv), b, branch, ok))
+        else:
+            texts.append(encode([{"a_u": str(au), "a_v": str(av), "k_u": str(ku),
+                                  "k_v": str(kv), "b_u": str(b[0]), "b_v": str(b[1]),
+                                  "branch": branch, "verified": ok}])[2:-2])
+    return texts
 
 
 def system_qmin(d: int, a: tuple[int, int]) -> int:

@@ -19,7 +19,14 @@ from salemcensus import bianchi, census, cli, totally_real
 from salemcensus.cli import main
 from salemcensus.errors import CapacityError
 
-from oracles import census_record_texts, census_table
+from oracles import (
+    census_record_texts,
+    census_table,
+    enumerate_system_walk,
+    system_qmin,
+    system_record_texts,
+    verify_salem_over_L_exact,
+)
 
 
 def run(capsys, *argv):
@@ -112,6 +119,36 @@ class TestCensusTables:
         # row a = -598, the longest, holds 2,388 members: 4n - 1 less the
         # reducible b = -597, 2, 599, one in its first chunk and two in its second
         assert [n for c, n in zip(chunks[1:], sizes) if c.startswith("-598,")] == [1023, 1022, 343]
+
+
+class TestCocompactTables:
+    """cocompact formats each solution straight from totally_real.system_rows'
+    integer tuple; the bytes are those of the solution-by-solution writer in
+    tests/oracles.py, on the float-seeded walk and the general exact
+    verifier."""
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 13, 101])
+    def test_bytes_equal_the_solution_writer(self, capsys, tmp_path, monkeypatch, d):
+        # the solutions at Q are those at 120 whose a has system_qmin <= Q, in order
+        full = enumerate_system_walk(d, 120)
+        qmins = [system_qmin(d, (au, av)) for au, av, *_ in full]
+        oks = [verify_salem_over_L_exact(d, (au, av), (ku, kv)) for au, av, ku, kv, _ in full]
+        assert 0 < sum(oks) < len(oks)
+        path = tmp_path / "t"
+        for fmt in ("csv", "json"):
+            for verified in (None, oks):
+                texts = system_record_texts(d, full, verified, fmt)
+                for Q in (2, 3, 17, 50, 120):
+                    header = f"# field={d} qmax={Q}\n{totally_real.SYSTEM_CSV_HEADER}"
+                    want = census_table([t for t, q in zip(texts, qmins) if q <= Q], fmt, header)
+                    argv = ["cocompact", "--field", str(d), "--qmax", str(Q), "--format", fmt,
+                            *(["--verified"] if verified else [])]
+                    assert main(argv) == 0
+                    assert capsys.readouterr().out == want, (Q, argv)
+                    with monkeypatch.context() as m:  # split the rows into many chunks
+                        m.setattr(cli, "BLOCK_ROWS", 7)
+                        assert main([*argv, "--out", str(path)]) == 0
+                    assert path.read_text() == want, (Q, argv)
 
 
 # Each command's flags that it does not read, all usage errors, after the
