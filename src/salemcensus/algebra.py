@@ -8,8 +8,8 @@ and numeric cross-checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 
 from .errors import DomainError
 
@@ -67,6 +67,49 @@ def require_square_free(n: int, minimum: int, name: str) -> int:
     return n
 
 
+_set = object.__setattr__  # how the frozen records set their fields
+
+
+class _Fields:
+    """Base of the record classes whose fields are their __slots__: a
+    dataclass-style repr, and == between instances of one class, field by
+    field through _key, an attrgetter of the fields set per subclass."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        if cls.__slots__:  # not the empty bases
+            cls._key = attrgetter(*cls.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+
+class _Frozen(_Fields):
+    """A hashable _Fields record.  Its __init__ sets each field once with
+    object.__setattr__; any later assignment raises AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __reduce__(self):  # copy and pickle through __init__, not __setattr__
+        return type(self), self._key(self)
+
+
 def sign_plus_root(A: int, B: int, d: int) -> int:
     """Exact sign of A + B*sqrt(d) for integers A, B and non-square d >= 2.
 
@@ -90,19 +133,19 @@ def sign_plus_root(A: int, B: int, d: int) -> int:
     return -1 if lhs > rhs else 1
 
 
-@dataclass(frozen=True)
-class QuadIntK:
+class QuadIntK(_Frozen):
     """Integer t = u + v*w of the imaginary quadratic field Q(sqrt(-D)),
     where w = sqrt(-D) for D = 1, 2 (mod 4) and w = (1 + sqrt(-D))/2 for
     D = 3 (mod 4).
     """
 
-    D: int
-    u: int
-    v: int
+    __slots__ = ("D", "u", "v")
 
-    def __post_init__(self) -> None:
-        require_square_free(self.D, 1, "D")
+    def __init__(self, D: int, u: int, v: int) -> None:
+        require_square_free(D, 1, "D")
+        _set(self, "D", D)
+        _set(self, "u", u)
+        _set(self, "v", v)
 
     @property
     def half_basis(self) -> bool:
@@ -143,8 +186,7 @@ class QuadIntK:
         return complex(self.u, self.v * rt)
 
 
-@dataclass(frozen=True)
-class RealQuadElem:
+class RealQuadElem(_Frozen):
     """Integer x = u + v*w of the real quadratic field Q(sqrt(d)), where
     w = sqrt(d) for d = 2, 3 (mod 4) and w = (1 + sqrt(d))/2 for
     d = 1 (mod 4).
@@ -154,12 +196,13 @@ class RealQuadElem:
     without floating point.
     """
 
-    d: int
-    u: int
-    v: int
+    __slots__ = ("d", "u", "v")
 
-    def __post_init__(self) -> None:
-        require_square_free(self.d, 2, "d")
+    def __init__(self, d: int, u: int, v: int) -> None:
+        require_square_free(d, 2, "d")
+        _set(self, "d", d)
+        _set(self, "u", u)
+        _set(self, "v", v)
 
     @property
     def half_basis(self) -> bool:
@@ -208,7 +251,9 @@ class RealQuadElem:
     def _like(self, u: int, v: int) -> "RealQuadElem":
         # same field as self, whose d was validated when self was built
         x = object.__new__(RealQuadElem)
-        x.__dict__.update(d=self.d, u=u, v=v)
+        _set(x, "d", self.d)
+        _set(x, "u", u)
+        _set(x, "v", v)
         return x
 
     def __add__(self, other):

@@ -5,10 +5,12 @@ the mean-multiplicity lower-bound report for even-dimensional orbifolds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import CapacityError, DomainError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "FitResult",
@@ -27,8 +29,7 @@ MULTIPLICITY_CSV_HEADER = "ell,geodesic_count,salem_bound,mean_mult_lower"
 RESIDUAL_THRESHOLD = 0.05
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     """Fitted count ~ constant * Q^exponent; residual is the RMS of the
     log-space residuals over the points actually used."""
 
@@ -38,8 +39,7 @@ class FitResult:
     points_used: int
 
 
-@dataclass(frozen=True)
-class MultiplicityRow:
+class MultiplicityRow(NamedTuple):
     ell: float
     geodesic_count: float
     salem_bound: float
@@ -58,6 +58,8 @@ def omega_series(M: int) -> list[Fraction]:
     """[omega(1), ..., omega(M)] by one running product, O(M) Fraction
     steps: omega(m + 1) / omega(m) = 4^(m+1) (m+1) m!^2 / ((m+2) (2m+1)!)
     and m!^2 / (2m+1)! = 1 / ((2m+1) C(2m, m))."""
+    from fractions import Fraction  # only here, so the fit and census commands do not load it
+
     out = []
     val = Fraction(2)
     for m in range(1, M + 1):

@@ -122,10 +122,9 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
 
-from .algebra import QuadIntK, is_perfect_square, require_square_free
+from .algebra import QuadIntK, _Fields, is_perfect_square, require_square_free
 from .census import _check_q
 from .errors import ContractError
 from .quartics import SalemQuartic, lift_half_power, salem_value
@@ -145,19 +144,22 @@ __all__ = [
 BIANCHI_CSV_HEADER = "A,B,a_lift,b_lift,k,lambda,num_witness_traces"
 
 
-@dataclass
-class BianchiCensus:
+class BianchiCensus(_Fields):
     """The count of members, one per key, and the diagnostic tallies of
     rejected traces; members() lists the members."""
 
-    D: int
-    qmax: int
-    count: int = 0
-    traces_scanned: int = 0
-    excluded_real: int = 0
-    excluded_imag_axis: int = 0
-    excluded_reducible: int = 0
-    excluded_over_q: int = 0
+    __slots__ = ("D", "qmax", "count", "traces_scanned", "excluded_real",
+                 "excluded_imag_axis", "excluded_reducible", "excluded_over_q")
+
+    def __init__(self, D: int, qmax: int, count: int = 0, traces_scanned: int = 0,
+                 excluded_real: int = 0, excluded_imag_axis: int = 0,
+                 excluded_reducible: int = 0, excluded_over_q: int = 0) -> None:
+        self.D, self.qmax, self.count = D, qmax, count
+        self.traces_scanned = traces_scanned
+        self.excluded_real = excluded_real
+        self.excluded_imag_axis = excluded_imag_axis
+        self.excluded_reducible = excluded_reducible
+        self.excluded_over_q = excluded_over_q
 
     def members(self) -> Iterator[tuple[int, int, int, int]]:
         """(A, B, w, v) of each member in (A, B) order: its key and its

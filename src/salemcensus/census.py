@@ -19,8 +19,8 @@ the docstrings of the count functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
+from typing import NamedTuple
 
 from .algebra import is_perfect_square
 from .errors import DomainError
@@ -41,8 +41,7 @@ __all__ = [
 CENSUS_CSV_HEADER = "a,b,k,lambda,source"
 
 
-@dataclass(frozen=True)
-class CensusRecord:
+class CensusRecord(NamedTuple):
     """One enumerated Salem number with provenance."""
 
     a: int

@@ -24,15 +24,16 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import math
 import os
 import signal
 import sys
+from collections.abc import Callable, Iterator
 from itertools import chain, islice
-from typing import Callable, Iterator, NamedTuple
+from typing import NamedTuple
 
-from . import asymptotics, bianchi, census, totally_real
+# census, bianchi, totally_real and asymptotics are imported by the plans
+# that use them, so that a command loads only the modules it runs.
 from .algebra import require_square_free
 from .errors import CapacityError, DomainError
 
@@ -47,10 +48,11 @@ MAX_FIELD_PARAM = 10**18
 # To /dev/null on a 2-vCPU Xeon VM, at mid sizes, a census row takes about
 # 1.3 us (census sr --qmax 20000, deg4 --qmax 2000), a cocompact row 2.7 us,
 # 3.9 us with --verified (--field 2 --qmax 1000 and 4000), and a bianchi
-# member 10-12 us (--d 3 --qmax 1e12).  So just under it a census table
+# member 9-10.5 us (--d 3 --qmax 1e12, 906,100 members: 2.1-2.3 us of heap
+# merge and 6-7.3 us of bianchi_csv_row).  So just under it a census table
 # takes about 2 minutes, cocompact --field 2 --qmax 33470 (65M rows) 3
 # minutes, 4 with --verified, and bianchi --d 3 --qmax 7.5e15 (78.5M
-# members) about 15 minutes (18 measured).
+# members) about 13 minutes.
 MAX_ROWS = 10**8
 
 # Budget of the work of every other command, above all the count series of
@@ -152,6 +154,8 @@ def _write_table(args, header: str, rows, csv_row, json_obj) -> None:
     """Write rows as the JSON list of json_obj(row) (--format json) or as
     header and the csv_row(row) lines, BLOCK_ROWS rows at a time."""
     if args.format == "json":
+        import json
+
         encode = json.JSONEncoder(indent=2).encode
         chunks = (encode(block)[2:-2] for block in _blocks(map(json_obj, rows)))
     else:
@@ -197,6 +201,8 @@ def _plot_plan(args, command: str, Q: int) -> Plan:
 
 
 def _plan_census(args) -> Plan:
+    from . import census
+
     which = args.which
     Q = _require_qmax(args, 3 if which == "deg2" else 2)
     if args.plot_data:
@@ -223,6 +229,8 @@ def _census_chunks(which: str, Q: int, json_out: bool) -> Iterator[str]:
     %.12g and %r of a float run the float formatter of format(x, ".12g")
     and repr(x), which the f-string's :.12g and json.dumps call, so the
     bytes are those of the per-member f-strings."""
+    from . import census
+
     sqrt, isqrt = math.sqrt, math.isqrt
     none = "null" if json_out else ""
     for n, lo, hi, skip in (census._sr_rows if which == "sr" else census._deg4_rows)(Q):
@@ -258,6 +266,8 @@ def _census_chunks(which: str, Q: int, json_out: bool) -> Iterator[str]:
 
 
 def _plan_bianchi(args) -> Plan:
+    from . import bianchi
+
     D = _require_squarefree(args.d, "--d", 1)
     Q = _require_qmax(args)
     if args.plot_data:
@@ -274,6 +284,8 @@ def _plan_bianchi(args) -> Plan:
 
 
 def _plan_cocompact(args) -> Plan:
+    from . import totally_real
+
     d = _require_squarefree(args.field, "--field", 2)
     Q = _require_qmax(args)
     if args.plot_data:
@@ -301,6 +313,8 @@ def _system_json_obj(row) -> dict:
 
 
 def _plan_constants(args) -> Plan:
+    from . import asymptotics, bianchi, totally_real
+
     chosen = [x is not None for x in (args.omega, args.marklof_c, args.c2_bound, args.volume)]
     if sum(chosen) != 1:
         raise DomainError("pick exactly one of --omega/--marklof-c/--c2-bound/--volume")
@@ -349,14 +363,20 @@ def _series(args, qs: list[int]) -> tuple[str, int, Callable[[int], int]]:
         if args.d is None:
             raise DomainError("--series bianchi requires --d")
         D = _require_squarefree(args.d, "--d", 1)
+        from . import bianchi
+
         return (f"d={D} ", sum(bianchi.census_bounds(D, q)[1] for q in qs),
                 lambda q: bianchi.bianchi_census(D, q).count)
     if series == "system":
         if args.field is None:
             raise DomainError("--series system requires --field")
         d = _require_squarefree(args.field, "--field", 2)
+        from . import totally_real
+
         return (f"field={d} ", sum(totally_real.count_bounds(d, q)[1] for q in qs),
                 lambda q: totally_real.count_system(d, q))
+    from . import census
+
     return "", len(qs), {"deg4": census.count_salem_deg4, "sr": census.count_sr,
                          "deg2": census.count_deg2}[series]
 
@@ -372,6 +392,8 @@ def _plan_fit(args) -> Plan:
     params, work, count = _series(args, qs)
 
     def run():
+        from . import asymptotics
+
         counts = list(map(count, qs))
         fit = asymptotics.power_fit(list(zip(qs, counts)))
         line = (f"constant={fit.constant:.12g} exponent={fit.exponent:.12g} "
@@ -387,6 +409,8 @@ def _plan_fit(args) -> Plan:
 
 
 def _plan_report(args) -> Plan:
+    from . import asymptotics
+
     asymptotics._check_multiplicity_args(args.n, args.ell_max, args.step)
     n_rows = len(asymptotics._geodesic_terms(args.n, args.ell_max, args.step))
     # the omega series and n/2 terms a row
@@ -394,7 +418,8 @@ def _plan_report(args) -> Plan:
                 lambda: n_rows, lambda: _write_table(
                     args, asymptotics.MULTIPLICITY_CSV_HEADER,
                     asymptotics.multiplicity_report(args.n, args.ell_max, args.step),
-                    asymptotics.multiplicity_csv_row, vars))  # its fields are the JSON keys
+                    asymptotics.multiplicity_csv_row,
+                    asymptotics.MultiplicityRow._asdict))  # its fields are the JSON keys
 
 
 # --- parser ------------------------------------------------------------------

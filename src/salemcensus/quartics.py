@@ -20,9 +20,9 @@ is the whole irreducibility test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .algebra import is_perfect_square
+from .algebra import _Frozen, _set, is_perfect_square
 from .errors import ContractError, DomainError
 
 __all__ = [
@@ -37,8 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SalemQuartic:
+class SalemQuartic(NamedTuple):
     """Coefficient pair (a, b) of x^4 + a x^3 + b x^2 + a x + 1."""
 
     a: int
@@ -55,8 +54,7 @@ class SalemQuartic:
         return 2 + self.b - 2 * self.a
 
 
-@dataclass(frozen=True)
-class SqrtWitness:
+class SqrtWitness(_Frozen):
     """Witness that p factors as q(x) q(-x) = p(x^2) with
     q(x) = x^4 + sqrt(alpha) x^3 + d_coeff x^2 + sqrt(alpha) x + 1.
 
@@ -64,18 +62,19 @@ class SqrtWitness:
     d_coeff = 2 + sign*k encode the two branches.
     """
 
-    k: int
-    d_coeff: int
-    alpha: int
-    sign: int
+    __slots__ = ("k", "d_coeff", "alpha", "sign")
 
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
+    def __init__(self, k: int, d_coeff: int, alpha: int, sign: int) -> None:
+        if sign not in (1, -1):
             raise DomainError("sign must be +1 or -1")
-        if self.k <= 0:
+        if k <= 0:
             raise DomainError("k must be positive")
-        if self.alpha <= 0:
+        if alpha <= 0:
             raise DomainError("alpha must be positive")
+        _set(self, "k", k)
+        _set(self, "d_coeff", d_coeff)
+        _set(self, "alpha", alpha)
+        _set(self, "sign", sign)
 
 
 def _is_salem_ab(a: int, b: int) -> bool:

@@ -91,8 +91,8 @@ steps in O(1) memory, reading the rows of _k_rows once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
+from typing import NamedTuple
 
 from .algebra import RealQuadElem, is_perfect_square, require_square_free, sign_plus_root
 from .census import _check_q
@@ -117,8 +117,7 @@ __all__ = [
 SYSTEM_CSV_HEADER = "a_u,a_v,k_u,k_v,b_u,b_v,branch,verified"
 
 
-@dataclass(frozen=True)
-class SystemSolution:
+class SystemSolution(NamedTuple):
     """One solution (a, k) with b = k^2 + 2a - 2 and its branch tag
     ('plus', 'minus' or 'both' for the sigma(k) window that held)."""
 
@@ -128,8 +127,7 @@ class SystemSolution:
     branch: str
 
 
-@dataclass(frozen=True)
-class LatticeGeometry:
+class LatticeGeometry(NamedTuple):
     """Embedding lattice data of o_L: degree, field discriminant, and twice
     the longer diagonal of the standard-basis fundamental parallelotope."""
 

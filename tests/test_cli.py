@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import importlib.util
 import json
 import os
@@ -603,6 +604,38 @@ class TestLazyNumpy:
         assert out == "volume_leading=264000\nmc_estimate=308475.245728 samples=1000 seed=3\n"
 
 
+class TestImportFootprint:
+    # (argv, modules it must not load, modules it must load)
+    HEAVY = {"dataclasses", "inspect", "fractions", "decimal", "json"}
+    FIELDS = {"salemcensus.bianchi", "salemcensus.totally_real"}
+    FOOTPRINTS = [
+        (("census", "deg2", "--qmax", "10"), HEAVY | FIELDS | {"salemcensus.asymptotics"}, set()),
+        (("census", "sr", "--qmax", "30"), HEAVY | FIELDS, {"salemcensus.census"}),
+        (("census", "deg4", "--qmax", "30", "--format", "json"), FIELDS, set()),
+        (("fit", "--series", "sr", "--qgrid", "50,100,200"), HEAVY | FIELDS,
+         {"salemcensus.asymptotics"}),
+        (("bianchi", "--d", "3", "--qmax", "1000", "--dry-run"), HEAVY,
+         {"salemcensus.bianchi"}),
+        (("bianchi", "--d", "3", "--qmax", "1000", "--format", "json"), set(), {"json"}),
+        (("constants", "--omega", "3"), set(), {"fractions"}),
+    ]
+
+    @pytest.mark.parametrize("argv,absent,present", FOOTPRINTS,
+                             ids=[" ".join(argv) for argv, _, _ in FOOTPRINTS])
+    def test_each_command_loads_only_what_it_runs(self, argv, absent, present):
+        # what a fresh interpreter adds to sys.modules running the command, not how long it takes
+        env = dict(os.environ, PYTHONPATH=str(Path(salemcensus.__file__).parents[1]))
+        script = ("import sys\nbefore = set(sys.modules)\nfrom salemcensus.cli import main\n"
+                  "code = main(sys.argv[1:])\n"
+                  "sys.stderr.write(' '.join(sorted(set(sys.modules) - before)))\n"
+                  "sys.exit(code)")
+        loaded = set(subprocess.run([sys.executable, "-c", script, *argv, "--out", os.devnull],
+                                    env=env, capture_output=True, text=True,
+                                    check=True).stderr.split())
+        assert not loaded & absent
+        assert present <= loaded
+
+
 class TestReportCommand:
     def test_multiplicity_csv(self, capsys):
         code, out, _ = run(capsys, "report", "multiplicity", "--n", "4",
@@ -618,6 +651,13 @@ class TestReportCommand:
         objs = json.loads(out)
         assert code == 0 and len(objs) == 4
         assert all(o["mean_mult_lower"] > 0 for o in objs)
+
+    def test_multiplicity_json_bytes(self, capsys):
+        # the rows' fields are the JSON keys, in field order
+        code, out, _ = run(capsys, "report", "multiplicity", "--n", "4", "--ell-max", "12",
+                           "--step", "1", "--format", "json")
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == (
+            "1684f15aef3b21e310673bb7fd196d76b98b925f56951fe8f8bc8d7ee648ca30")
 
     def test_large_n_exits_at_once(self, capsys):
         # (n - 1) ell > 709 overflows the geodesic term of the first row
