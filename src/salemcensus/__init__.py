@@ -8,18 +8,17 @@ command, loads only the submodules that are used.
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "algebra": ("QuadIntK", "RealQuadElem", "is_perfect_square", "is_square_free"),
+    "algebra": ("RealQuadElem", "is_perfect_square", "is_square_free"),
     "asymptotics": ("FitResult", "MultiplicityRow", "multiplicity_report", "omega",
                     "power_fit"),
-    "bianchi": ("BianchiCensus", "bianchi_census", "marklof_constant", "salem_from_trace"),
+    "bianchi": ("BianchiCensus", "bianchi_census", "marklof_constant"),
     "census": ("CensusRecord", "box_sums", "count_deg2", "count_salem_deg4", "count_sr",
                "enumerate_salem_deg4", "enumerate_sr"),
     "errors": ("CapacityError", "ContractError", "DomainError"),
-    "quartics": ("SalemQuartic", "SqrtWitness", "is_salem", "lift_half_power", "salem_le",
-                 "salem_value", "square_root_witness", "verify_sqrt_factor"),
+    "quartics": ("SalemQuartic", "is_salem", "lift_half_power", "salem_value"),
     "totally_real": ("LatticeGeometry", "SystemSolution", "c2_upper_bound", "count_system",
                      "enumerate_system", "lattice_geometry", "ring_square_root",
-                     "verify_salem_over_L", "volume_leading", "volume_monte_carlo"),
+                     "verify_salem_over_L", "volume_exact", "volume_leading"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

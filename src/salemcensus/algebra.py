@@ -18,7 +18,6 @@ __all__ = [
     "is_square_free",
     "require_square_free",
     "sign_plus_root",
-    "QuadIntK",
     "RealQuadElem",
 ]
 
@@ -131,59 +130,6 @@ def sign_plus_root(A: int, B: int, d: int) -> int:
     if A > 0:
         return 1 if lhs > rhs else -1
     return -1 if lhs > rhs else 1
-
-
-class QuadIntK(_Frozen):
-    """Integer t = u + v*w of the imaginary quadratic field Q(sqrt(-D)),
-    where w = sqrt(-D) for D = 1, 2 (mod 4) and w = (1 + sqrt(-D))/2 for
-    D = 3 (mod 4).
-    """
-
-    __slots__ = ("D", "u", "v")
-
-    def __init__(self, D: int, u: int, v: int) -> None:
-        require_square_free(D, 1, "D")
-        _set(self, "D", D)
-        _set(self, "u", u)
-        _set(self, "v", v)
-
-    @property
-    def half_basis(self) -> bool:
-        return self.D % 4 == 3
-
-    def conjugate(self) -> "QuadIntK":
-        if self.half_basis:
-            # conj(w) = 1 - w
-            return QuadIntK(self.D, self.u + self.v, -self.v)
-        return QuadIntK(self.D, self.u, -self.v)
-
-    def is_real(self) -> bool:
-        return self.v == 0
-
-    def real_part_doubled(self) -> int:
-        """2 * Re(t), always an integer in both bases."""
-        return 2 * self.u + self.v if self.half_basis else 2 * self.u
-
-    def norm(self) -> int:
-        """N(t) = t * conj(t), a rational integer."""
-        if self.half_basis:
-            w = 2 * self.u + self.v
-            return (w * w + self.D * self.v * self.v) // 4
-        return self.u * self.u + self.D * self.v * self.v
-
-    def trace_sq(self) -> int:
-        """Tr(t^2) = t^2 + conj(t)^2, a rational integer."""
-        if self.half_basis:
-            w = 2 * self.u + self.v
-            return (w * w - self.D * self.v * self.v) // 2
-        return 2 * (self.u * self.u - self.D * self.v * self.v)
-
-    def complex_value(self) -> complex:
-        """Double-precision embedding; diagnostics only."""
-        rt = math.sqrt(self.D)
-        if self.half_basis:
-            return complex(self.u + self.v / 2, self.v * rt / 2)
-        return complex(self.u, self.v * rt)
 
 
 class RealQuadElem(_Frozen):

@@ -124,14 +124,12 @@ import heapq
 import math
 from collections.abc import Iterator
 
-from .algebra import QuadIntK, _Fields, is_perfect_square, require_square_free
+from .algebra import _Fields, require_square_free
 from .census import _check_q
-from .errors import ContractError
 from .quartics import SalemQuartic, lift_half_power, salem_value
 
 __all__ = [
     "BianchiCensus",
-    "salem_from_trace",
     "bianchi_census",
     "marklof_constant",
     "row_count",
@@ -166,21 +164,6 @@ class BianchiCensus(_Fields):
         quadrant trace, computed again on each call."""
         return heapq.merge(*(_row_members(v, E_v2, ws[:kept], red)
                              for v, E_v2, ws, kept, red in _rows(self.D, self.qmax)))
-
-
-def salem_from_trace(D: int, t: QuadIntK) -> SalemQuartic | None:
-    """The lambda^(1/2)-quartic (A, B) attached to trace t, or None when t
-    does not yield a degree-4 Salem number."""
-    require_square_free(D, 1, "D")
-    if t.D != D:
-        raise ContractError(f"trace lives in D={t.D}, expected D={D}")
-    if t.is_real() or t.real_part_doubled() == 0:
-        return None
-    n = t.norm()
-    tr2 = t.trace_sq()
-    if is_perfect_square(n * n - 4 * tr2 + 16) is not None:
-        return None
-    return SalemQuartic(-n, tr2 - 2)
 
 
 def _reducible(E_v2: int, R: int) -> tuple[int, ...]:

@@ -318,7 +318,6 @@ def _plan_constants(args) -> Plan:
     chosen = [x is not None for x in (args.omega, args.marklof_c, args.c2_bound, args.volume)]
     if sum(chosen) != 1:
         raise DomainError("pick exactly one of --omega/--marklof-c/--c2-bound/--volume")
-    mc = []  # the Monte Carlo line, the only one left to the run
     if args.omega is not None:
         if args.omega > MAX_OMEGA_M:
             raise CapacityError(f"--omega must be <= {MAX_OMEGA_M}, got {args.omega}")
@@ -335,19 +334,11 @@ def _plan_constants(args) -> Plan:
             h, delta, q = int(args.volume[0]), float(args.volume[1]), int(args.volume[2])
         except ValueError as exc:
             raise DomainError(f"--volume expects H DELTA QMAX, got {args.volume}") from exc
-        which, lines = "volume", [f"volume_leading={totally_real.volume_leading(h, delta, q):.12g}"]
-        for flag, value in (("--mc-samples", args.mc_samples), ("--seed", args.seed)):
-            if value < 0:
-                raise DomainError(f"{flag} must be >= 0, got {value}")
-
-        def mc_line():
-            est = totally_real.volume_monte_carlo(h, delta, q, samples=args.mc_samples,
-                                                  seed=args.seed)
-            return f"mc_estimate={est:.12g} samples={args.mc_samples} seed={args.seed}"
-        mc = [mc_line] if args.mc_samples else []
-    return Plan(f"constants which={which}", 1 + len(mc) * args.mc_samples, "steps",
-                lambda: len(lines) + len(mc),
-                lambda: _emit("\n".join(lines + [line() for line in mc]), args.out))
+        which, lines = "volume", [
+            f"volume_leading={totally_real.volume_leading(h, delta, q):.12g}",
+            f"volume_exact={totally_real.volume_exact(h, delta, q):.12g}"]
+    return Plan(f"constants which={which}", 1, "steps", lambda: len(lines),
+                lambda: _emit("\n".join(lines), args.out))
 
 
 # --- fit ---------------------------------------------------------------------
@@ -469,9 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_k.add_argument("--marklof-c", type=int, default=None, metavar="D")
     p_k.add_argument("--c2-bound", type=int, default=None, metavar="D_FIELD")
     p_k.add_argument("--volume", nargs=3, default=None, metavar=("H", "DELTA", "QMAX"))
-    p_k.add_argument("--mc-samples", type=int, default=0,
-                     help="also Monte Carlo the exact volume with this many samples")
-    p_k.add_argument("--seed", type=int, default=0, help="seed of the Monte Carlo samples")
     p_k.set_defaults(plan=_plan_constants)
 
     p_f = sub.add_parser("fit", parents=[every, plot], help="power-law fit of a count series")

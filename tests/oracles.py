@@ -2,7 +2,8 @@
 
 Everything here is deliberately built from different machinery than the
 package under test: numpy root finding for spectral classification, trial
-division for quartic reducibility and square-freeness, row-by-row scans
+division for quartic reducibility and square-freeness, the expansion of
+q(x) q(-x) for the square-rootability witnesses, row-by-row scans
 for the integer censuses that the package counts in closed form, a
 whole-disk trace scan with a dedup dict, a sorted quadrant scan and a
 binary search of each row for the Bianchi census that the package counts
@@ -10,9 +11,12 @@ and merges row by row with a closed-form cut, the float-seeded walk of the
 real-quadratic system that the package decides with exact intervals, the
 (a, k-row) pair sum of that system that the package counts over k, and
 its numeric and general exact verifiers, where the package reads most
-conditions off the branch tag.  The census and cocompact table writers
-format one record or solution at a time, where the package formats whole
-blocks from integer rows.  No module from salemcensus is imported.
+conditions off the branch tag, a Monte Carlo estimate of the search-region
+volume that the package gives in closed form, and the per-trace map to the
+lambda^(1/2)-quartic that the package applies to whole rows of traces.
+The census and cocompact table writers format one record or solution at a
+time, where the package formats whole blocks from integer rows.  No module
+from salemcensus is imported.
 """
 
 from __future__ import annotations
@@ -90,6 +94,34 @@ def is_salem_oracle(a: int, b: int) -> bool:
 def salem_root_numeric(a, b) -> float:
     """Largest real root of the quartic (the Salem number when Salem)."""
     return max(z.real for z in quartic_roots(a, b))
+
+
+def sqrt_witnesses(a: int, b: int):
+    """The two branch witnesses (k, d_coeff, alpha) of a square-rootable
+    quartic p = (a, b), q(x) q(-x) = p(x^2) with q(x) = x^4 +
+    sqrt(alpha) x^3 + d_coeff x^2 + sqrt(alpha) x + 1: k is the positive
+    root of p(-1) = 2 + b - 2a, and the branches are (k, 2 + k, 4 - a + 2k)
+    and (k, 2 - k, 4 - a - 2k).  None when p(-1) is not a positive square."""
+    p1 = 2 + b - 2 * a
+    k = math.isqrt(max(p1, 0))
+    if k == 0 or k * k != p1:
+        return None
+    return (k, 2 + k, 4 - a + 2 * k), (k, 2 - k, 4 - a - 2 * k)
+
+
+def verify_sqrt_factor(a: int, b: int, d_coeff: int, alpha: int) -> bool:
+    """Expand q(x) q(-x) for q(x) = x^4 + sqrt(alpha) x^3 + d_coeff x^2 +
+    sqrt(alpha) x + 1 and compare it with p(x^2), p = (a, b).  Coefficients
+    live in Z + Z sqrt(alpha) as integer pairs (r, s), r + s sqrt(alpha),
+    with (r1, s1)(r2, s2) = (r1 r2 + alpha s1 s2, r1 s2 + s1 r2)."""
+    q = [(1, 0), (0, 1), (d_coeff, 0), (0, 1), (1, 0)]      # x^4 .. x^0
+    qm = [(1, 0), (0, -1), (d_coeff, 0), (0, -1), (1, 0)]    # q(-x)
+    prod = [(0, 0)] * 9
+    for i, (r1, s1) in enumerate(q):
+        for j, (r2, s2) in enumerate(qm):
+            r, s = prod[i + j]
+            prod[i + j] = (r + r1 * r2 + alpha * s1 * s2, s + r1 * s2 + s1 * r2)
+    return prod == [(1, 0), (0, 0), (a, 0), (0, 0), (b, 0), (0, 0), (a, 0), (0, 0), (1, 0)]
 
 
 def root_margin(a: int, b: int) -> float:
@@ -598,6 +630,77 @@ def system_qmin(d: int, a: tuple[int, int]) -> int:
     return max(2, (-A + _floor_root_mult(-B, d)) // 2 - 2)
 
 
+# --- the trace ring o_K, K = Q(sqrt(-D)), in coordinates ---------------------
+#
+# t = (u, v) stands for u + v w, w = sqrt(-D) for D = 1, 2 (mod 4) and
+# w = (1 + sqrt(-D))/2 for D = 3 (mod 4).  Below: the per-trace map to the
+# lambda^(1/2)-quartic that the package replaced by whole rows of traces.
+
+
+def trace_complex(D: int, u: int, v: int) -> complex:
+    """t as a complex number, at double precision."""
+    rt = math.sqrt(D)
+    return complex(u + v / 2, v * rt / 2) if D % 4 == 3 else complex(u, v * rt)
+
+
+def trace_conjugate(D: int, u: int, v: int) -> tuple[int, int]:
+    """The coordinates of conj(t): conj(w) = 1 - w when D = 3 (mod 4)."""
+    return (u + v, -v) if D % 4 == 3 else (u, -v)
+
+
+def trace_norm(D: int, u: int, v: int) -> int:
+    """N(t) = t conj(t)."""
+    return u * u + u * v + (D + 1) // 4 * v * v if D % 4 == 3 else u * u + D * v * v
+
+
+def trace_sq(D: int, u: int, v: int) -> int:
+    """Tr(t^2) = t^2 + conj(t)^2."""
+    return 2 * (u * u + u * v) - (D - 1) // 2 * v * v if D % 4 == 3 else 2 * (u * u - D * v * v)
+
+
+def trace_quartic(D: int, u: int, v: int) -> tuple[int, int] | None:
+    """(A, B) = (-N(t), Tr(t^2) - 2), the lambda^(1/2)-quartic of the trace
+    t, or None when t gives no degree-4 Salem number: t real (v = 0), on the
+    imaginary axis (2 Re(t) = 0), or N^2 - 4 Tr(t^2) + 16 a square."""
+    if v == 0 or (2 * u + v if D % 4 == 3 else u) == 0:
+        return None
+    n, tr2 = trace_norm(D, u, v), trace_sq(D, u, v)
+    disc = n * n - 4 * tr2 + 16
+    if math.isqrt(disc) ** 2 == disc:
+        return None
+    return -n, tr2 - 2
+
+
+# --- the volume of the fattened search region --------------------------------
+
+
+def volume_monte_carlo(h: int, delta: float, Q: int, samples: int = 1_000_000,
+                       seed: int = 0) -> float:
+    """Monte Carlo estimate of the volume of the search region fattened by
+    delta for a degree-h totally real field, which the package computes in
+    closed form; deterministic for a fixed seed."""
+    rng = np.random.default_rng(seed)
+    x1_lo, x1_hi = -(Q + 3 + delta), delta
+    y1_max = math.sqrt(4 * (Q + 3 + delta)) + delta
+    xi_half = 4 + delta
+    yi_lo, yi_hi = -4 - 1.5 * delta, 4 + delta
+    box = (x1_hi - x1_lo) * (2 * y1_max) * ((2 * xi_half) * (yi_hi - yi_lo)) ** (h - 1)
+    hits = 0
+    left = samples
+    while left > 0:
+        n = min(left, 1_000_000)
+        left -= n
+        x1 = rng.uniform(x1_lo, x1_hi, n)
+        y1 = rng.uniform(-y1_max, y1_max, n)
+        ok = np.abs(y1) < np.sqrt(np.maximum(-4.0 * x1, 0.0)) + delta
+        for _ in range(h - 1):
+            xi = rng.uniform(-xi_half, xi_half, n)
+            yi = rng.uniform(yi_lo, yi_hi, n)
+            ok &= yi > (xi - 4.0) / 2.0 - delta
+        hits += int(np.count_nonzero(ok))
+    return box * hits / samples
+
+
 # --- Bianchi census by a scan of the whole disk ------------------------------
 
 
@@ -630,14 +733,11 @@ def bianchi_census_dict(D: int, Q: int):
             if w == 0:
                 imag_axis += 1
                 continue
-            n = u * u + u * v + (D + 1) // 4 * v * v if half else u * u + D * v * v
-            tr2 = 2 * (u * u + u * v) - (D - 1) // 2 * v * v if half else 2 * (u * u - D * v * v)
-            disc = n * n - 4 * tr2 + 16
-            r = math.isqrt(disc)
-            if r * r == disc:
+            key = trace_quartic(D, u, v)
+            if key is None:
                 reducible += 1
                 continue
-            found.setdefault((-n, tr2 - 2), []).append((u, v))
+            found.setdefault(key, []).append((u, v))
     members = []
     over_q = 0
     for (A, B) in sorted(found):

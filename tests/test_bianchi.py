@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from salemcensus.algebra import QuadIntK, is_perfect_square
+from salemcensus.algebra import is_perfect_square
 from salemcensus.bianchi import (
     BIANCHI_CSV_HEADER,
     _reducible,
@@ -16,10 +16,9 @@ from salemcensus.bianchi import (
     bianchi_json_obj,
     marklof_constant,
     row_count,
-    salem_from_trace,
 )
 from salemcensus.census import enumerate_sr
-from salemcensus.errors import ContractError, DomainError
+from salemcensus.errors import DomainError
 from salemcensus.quartics import SalemQuartic, is_salem, lift_half_power, salem_value
 
 from oracles import (
@@ -27,6 +26,11 @@ from oracles import (
     bianchi_census_scan,
     bianchi_rows_bisect,
     sqrt_lambda_from_trace,
+    trace_complex,
+    trace_conjugate,
+    trace_norm,
+    trace_quartic,
+    trace_sq,
 )
 
 
@@ -41,31 +45,28 @@ def _with_witnesses(D, c):
 
 
 class TestSalemFromTrace:
+    """The oracles' per-trace map t -> (A, B), which the census applies to
+    whole rows of traces."""
+
     def test_worked_example(self):
-        p = salem_from_trace(1, QuadIntK(1, 1, 2))  # t = 1 + 2i
+        p = SalemQuartic(*trace_quartic(1, 1, 2))  # t = 1 + 2i
         assert p == SalemQuartic(-5, -8)
         assert lift_half_power(p) == SalemQuartic(-41, 16)
         assert is_perfect_square(lift_half_power(p).at_minus_one()) == 10
 
     def test_rejects_real_trace(self):
-        assert salem_from_trace(1, QuadIntK(1, 3, 0)) is None
+        assert trace_quartic(1, 3, 0) is None
 
     def test_rejects_imaginary_axis(self):
         # t = 2i: y-polynomial z^2 - 4z - 12 = (z-6)(z+2), reducible
-        assert salem_from_trace(1, QuadIntK(1, 0, 2)) is None
+        assert trace_quartic(1, 0, 2) is None
 
     def test_rejects_rational_y(self):
         # t = 2 + 3i: disc = 13^2 - 4*(-10) + 16 = 225 = 15^2
-        assert salem_from_trace(1, QuadIntK(1, 2, 3)) is None
-
-    def test_rejects_bad_d(self):
-        with pytest.raises(DomainError):
-            salem_from_trace(12, QuadIntK(1, 1, 2))
-        with pytest.raises(ContractError):
-            salem_from_trace(2, QuadIntK(1, 1, 2))
+        assert trace_quartic(1, 2, 3) is None
 
     def test_y_quadratic_against_eigenvalue_oracle(self):
-        p = salem_from_trace(1, QuadIntK(1, 1, 2))
+        p = SalemQuartic(*trace_quartic(1, 1, 2))
         s = sqrt_lambda_from_trace(1 + 2j)  # |mu|^2 for trace t
         assert s == pytest.approx(6.3742476137085315, rel=1e-12)
         y = s + 1 / s
@@ -82,6 +83,7 @@ class TestSalemFromTrace:
 
 
 def _traces_in_disk(D, R):
+    """The coordinates (u, v) of every trace t with N(t) <= R."""
     out = []
     half = D % 4 == 3
     if half:
@@ -89,28 +91,24 @@ def _traces_in_disk(D, R):
         for v in range(-vmax, vmax + 1):
             wmax = math.isqrt(4 * R - D * v * v)
             for u in range((-wmax - v + 1) // 2, (wmax - v) // 2 + 1):
-                out.append(QuadIntK(D, u, v))
+                out.append((u, v))
     else:
         vmax = math.isqrt(R // D)
         for v in range(-vmax, vmax + 1):
             umax = math.isqrt(R - D * v * v)
             for u in range(-umax, umax + 1):
-                out.append(QuadIntK(D, u, v))
+                out.append((u, v))
     return out
 
 
 class TestTraceSymmetry:
     @pytest.mark.parametrize("D", [1, 2, 3, 7])
     def test_four_symmetric_traces_share_the_key(self, D):
-        for t in _traces_in_disk(D, 100):
-            m = salem_from_trace(D, t)
-            tbar = t.conjugate()
-            for s in (QuadIntK(D, -t.u, -t.v), tbar, QuadIntK(D, -tbar.u, -tbar.v)):
-                m2 = salem_from_trace(D, s)
-                if m is None:
-                    assert m2 is None
-                else:
-                    assert m2 is not None and m2 == m
+        for u, v in _traces_in_disk(D, 100):
+            m = trace_quartic(D, u, v)
+            bu, bv = trace_conjugate(D, u, v)
+            for s in ((-u, -v), (bu, bv), (-bu, -bv)):
+                assert trace_quartic(D, *s) == m
 
 
 class TestSpectralIdentity:
@@ -118,21 +116,21 @@ class TestSpectralIdentity:
         rng = random.Random(7)
         accepted = []
         for t in _traces_in_disk(1, 2500):
-            m = salem_from_trace(1, t)
+            m = trace_quartic(1, *t)
             if m is not None:
                 accepted.append((t, m))
         assert len(accepted) >= 1000
         for t, m in rng.sample(accepted, 1000):
-            z = t.complex_value()
+            z = trace_complex(1, *t)
             disc = cmath.sqrt(z * z - 4)
             mu = max((z + disc) / 2, (z - disc) / 2, key=abs)
             # real length ell has e^(ell/2) = |mu|, so 2 cosh(ell) is
             # |mu|^2 + |mu|^-2 = lambda^(1/2) + lambda^(-1/2)
             y_num = abs(mu) ** 2 + abs(mu) ** -2
-            n, tr2 = t.norm(), t.trace_sq()
+            n, tr2 = trace_norm(1, *t), trace_sq(1, *t)
             y_exact = (n + math.sqrt(n * n - 4 * (tr2 - 4))) / 2
             assert y_num == pytest.approx(y_exact, rel=1e-9)
-            assert (m.a, m.b) == (-n, tr2 - 2)
+            assert m == (-n, tr2 - 2)
 
 
 class TestCensus:
@@ -160,13 +158,13 @@ class TestCensus:
             assert len(keys) == len(set(keys))
             for m in c.members():
                 # exactly the sign orbit (+-w, +-v) of the quadrant trace (w, v)
-                traces = [QuadIntK(D, u, v) for u, v in _witnesses(D, m)]
-                wv = {(t.real_part_doubled(), t.v) for t in traces}
+                traces = _witnesses(D, m)
+                wv = {(2 * u + v if D % 4 == 3 else 2 * u, v) for u, v in traces}
                 w, v = max(wv)
                 assert len(traces) == 4 and w > 0 and v > 0 and (w, v) == m[2:]
                 assert wv == {(sw * w, sv * v) for sw in (-1, 1) for sv in (-1, 1)}
                 for t in traces:
-                    assert salem_from_trace(D, t) == SalemQuartic(*m[:2])
+                    assert trace_quartic(D, *t) == m[:2]
 
     @pytest.mark.parametrize("D", [1, 2, 3, 5, 7, 11, 15, 19, 163, 1365])
     def test_quadrant_scan_matches_the_disk_scan(self, D):
@@ -185,16 +183,16 @@ class TestCensus:
     @pytest.mark.parametrize("D", [1, 3, 7])
     def test_census_agrees_with_per_trace_map(self, D):
         # dual route: the census scan uses raw integer arithmetic; rebuild
-        # the member set through QuadIntK + salem_from_trace + the exact
-        # lambda cut on the lifted quartic
+        # the member set through the per-trace map of the oracles and the
+        # exact lambda cut on the lifted quartic
         Q = 3000
         expected = set()
         for t in _traces_in_disk(D, math.isqrt(Q) + 3):
-            m = salem_from_trace(D, t)
+            m = trace_quartic(D, *t)
             if m is None:
                 continue
-            if lift_half_power(m).eval_at(Q) >= 0:
-                expected.add((m.a, m.b))
+            if lift_half_power(SalemQuartic(*m)).eval_at(Q) >= 0:
+                expected.add(m)
         got = {m[:2] for m in bianchi_census(D, Q).members()}
         assert got == expected
 

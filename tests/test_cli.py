@@ -27,6 +27,7 @@ from oracles import (
     system_qmin,
     system_record_texts,
     verify_salem_over_L_exact,
+    volume_monte_carlo,
 )
 
 
@@ -160,7 +161,7 @@ UNREAD_FLAGS = {
     "census deg2 --qmax 10": ["--seed 1", "--format json"],
     "bianchi --d 1 --qmax 50": ["--seed 1"],
     "cocompact --field 2 --qmax 10": ["--seed 1"],
-    "constants --omega 2": ["--format json", "--plot-data"],
+    "constants --omega 2": ["--format json", "--plot-data", "--mc-samples 10", "--seed 1"],
     "fit --series sr --qgrid 1000,2000,4000": ["--seed 1", "--format json"],
     "report multiplicity --n 4 --ell-max 10 --step 2": ["--seed 1", "--plot-data"],
 }
@@ -178,7 +179,7 @@ class TestExitCodes:
         for base, flags in UNREAD_FLAGS.items():
             assert main([*base.split(), "--dry-run"]) == 0
             argvs += [[*base.split(), *flag.split()] for flag in flags]
-        assert len(argvs) == 13
+        assert len(argvs) == 15
         capsys.readouterr()
         for argv in argvs:
             with pytest.raises(SystemExit) as exc:
@@ -214,13 +215,16 @@ class TestExitCodes:
         code, _, err = run(capsys, "report", "multiplicity", "--n", "4",
                            "--ell-max", "1000", "--step", "1000")
         assert code == 4 and "kind=capacity" in err
-        # a finite H, DELTA or QMAX whose leading volume overflows a double
-        for h, delta, q in (("2", "1e308", "100"), ("100000", "1", "100"),
-                            ("1", "1", str(10**300))):
-            for extra in ((), ("--dry-run",), ("--mc-samples", "10")):
+        # a finite H, DELTA or QMAX whose leading volume overflows a double, and one
+        # whose leading volume fits while the exact one, above it, overflows
+        for which, h, delta, q in (("leading", "2", "1e308", "100"),
+                                   ("leading", "100000", "1", "100"),
+                                   ("leading", "1", "1", str(10**300)),
+                                   ("exact", "1", "1e154", "1")):
+            for extra in ((), ("--dry-run",)):
                 code, out, err = run(capsys, "constants", "--volume", h, delta, q, *extra)
                 assert code == 4 and out == ""
-                assert _error_detail(err) == (f"the leading volume overflows a double at "
+                assert _error_detail(err) == (f"the {which} volume overflows a double at "
                                               f"h={h}, delta={float(delta)}, Q={q}")
 
 
@@ -244,8 +248,7 @@ class TestParser:
             "census deg2": every | plot | {"--qmax"},
             "bianchi": every | table | plot | {"--d", "--qmax"},
             "cocompact": every | table | plot | {"--field", "--qmax", "--verified"},
-            "constants": every | {"--omega", "--marklof-c", "--c2-bound", "--volume",
-                                  "--mc-samples", "--seed"},
+            "constants": every | {"--omega", "--marklof-c", "--c2-bound", "--volume"},
             "fit": every | plot | {"--series", "--qgrid", "--d", "--field"},
             "report multiplicity": every | table | {"--n", "--ell-max", "--step"},
         }
@@ -337,10 +340,14 @@ class TestConstantsCommand:
 
     def test_volume_with_mc(self, capsys):
         code, out, _ = run(capsys, "constants", "--volume", "2", "0", "1")
-        assert code == 0 and out.strip() == "volume_leading=128"
-        code, out, _ = run(capsys, "constants", "--volume", "2", "1.0", "100",
-                           "--mc-samples", "20000", "--seed", "5")
-        assert code == 0 and "mc_estimate=" in out and "seed=5" in out
+        assert code == 0 and out == "volume_leading=128\nvolume_exact=1024\n"
+        code, out, _ = run(capsys, "constants", "--volume", "2", "1.0", "10000")
+        assert code == 0 and out == ("volume_leading=213333333.333\n"
+                                     "volume_exact=215062146.132\n")
+        # the printed exact volume against the Monte Carlo oracle, which the leading
+        # term alone (0.8% lower) would miss
+        est = volume_monte_carlo(2, 1.0, 10000, samples=1_000_000, seed=5)
+        assert est == pytest.approx(215062146.132, rel=0.004)
 
     def test_requires_exactly_one(self, capsys):
         code, _, err = run(capsys, "constants")
@@ -349,18 +356,15 @@ class TestConstantsCommand:
     def test_dry_run(self, capsys):
         code, out, _ = run(capsys, "constants", "--omega", "3", "--dry-run")
         assert code == 0 and out == "plan command=constants which=omega rows=1 work=1\n"
-        code, out, _ = run(capsys, "constants", "--volume", "2", "1.0", "100",
-                           "--mc-samples", "1000", "--dry-run")
-        assert code == 0 and out == ("plan command=constants which=volume "
-                                     "rows=2 work=1001\n")
+        code, out, _ = run(capsys, "constants", "--volume", "2", "1.0", "100", "--dry-run")
+        assert code == 0 and out == "plan command=constants which=volume rows=2 work=1\n"
 
     @pytest.mark.parametrize("argv", [("--omega", "0"), ("--volume", "0", "1.0", "100"),
-                                      ("--volume", "2", "1.0", "100", "--mc-samples", "-5"),
+                                      ("--volume", "2", "-1.0", "100"),
                                       ("--volume", "2", "nan", "100"),
                                       ("--volume", "2", "inf", "100"),
-                                      ("--volume", "2", "nan", "100", "--mc-samples", "10"),
-                                      ("--volume", "2", "1.0", "100", "--mc-samples", "5",
-                                       "--seed", "-1")])
+                                      ("--volume", "2", "1.0", "0"),
+                                      ("--volume", "2", "1.0", "1e4")])
     def test_dry_run_validates_like_the_run(self, capsys, argv):
         for extra in ((), ("--dry-run",)):
             code, out, err = run(capsys, "constants", *argv, *extra)
@@ -588,22 +592,6 @@ class TestInputGuards:
             assert code == 4 and out == "" and f"needs up to {work} " in err
 
 
-class TestLazyNumpy:
-    def test_cli_import_does_not_load_numpy(self):
-        env = dict(os.environ, PYTHONPATH=str(Path(salemcensus.__file__).parents[1]))
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, salemcensus.cli; print('numpy' in sys.modules)"],
-            env=env, capture_output=True, text=True, check=True).stdout
-        assert out == "False\n"
-
-    def test_monte_carlo_output_unchanged(self, capsys):
-        code, out, _ = run(capsys, "constants", "--volume", "2", "1.5", "100",
-                           "--mc-samples", "1000", "--seed", "3")
-        assert code == 0
-        assert out == "volume_leading=264000\nmc_estimate=308475.245728 samples=1000 seed=3\n"
-
-
 class TestImportFootprint:
     # (argv, modules it must not load, modules it must load)
     HEAVY = {"dataclasses", "inspect", "fractions", "decimal", "json"}
@@ -618,15 +606,17 @@ class TestImportFootprint:
          {"salemcensus.bianchi"}),
         (("bianchi", "--d", "3", "--qmax", "1000", "--format", "json"), set(), {"json"}),
         (("constants", "--omega", "3"), set(), {"fractions"}),
+        (("constants", "--volume", "2", "1.0", "100"), HEAVY, {"salemcensus.totally_real"}),
     ]
 
     @pytest.mark.parametrize("argv,absent,present", FOOTPRINTS,
                              ids=[" ".join(argv) for argv, _, _ in FOOTPRINTS])
     def test_each_command_loads_only_what_it_runs(self, argv, absent, present):
-        # what a fresh interpreter adds to sys.modules running the command, not how long it takes
+        # what a fresh interpreter adds to sys.modules running the command, not how long it
+        # takes; numpy is blocked, so that a command importing it fails
         env = dict(os.environ, PYTHONPATH=str(Path(salemcensus.__file__).parents[1]))
-        script = ("import sys\nbefore = set(sys.modules)\nfrom salemcensus.cli import main\n"
-                  "code = main(sys.argv[1:])\n"
+        script = ("import sys\nsys.modules['numpy'] = None\nbefore = set(sys.modules)\n"
+                  "from salemcensus.cli import main\ncode = main(sys.argv[1:])\n"
                   "sys.stderr.write(' '.join(sorted(set(sys.modules) - before)))\n"
                   "sys.exit(code)")
         loaded = set(subprocess.run([sys.executable, "-c", script, *argv, "--out", os.devnull],
@@ -849,7 +839,6 @@ class TestPlanEqualsRun:
         (("constants", "--marklof-c", "3"), 0),
         (("constants", "--c2-bound", "5"), 0),
         (("constants", "--volume", "2", "1.0", "100"), 0),
-        (("constants", "--volume", "2", "1.0", "100", "--mc-samples", "1000"), 0),
         *[(argv, 0) for argv in _fit_argvs()],
         *[(argv, 1) for argv in _fit_argvs("--plot-data")],
         (("report", "multiplicity", "--n", "6", "--ell-max", "5", "--step", "1"), 1),

@@ -5,19 +5,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from salemcensus.algebra import is_perfect_square
-from salemcensus.errors import ContractError, DomainError
-from salemcensus.quartics import (
-    SalemQuartic,
-    SqrtWitness,
-    is_salem,
-    lift_half_power,
-    salem_le,
-    salem_value,
-    square_root_witness,
-    verify_sqrt_factor,
-)
+from salemcensus.errors import ContractError
+from salemcensus.quartics import SalemQuartic, is_salem, lift_half_power, salem_value
 
-from oracles import is_salem_oracle, salem_root_numeric
+from oracles import is_salem_oracle, salem_root_numeric, sqrt_witnesses, verify_sqrt_factor
 
 
 def salem_with_witness():
@@ -49,50 +40,49 @@ class TestIsSalem:
 
 
 class TestWitness:
+    """The square-rootability witnesses (k, d_coeff, alpha) of the oracles."""
+
     def test_both_branches(self):
-        w = square_root_witness(SalemQuartic(-1, -3))
+        w = sqrt_witnesses(-1, -3)
         assert w is not None
         plus, minus = w
-        assert (plus.k, plus.d_coeff, plus.alpha) == (1, 3, 7)
-        assert (minus.k, minus.d_coeff, minus.alpha) == (1, 1, 3)
+        assert plus == (1, 3, 7)
+        assert minus == (1, 1, 3)
 
     def test_no_witness(self):
-        assert square_root_witness(SalemQuartic(-1, -1)) is None  # p(-1) = 3
+        assert sqrt_witnesses(-1, -1) is None  # p(-1) = 3
 
     def test_bianchi_example(self):
-        w = square_root_witness(SalemQuartic(-41, 16))
-        assert w is not None and w[0].k == 10  # p(-1) = 100
+        w = sqrt_witnesses(-41, 16)
+        assert w is not None and w[0][0] == 10  # p(-1) = 100
 
     @settings(max_examples=300, deadline=None)
     @given(salem_with_witness())
     def test_witnesses_verify_on_both_branches(self, p):
-        w = square_root_witness(p)
+        w = sqrt_witnesses(p.a, p.b)
         assert w is not None
-        for branch in w:
-            assert branch.alpha > 0
-            assert verify_sqrt_factor(p, branch)
+        for k, d_coeff, alpha in w:
+            assert alpha > 0
+            assert verify_sqrt_factor(p.a, p.b, d_coeff, alpha)
             # re-expansion identities
-            assert 2 * branch.d_coeff - branch.alpha == p.a
-            assert branch.d_coeff**2 + 2 - 2 * branch.alpha == p.b
+            assert 2 * d_coeff - alpha == p.a
+            assert d_coeff**2 + 2 - 2 * alpha == p.b
 
     def test_verify_rejects_wrong_witness(self):
-        p = SalemQuartic(-1, -3)
-        assert not verify_sqrt_factor(p, SqrtWitness(k=1, d_coeff=4, alpha=7, sign=1))
+        assert not verify_sqrt_factor(-1, -3, d_coeff=4, alpha=7)
 
 
 class TestSalemLe:
-    def test_examples(self):
-        assert salem_le(SalemQuartic(-1, -1), 2)       # lambda = 1.72...
-        assert not salem_le(SalemQuartic(-1, -3), 2)   # lambda = 2.37...
-        assert salem_le(SalemQuartic(-41, 16), 41)     # lambda = 40.63...
+    """lambda <= Q iff p(Q) >= 0, the exact cut of the row-scan oracles:
+    for integer Q >= 2 the sign of p(Q) is the sign of Q - lambda, as the
+    unit-circle factor of p is positive on the reals."""
 
-    def test_rejects_small_q(self):
-        with pytest.raises(DomainError):
-            salem_le(SalemQuartic(-1, -1), 1)
+    def test_examples(self):
+        assert SalemQuartic(-1, -1).eval_at(2) >= 0      # lambda = 1.72...
+        assert SalemQuartic(-1, -3).eval_at(2) < 0       # lambda = 2.37...
+        assert SalemQuartic(-41, 16).eval_at(41) >= 0    # lambda = 40.63...
 
     def test_rejects_non_salem(self):
-        with pytest.raises(ContractError):
-            salem_le(SalemQuartic(0, 2), 10)
         with pytest.raises(ContractError):
             salem_value(SalemQuartic(0, 2))
 
@@ -101,7 +91,7 @@ class TestSalemLe:
     def test_agrees_with_value_away_from_boundary(self, p, Q):
         lam = salem_value(p)
         assume(abs(lam - Q) > 1e-6)
-        assert salem_le(p, Q) == (lam <= Q)
+        assert (p.eval_at(Q) >= 0) == (lam <= Q)
 
 
 class TestSalemValue:
