@@ -66,6 +66,12 @@ def require_square_free(n: int, minimum: int, name: str) -> int:
     return n
 
 
+def _check_q(Q: int) -> None:
+    """Q, the bound of every census, is an integer >= 2, or DomainError."""
+    if not isinstance(Q, int) or Q < 2:
+        raise DomainError(f"Q must be an integer >= 2, got {Q}")
+
+
 _set = object.__setattr__  # how the frozen records set their fields
 
 

@@ -87,9 +87,13 @@ when X < 0 the same formula is the floor of |X| / (Q^(1/2) (Q^(1/2) + 1)^2)
 < Q^(1/2) E v^2 / (Q^(1/2) + 1)^2 <= E v^2 / 4, so it keeps no w.  The
 kept w are a prefix of the row, since
 N* <= (Q - 1)^2 / (Q^(1/2) (Q^(1/2) - 1)^2) = T + 2 < R + 1.  The census
-counts in O(Q^(1/4)) exact steps, one a row.  Descending w gives
-ascending (A, B) = (-N, 2N - E v^2 - 2) within a row, so a heap merge of
-the rows lists the members in key order with O(Q^(1/4)) live state.
+counts in O(Q^(1/4)) exact steps, one a row.  The key
+(A, B) = (-N, 2N - E v^2 - 2) orders the members by descending N, so
+members() walks N down in bands (N_lo, N_hi]: a row adds its kept w with
+w^2 > 4 N_lo - E v^2, found by one isqrt, and each band is sorted on
+(A, B, w, v).  No two members share a key, so that is the key order.  A
+band is sized to hold about 8 members a row, which keeps the live state
+O(Q^(1/4)).
 
 The count is c Q^(1/2) - (1 + D^(-1/2))/2 Q^(1/4) + O(Q^(1/6)), with
 c = pi / (2 E^(1/2)) = marklof_constant(D).  The cut N <= N*(v) is linear
@@ -120,13 +124,12 @@ square), so O(log Q) of them have v <= Q^(1/4).
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 from collections.abc import Iterator
+from itertools import chain
 
-from .algebra import _Fields, require_square_free
-from .census import _check_q
-from .quartics import SalemQuartic, lift_half_power, salem_value
+from .algebra import _Fields, _check_q, require_square_free
+from .quartics import lift_half_power, salem_value
 
 __all__ = [
     "BianchiCensus",
@@ -137,6 +140,7 @@ __all__ = [
     "BIANCHI_CSV_HEADER",
     "bianchi_csv_row",
     "bianchi_json_obj",
+    "bianchi_json_block",
 ]
 
 BIANCHI_CSV_HEADER = "A,B,a_lift,b_lift,k,lambda,num_witness_traces"
@@ -162,8 +166,7 @@ class BianchiCensus(_Fields):
     def members(self) -> Iterator[tuple[int, int, int, int]]:
         """(A, B, w, v) of each member in (A, B) order: its key and its
         quadrant trace, computed again on each call."""
-        return heapq.merge(*(_row_members(v, E_v2, ws[:kept], red)
-                             for v, E_v2, ws, kept, red in _rows(self.D, self.qmax)))
+        return chain.from_iterable(_bands(self.D, self.qmax, self.count))
 
 
 def _reducible(E_v2: int, R: int) -> tuple[int, ...]:
@@ -213,12 +216,42 @@ def _rows(D: int, Q: int) -> Iterator[tuple[int, int, range, int, tuple[int, ...
         yield v, E_v2, ws, kept, _reducible(E_v2, R) if residues >> E_v2 % 576 & 1 else ()
 
 
-def _row_members(v: int, E_v2: int, kept: range, reducible: tuple[int, ...]):
-    """(A, B, w, v) of the row's members, descending w: ascending (A, B)."""
-    for w in reversed(kept):
-        if w not in reducible:
-            N = (w * w + E_v2) // 4
-            yield -N, 2 * N - E_v2 - 2, w, v
+def _bands(D: int, Q: int, count: int) -> Iterator[list[tuple[int, int, int, int]]]:
+    """The members (A, B, w, v) of bianchi_census(D, Q), count of them, as
+    one sorted list a band (N_lo, N_hi] of N = (w^2 + E v^2)/4, bands
+    descending.  A live row is [top, v, E v^2, start, reducible]: its w not
+    yet listed are start, start + 2, .., top.  There are about count / R
+    members a unit of N, so a band width of 8 rows R / count holds about
+    8 members a row."""
+    isqrt = math.isqrt
+    live = [[ws.start + 2 * kept - 2, v, E_v2, ws.start, red]
+            for v, E_v2, ws, kept, red in _rows(D, Q) if kept]
+    if not live:
+        return
+    width = 8 * len(live) * (isqrt(Q) + 3) // max(count, 1) + 1
+    N_lo = max((top * top + E_v2) // 4 for top, _, E_v2, _, _ in live)
+    while live:
+        N_lo -= width
+        band = []
+        n = 0
+        for row in live:
+            top, v, E_v2, start, red = row
+            t = 4 * N_lo - E_v2  # the band's w have w^2 > t
+            lo = max(isqrt(t) + 1, start) if t >= 0 else start
+            lo += (lo - start) % 2
+            if lo <= top:
+                ws = range(lo, top + 2, 2)
+                if red:
+                    ws = [w for w in ws if w not in red]
+                band += [(-N, 2 * N - E_v2 - 2, w, v)
+                         for w in ws for N in [(w * w + E_v2) // 4]]
+                row[0] = lo - 2
+            if lo > start:  # the row keeps w below the band
+                live[n] = row
+                n += 1
+        del live[n:]
+        band.sort()
+        yield band
 
 
 def bianchi_census(D: int, Q: int) -> BianchiCensus:
@@ -287,11 +320,12 @@ def marklof_constant(D: int) -> float:
 
 def bianchi_csv_row(m: tuple[int, int, int, int]) -> str:
     """The CSV row of a member (A, B, w, v); its sign orbit is its four
-    witness traces (see the module notes)."""
-    A, B, _, _ = m
-    p = lift_half_power(SalemQuartic(A, B))
-    lam = salem_value(p)
-    return f"{A},{B},{p.a},{p.b},{abs(B - 2)},{lam:.12g},4"
+    witness traces (see the module notes).  lift_half_power and
+    salem_value are looked up as module globals on each call, so that
+    salembench/tracer.py, which replaces them, counts every call."""
+    A, B = m[0], m[1]
+    a, b = p = lift_half_power(m[:2])
+    return "%d,%d,%d,%d,%d,%.12g,4" % (A, B, a, b, abs(B - 2), salem_value(p))
 
 
 def bianchi_json_obj(D: int, m: tuple[int, int, int, int]) -> dict:
@@ -300,7 +334,7 @@ def bianchi_json_obj(D: int, m: tuple[int, int, int, int]) -> dict:
     2 Re(t) = 2u + v (D = 3 mod 4) or 2u."""
     A, B, w, v = m
     half = D % 4 == 3
-    p = lift_half_power(SalemQuartic(A, B))
+    p = lift_half_power((A, B))
     return {
         "A": str(A),
         "B": str(B),
@@ -311,3 +345,28 @@ def bianchi_json_obj(D: int, m: tuple[int, int, int, int]) -> dict:
         "witnesses": [[(sw * w - half * sv * v) // 2, sv * v]
                       for sv in (-1, 1) for sw in (-1, 1)],
     }
+
+
+# bianchi_json_obj's object as json.dumps(indent=2) writes it in a list
+_JSON_OBJECT = ('  {\n    "A": "%d",\n    "B": "%d",\n    "a_lift": "%d",\n    "b_lift": "%d",\n'
+                '    "k": "%d",\n    "lambda": %r,\n    "witnesses": [\n      '
+                + ",\n      ".join(["[\n        %d,\n        %d\n      ]"] * 4) + "\n    ]\n  }")
+
+
+def bianchi_json_block(D: int, block: list[tuple[int, int, int, int]]) -> str:
+    """The objects of bianchi_json_obj(D, m) for the members m of block,
+    with the bytes of json.dumps(indent=2) and its separators between
+    them: one % on the object template repeated once a member.  %d of an int is str(int), and
+    %r of lambda is the float repr that json.dumps writes.  The lift is
+    (2B - A^2, B^2 - 2A^2 + 2), lambda takes salem_value's float steps on
+    it, and the witnesses (+-w -+ half v)/2 are exact, as w = half v mod 2."""
+    half = D % 4 == 3
+    sqrt = math.sqrt
+    values = []
+    for A, B, w, v in block:
+        a, b = 2 * B - A * A, B * B - 2 * A * A + 2
+        y = (-a + sqrt(a * a - 4 * b + 8)) / 2.0
+        p, m = (w + half * v) // 2, (w - half * v) // 2
+        values += (A, B, a, b, abs(B - 2), (y + sqrt(y * y - 4.0)) / 2.0,
+                   -m, -v, p, -v, -p, v, m, v)
+    return ",\n".join([_JSON_OBJECT] * len(block)) % tuple(values)

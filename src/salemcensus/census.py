@@ -22,7 +22,7 @@ import math
 from collections.abc import Iterator
 from typing import NamedTuple
 
-from .algebra import is_perfect_square
+from .algebra import _check_q, is_perfect_square
 from .errors import DomainError
 from .quartics import _salem_value_ab
 
@@ -54,11 +54,6 @@ class CensusRecord(NamedTuple):
 def census_csv_row(rec: CensusRecord) -> str:
     k = "" if rec.k is None else str(rec.k)
     return f"{rec.a},{rec.b},{k},{rec.lambda_approx:.12g},{rec.source}"
-
-
-def _check_q(Q: int) -> None:
-    if not isinstance(Q, int) or Q < 2:
-        raise DomainError(f"Q must be an integer >= 2, got {Q}")
 
 
 def _isqrt_sum(N: int) -> int:

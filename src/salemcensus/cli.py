@@ -48,11 +48,11 @@ MAX_FIELD_PARAM = 10**18
 # To /dev/null on a 2-vCPU Xeon VM, at mid sizes, a census row takes about
 # 1.3 us (census sr --qmax 20000, deg4 --qmax 2000), a cocompact row 2.7 us,
 # 3.9 us with --verified (--field 2 --qmax 1000 and 4000), and a bianchi
-# member 9-10.5 us (--d 3 --qmax 1e12, 906,100 members: 2.1-2.3 us of heap
-# merge and 6-7.3 us of bianchi_csv_row).  So just under it a census table
-# takes about 2 minutes, cocompact --field 2 --qmax 33470 (65M rows) 3
-# minutes, 4 with --verified, and bianchi --d 3 --qmax 7.5e15 (78.5M
-# members) about 13 minutes.
+# member 5.3-6 us (--d 3 --qmax 1e12, 906,100 members in 4.8-5.5 s: 1.1-1.3
+# us of band-sorted member stream, the rest mostly bianchi_csv_row).  So
+# just under it a census table takes about 2 minutes, cocompact --field 2
+# --qmax 33470 (65M rows) 3 minutes, 4 with --verified, and bianchi --d 3
+# --qmax 7.5e15 (78.5M members) about 7 minutes.
 MAX_ROWS = 10**8
 
 # Budget of the work of every other command, above all the count series of
@@ -272,12 +272,17 @@ def _plan_bianchi(args) -> Plan:
     Q = _require_qmax(args)
     if args.plot_data:
         return _plot_plan(args, "bianchi", Q)
+
+    def run():
+        members = bianchi.bianchi_census(D, Q).members()
+        if args.format == "json":
+            _write_chunks(args, "", (bianchi.bianchi_json_block(D, block)
+                                     for block in _blocks(members)))
+        else:
+            _write_table(args, bianchi.BIANCHI_CSV_HEADER, members, bianchi.bianchi_csv_row, None)
+
     return Plan(f"bianchi d={D} qmax={Q}", bianchi.census_bounds(D, Q)[0], "rows",
-                lambda: bianchi.bianchi_census(D, Q).count,
-                lambda: _write_table(args, bianchi.BIANCHI_CSV_HEADER,
-                                     bianchi.bianchi_census(D, Q).members(),
-                                     bianchi.bianchi_csv_row,
-                                     lambda m: bianchi.bianchi_json_obj(D, m)))
+                lambda: bianchi.bianchi_census(D, Q).count, run)
 
 
 # --- cocompact (real quadratic fields) ---------------------------------------
@@ -416,73 +421,102 @@ def _plan_report(args) -> Plan:
 # --- parser ------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    every = argparse.ArgumentParser(add_help=False)
-    every.add_argument("--out", default=None, help="write output to this path instead of stdout")
-    every.add_argument("--workers", type=int, default=1,
-                       help="validated (>= 1), but every command runs in one process")
-    every.add_argument("--dry-run", action="store_true",
-                       help="print the validated plan, its rows and work, instead of running")
-    table = argparse.ArgumentParser(add_help=False)
-    table.add_argument("--format", choices=("csv", "json"), default="csv")
-    plot = argparse.ArgumentParser(add_help=False)
-    plot.add_argument("--plot-data", action="store_true",
-                      help="emit a two-column (Q, normalized count) series")
+# The commands and their help lines.  Given a command, build_parser fills
+# in only its subtree.
+COMMANDS = {
+    "census": "integer censuses",
+    "bianchi": "Salem numbers generated by PSL(2, o_K), K = Q(sqrt(-D))",
+    "cocompact": "system solutions over the real quadratic field Q(sqrt(d))",
+    "constants": "closed-form constants",
+    "fit": "power-law fit of a count series",
+    "report": "derived reports",
+}
 
+
+def _add_flags(p: argparse.ArgumentParser, table: bool = False, plot: bool = False) -> None:
+    """Add the flags of every leaf command to p, then --format if table
+    and --plot-data if plot."""
+    p.add_argument("--out", default=None, help="write output to this path instead of stdout")
+    p.add_argument("--workers", type=int, default=1,
+                   help="validated (>= 1), but every command runs in one process")
+    p.add_argument("--dry-run", action="store_true",
+                   help="print the validated plan, its rows and work, instead of running")
+    if table:
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+    if plot:
+        p.add_argument("--plot-data", action="store_true",
+                       help="emit a two-column (Q, normalized count) series")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or, given a command name, the parser
+    whose other commands are bare: the same top-level usage and help, and
+    the same parse of every argv that starts with that command."""
     p = argparse.ArgumentParser(prog=PROG, description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
+    built = {name: sub.add_parser(name, help=blurb, add_help=command in (None, name))
+             for name, blurb in COMMANDS.items()}
 
-    p_census = sub.add_parser("census", help="integer censuses")
-    census_sub = p_census.add_subparsers(dest="which", required=True)
-    for which, blurb, tables in (("deg4", "all degree-4 Salem numbers <= Q", [table]),
-                                 ("sr", "square-rootable degree-4 Salem numbers <= Q", [table]),
-                                 ("deg2", "degree-2 Salem numbers <= Q", [])):
-        sp = census_sub.add_parser(which, parents=[every, *tables, plot], help=blurb)
-        sp.add_argument("--qmax", type=int, required=True)
-        sp.set_defaults(plan=_plan_census, series=which)
+    if command in (None, "census"):
+        census_sub = built["census"].add_subparsers(dest="which", required=True)
+        for which, blurb in (("deg4", "all degree-4 Salem numbers <= Q"),
+                             ("sr", "square-rootable degree-4 Salem numbers <= Q"),
+                             ("deg2", "degree-2 Salem numbers <= Q")):
+            sp = census_sub.add_parser(which, help=blurb)
+            _add_flags(sp, table=which != "deg2", plot=True)
+            sp.add_argument("--qmax", type=int, required=True)
+            sp.set_defaults(plan=_plan_census, series=which)
 
-    p_b = sub.add_parser("bianchi", parents=[every, table, plot],
-                         help="Salem numbers generated by PSL(2, o_K), K = Q(sqrt(-D))")
-    p_b.add_argument("--d", type=int, required=True, help="square-free D >= 1")
-    p_b.add_argument("--qmax", type=int, required=True)
-    p_b.set_defaults(plan=_plan_bianchi, series="bianchi")
+    if command in (None, "bianchi"):
+        p_b = built["bianchi"]
+        _add_flags(p_b, table=True, plot=True)
+        p_b.add_argument("--d", type=int, required=True, help="square-free D >= 1")
+        p_b.add_argument("--qmax", type=int, required=True)
+        p_b.set_defaults(plan=_plan_bianchi, series="bianchi")
 
-    p_c = sub.add_parser("cocompact", parents=[every, table, plot],
-                         help="system solutions over the real quadratic field Q(sqrt(d))")
-    p_c.add_argument("--field", type=int, required=True, help="square-free d >= 2")
-    p_c.add_argument("--qmax", type=int, required=True)
-    p_c.add_argument("--verified", action="store_true",
-                     help="verify the Salem-over-L property per solution")
-    p_c.set_defaults(plan=_plan_cocompact, series="system")
+    if command in (None, "cocompact"):
+        p_c = built["cocompact"]
+        _add_flags(p_c, table=True, plot=True)
+        p_c.add_argument("--field", type=int, required=True, help="square-free d >= 2")
+        p_c.add_argument("--qmax", type=int, required=True)
+        p_c.add_argument("--verified", action="store_true",
+                         help="verify the Salem-over-L property per solution")
+        p_c.set_defaults(plan=_plan_cocompact, series="system")
 
-    p_k = sub.add_parser("constants", parents=[every], help="closed-form constants")
-    p_k.add_argument("--omega", type=int, default=None, metavar="M")
-    p_k.add_argument("--marklof-c", type=int, default=None, metavar="D")
-    p_k.add_argument("--c2-bound", type=int, default=None, metavar="D_FIELD")
-    p_k.add_argument("--volume", nargs=3, default=None, metavar=("H", "DELTA", "QMAX"))
-    p_k.set_defaults(plan=_plan_constants)
+    if command in (None, "constants"):
+        p_k = built["constants"]
+        _add_flags(p_k)
+        p_k.add_argument("--omega", type=int, default=None, metavar="M")
+        p_k.add_argument("--marklof-c", type=int, default=None, metavar="D")
+        p_k.add_argument("--c2-bound", type=int, default=None, metavar="D_FIELD")
+        p_k.add_argument("--volume", nargs=3, default=None, metavar=("H", "DELTA", "QMAX"))
+        p_k.set_defaults(plan=_plan_constants)
 
-    p_f = sub.add_parser("fit", parents=[every, plot], help="power-law fit of a count series")
-    p_f.add_argument("--series", choices=("deg4", "sr", "deg2", "bianchi", "system"),
-                     required=True)
-    p_f.add_argument("--qgrid", required=True, help="comma-separated Q values")
-    p_f.add_argument("--d", type=int, default=None)
-    p_f.add_argument("--field", type=int, default=None)
-    p_f.set_defaults(plan=_plan_fit)
+    if command in (None, "fit"):
+        p_f = built["fit"]
+        _add_flags(p_f, plot=True)
+        p_f.add_argument("--series", choices=("deg4", "sr", "deg2", "bianchi", "system"),
+                         required=True)
+        p_f.add_argument("--qgrid", required=True, help="comma-separated Q values")
+        p_f.add_argument("--d", type=int, default=None)
+        p_f.add_argument("--field", type=int, default=None)
+        p_f.set_defaults(plan=_plan_fit)
 
-    p_r = sub.add_parser("report", help="derived reports")
-    report_sub = p_r.add_subparsers(dest="which", required=True)
-    sp = report_sub.add_parser("multiplicity", parents=[every, table],
-                               help="mean-multiplicity lower bounds")
-    sp.add_argument("--n", type=int, required=True, help="even orbifold dimension >= 4")
-    sp.add_argument("--ell-max", type=float, required=True)
-    sp.add_argument("--step", type=float, required=True)
-    sp.set_defaults(plan=_plan_report, which="multiplicity")
+    if command in (None, "report"):
+        report_sub = built["report"].add_subparsers(dest="which", required=True)
+        sp = report_sub.add_parser("multiplicity", help="mean-multiplicity lower bounds")
+        _add_flags(sp, table=True)
+        sp.add_argument("--n", type=int, required=True, help="even orbifold dimension >= 4")
+        sp.add_argument("--ell-max", type=float, required=True)
+        sp.add_argument("--step", type=float, required=True)
+        sp.set_defaults(plan=_plan_report, which="multiplicity")
     return p
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         if args.workers < 1:
             raise DomainError("--workers must be >= 1")

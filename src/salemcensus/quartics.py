@@ -63,10 +63,16 @@ def is_salem(p: SalemQuartic) -> bool:
 
 
 def salem_value(p: SalemQuartic) -> float:
-    """The Salem root lambda at double precision (diagnostic)."""
-    if not is_salem(p):
-        raise ContractError(f"({p.a}, {p.b}) is not a Salem quartic")
-    return _salem_value_ab(p.a, p.b)
+    """The Salem root lambda at double precision (diagnostic), by
+    _salem_value_ab's float steps; ContractError unless p passes is_salem's
+    three exact tests, run here on the one discriminant both need."""
+    a, b = p
+    disc = a * a - 4 * b + 8
+    # r(2) < 0 gives r a real root above 2, so disc > 0 past the sign tests
+    if b + 2 * a + 2 >= 0 or b - 2 * a + 2 <= 0 or math.isqrt(disc) ** 2 == disc:
+        raise ContractError(f"({a}, {b}) is not a Salem quartic")
+    y = (-a + math.sqrt(disc)) / 2.0
+    return (y + math.sqrt(y * y - 4.0)) / 2.0
 
 
 def _salem_value_ab(a: int, b: int) -> float:
@@ -74,12 +80,13 @@ def _salem_value_ab(a: int, b: int) -> float:
     return (y + math.sqrt(y * y - 4.0)) / 2.0
 
 
-def lift_half_power(q: SalemQuartic) -> SalemQuartic:
+def lift_half_power(q: tuple[int, int]) -> SalemQuartic:
     """Map the quartic of lambda^(1/2) to the quartic of lambda.
 
-    If q has coefficients (A, B) then q(x) q(-x) = p(x^2) with
-    p-coefficients (2B - A^2, B^2 - 2A^2 + 2).  Consequently
-    p(-1) = (B - 2)^2, a perfect square for every input.
+    If q has coefficients (A, B), a SalemQuartic or any pair, then
+    q(x) q(-x) = p(x^2) with p-coefficients (2B - A^2, B^2 - 2A^2 + 2).
+    Consequently p(-1) = (B - 2)^2, a perfect square for every input.
     """
-    A, B = q.a, q.b
-    return SalemQuartic(2 * B - A * A, B * B - 2 * A * A + 2)
+    A, B = q
+    # what SalemQuartic(a, b) does, without the frame of its __new__
+    return tuple.__new__(SalemQuartic, (2 * B - A * A, B * B - 2 * A * A + 2))

@@ -124,8 +124,13 @@ import math
 from collections.abc import Iterator
 from typing import NamedTuple
 
-from .algebra import RealQuadElem, is_perfect_square, require_square_free, sign_plus_root
-from .census import _check_q
+from .algebra import (
+    RealQuadElem,
+    _check_q,
+    is_perfect_square,
+    require_square_free,
+    sign_plus_root,
+)
 from .errors import CapacityError, DomainError
 
 __all__ = [
@@ -464,14 +469,18 @@ def verify_salem_over_L(d: int, s: SystemSolution) -> bool:
 def _salem_over_L(d: int, au: int, av: int, bu: int, bv: int) -> bool:
     """The two tests of verify_salem_over_L left after the branch 'both', on
     integer coordinates: sigma2(k^2 + 4a) > 0, with k^2 + 4a = b + 2a + 2,
-    and no square root of disc = a^2 - 4b + 8 in o_L, the only element
-    built."""
+    and no square root of disc = a^2 - 4b + 8 in o_L.  A root needs
+    N(disc) = u^2 + h u v - c v^2 to be a square (ring_square_root's first
+    test), so disc is built, and ring_square_root called, only then."""
     x, y = bu + 2 * au + 2, bv + 2 * av
     c, h = _square_coeffs(d)
     if sign_plus_root(2 * x + h * y, -y if h else -2 * y, d) <= 0:
         return False
-    disc = RealQuadElem(d, au * au + c * av * av - 4 * bu + 8, (2 * au + h * av) * av - 4 * bv)
-    return ring_square_root(disc) is None
+    u, v = au * au + c * av * av - 4 * bu + 8, (2 * au + h * av) * av - 4 * bv
+    norm = u * u + h * u * v - c * v * v
+    if norm < 0 or math.isqrt(norm) ** 2 != norm:
+        return True
+    return ring_square_root(RealQuadElem(d, u, v)) is None
 
 
 # --- geometry of numbers -----------------------------------------------------

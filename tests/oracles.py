@@ -7,7 +7,8 @@ q(x) q(-x) for the square-rootability witnesses, row-by-row scans
 for the integer censuses that the package counts in closed form, a
 whole-disk trace scan with a dedup dict, a sorted quadrant scan and a
 binary search of each row for the Bianchi census that the package counts
-and merges row by row with a closed-form cut, the float-seeded walk of the
+row by row with a closed-form cut, a heap merge of those rows for the
+member stream that the package sorts band by band, the float-seeded walk of the
 real-quadratic system that the package decides with exact intervals, the
 (a, k-row) pair sum of that system that the package counts over k, and
 its numeric and general exact verifiers, where the package reads most
@@ -22,6 +23,7 @@ from salemcensus is imported.
 from __future__ import annotations
 
 import cmath
+import heapq
 import json
 import math
 
@@ -792,6 +794,23 @@ def bianchi_census_scan(D: int, Q: int):
     real = 2 * math.isqrt(R) + 1  # v = 0, 4 N(t) = w^2 <= 4R
     imag_axis = 2 * math.isqrt(R // D)  # w = 0, v != 0
     return members, (real + imag_axis + 4 * scanned, real, imag_axis, 4 * reducible, over_q)
+
+
+# --- Bianchi members by a heap merge of the rows -----------------------------
+
+
+def bianchi_members_merge(rows):
+    """(A, B, w, v) of the members of the rows (v, E v^2, ws, kept,
+    reducible) that bianchi._rows yields, by a heap merge of one generator
+    a row: the first kept ws less the reducible ones, descending w, which
+    within a row is ascending (A, B) = (-N, 2N - E v^2 - 2)."""
+    def row_members(v, E_v2, kept, reducible):
+        for w in reversed(kept):
+            if w not in reducible:
+                N = (w * w + E_v2) // 4
+                yield -N, 2 * N - E_v2 - 2, w, v
+
+    return heapq.merge(*(row_members(v, E_v2, ws[:kept], red) for v, E_v2, ws, kept, red in rows))
 
 
 # --- Bianchi row cut by binary search ----------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from salemcensus.algebra import is_perfect_square
 from salemcensus.bianchi import (
     BIANCHI_CSV_HEADER,
+    _bands,
     _reducible,
     _reducible_residues,
     _rows,
@@ -24,6 +25,7 @@ from salemcensus.quartics import SalemQuartic, is_salem, lift_half_power, salem_
 from oracles import (
     bianchi_census_dict,
     bianchi_census_scan,
+    bianchi_members_merge,
     bianchi_rows_bisect,
     sqrt_lambda_from_trace,
     trace_complex,
@@ -221,6 +223,30 @@ class TestCensus:
         hits = [x for x in range(1, 200_000) if _reducible(x, 10**6)]
         assert len(hits) > 50 and all(residues >> x % 576 & 1 for x in hits)
         assert bin(residues).count("1") == 75  # of the 576 residues
+
+    def test_band_stream_equals_the_heap_merge(self):
+        # every Q below 2000 and random Q to 1e10, which hold rows that keep
+        # no w and rows that keep a reducible w
+        empty = reducible = 0
+        for D in (1, 2, 3, 7, 11, 163, 1365):
+            rng = random.Random(D)
+            for Q in [*range(2, 2000), *(int(10 ** rng.uniform(4, 10)) for _ in range(4))]:
+                rows = list(_rows(D, Q))
+                got = list(bianchi_census(D, Q).members())
+                assert got == list(bianchi_members_merge(rows)), (D, Q)
+                empty += sum(kept == 0 for _, _, _, kept, _ in rows)
+                reducible += sum(w < ws.start + 2 * kept for _, _, ws, kept, red in rows
+                                 for w in red)
+        assert empty > 1000 and reducible > 1000
+
+    @pytest.mark.parametrize("D", [1, 2, 3, 7, 163, 1365])
+    def test_a_band_holds_at_most_16_members_a_row(self, D):
+        # bands of about 8 members a row keep the live state O(Q^(1/4))
+        for Q in [*range(2, 500), 10**6, 10**8, 3 * 10**9, 10**12]:
+            c = bianchi_census(D, Q)
+            sizes = [len(band) for band in _bands(D, Q, c.count)]
+            assert sum(sizes) == c.count, Q
+            assert max(sizes, default=0) <= 16 * row_count(D, Q), Q
 
     def test_members_stream_again_on_each_iteration(self):
         c = bianchi_census(2, 10**6)

@@ -257,6 +257,39 @@ class TestParser:
                for name, parser in _leaf_parsers(cli.build_parser())}
         assert got == want
 
+    @staticmethod
+    def _parsed(capsys, parser, argv):
+        """(the parsed namespace or the exit code, stdout, stderr)."""
+        try:
+            got = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            got = exc.code
+        out, err = capsys.readouterr()
+        return got, out, err
+
+    def test_one_command_parser_parses_as_the_full_one(self, capsys, monkeypatch):
+        # main builds only the subtree of argv[0] when it names a command;
+        # help, usage errors and parses stay byte for byte those of the
+        # parser of every command
+        argvs = [["census", "deg2"], ["--help"], ["census", "--help"],
+                 ["census", "sr", "--help"], ["bianchi", "--help"], [], ["bogus"],
+                 ["--out", "x", "census"], ["census", "deg2", "--qmax", "5", "extra"]]
+        for base, flags in UNREAD_FLAGS.items():
+            argvs += [base.split(), *([*base.split(), *flag.split()] for flag in flags)]
+        full = cli.build_parser()
+        for argv in argvs:
+            lean = cli.build_parser(argv[0] if argv and argv[0] in cli.COMMANDS else None)
+            got = self._parsed(capsys, lean, argv)
+            assert got == self._parsed(capsys, full, argv), argv
+        built, build = [], cli.build_parser
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda command=None: built.append(command) or build(command))
+        for argv, command in ((["fit", "--help"], "fit"), (["-h"], None), (["censu"], None)):
+            with pytest.raises(SystemExit):
+                main(argv)
+            assert built.pop() == command
+        capsys.readouterr()
+
     def test_benchmark_argv_parse(self, monkeypatch):
         path = Path(__file__).resolve().parents[1] / "salembench" / "workloads.py"
         spec = importlib.util.spec_from_file_location("salembench_workloads", path)
@@ -283,6 +316,17 @@ class TestBianchiCommand:
                            "--format", "json")
         objs = json.loads(out)
         assert code == 0 and all("witnesses" in o for o in objs)
+
+    @pytest.mark.parametrize("D", [1, 2, 3, 7])
+    def test_json_bytes_equal_the_object_writer(self, capsys, monkeypatch, D):
+        # the % template against json.dumps of bianchi_json_obj, chunked or not
+        for Q, block_rows in ((2, 1024), (30, 1024), (10**4, 7), (10**8, 1024)):
+            members = list(bianchi.bianchi_census(D, Q).members())
+            want = json.dumps([bianchi.bianchi_json_obj(D, m) for m in members], indent=2) + "\n"
+            monkeypatch.setattr(cli, "BLOCK_ROWS", block_rows)
+            code, out, _ = run(capsys, "bianchi", "--d", str(D), "--qmax", str(Q),
+                               "--format", "json")
+            assert code == 0 and out == want, (Q, block_rows)
 
     def test_members_stream_in_bounded_memory(self, capsys, tmp_path):
         # 49,487 members at Q = 3e9 against 4,913 at 3e7: no member list is held
@@ -604,7 +648,13 @@ class TestImportFootprint:
          {"salemcensus.asymptotics"}),
         (("bianchi", "--d", "3", "--qmax", "1000", "--dry-run"), HEAVY,
          {"salemcensus.bianchi"}),
-        (("bianchi", "--d", "3", "--qmax", "1000", "--format", "json"), set(), {"json"}),
+        (("bianchi", "--d", "3", "--qmax", "1000"), HEAVY | {"salemcensus.census"},
+         {"salemcensus.bianchi"}),
+        (("bianchi", "--d", "3", "--qmax", "1000", "--format", "json"), HEAVY,
+         {"salemcensus.bianchi"}),
+        (("cocompact", "--field", "5", "--qmax", "20", "--verified"),
+         HEAVY | {"salemcensus.census"}, {"salemcensus.totally_real"}),
+        (("cocompact", "--field", "5", "--qmax", "20", "--format", "json"), set(), {"json"}),
         (("constants", "--omega", "3"), set(), {"fractions"}),
         (("constants", "--volume", "2", "1.0", "100"), HEAVY, {"salemcensus.totally_real"}),
     ]

@@ -6,7 +6,13 @@ from hypothesis import strategies as st
 
 from salemcensus.algebra import is_perfect_square
 from salemcensus.errors import ContractError
-from salemcensus.quartics import SalemQuartic, is_salem, lift_half_power, salem_value
+from salemcensus.quartics import (
+    SalemQuartic,
+    _salem_value_ab,
+    is_salem,
+    lift_half_power,
+    salem_value,
+)
 
 from oracles import is_salem_oracle, salem_root_numeric, sqrt_witnesses, verify_sqrt_factor
 
@@ -110,7 +116,32 @@ class TestSalemValue:
             salem_root_numeric(p.a, p.b), rel=1e-9)
 
 
+class TestSalemValueTests:
+    """salem_value runs is_salem's three exact tests on its own discriminant."""
+
+    @pytest.mark.parametrize("a, b", [(0, 2),     # r(2) = b + 2a + 2 >= 0
+                                      (0, -3),    # r(-2) = b - 2a + 2 <= 0
+                                      (-5, 2)])   # disc = a^2 - 4b + 8 = 25
+    def test_each_failed_condition_raises(self, a, b):
+        with pytest.raises(ContractError):
+            salem_value(SalemQuartic(a, b))
+
+    def test_raises_exactly_off_is_salem(self):
+        for a in range(-25, 26):
+            for b in range(-25, 26):
+                p = SalemQuartic(a, b)
+                if is_salem(p):
+                    assert salem_value(p) == _salem_value_ab(a, b)
+                else:
+                    with pytest.raises(ContractError):
+                        salem_value(p)
+
+
 class TestLiftHalfPower:
+    def test_plain_pair(self):
+        p = lift_half_power((-5, -8))
+        assert type(p) is SalemQuartic and p == SalemQuartic(-41, 16) and p.b == 16
+
     def test_examples(self):
         assert lift_half_power(SalemQuartic(-5, -8)) == SalemQuartic(-41, 16)
         assert lift_half_power(SalemQuartic(0, 0)) == SalemQuartic(0, 2)

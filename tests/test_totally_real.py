@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from collections import Counter
@@ -241,6 +242,13 @@ def test_count_has_the_second_order_term(d):
         assert -10 <= err / math.sqrt(Q) <= 120, (Q, err / math.sqrt(Q))
 
 
+def _salem_over_L_unscreened(d, au, av, bu, bv):
+    """sigma2(b + 2a + 2) > 0 and no square root of a^2 - 4b + 8 in o_L,
+    decided on elements with no norm screen."""
+    a, b = RealQuadElem(d, au, av), RealQuadElem(d, bu, bv)
+    return (b + 2 * a + 2).sign_sigma2() > 0 and ring_square_root(a * a - 4 * b + 8) is None
+
+
 class TestVerifySalemOverL:
     @pytest.mark.parametrize("d", [2, 3, 5, 13])
     def test_exact_equals_numeric_oracle(self, d):
@@ -288,6 +296,40 @@ class TestVerifySalemOverL:
         assert ring_square_root(disc) in (RealQuadElem(2, 10, 8), RealQuadElem(2, -10, -8))
         assert not verify_salem_over_L(2, s)
         assert not verify_salem_over_L_exact(2, (-10, -8), (4, 2))
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 13])
+    def test_norm_screen_answers_as_the_ring_square_root(self, d, monkeypatch):
+        # _salem_over_L builds disc and asks ring_square_root only when the
+        # integer N(disc) is a square; every 'both' row up to Q = 200 gets
+        # the answer of the unscreened tests on elements
+        calls = []
+        monkeypatch.setattr(totally_real, "ring_square_root",
+                            lambda x: calls.append(x) or ring_square_root(x))
+        both = [r for r in totally_real.system_rows(d, 200) if r[6] == "both"]
+        got = [totally_real._salem_over_L(d, au, av, bu, bv)
+               for au, av, _, _, bu, bv, _, _ in both]
+        assert got == [_salem_over_L_unscreened(d, au, av, bu, bv)
+                       for au, av, _, _, bu, bv, _, _ in both]
+        assert 0 < sum(got) < len(got)
+        assert calls and all(math.isqrt(x.norm()) ** 2 == x.norm() for x in calls)
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 13])
+    def test_norm_screen_falls_back_on_square_discriminants(self, d, monkeypatch):
+        # a = s + 2t and b = 2 + t (s + t) give disc = a^2 - 4b + 8 = s^2
+        calls = []
+        monkeypatch.setattr(totally_real, "ring_square_root",
+                            lambda x: calls.append(x) or ring_square_root(x))
+        tried = 0
+        for su, sv, tu, tv in itertools.product(range(-3, 4), repeat=4):
+            s_, t = RealQuadElem(d, su, sv), RealQuadElem(d, tu, tv)
+            a, b = s_ + 2 * t, 2 + t * (s_ + t)
+            if (b + 2 * a + 2).sign_sigma2() <= 0:
+                continue  # the sign test decides before the square root
+            tried += 1
+            assert ring_square_root(a * a - 4 * b + 8) is not None
+            assert not totally_real._salem_over_L(d, a.u, a.v, b.u, b.v)
+            assert calls.pop() == a * a - 4 * b + 8
+        assert tried > 100
 
     def test_verified_count_subset(self):
         total = count_system(2, 20)
