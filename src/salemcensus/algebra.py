@@ -160,11 +160,6 @@ class RealQuadElem(_Frozen):
     def half_basis(self) -> bool:
         return self.d % 4 == 1
 
-    def conjugate(self) -> "RealQuadElem":
-        if self.half_basis:
-            return self._like(self.u + self.v, -self.v)
-        return self._like(self.u, -self.v)
-
     def trace(self) -> int:
         return 2 * self.u + self.v if self.half_basis else 2 * self.u
 

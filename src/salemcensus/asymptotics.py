@@ -5,6 +5,8 @@ the mean-multiplicity lower-bound report for even-dimensional orbifolds.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
+from itertools import chain
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import CapacityError, DomainError
@@ -20,10 +22,16 @@ __all__ = [
     "power_fit",
     "multiplicity_report",
     "MULTIPLICITY_CSV_HEADER",
-    "multiplicity_csv_row",
+    "multiplicity_table",
 ]
 
 MULTIPLICITY_CSV_HEADER = "ell,geodesic_count,salem_bound,mean_mult_lower"
+
+# A MultiplicityRow's CSV line, and its JSON object as json.dumps(indent=2)
+# writes its _asdict() in a list
+_CSV_ROW = "%.5e,%.5e,%.5e,%.5e\n"
+_JSON_OBJECT = ('  {\n    "ell": %r,\n    "geodesic_count": %r,\n    "salem_bound": %r,\n'
+                '    "mean_mult_lower": %r\n  }')
 
 # power_fit drops small-Q points while the RMS log residual is above this.
 RESIDUAL_THRESHOLD = 0.05
@@ -151,8 +159,17 @@ def multiplicity_report(n: int, ell_max: float, step: float) -> list[Multiplicit
     return rows
 
 
-def multiplicity_csv_row(row: MultiplicityRow) -> str:
-    return (
-        f"{row.ell:.5e},{row.geodesic_count:.5e},"
-        f"{row.salem_bound:.5e},{row.mean_mult_lower:.5e}"
-    )
+def multiplicity_table(n: int, ell_max: float, step: float, json_out: bool,
+                       block_rows: int) -> tuple[str, Iterator[str]]:
+    """(header, chunks) of multiplicity_report(n, ell_max, step): the CSV
+    header, and the rows, at most block_rows to a chunk, as CSV lines or
+    (json_out) JSON objects.  A chunk is one % on the row template repeated
+    once a row.  %.5e and %r of a float run the float formatter of
+    format(x, ".5e") and repr(x), which an f-string's :.5e and json.dumps
+    call, and every value is finite: the geodesic term, the largest, raises
+    CapacityError before it overflows."""
+    rows = multiplicity_report(n, ell_max, step)
+    row, sep = (_JSON_OBJECT, ",\n") if json_out else (_CSV_ROW, "")
+    return MULTIPLICITY_CSV_HEADER, (
+        sep.join([row] * len(block)) % tuple(chain.from_iterable(block))
+        for block in (rows[i:i + block_rows] for i in range(0, len(rows), block_rows)))

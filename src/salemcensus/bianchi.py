@@ -126,7 +126,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Iterator
-from itertools import chain
+from itertools import chain, islice
 
 from .algebra import _Fields, _check_q, require_square_free
 from .quartics import lift_half_power, salem_value
@@ -139,8 +139,8 @@ __all__ = [
     "census_bounds",
     "BIANCHI_CSV_HEADER",
     "bianchi_csv_row",
-    "bianchi_json_obj",
     "bianchi_json_block",
+    "bianchi_table",
 ]
 
 BIANCHI_CSV_HEADER = "A,B,a_lift,b_lift,k,lambda,num_witness_traces"
@@ -328,38 +328,22 @@ def bianchi_csv_row(m: tuple[int, int, int, int]) -> str:
     return "%d,%d,%d,%d,%d,%.12g,4" % (A, B, a, b, abs(B - 2), salem_value(p))
 
 
-def bianchi_json_obj(D: int, m: tuple[int, int, int, int]) -> dict:
-    """The JSON object of a member (A, B, w, v) of bianchi_census(D, Q),
-    with the traces t = u + v w of its sign orbit (+-w, +-v) as witnesses:
-    2 Re(t) = 2u + v (D = 3 mod 4) or 2u."""
-    A, B, w, v = m
-    half = D % 4 == 3
-    p = lift_half_power((A, B))
-    return {
-        "A": str(A),
-        "B": str(B),
-        "a_lift": str(p.a),
-        "b_lift": str(p.b),
-        "k": str(abs(B - 2)),
-        "lambda": salem_value(p),
-        "witnesses": [[(sw * w - half * sv * v) // 2, sv * v]
-                      for sv in (-1, 1) for sw in (-1, 1)],
-    }
-
-
-# bianchi_json_obj's object as json.dumps(indent=2) writes it in a list
+# A member's JSON object, as json.dumps(indent=2) writes it in a list: its
+# key, lift, k and lambda, and its four witness traces [u, v]
 _JSON_OBJECT = ('  {\n    "A": "%d",\n    "B": "%d",\n    "a_lift": "%d",\n    "b_lift": "%d",\n'
                 '    "k": "%d",\n    "lambda": %r,\n    "witnesses": [\n      '
                 + ",\n      ".join(["[\n        %d,\n        %d\n      ]"] * 4) + "\n    ]\n  }")
 
 
 def bianchi_json_block(D: int, block: list[tuple[int, int, int, int]]) -> str:
-    """The objects of bianchi_json_obj(D, m) for the members m of block,
-    with the bytes of json.dumps(indent=2) and its separators between
-    them: one % on the object template repeated once a member.  %d of an int is str(int), and
+    """The JSON objects of the members m of block, with the bytes of
+    json.dumps(indent=2) and its separators between them: one % on the
+    object template repeated once a member.  %d of an int is str(int), and
     %r of lambda is the float repr that json.dumps writes.  The lift is
-    (2B - A^2, B^2 - 2A^2 + 2), lambda takes salem_value's float steps on
-    it, and the witnesses (+-w -+ half v)/2 are exact, as w = half v mod 2."""
+    (2B - A^2, B^2 - 2A^2 + 2) and lambda takes salem_value's float steps
+    on it.  The witnesses are the traces t = u + v w of the member's sign
+    orbit (+-w, +-v), where 2 Re(t) = 2u + v (D = 3 mod 4) or 2u: so
+    u = (+-w -+ half v)/2, exact as w = half v mod 2."""
     half = D % 4 == 3
     sqrt = math.sqrt
     values = []
@@ -370,3 +354,17 @@ def bianchi_json_block(D: int, block: list[tuple[int, int, int, int]]) -> str:
         values += (A, B, a, b, abs(B - 2), (y + sqrt(y * y - 4.0)) / 2.0,
                    -m, -v, p, -v, -p, v, m, v)
     return ",\n".join([_JSON_OBJECT] * len(block)) % tuple(values)
+
+
+def bianchi_table(D: int, Q: int, json_out: bool, block_rows: int) -> tuple[str, Iterator[str]]:
+    """(header, chunks) of the bianchi table: the CSV header, and the
+    members of bianchi_census(D, Q), at most block_rows to a chunk, as
+    bianchi_csv_row lines or (json_out) bianchi_json_block objects.  Both
+    are looked up as module globals, as bianchi_csv_row's callees are."""
+    members = bianchi_census(D, Q).members()
+    if json_out:
+        blocks = iter(lambda: list(islice(members, block_rows)), [])
+        return BIANCHI_CSV_HEADER, (bianchi_json_block(D, block) for block in blocks)
+    lines = map(bianchi_csv_row, members)
+    blocks = iter(lambda: list(islice(lines, block_rows)), [])
+    return BIANCHI_CSV_HEADER, ("\n".join(block) + "\n" for block in blocks)

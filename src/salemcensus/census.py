@@ -36,6 +36,7 @@ __all__ = [
     "count_deg2",
     "CENSUS_CSV_HEADER",
     "census_csv_row",
+    "census_table",
 ]
 
 CENSUS_CSV_HEADER = "a,b,k,lambda,source"
@@ -252,3 +253,57 @@ def count_deg2(Q: int) -> int:
     if not isinstance(Q, int) or Q < 3:
         raise DomainError(f"Q must be an integer >= 3, got {Q}")
     return Q - 2
+
+
+# --- the census table -------------------------------------------------------
+
+
+def census_table(which: str, Q: int, json_out: bool, block_rows: int) -> tuple[str, Iterator[str]]:
+    """(header, chunks) of the census deg4|sr table (see _census_chunks):
+    the CSV header, and the table's CSV lines or (json_out) the objects of
+    its JSON list."""
+    return CENSUS_CSV_HEADER, _census_chunks(which, Q, json_out, block_rows)
+
+
+def _census_chunks(which: str, Q: int, json_out: bool, block_rows: int) -> Iterator[str]:
+    """census deg4|sr formatted straight from the row intervals of
+    _deg4_rows / _sr_rows, at most block_rows members to a chunk, with the
+    bytes of census_csv_row or json.dumps(indent=2) on their records.
+    lambda repeats quartics._salem_value_ab's float steps on the same
+    integer a^2 - 4b + 8 = n^2 + 8 - 4b; k is the root of a square
+    p(-1) = b + 2n + 2.
+
+    A chunk is one % on the row template repeated once a member, over the
+    flat (b, k, lambda) values of the chunk.  %d of an int is str(int), and
+    %.12g and %r of a float run the float formatter of format(x, ".12g")
+    and repr(x), which the f-string's :.12g and json.dumps call, so the
+    bytes are those of the per-member f-strings."""
+    sqrt, isqrt = math.sqrt, math.isqrt
+    none = "null" if json_out else ""
+    for n, lo, hi, skip in (_sr_rows if which == "sr" else _deg4_rows)(Q):
+        c, b0 = n * n + 8, -2 * n - 2
+        if json_out:
+            row, sep = (f'  {{\n    "a": "-{n}",\n    "b": "%d",\n    "k": %s,\n    '
+                        f'"lambda": %r,\n    "source": "direct"\n  }}', ",\n")
+        else:
+            row, sep = f"-{n},%d,%s,%.12g,direct\n", ""
+        for start in range(lo, hi, block_rows):
+            stop = min(start + block_rows, hi)
+            if which == "sr":  # the range is over k
+                ks = [k for k in range(start, stop) if k not in skip]
+                bs = [k * k + b0 for k in ks]
+                if json_out:
+                    ks = [f'"{k}"' for k in ks]
+            else:  # over b, where p(-1) = b - b0 >= 1
+                squares = {k * k + b0: f'"{k}"' if json_out else k
+                           for k in range(isqrt(start - b0 - 1) + 1, isqrt(stop - 1 - b0) + 1)}
+                bs = [b for b in range(start, stop) if b not in skip]
+                ks = [squares.get(b, none) for b in bs]
+            m = len(bs)
+            if not m:
+                continue
+            values = [0] * (3 * m)
+            values[0::3], values[1::3] = bs, ks
+            values[2::3] = [(y + sqrt(y * y - 4.0)) / 2.0
+                            for b in bs for y in [(n + sqrt(c - 4 * b)) / 2.0]]
+            yield sep.join([row] * m) % tuple(values)

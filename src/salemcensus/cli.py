@@ -24,12 +24,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import math
 import os
 import signal
 import sys
 from collections.abc import Callable, Iterator
-from itertools import chain, islice
+from itertools import chain
 from typing import NamedTuple
 
 # census, bianchi, totally_real and asymptotics are imported by the plans
@@ -47,7 +46,9 @@ MAX_FIELD_PARAM = 10**18
 # upper bound on the records it writes, so a file of at most several GB.
 # To /dev/null on a 2-vCPU Xeon VM, at mid sizes, a census row takes about
 # 1.3 us (census sr --qmax 20000, deg4 --qmax 2000), a cocompact row 2.7 us,
-# 3.9 us with --verified (--field 2 --qmax 1000 and 4000), and a bianchi
+# 3.9 us with --verified (--field 2 --qmax 1000 and 4000), 2.5 us as JSON
+# (--field 2 --qmax 1000, 335,716 rows in 0.85 s, against 1.9-2.1 us as CSV
+# in the same runs), and a bianchi
 # member 5.3-6 us (--d 3 --qmax 1e12, 906,100 members in 4.8-5.5 s: 1.1-1.3
 # us of band-sorted member stream, the rest mostly bianchi_csv_row).  So
 # just under it a census table takes about 2 minutes, cocompact --field 2
@@ -68,7 +69,8 @@ MAX_STEPS = 5 * 10**7
 # than int-to-str conversion allows.
 MAX_OMEGA_M = 120
 
-# Table rows are formatted and written this many at a time.
+# Table rows are formatted and written this many at a time: the census,
+# bianchi, totally_real and asymptotics modules format their own tables.
 BLOCK_ROWS = 1024
 
 # Normalizing exponent and smallest grid Q of each --plot-data series.
@@ -127,12 +129,6 @@ def _emit(text: str, out: str | None) -> None:
     _write(out, (text, "\n"))
 
 
-def _blocks(items) -> Iterator[list]:
-    it = iter(items)
-    while block := list(islice(it, BLOCK_ROWS)):
-        yield block
-
-
 def _json_list(chunks) -> Iterator[str]:
     """The chunks, each some objects of an indent-2 JSON list joined by
     ",\n", framed as json.dumps frames the list ("[]\n" when empty)."""
@@ -144,23 +140,11 @@ def _json_list(chunks) -> Iterator[str]:
 
 
 def _write_chunks(args, header: str, chunks) -> None:
-    """Write a table from chunks of formatted rows: CSV lines under header,
-    or (--format json) the objects of one JSON list."""
+    """Write a table from the (header, chunks) of the module that owns its
+    rows, each chunk at most BLOCK_ROWS records and never empty: CSV lines
+    under header, or (--format json) the objects of one JSON list."""
     _write(args.out, _json_list(chunks) if args.format == "json" else
            chain([header + "\n"], chunks))
-
-
-def _write_table(args, header: str, rows, csv_row, json_obj) -> None:
-    """Write rows as the JSON list of json_obj(row) (--format json) or as
-    header and the csv_row(row) lines, BLOCK_ROWS rows at a time."""
-    if args.format == "json":
-        import json
-
-        encode = json.JSONEncoder(indent=2).encode
-        chunks = (encode(block)[2:-2] for block in _blocks(map(json_obj, rows)))
-    else:
-        chunks = ("\n".join(block) + "\n" for block in _blocks(map(csv_row, rows)))
-    _write_chunks(args, header, chunks)
 
 
 def _require_qmax(args, minimum: int = 2) -> int:
@@ -213,53 +197,7 @@ def _plan_census(args) -> Plan:
                     lambda: _emit(str(census.count_deg2(Q)), args.out))
     count = (census.count_sr if which == "sr" else census.count_salem_deg4)(Q)
     return Plan(what, count, "rows", lambda: count, lambda: _write_chunks(
-        args, census.CENSUS_CSV_HEADER, _census_chunks(which, Q, args.format == "json")))
-
-
-def _census_chunks(which: str, Q: int, json_out: bool) -> Iterator[str]:
-    """census deg4|sr formatted straight from the row intervals of
-    census._deg4_rows / census._sr_rows, at most BLOCK_ROWS members to a
-    chunk, with the bytes of census_csv_row or json.dumps(indent=2) on their
-    records.  lambda repeats quartics._salem_value_ab's float steps on the
-    same integer a^2 - 4b + 8 = n^2 + 8 - 4b; k is the root of a square
-    p(-1) = b + 2n + 2.
-
-    A chunk is one % on the row template repeated once a member, over the
-    flat (b, k, lambda) values of the chunk.  %d of an int is str(int), and
-    %.12g and %r of a float run the float formatter of format(x, ".12g")
-    and repr(x), which the f-string's :.12g and json.dumps call, so the
-    bytes are those of the per-member f-strings."""
-    from . import census
-
-    sqrt, isqrt = math.sqrt, math.isqrt
-    none = "null" if json_out else ""
-    for n, lo, hi, skip in (census._sr_rows if which == "sr" else census._deg4_rows)(Q):
-        c, b0 = n * n + 8, -2 * n - 2
-        if json_out:
-            row, sep = (f'  {{\n    "a": "-{n}",\n    "b": "%d",\n    "k": %s,\n    '
-                        f'"lambda": %r,\n    "source": "direct"\n  }}', ",\n")
-        else:
-            row, sep = f"-{n},%d,%s,%.12g,direct\n", ""
-        for start in range(lo, hi, BLOCK_ROWS):
-            stop = min(start + BLOCK_ROWS, hi)
-            if which == "sr":  # the range is over k
-                ks = [k for k in range(start, stop) if k not in skip]
-                bs = [k * k + b0 for k in ks]
-                if json_out:
-                    ks = [f'"{k}"' for k in ks]
-            else:  # over b, where p(-1) = b - b0 >= 1
-                squares = {k * k + b0: f'"{k}"' if json_out else k
-                           for k in range(isqrt(start - b0 - 1) + 1, isqrt(stop - 1 - b0) + 1)}
-                bs = [b for b in range(start, stop) if b not in skip]
-                ks = [squares.get(b, none) for b in bs]
-            m = len(bs)
-            if not m:
-                continue
-            values = [0] * (3 * m)
-            values[0::3], values[1::3] = bs, ks
-            values[2::3] = [(y + sqrt(y * y - 4.0)) / 2.0
-                            for b in bs for y in [(n + sqrt(c - 4 * b)) / 2.0]]
-            yield sep.join([row] * m) % tuple(values)
+        args, *census.census_table(which, Q, args.format == "json", BLOCK_ROWS)))
 
 
 # --- bianchi -----------------------------------------------------------------
@@ -273,16 +211,9 @@ def _plan_bianchi(args) -> Plan:
     if args.plot_data:
         return _plot_plan(args, "bianchi", Q)
 
-    def run():
-        members = bianchi.bianchi_census(D, Q).members()
-        if args.format == "json":
-            _write_chunks(args, "", (bianchi.bianchi_json_block(D, block)
-                                     for block in _blocks(members)))
-        else:
-            _write_table(args, bianchi.BIANCHI_CSV_HEADER, members, bianchi.bianchi_csv_row, None)
-
     return Plan(f"bianchi d={D} qmax={Q}", bianchi.census_bounds(D, Q)[0], "rows",
-                lambda: bianchi.bianchi_census(D, Q).count, run)
+                lambda: bianchi.bianchi_census(D, Q).count, lambda: _write_chunks(
+                    args, *bianchi.bianchi_table(D, Q, args.format == "json", BLOCK_ROWS)))
 
 
 # --- cocompact (real quadratic fields) ---------------------------------------
@@ -298,20 +229,10 @@ def _plan_cocompact(args) -> Plan:
             raise DomainError("--verified cannot be combined with --plot-data")
         return _plot_plan(args, "cocompact", Q)
 
-    def run():
-        # verified is a bool under --verified (%d prints 1 or 0), else None (%.0s prints "")
-        csv_row = f"%d,%d,%d,%d,%d,%d,%s,{'%d' if args.verified else '%.0s'}".__mod__
-        _write_table(args, f"# field={d} qmax={Q}\n{totally_real.SYSTEM_CSV_HEADER}",
-                     totally_real.system_rows(d, Q, args.verified), csv_row, _system_json_obj)
-
     return Plan(f"cocompact field={d} qmax={Q}", totally_real.count_bounds(d, Q)[0], "rows",
-                lambda: totally_real.count_system(d, Q), run)
-
-
-def _system_json_obj(row) -> dict:
-    au, av, ku, kv, bu, bv, branch, verified = row
-    return {"a_u": str(au), "a_v": str(av), "k_u": str(ku), "k_v": str(kv),
-            "b_u": str(bu), "b_v": str(bv), "branch": branch, "verified": verified}
+                lambda: totally_real.count_system(d, Q), lambda: _write_chunks(
+                    args, *totally_real.system_table(d, Q, args.verified,
+                                                     args.format == "json", BLOCK_ROWS)))
 
 
 # --- constants ---------------------------------------------------------------
@@ -411,11 +332,8 @@ def _plan_report(args) -> Plan:
     n_rows = len(asymptotics._geodesic_terms(args.n, args.ell_max, args.step))
     # the omega series and n/2 terms a row
     return Plan(f"report-multiplicity n={args.n}", (n_rows + 1) * (args.n // 2), "steps",
-                lambda: n_rows, lambda: _write_table(
-                    args, asymptotics.MULTIPLICITY_CSV_HEADER,
-                    asymptotics.multiplicity_report(args.n, args.ell_max, args.step),
-                    asymptotics.multiplicity_csv_row,
-                    asymptotics.MultiplicityRow._asdict))  # its fields are the JSON keys
+                lambda: n_rows, lambda: _write_chunks(args, *asymptotics.multiplicity_table(
+                    args.n, args.ell_max, args.step, args.format == "json", BLOCK_ROWS)))
 
 
 # --- parser ------------------------------------------------------------------

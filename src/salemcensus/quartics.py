@@ -39,16 +39,6 @@ class SalemQuartic(NamedTuple):
     a: int
     b: int
 
-    def coefficients(self) -> tuple[int, int, int, int, int]:
-        return (1, self.a, self.b, self.a, 1)
-
-    def eval_at(self, x: int) -> int:
-        a, b = self.a, self.b
-        return x * x * x * x + a * x * x * x + b * x * x + a * x + 1
-
-    def at_minus_one(self) -> int:
-        return 2 + self.b - 2 * self.a
-
 
 def _is_salem_ab(a: int, b: int) -> bool:
     if b + 2 * a + 2 >= 0 or b - 2 * a + 2 <= 0:

@@ -122,6 +122,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
+from itertools import chain, islice
 from typing import NamedTuple
 
 from .algebra import (
@@ -147,6 +148,7 @@ __all__ = [
     "volume_leading",
     "volume_exact",
     "SYSTEM_CSV_HEADER",
+    "system_table",
 ]
 
 SYSTEM_CSV_HEADER = "a_u,a_v,k_u,k_v,b_u,b_v,branch,verified"
@@ -568,3 +570,33 @@ def system_csv_row(s: SystemSolution, verified: bool | None = None) -> str:
     return (
         f"{s.a.u},{s.a.v},{s.k.u},{s.k.v},{s.b.u},{s.b.v},{s.branch},{v}"
     )
+
+
+# A solution's JSON object, as json.dumps(indent=2) writes it in a list
+_JSON_OBJECT = ('  {\n    "a_u": "%d",\n    "a_v": "%d",\n    "k_u": "%d",\n    "k_v": "%d",\n'
+                '    "b_u": "%d",\n    "b_v": "%d",\n    "branch": "%s",\n    "verified": %s\n  }')
+_JSON_VERIFIED = {True: "true", False: "false", None: "null"}
+
+
+def system_table(d: int, Q: int, verified: bool, json_out: bool,
+                 block_rows: int) -> tuple[str, Iterator[str]]:
+    """(header, chunks) of the cocompact table: the CSV header under its
+    "# field=" line, and the system_rows tuples, at most block_rows to a
+    chunk, as CSV lines or (json_out) JSON objects.  A chunk is one % on
+    the row template repeated once a row, over the chunk's flat tuples;
+    the JSON's verified is the JSON literal of the tuple's bool or None."""
+    if json_out:
+        row, sep = _JSON_OBJECT, ",\n"
+    else:  # verified is a bool under --verified (%d prints 1 or 0), else None (%.0s prints "")
+        row, sep = f"%d,%d,%d,%d,%d,%d,%s,{'%d' if verified else '%.0s'}\n", ""
+    rows = system_rows(d, Q, verified)
+
+    def chunks() -> Iterator[str]:
+        for block in iter(lambda: list(islice(rows, block_rows)), []):
+            values = chain.from_iterable(block)
+            if json_out:
+                values = list(values)
+                values[7::8] = [_JSON_VERIFIED[v] for v in values[7::8]]
+            yield sep.join([row] * len(block)) % tuple(values)
+
+    return f"# field={d} qmax={Q}\n{SYSTEM_CSV_HEADER}", chunks()

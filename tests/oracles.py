@@ -15,8 +15,9 @@ its numeric and general exact verifiers, where the package reads most
 conditions off the branch tag, a Monte Carlo estimate of the search-region
 volume that the package gives in closed form, and the per-trace map to the
 lambda^(1/2)-quartic that the package applies to whole rows of traces.
-The census and cocompact table writers format one record or solution at a
-time, where the package formats whole blocks from integer rows.  No module
+The census, cocompact, Bianchi and multiplicity table writers format one
+record at a time, with f-strings, dicts and json.dumps, where the package
+formats whole blocks from integer rows with one % each.  No module
 from salemcensus is imported.
 """
 
@@ -98,6 +99,19 @@ def salem_root_numeric(a, b) -> float:
     return max(z.real for z in quartic_roots(a, b))
 
 
+def quartic_at(a: int, b: int, x):
+    """p(x) = x^4 + a x^3 + b x^2 + a x + 1.  For a Salem quartic and an
+    integer Q >= 2, lambda <= Q iff p(Q) >= 0: the unit-circle factor of p
+    is positive on the reals, so p(Q) has the sign of Q - lambda."""
+    return x**4 + a * x**3 + b * x * x + a * x + 1
+
+
+def at_minus_one(a: int, b: int) -> int:
+    """p(-1) = 2 + b - 2a, a perfect square exactly when p is the lift of a
+    lambda^(1/2)-quartic (see sqrt_witnesses)."""
+    return 2 + b - 2 * a
+
+
 def sqrt_witnesses(a: int, b: int):
     """The two branch witnesses (k, d_coeff, alpha) of a square-rootable
     quartic p = (a, b), q(x) q(-x) = p(x^2) with q(x) = x^4 +
@@ -164,6 +178,14 @@ def omega_direct(m: int):
     for k in range(m):
         val *= Fraction(math.factorial(k) ** 2, math.factorial(2 * k + 1))
     return val
+
+
+def multiplicity_csv_row(row) -> str:
+    """One report multiplicity CSV line as the CLI once wrote it from a
+    MultiplicityRow, one f-string a row; its JSON object was json.dumps of
+    row._asdict()."""
+    return (f"{row.ell:.5e},{row.geodesic_count:.5e},"
+            f"{row.salem_bound:.5e},{row.mean_mult_lower:.5e}")
 
 
 # --- row-by-row census counts -------------------------------------------------
@@ -701,6 +723,31 @@ def volume_monte_carlo(h: int, delta: float, Q: int, samples: int = 1_000_000,
             ok &= yi > (xi - 4.0) / 2.0 - delta
         hits += int(np.count_nonzero(ok))
     return box * hits / samples
+
+
+# --- the Bianchi JSON object of a member -------------------------------------
+
+
+def bianchi_json_obj(D: int, m: tuple[int, int, int, int]) -> dict:
+    """The JSON object of a member (A, B, w, v) of the Bianchi census as
+    the CLI once built it, one dict a member: its key, its lift
+    (2B - A^2, B^2 - 2A^2 + 2), k = |B - 2|, lambda by the float steps of
+    the package's salem_value, and the traces t = u + v w of its sign orbit
+    (+-w, +-v) as witnesses, where 2 Re(t) = 2u + v (D = 3 mod 4) or 2u."""
+    A, B, w, v = m
+    half = D % 4 == 3
+    a, b = 2 * B - A * A, B * B - 2 * A * A + 2
+    y = (-a + math.sqrt(a * a - 4 * b + 8)) / 2.0
+    return {
+        "A": str(A),
+        "B": str(B),
+        "a_lift": str(a),
+        "b_lift": str(b),
+        "k": str(abs(B - 2)),
+        "lambda": (y + math.sqrt(y * y - 4.0)) / 2.0,
+        "witnesses": [[(sw * w - half * sv * v) // 2, sv * v]
+                      for sv in (-1, 1) for sw in (-1, 1)],
+    }
 
 
 # --- Bianchi census by a scan of the whole disk ------------------------------

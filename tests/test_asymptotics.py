@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from salemcensus.asymptotics import (
     MULTIPLICITY_CSV_HEADER,
-    multiplicity_csv_row,
     multiplicity_report,
+    multiplicity_table,
     omega,
     omega_series,
     power_fit,
@@ -126,7 +126,7 @@ class TestMultiplicityReport:
 
     def test_csv_format(self):
         assert MULTIPLICITY_CSV_HEADER == "ell,geodesic_count,salem_bound,mean_mult_lower"
-        row = multiplicity_report(4, 2.0, 2.0)[0]
-        text = multiplicity_csv_row(row)
-        assert text.startswith("2.00000e+00,")
-        assert len(text.split(",")) == 4
+        header, chunks = multiplicity_table(4, 2.0, 2.0, False, 1024)
+        text = "".join(chunks)
+        assert header == MULTIPLICITY_CSV_HEADER and text.startswith("2.00000e+00,")
+        assert text.endswith("\n") and len(text.split(",")) == 4

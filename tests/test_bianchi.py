@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import random
 
@@ -14,7 +15,7 @@ from salemcensus.bianchi import (
     bianchi_census,
     census_bounds,
     bianchi_csv_row,
-    bianchi_json_obj,
+    bianchi_json_block,
     marklof_constant,
     row_count,
 )
@@ -23,10 +24,12 @@ from salemcensus.errors import DomainError
 from salemcensus.quartics import SalemQuartic, is_salem, lift_half_power, salem_value
 
 from oracles import (
+    at_minus_one,
     bianchi_census_dict,
     bianchi_census_scan,
     bianchi_members_merge,
     bianchi_rows_bisect,
+    quartic_at,
     sqrt_lambda_from_trace,
     trace_complex,
     trace_conjugate,
@@ -36,9 +39,14 @@ from oracles import (
 )
 
 
+def _json_obj(D, m):
+    """The JSON object of member m, as bianchi_json_block formats it."""
+    return json.loads(f"[{bianchi_json_block(D, [m])}]")[0]
+
+
 def _witnesses(D, m):
     """The witness traces of member m as (u, v) tuples, from its JSON."""
-    return [tuple(t) for t in bianchi_json_obj(D, m)["witnesses"]]
+    return [tuple(t) for t in _json_obj(D, m)["witnesses"]]
 
 
 def _with_witnesses(D, c):
@@ -54,7 +62,7 @@ class TestSalemFromTrace:
         p = SalemQuartic(*trace_quartic(1, 1, 2))  # t = 1 + 2i
         assert p == SalemQuartic(-5, -8)
         assert lift_half_power(p) == SalemQuartic(-41, 16)
-        assert is_perfect_square(lift_half_power(p).at_minus_one()) == 10
+        assert is_perfect_square(at_minus_one(*lift_half_power(p))) == 10
 
     def test_rejects_real_trace(self):
         assert trace_quartic(1, 3, 0) is None
@@ -193,7 +201,7 @@ class TestCensus:
             m = trace_quartic(D, *t)
             if m is None:
                 continue
-            if lift_half_power(SalemQuartic(*m)).eval_at(Q) >= 0:
+            if quartic_at(*lift_half_power(SalemQuartic(*m)), Q) >= 0:
                 expected.add(m)
         got = {m[:2] for m in bianchi_census(D, Q).members()}
         assert got == expected
@@ -310,10 +318,10 @@ class TestSerialization:
         assert bianchi_csv_row(self.MEMBER) == "-5,-8,-41,16,10,40.6310326409,4"
 
     def test_json_mirror(self):
-        obj = bianchi_json_obj(1, self.MEMBER)
+        obj = _json_obj(1, self.MEMBER)
         assert obj["A"] == "-5" and obj["k"] == "10"
         assert obj["witnesses"] == [[-1, -2], [1, -2], [-1, 2], [1, 2]]
         # D = 3 (mod 4): 2 Re(t) = 2u + v, so u = (+-w -+ v) / 2
         m = (-3, 1, 3, 1)
         assert m in bianchi_census(3, 10**4).members()
-        assert bianchi_json_obj(3, m)["witnesses"] == [[-1, -1], [2, -1], [-2, 1], [1, 1]]
+        assert _json_obj(3, m)["witnesses"] == [[-1, -1], [2, -1], [-2, 1], [1, 1]]

@@ -16,14 +16,16 @@ from pathlib import Path
 import pytest
 
 import salemcensus
-from salemcensus import bianchi, census, cli, totally_real
+from salemcensus import asymptotics, bianchi, census, cli, totally_real
 from salemcensus.cli import main
 from salemcensus.errors import CapacityError
 
 from oracles import (
+    bianchi_json_obj,
     census_record_texts,
     census_table,
     enumerate_system_walk,
+    multiplicity_csv_row,
     system_qmin,
     system_record_texts,
     verify_salem_over_L_exact,
@@ -111,7 +113,7 @@ class TestCensusTables:
                 assert main([*argv, "--out", str(path)]) == 0
             assert path.read_text() == want, Q
 
-    def test_chunks_hold_at_most_block_rows(self, monkeypatch):
+    def test_chunks_hold_at_most_block_rows(self, capsys, monkeypatch):
         chunks = []
         monkeypatch.setattr(cli, "_write", lambda out, items: chunks.extend(items))
         assert main(["census", "deg4", "--qmax", "600"]) == 0
@@ -121,6 +123,27 @@ class TestCensusTables:
         # row a = -598, the longest, holds 2,388 members: 4n - 1 less the
         # reducible b = -597, 2, 599, one in its first chunk and two in its second
         assert [n for c, n in zip(chunks[1:], sizes) if c.startswith("-598,")] == [1023, 1022, 343]
+        monkeypatch.undo()
+        # every table, empty ones included: an empty chunk would break _json_list's
+        # framing; each chunk holds 1..BLOCK_ROWS records, and they total the plan's rows
+        got = []
+        monkeypatch.setattr(cli, "BLOCK_ROWS", 7)
+        monkeypatch.setattr(cli, "_write_chunks", lambda args, header, chunks: got.append(
+            [len(json.loads(f"[{c}]")) if args.format == "json" else c.count("\n")
+             for c in chunks]))
+        for argv in (("census", "deg4", "--qmax", "60"), ("census", "sr", "--qmax", "300"),
+                     ("census", "sr", "--qmax", "2"), ("bianchi", "--d", "3", "--qmax", "100000"),
+                     ("bianchi", "--d", "3", "--qmax", "2"),
+                     ("cocompact", "--field", "5", "--qmax", "20", "--verified"),
+                     ("cocompact", "--field", "2", "--qmax", "10"),
+                     ("report", "multiplicity", "--n", "6", "--ell-max", "30", "--step", "1")):
+            for fmt in ("csv", "json"):
+                code, plan, _ = run(capsys, *argv, "--format", fmt, "--dry-run")
+                rows = int(plan.split(" rows=")[1].split()[0])
+                assert code == 0 and main([*argv, "--format", fmt]) == 0
+                sizes = got.pop()
+                assert all(0 < n <= 7 for n in sizes) and sum(sizes) == rows, (argv, fmt)
+                assert (rows == 0) == (argv[-1] == "2")
 
 
 class TestCocompactTables:
@@ -319,10 +342,10 @@ class TestBianchiCommand:
 
     @pytest.mark.parametrize("D", [1, 2, 3, 7])
     def test_json_bytes_equal_the_object_writer(self, capsys, monkeypatch, D):
-        # the % template against json.dumps of bianchi_json_obj, chunked or not
+        # the % template against json.dumps of the oracles' bianchi_json_obj, chunked or not
         for Q, block_rows in ((2, 1024), (30, 1024), (10**4, 7), (10**8, 1024)):
             members = list(bianchi.bianchi_census(D, Q).members())
-            want = json.dumps([bianchi.bianchi_json_obj(D, m) for m in members], indent=2) + "\n"
+            want = json.dumps([bianchi_json_obj(D, m) for m in members], indent=2) + "\n"
             monkeypatch.setattr(cli, "BLOCK_ROWS", block_rows)
             code, out, _ = run(capsys, "bianchi", "--d", str(D), "--qmax", str(Q),
                                "--format", "json")
@@ -643,7 +666,7 @@ class TestImportFootprint:
     FOOTPRINTS = [
         (("census", "deg2", "--qmax", "10"), HEAVY | FIELDS | {"salemcensus.asymptotics"}, set()),
         (("census", "sr", "--qmax", "30"), HEAVY | FIELDS, {"salemcensus.census"}),
-        (("census", "deg4", "--qmax", "30", "--format", "json"), FIELDS, set()),
+        (("census", "deg4", "--qmax", "30", "--format", "json"), HEAVY | FIELDS, set()),
         (("fit", "--series", "sr", "--qgrid", "50,100,200"), HEAVY | FIELDS,
          {"salemcensus.asymptotics"}),
         (("bianchi", "--d", "3", "--qmax", "1000", "--dry-run"), HEAVY,
@@ -654,9 +677,14 @@ class TestImportFootprint:
          {"salemcensus.bianchi"}),
         (("cocompact", "--field", "5", "--qmax", "20", "--verified"),
          HEAVY | {"salemcensus.census"}, {"salemcensus.totally_real"}),
-        (("cocompact", "--field", "5", "--qmax", "20", "--format", "json"), set(), {"json"}),
+        (("cocompact", "--field", "5", "--qmax", "20", "--format", "json"), HEAVY,
+         {"salemcensus.totally_real"}),
         (("constants", "--omega", "3"), set(), {"fractions"}),
         (("constants", "--volume", "2", "1.0", "100"), HEAVY, {"salemcensus.totally_real"}),
+        # omega_series runs on fractions, which loads decimal
+        (("report", "multiplicity", "--n", "6", "--ell-max", "5", "--step", "1", "--format",
+          "json"), HEAVY - {"fractions", "decimal"} | FIELDS,
+         {"salemcensus.asymptotics", "fractions"}),
     ]
 
     @pytest.mark.parametrize("argv,absent,present", FOOTPRINTS,
@@ -698,6 +726,30 @@ class TestReportCommand:
                            "--step", "1", "--format", "json")
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == (
             "1684f15aef3b21e310673bb7fd196d76b98b925f56951fe8f8bc8d7ee648ca30")
+
+    @pytest.mark.parametrize("n, ell_max, step", [
+        (4, "12", "1"), (4, "236", "1"), (6, "30", "2.5"), (10, "20", "1.5"), (200, "3.5", "1"),
+        (710, "1", "1"), (4, "1e300", "1")])
+    def test_multiplicity_bytes_equal_the_row_writer(self, capsys, monkeypatch, n, ell_max, step):
+        # the % templates against the oracles' f-string and json.dumps of _asdict, chunked
+        # or not; (4, 236) writes the last rows before the geodesic term overflows, and
+        # 1e300 overflows at ell = 237, so it writes nothing and exits 4
+        try:
+            rows = asymptotics.multiplicity_report(n, float(ell_max), float(step))
+        except CapacityError:
+            rows = None
+        for block_rows in (1024, 7):
+            monkeypatch.setattr(cli, "BLOCK_ROWS", block_rows)
+            for fmt in ("csv", "json"):
+                code, out, _ = run(capsys, "report", "multiplicity", "--n", str(n), "--ell-max",
+                                   ell_max, "--step", step, "--format", fmt)
+                if rows is None:
+                    assert code == 4 and out == ""
+                    continue
+                want = (json.dumps([r._asdict() for r in rows], indent=2) + "\n" if fmt == "json"
+                        else "\n".join([asymptotics.MULTIPLICITY_CSV_HEADER,
+                                        *map(multiplicity_csv_row, rows)]) + "\n")
+                assert code == 0 and out == want, (block_rows, fmt)
 
     def test_large_n_exits_at_once(self, capsys):
         # (n - 1) ell > 709 overflows the geodesic term of the first row
@@ -747,17 +799,15 @@ class TestDeterminism:
 
 
 class TestTableWriter:
-    """Tables are formatted and written cli.BLOCK_ROWS rows at a time, with
+    """Tables are formatted cli.BLOCK_ROWS rows at a time by the module that
+    owns their rows and written chunk by chunk by cli._write_chunks, with
     the bytes of the whole-table json.dumps and join; an --out file appears
     only when complete."""
 
-    @staticmethod
-    def _csv_row(r):
-        return f"{r[0]},{r[1]},{r[2]:.12g}"
-
-    @staticmethod
-    def _json_obj(r):
-        return {"i": str(r[0]), "s": r[1], "x": r[2], "none": None}
+    # a row (i, s, x) as a CSV line and as its object {"i": str(i), "s": s, "x": x,
+    # "none": None} in an indent-2 JSON list, one % a chunk as the table modules do
+    CSV_ROW = "%d,%s,%.12g\n"
+    JSON_OBJECT = '  {\n    "i": "%d",\n    "s": "%s",\n    "x": %r,\n    "none": null\n  }'
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("n", [0, 1, cli.BLOCK_ROWS - 1, cli.BLOCK_ROWS,
@@ -765,15 +815,21 @@ class TestTableWriter:
     def test_bytes_equal_the_whole_table(self, capsys, tmp_path, fmt, n):
         rows = [(i, f"r{i}", i / 7) for i in range(n)]
         if fmt == "json":
-            expected = json.dumps([self._json_obj(r) for r in rows], indent=2) + "\n"
+            expected = json.dumps([{"i": str(i), "s": s, "x": x, "none": None}
+                                   for i, s, x in rows], indent=2) + "\n"
         else:
-            expected = "\n".join(["h1,h2,h3"] + [self._csv_row(r) for r in rows]) + "\n"
+            expected = "\n".join(["h1,h2,h3"] + [f"{i},{s},{x:.12g}" for i, s, x in rows]) + "\n"
+        row, sep = (self.JSON_OBJECT, ",\n") if fmt == "json" else (self.CSV_ROW, "")
         path = tmp_path / "t"
-        for out in (None, str(path)):
-            args = argparse.Namespace(format=fmt, out=out)
-            cli._write_table(args, "h1,h2,h3", iter(rows), self._csv_row, self._json_obj)
-        assert capsys.readouterr().out == expected
-        assert path.read_bytes() == expected.encode()
+        # 0 chunks when n = 0, 1 chunk a block up to BLOCK_ROWS rows, and several chunks
+        for size in (cli.BLOCK_ROWS, 7):
+            blocks = [rows[i:i + size] for i in range(0, n, size)]
+            for out in (None, str(path)):
+                chunks = (sep.join([row] * len(b)) % tuple(v for r in b for v in r)
+                          for b in blocks)
+                cli._write_chunks(argparse.Namespace(format=fmt, out=out), "h1,h2,h3", chunks)
+            assert capsys.readouterr().out == expected
+            assert path.read_bytes() == expected.encode()
 
     # an OSError of the row producer is not a write error: it passes unchanged
     @pytest.mark.parametrize("exc", [CapacityError("injected"), RuntimeError("injected"),
