@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from operator import attrgetter
 
 from .errors import DomainError
 
@@ -72,49 +71,6 @@ def _check_q(Q: int) -> None:
         raise DomainError(f"Q must be an integer >= 2, got {Q}")
 
 
-_set = object.__setattr__  # how the frozen records set their fields
-
-
-class _Fields:
-    """Base of the record classes whose fields are their __slots__: a
-    dataclass-style repr, and == between instances of one class, field by
-    field through _key, an attrgetter of the fields set per subclass."""
-
-    __slots__ = ()
-
-    def __init_subclass__(cls) -> None:
-        if cls.__slots__:  # not the empty bases
-            cls._key = attrgetter(*cls.__slots__)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key(self) == self._key(other)
-        return NotImplemented
-
-
-class _Frozen(_Fields):
-    """A hashable _Fields record.  Its __init__ sets each field once with
-    object.__setattr__; any later assignment raises AttributeError."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
-
-    def __hash__(self) -> int:
-        return hash(self._key(self))
-
-    def __reduce__(self):  # copy and pickle through __init__, not __setattr__
-        return type(self), self._key(self)
-
-
 def sign_plus_root(A: int, B: int, d: int) -> int:
     """Exact sign of A + B*sqrt(d) for integers A, B and non-square d >= 2.
 
@@ -138,7 +94,7 @@ def sign_plus_root(A: int, B: int, d: int) -> int:
     return -1 if lhs > rhs else 1
 
 
-class RealQuadElem(_Frozen):
+class RealQuadElem:
     """Integer x = u + v*w of the real quadratic field Q(sqrt(d)), where
     w = sqrt(d) for d = 2, 3 (mod 4) and w = (1 + sqrt(d))/2 for
     d = 1 (mod 4).
@@ -146,15 +102,39 @@ class RealQuadElem(_Frozen):
     Supports exact ring arithmetic plus exact sign tests of the two real
     embeddings, which downstream uses to decide every strict inequality
     without floating point.
+
+    A value: == and hash go by (d, u, v), and the fields are set once.  It
+    is not a tuple, so it equals no tuple, does not iterate and has no
+    order by its coordinates.
     """
 
     __slots__ = ("d", "u", "v")
 
     def __init__(self, d: int, u: int, v: int) -> None:
         require_square_free(d, 2, "d")
-        _set(self, "d", d)
-        _set(self, "u", u)
-        _set(self, "v", v)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+
+    def __repr__(self) -> str:
+        return f"RealQuadElem(d={self.d!r}, u={self.u!r}, v={self.v!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is RealQuadElem:
+            return (self.d, self.u, self.v) == (other.d, other.u, other.v)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.d, self.u, self.v))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of RealQuadElem")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of RealQuadElem")
+
+    def __reduce__(self):  # copy and pickle through __init__, not __setattr__
+        return RealQuadElem, (self.d, self.u, self.v)
 
     @property
     def half_basis(self) -> bool:
@@ -198,9 +178,9 @@ class RealQuadElem(_Frozen):
     def _like(self, u: int, v: int) -> "RealQuadElem":
         # same field as self, whose d was validated when self was built
         x = object.__new__(RealQuadElem)
-        _set(x, "d", self.d)
-        _set(x, "u", u)
-        _set(x, "v", v)
+        object.__setattr__(x, "d", self.d)
+        object.__setattr__(x, "u", u)
+        object.__setattr__(x, "v", v)
         return x
 
     def __add__(self, other):

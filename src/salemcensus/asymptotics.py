@@ -57,22 +57,26 @@ class MultiplicityRow(NamedTuple):
 def omega(m: int) -> Fraction:
     """Leading constant of the degree-2(m+1) Salem count:
     2^(m(m+1))/(m+1) * prod_{k=0}^{m-1} k!^2 / (2k+1)!, exact."""
-    if not isinstance(m, int) or m < 1:
-        raise DomainError(f"m must be a positive integer, got {m}")
-    return omega_series(m)[-1]
+    from fractions import Fraction  # only here: it loads decimal, which no command needs
+
+    return Fraction(*omega_series(m)[-1])
 
 
-def omega_series(M: int) -> list[Fraction]:
-    """[omega(1), ..., omega(M)] by one running product, O(M) Fraction
-    steps: omega(m + 1) / omega(m) = 4^(m+1) (m+1) m!^2 / ((m+2) (2m+1)!)
-    and m!^2 / (2m+1)! = 1 / ((2m+1) C(2m, m))."""
-    from fractions import Fraction  # only here, so the fit and census commands do not load it
-
+def omega_series(M: int) -> list[tuple[int, int]]:
+    """[omega(1), ..., omega(M)] as (numerator, denominator) pairs in
+    lowest terms, by one running product of O(M) integer steps:
+    omega(m + 1) / omega(m) = 4^(m+1) (m+1) m!^2 / ((m+2) (2m+1)!) and
+    m!^2 / (2m+1)! = 1 / ((2m+1) C(2m, m))."""
+    if not isinstance(M, int) or M < 1:
+        raise DomainError(f"m must be a positive integer, got {M}")
     out = []
-    val = Fraction(2)
+    num, den = 2, 1
     for m in range(1, M + 1):
-        out.append(val)
-        val *= Fraction(4 ** (m + 1) * (m + 1), (m + 2) * (2 * m + 1) * math.comb(2 * m, m))
+        out.append((num, den))
+        num *= 4 ** (m + 1) * (m + 1)
+        den *= (m + 2) * (2 * m + 1) * math.comb(2 * m, m)
+        g = math.gcd(num, den)
+        num, den = num // g, den // g
     return out
 
 
@@ -150,7 +154,7 @@ def multiplicity_report(n: int, ell_max: float, step: float) -> list[Multiplicit
     """
     _check_multiplicity_args(n, ell_max, step)
     terms = _geodesic_terms(n, ell_max, step)
-    consts = [float(c) for c in omega_series(n // 2 - 1)]
+    consts = [num / den for num, den in omega_series(n // 2 - 1)]
     rows = []
     for ell, geod in terms:
         bound = sum(c * math.exp((m + 2) * ell) for m, c in enumerate(consts))

@@ -127,8 +127,9 @@ import functools
 import math
 from collections.abc import Iterator
 from itertools import chain, islice
+from typing import NamedTuple
 
-from .algebra import _Fields, _check_q, require_square_free
+from .algebra import _check_q, require_square_free
 from .quartics import lift_half_power, salem_value
 
 __all__ = [
@@ -146,22 +147,18 @@ __all__ = [
 BIANCHI_CSV_HEADER = "A,B,a_lift,b_lift,k,lambda,num_witness_traces"
 
 
-class BianchiCensus(_Fields):
+class BianchiCensus(NamedTuple):
     """The count of members, one per key, and the diagnostic tallies of
     rejected traces; members() lists the members."""
 
-    __slots__ = ("D", "qmax", "count", "traces_scanned", "excluded_real",
-                 "excluded_imag_axis", "excluded_reducible", "excluded_over_q")
-
-    def __init__(self, D: int, qmax: int, count: int = 0, traces_scanned: int = 0,
-                 excluded_real: int = 0, excluded_imag_axis: int = 0,
-                 excluded_reducible: int = 0, excluded_over_q: int = 0) -> None:
-        self.D, self.qmax, self.count = D, qmax, count
-        self.traces_scanned = traces_scanned
-        self.excluded_real = excluded_real
-        self.excluded_imag_axis = excluded_imag_axis
-        self.excluded_reducible = excluded_reducible
-        self.excluded_over_q = excluded_over_q
+    D: int
+    qmax: int
+    count: int = 0
+    traces_scanned: int = 0
+    excluded_real: int = 0
+    excluded_imag_axis: int = 0
+    excluded_reducible: int = 0
+    excluded_over_q: int = 0
 
     def members(self) -> Iterator[tuple[int, int, int, int]]:
         """(A, B, w, v) of each member in (A, B) order: its key and its

@@ -247,8 +247,7 @@ def _plan_constants(args) -> Plan:
     if args.omega is not None:
         if args.omega > MAX_OMEGA_M:
             raise CapacityError(f"--omega must be <= {MAX_OMEGA_M}, got {args.omega}")
-        val = asymptotics.omega(args.omega)
-        which, lines = "omega", [f"{val.numerator}/{val.denominator}"]
+        which, lines = "omega", ["%d/%d" % asymptotics.omega_series(args.omega)[-1]]
     elif args.marklof_c is not None:
         D = _require_squarefree(args.marklof_c, "--marklof-c", 1)
         which, lines = "marklof-c", [f"{bianchi.marklof_constant(D):.12g}"]

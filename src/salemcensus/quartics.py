@@ -40,16 +40,13 @@ class SalemQuartic(NamedTuple):
     b: int
 
 
-def _is_salem_ab(a: int, b: int) -> bool:
-    if b + 2 * a + 2 >= 0 or b - 2 * a + 2 <= 0:
-        return False
-    return is_perfect_square(a * a - 4 * b + 8) is None
-
-
 def is_salem(p: SalemQuartic) -> bool:
     """True iff p is irreducible with roots lambda > 1, 1/lambda, and a
     non-real unit-circle pair."""
-    return _is_salem_ab(p.a, p.b)
+    a, b = p
+    if b + 2 * a + 2 >= 0 or b - 2 * a + 2 <= 0:
+        return False
+    return is_perfect_square(a * a - 4 * b + 8) is None
 
 
 def salem_value(p: SalemQuartic) -> float:

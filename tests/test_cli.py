@@ -679,12 +679,10 @@ class TestImportFootprint:
          HEAVY | {"salemcensus.census"}, {"salemcensus.totally_real"}),
         (("cocompact", "--field", "5", "--qmax", "20", "--format", "json"), HEAVY,
          {"salemcensus.totally_real"}),
-        (("constants", "--omega", "3"), set(), {"fractions"}),
+        (("constants", "--omega", "3"), HEAVY, {"salemcensus.asymptotics"}),
         (("constants", "--volume", "2", "1.0", "100"), HEAVY, {"salemcensus.totally_real"}),
-        # omega_series runs on fractions, which loads decimal
         (("report", "multiplicity", "--n", "6", "--ell-max", "5", "--step", "1", "--format",
-          "json"), HEAVY - {"fractions", "decimal"} | FIELDS,
-         {"salemcensus.asymptotics", "fractions"}),
+          "json"), HEAVY | FIELDS, {"salemcensus.asymptotics"}),
     ]
 
     @pytest.mark.parametrize("argv,absent,present", FOOTPRINTS,

@@ -82,7 +82,7 @@ VALUES = [
     (lambda: BianchiCensus(D=3, qmax=1000, count=25, traces_scanned=121, excluded_real=11,
                            excluded_imag_axis=6, excluded_reducible=0, excluded_over_q=1),
      "BianchiCensus(D=3, qmax=1000, count=25, traces_scanned=121, excluded_real=11, "
-     "excluded_imag_axis=6, excluded_reducible=0, excluded_over_q=1)", False),
+     "excluded_imag_axis=6, excluded_reducible=0, excluded_over_q=1)", True),
 ]
 
 
@@ -137,7 +137,21 @@ class TestValueTypes:
         assert (c.D, c.qmax) == (3, 100)
         assert [c.count, c.traces_scanned, c.excluded_real, c.excluded_imag_axis,
                 c.excluded_reducible, c.excluded_over_q] == [0] * 6
-        c.count += 2
-        assert c.count == 2
+        with pytest.raises(AttributeError):
+            c.count += 2
         with pytest.raises(AttributeError):
             c.new_field = 0
+        assert c._replace(count=2) == BianchiCensus(3, 100, count=2) and c.count == 0
+
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_real_quad_elem_is_a_value_not_a_tuple(self, d):
+        x = RealQuadElem(d, 1, 2)
+        assert x != (d, 1, 2) and (d, 1, 2) != x
+        with pytest.raises(TypeError):
+            x < RealQuadElem(d, 1, 3)  # noqa: B015
+        with pytest.raises(TypeError):
+            iter(x)
+        with pytest.raises(AttributeError):
+            del x.u
+        y = pickle.loads(pickle.dumps(x))
+        assert y == x and y is not x and hash(y) == hash(x) and (y.d, y.u, y.v) == (d, 1, 2)
