@@ -1,8 +1,7 @@
 """Exact arithmetic kernel: perfect squares and quadratic-field integers.
 
-Everything downstream decides membership with integer arithmetic only;
-floating point appears solely in the embedding values used for diagnostics
-and numeric cross-checks.
+Everything downstream decides membership with integer arithmetic only,
+and nothing in this module uses floating point.
 """
 
 from __future__ import annotations
@@ -99,9 +98,9 @@ class RealQuadElem:
     w = sqrt(d) for d = 2, 3 (mod 4) and w = (1 + sqrt(d))/2 for
     d = 1 (mod 4).
 
-    Supports exact ring arithmetic plus exact sign tests of the two real
-    embeddings, which downstream uses to decide every strict inequality
-    without floating point.
+    Holds what totally_real.ring_square_root needs: the trace, the norm,
+    a zero test and the product of two elements, all exact.  Signs of the
+    embeddings are decided on integer coordinates by sign_plus_root.
 
     A value: == and hash go by (d, u, v), and the fields are set once.  It
     is not a tuple, so it equals no tuple, does not iterate and has no
@@ -151,29 +150,7 @@ class RealQuadElem:
     def is_zero(self) -> bool:
         return self.u == 0 and self.v == 0
 
-    # (A, B) with sigma1(x) = (A + B*sqrt(d)) / 2; the common denominator 2
-    # keeps the half-integer basis in plain integers.
-    def _doubled_coords(self) -> tuple[int, int]:
-        if self.half_basis:
-            return 2 * self.u + self.v, self.v
-        return 2 * self.u, 2 * self.v
-
-    def sign_sigma1(self) -> int:
-        A, B = self._doubled_coords()
-        return sign_plus_root(A, B, self.d)
-
-    def sign_sigma2(self) -> int:
-        A, B = self._doubled_coords()
-        return sign_plus_root(A, -B, self.d)
-
-    def embeddings(self) -> tuple[float, float]:
-        """(sigma1(x), sigma2(x)) at double precision, identity first
-        (w maps to +sqrt(d) under sigma1)."""
-        rt = math.sqrt(self.d)
-        A, B = self._doubled_coords()
-        return (A + B * rt) / 2.0, (A - B * rt) / 2.0
-
-    # --- ring operations ------------------------------------------------
+    # --- product -------------------------------------------------------
 
     def _like(self, u: int, v: int) -> "RealQuadElem":
         # same field as self, whose d was validated when self was built
@@ -182,34 +159,6 @@ class RealQuadElem:
         object.__setattr__(x, "u", u)
         object.__setattr__(x, "v", v)
         return x
-
-    def __add__(self, other):
-        if isinstance(other, RealQuadElem):
-            if other.d != self.d:
-                raise DomainError("mixed field parameters")
-            return self._like(self.u + other.u, self.v + other.v)
-        if isinstance(other, int):
-            return self._like(self.u + other, self.v)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self._like(-self.u, -self.v)
-
-    def __sub__(self, other):
-        if isinstance(other, RealQuadElem):
-            if other.d != self.d:
-                raise DomainError("mixed field parameters")
-            return self._like(self.u - other.u, self.v - other.v)
-        if isinstance(other, int):
-            return self._like(self.u - other, self.v)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if isinstance(other, int):
-            return self._like(other - self.u, -self.v)
-        return NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, RealQuadElem):
@@ -221,12 +170,6 @@ class RealQuadElem:
                 c = (self.d - 1) // 4
                 return self._like(u1 * u2 + v1 * v2 * c, u1 * v2 + u2 * v1 + v1 * v2)
             return self._like(u1 * u2 + self.d * v1 * v2, u1 * v2 + u2 * v1)
-        if isinstance(other, int):
-            return self._like(self.u * other, self.v * other)
         return NotImplemented
 
-    __rmul__ = __mul__
-
-    @classmethod
-    def from_int(cls, d: int, n: int) -> "RealQuadElem":
-        return cls(d, n, 0)
+    __rmul__ = __mul__  # salembench/tracer.py counts calls under both names

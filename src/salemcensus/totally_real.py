@@ -493,11 +493,11 @@ def lattice_geometry(d: int) -> LatticeGeometry:
     parallelotope of o_L under x -> (sigma1(x), sigma2(x)), standard basis
     {1, w}."""
     require_square_free(d, 2, "d")
-    one = RealQuadElem.from_int(d, 1)
-    w = RealQuadElem(d, 0, 1)
-    diag1 = math.hypot(*(one + w).embeddings())
-    diag2 = math.hypot(*(one - w).embeddings())
-    return LatticeGeometry(d=d, h=2, disc=_disc(d), delta=2.0 * max(diag1, diag2))
+    rt = math.sqrt(d)
+    # 1 + w and 1 - w as (A, B) with sigma1 = (A + B sqrt(d))/2, sigma2 = (A - B sqrt(d))/2
+    diagonals = ((3, 1), (1, -1)) if d % 4 == 1 else ((2, 2), (2, -2))
+    delta = 2.0 * max(math.hypot((A + B * rt) / 2.0, (A - B * rt) / 2.0) for A, B in diagonals)
+    return LatticeGeometry(d=d, h=2, disc=_disc(d), delta=delta)
 
 
 def c2_upper_bound(d: int) -> float:

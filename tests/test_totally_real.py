@@ -30,6 +30,9 @@ from salemcensus.totally_real import (
 )
 
 from oracles import (
+    _embeddings,
+    _mul,
+    _sigma_signs,
     count_system_pairs,
     count_system_walk,
     enumerate_system_walk,
@@ -90,17 +93,26 @@ class TestEnumerateSystem:
     @pytest.mark.parametrize("d", [2, 5])
     def test_solution_invariants_exact(self, d):
         Q = 30
+
+        def sig1(u, v):
+            return _sigma_signs(d, (u, v))[0]
+
+        def sig2(u, v):
+            return _sigma_signs(d, (u, v))[1]
+
         for s in enumerate_system(d, Q):
-            assert s.b == s.k * s.k + 2 * s.a - 2
-            # every window inequality, decided by exact element signs
-            assert s.a.sign_sigma1() < 0
-            assert (s.a + (Q + 3)).sign_sigma1() > 0
-            assert (s.a + 4).sign_sigma2() > 0 and (s.a - 4).sign_sigma2() < 0
-            assert s.k.sign_sigma1() > 0
-            assert (s.k * s.k + 4 * s.a).sign_sigma1() < 0
-            assert (s.k + 4).sign_sigma2() > 0 and (s.k - 4).sign_sigma2() < 0
-            plus = (2 * s.k - s.a + 4).sign_sigma2() > 0
-            minus = (2 * s.k + s.a - 4).sign_sigma2() < 0
+            (au, av), (ku, kv) = (s.a.u, s.a.v), (s.k.u, s.k.v)
+            kk = _mul(d, (ku, kv), (ku, kv))
+            assert (s.b.d, s.b.u, s.b.v) == (d, kk[0] + 2 * au - 2, kk[1] + 2 * av)
+            # every window inequality, decided by exact signs of coordinates
+            assert sig1(au, av) < 0
+            assert sig1(au + Q + 3, av) > 0
+            assert sig2(au + 4, av) > 0 and sig2(au - 4, av) < 0
+            assert sig1(ku, kv) > 0
+            assert sig1(kk[0] + 4 * au, kk[1] + 4 * av) < 0
+            assert sig2(ku + 4, kv) > 0 and sig2(ku - 4, kv) < 0
+            plus = sig2(2 * ku - au + 4, 2 * kv - av) > 0
+            minus = sig2(2 * ku + au - 4, 2 * kv + av) < 0
             assert {"plus": plus and not minus, "minus": minus and not plus,
                     "both": plus and minus}[s.branch]
 
@@ -242,11 +254,17 @@ def test_count_has_the_second_order_term(d):
         assert -10 <= err / math.sqrt(Q) <= 120, (Q, err / math.sqrt(Q))
 
 
+def _disc(d, a, b):
+    """a^2 - 4b + 8 on (u, v) coordinates."""
+    aa = _mul(d, a, a)
+    return aa[0] - 4 * b[0] + 8, aa[1] - 4 * b[1]
+
+
 def _salem_over_L_unscreened(d, au, av, bu, bv):
     """sigma2(b + 2a + 2) > 0 and no square root of a^2 - 4b + 8 in o_L,
-    decided on elements with no norm screen."""
-    a, b = RealQuadElem(d, au, av), RealQuadElem(d, bu, bv)
-    return (b + 2 * a + 2).sign_sigma2() > 0 and ring_square_root(a * a - 4 * b + 8) is None
+    decided by the oracle's signs and ring_square_root with no norm screen."""
+    disc = RealQuadElem(d, *_disc(d, (au, av), (bu, bv)))
+    return _sigma_signs(d, (bu + 2 * au + 2, bv + 2 * av))[1] > 0 and ring_square_root(disc) is None
 
 
 class TestVerifySalemOverL:
@@ -262,10 +280,11 @@ class TestVerifySalemOverL:
         assert 0 < sum(got) < len(got)
         for s in sols:
             # (iii) holds on every solution, and sigma2(disc) >= 0 iff 'both'
-            x, y = 4 - s.a + 2 * s.k, 4 - s.a - 2 * s.k
-            assert any(z.sign_sigma1() > 0 and z.sign_sigma2() > 0 for z in (x, y))
-            disc = s.a * s.a - 4 * s.b + 8
-            assert (disc.sign_sigma2() >= 0) == (s.branch == "both")
+            (au, av), (ku, kv) = (s.a.u, s.a.v), (s.k.u, s.k.v)
+            assert any(min(_sigma_signs(d, (4 - au + 2 * e * ku, -av + 2 * e * kv))) > 0
+                       for e in (1, -1))
+            disc = _disc(d, (au, av), (s.b.u, s.b.v))
+            assert (_sigma_signs(d, disc)[1] >= 0) == (s.branch == "both")
 
     def test_frozen_true_example(self):
         # found by the independent numeric verification oracle
@@ -290,9 +309,11 @@ class TestVerifySalemOverL:
         assert not verify_salem_over_L_exact(2, (-1, 0), (2, 0))
         # a = -10 - 8 sqrt2, k = 4 + 2 sqrt2 passes (i)-(iii), but
         # disc = (10 + 8 sqrt2)^2, so only (iv) rejects it
-        s = _solution(2, 20, -10, -8, 4, 2)
-        disc = s.a * s.a - 4 * s.b + 8
-        assert s.branch == "both" and (s.k * s.k + 4 * s.a).sign_sigma2() > 0
+        (au, av), k = (-10, -8), (4, 2)
+        s = _solution(2, 20, au, av, *k)
+        disc = RealQuadElem(2, *_disc(2, (au, av), (s.b.u, s.b.v)))
+        kk = _mul(2, k, k)
+        assert s.branch == "both" and _sigma_signs(2, (kk[0] + 4 * au, kk[1] + 4 * av))[1] > 0
         assert ring_square_root(disc) in (RealQuadElem(2, 10, 8), RealQuadElem(2, -10, -8))
         assert not verify_salem_over_L(2, s)
         assert not verify_salem_over_L_exact(2, (-10, -8), (4, 2))
@@ -321,14 +342,16 @@ class TestVerifySalemOverL:
                             lambda x: calls.append(x) or ring_square_root(x))
         tried = 0
         for su, sv, tu, tv in itertools.product(range(-3, 4), repeat=4):
-            s_, t = RealQuadElem(d, su, sv), RealQuadElem(d, tu, tv)
-            a, b = s_ + 2 * t, 2 + t * (s_ + t)
-            if (b + 2 * a + 2).sign_sigma2() <= 0:
+            ts = _mul(d, (tu, tv), (su + tu, sv + tv))
+            a, b = (su + 2 * tu, sv + 2 * tv), (2 + ts[0], ts[1])
+            assert _disc(d, a, b) == _mul(d, (su, sv), (su, sv))
+            if _sigma_signs(d, (b[0] + 2 * a[0] + 2, b[1] + 2 * a[1]))[1] <= 0:
                 continue  # the sign test decides before the square root
             tried += 1
-            assert ring_square_root(a * a - 4 * b + 8) is not None
-            assert not totally_real._salem_over_L(d, a.u, a.v, b.u, b.v)
-            assert calls.pop() == a * a - 4 * b + 8
+            disc = RealQuadElem(d, *_disc(d, a, b))
+            assert ring_square_root(disc) is not None
+            assert not totally_real._salem_over_L(d, *a, *b)
+            assert calls.pop() == disc
         assert tried > 100
 
     def test_verified_count_subset(self):
@@ -342,47 +365,45 @@ class TestVerifySalemOverL:
         for s in enumerate_system(2, 15):
             if not verify_salem_over_L(2, s):
                 continue
-            s1a, _ = s.a.embeddings()
-            s1b, _ = s.b.embeddings()
+            (s1a, s2a), (s1b, s2b) = _embeddings(2, (s.a.u, s.a.v)), _embeddings(2, (s.b.u, s.b.v))
             roots = np.roots([1.0, s1a, s1b, s1a, 1.0])
             lam = max(z.real for z in roots if abs(z.imag) < 1e-9)
             assert lam > 1 + 1e-9
-            _, s2a = s.a.embeddings()
-            _, s2b = s.b.embeddings()
             conj = np.roots([1.0, s2a, s2b, s2a, 1.0])
             assert np.all(np.abs(np.abs(conj) - 1) < 1e-9)
 
 
 class TestRingSquareRoot:
     def test_rational_squares(self):
-        nine = RealQuadElem.from_int(2, 9)
+        nine = RealQuadElem(2, 9, 0)
         root = ring_square_root(nine)
         assert root is not None and root * root == nine
-        assert ring_square_root(RealQuadElem.from_int(2, 21)) is None
+        assert ring_square_root(RealQuadElem(2, 21, 0)) is None
 
     def test_irrational_square(self):
         x = RealQuadElem(2, 1, 1)
         sq = x * x  # 3 + 2 sqrt2
         root = ring_square_root(sq)
         assert root is not None and root * root == sq
-        assert ring_square_root(sq + 1) is None
+        assert ring_square_root(RealQuadElem(2, sq.u + 1, sq.v)) is None
 
     def test_negative_embedding_has_no_root(self):
         assert ring_square_root(RealQuadElem(2, 0, 1)) is None  # sigma2 < 0
 
     def test_huge_square_exact(self):
         x = RealQuadElem(2, 10**40 + 7, 3 * 10**39 + 1)
-        root = ring_square_root(x * x)
-        assert root is not None and root * root == x * x
-        assert ring_square_root(x * x + 1) is None
+        sq = x * x
+        root = ring_square_root(sq)
+        assert root is not None and root * root == sq
+        assert ring_square_root(RealQuadElem(2, sq.u + 1, sq.v)) is None
 
     @settings(max_examples=300)
     @given(st.sampled_from([2, 3, 5, 13]), st.integers(-60, 60), st.integers(-60, 60),
            st.integers(-6, 6), st.integers(-6, 6))
     def test_near_squares_match_bruteforce(self, d, u, v, eu, ev):
         assume((eu, ev) != (0, 0))
-        x = RealQuadElem(d, u, v)
-        y = x * x + RealQuadElem(d, eu, ev)
+        sq = _mul(d, (u, v), (u, v))
+        y = RealQuadElem(d, sq[0] + eu, sq[1] + ev)
         root = ring_square_root(y)
         brute = ring_square_root_bruteforce(d, (y.u, y.v))
         assert (root is None) == (brute is None)
@@ -402,6 +423,11 @@ class TestGeometry:
     def test_delta_values(self):
         assert lattice_geometry(5).delta == pytest.approx(2 * math.sqrt(7), rel=1e-12)
         assert lattice_geometry(2).delta == pytest.approx(2 * math.sqrt(6), rel=1e-12)
+        # delta to the last bit, from the embedded diagonals 1 + w and 1 - w
+        pins = {2: 4.898979485566356, 3: 5.65685424949238, 5: 5.291502622129181,
+                13: 6.6332495807108, 21: 7.745966692414833, 1000003: 2828.4327815947827,
+                999999999999999989: 1414213562.373095}
+        assert {d: lattice_geometry(d).delta for d in pins} == pins
 
     def test_discriminants(self):
         assert lattice_geometry(5).disc == 5
