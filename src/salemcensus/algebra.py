@@ -16,6 +16,7 @@ __all__ = [
     "is_square_free",
     "require_square_free",
     "sign_plus_root",
+    "quadratic_basis",
     "RealQuadElem",
 ]
 
@@ -93,14 +94,26 @@ def sign_plus_root(A: int, B: int, d: int) -> int:
     return -1 if lhs > rhs else 1
 
 
-class RealQuadElem:
-    """Integer x = u + v*w of the real quadratic field Q(sqrt(d)), where
-    w = sqrt(d) for d = 2, 3 (mod 4) and w = (1 + sqrt(d))/2 for
-    d = 1 (mod 4).
+def quadratic_basis(d: int) -> tuple[int, int]:
+    """(c, h) with w^2 = c + h w for the integral basis {1, w} of the
+    integers of Q(sqrt(d)), d square-free, real (d >= 2) or imaginary
+    (d = -D): w = (1 + sqrt(d))/2 and (c, h) = ((d - 1)/4, 1) when
+    d = 1 (mod 4), else w = sqrt(d) and (c, h) = (d, 0).
 
-    Holds what totally_real.ring_square_root needs: the trace, the norm,
-    a zero test and the product of two elements, all exact.  Signs of the
-    embeddings are decided on integer coordinates by sign_plus_root.
+    The field discriminant is 4c + h, and x = u + v w is (A + B sqrt(d))/2
+    with doubled coordinates (A, B) = (2u + h v, (2 - h) v).  So
+    (u + v w)^2 = (u^2 + c v^2) + (2u + h v) v w, x has trace 2u + h v
+    and norm u^2 + h u v - c v^2.
+    """
+    return ((d - 1) // 4, 1) if d % 4 == 1 else (d, 0)
+
+
+class RealQuadElem:
+    """Integer x = u + v*w of the real quadratic field Q(sqrt(d)), in the
+    basis {1, w} of quadratic_basis(d), with the exact product of two
+    elements.  No salem command builds one, as the library computes on
+    integer coordinates: totally_real.enumerate_system, an object view of
+    totally_real.system_rows, is the one function that returns elements.
 
     A value: == and hash go by (d, u, v), and the fields are set once.  It
     is not a tuple, so it equals no tuple, does not iterate and has no
@@ -135,21 +148,6 @@ class RealQuadElem:
     def __reduce__(self):  # copy and pickle through __init__, not __setattr__
         return RealQuadElem, (self.d, self.u, self.v)
 
-    @property
-    def half_basis(self) -> bool:
-        return self.d % 4 == 1
-
-    def trace(self) -> int:
-        return 2 * self.u + self.v if self.half_basis else 2 * self.u
-
-    def norm(self) -> int:
-        if self.half_basis:
-            return self.u * self.u + self.u * self.v + self.v * self.v * (1 - self.d) // 4
-        return self.u * self.u - self.d * self.v * self.v
-
-    def is_zero(self) -> bool:
-        return self.u == 0 and self.v == 0
-
     # --- product -------------------------------------------------------
 
     def _like(self, u: int, v: int) -> "RealQuadElem":
@@ -164,12 +162,9 @@ class RealQuadElem:
         if isinstance(other, RealQuadElem):
             if other.d != self.d:
                 raise DomainError("mixed field parameters")
+            c, h = quadratic_basis(self.d)
             u1, v1, u2, v2 = self.u, self.v, other.u, other.v
-            if self.half_basis:
-                # w^2 = w + (d-1)/4
-                c = (self.d - 1) // 4
-                return self._like(u1 * u2 + v1 * v2 * c, u1 * v2 + u2 * v1 + v1 * v2)
-            return self._like(u1 * u2 + self.d * v1 * v2, u1 * v2 + u2 * v1)
+            return self._like(u1 * u2 + c * v1 * v2, u1 * v2 + u2 * v1 + h * v1 * v2)
         return NotImplemented
 
     __rmul__ = __mul__  # salembench/tracer.py counts calls under both names

@@ -18,11 +18,14 @@ Rejections: real traces (v = 0) and the reducible cases Re(t) = 0 or
 N^2 - 4 Tr(t^2) + 16 a perfect square all force deg(lambda) <= 2 and are
 excluded from the census (they only contribute lower-order terms).
 
-With w = 2 Re(t) (2u + v when D = 3 (mod 4), else 2u) and E = D or 4D,
-4 N(t) = w^2 + E v^2 and 2 Tr(t^2) = w^2 - E v^2, so the key (A, B) fixes
-w^2 and v^2.  The traces of a member are therefore exactly its sign orbit
-(+-w, +-v) with w, v > 0: the census keeps one member per orbit and lists
-its four traces as witnesses (num_witness_traces is always 4).
+Write t = u + v w_K in the basis w_K^2 = c + h w_K of
+algebra.quadratic_basis(-D): w_K = (1 + sqrt(-D))/2 and h = 1 when
+D = 3 (mod 4), else w_K = sqrt(-D) and h = 0.  With w = 2 Re(t) = 2u + h v
+and E = -(4c + h), which is D or 4D, 4 N(t) = w^2 + E v^2 and
+2 Tr(t^2) = w^2 - E v^2, so the key (A, B) fixes w^2 and v^2.  The
+traces of a member are therefore exactly its sign orbit (+-w, +-v) with
+w, v > 0: the census keeps one member per orbit and lists its four traces
+as witnesses (num_witness_traces is always 4).
 
 The quadrant is read row by row, v = 1..vmax with E v^2 <= 4R, so
 vmax = O(R^(1/2)) = O(Q^(1/4)); row v holds the w of one parity with
@@ -129,7 +132,7 @@ from collections.abc import Iterator
 from itertools import chain, islice
 from typing import NamedTuple
 
-from .algebra import _check_q, require_square_free
+from .algebra import _check_q, quadratic_basis, require_square_free
 from .quartics import lift_half_power, salem_value
 
 __all__ = [
@@ -192,6 +195,13 @@ def _reducible_residues() -> int:
                       for d in (1, 2, 3)))
 
 
+def _field(D: int) -> tuple[int, int]:
+    """(E, h): minus the discriminant of K = Q(sqrt(-D)), D or 4D, and the h
+    of its basis w_K^2 = c + h w_K, 1 or 0."""
+    c, h = quadratic_basis(-D)
+    return -(4 * c + h), h
+
+
 def _rows(D: int, Q: int) -> Iterator[tuple[int, int, range, int, tuple[int, ...]]]:
     """(v, E v^2, ws, kept, reducible) for each row v = 1..row_count(D, Q):
     ws are the quadrant's w of row v with N(t) <= R = isqrt(Q) + 3, the
@@ -199,14 +209,13 @@ def _rows(D: int, Q: int) -> Iterator[tuple[int, int, range, int, tuple[int, ...
     discriminant is a square.  Only the rows whose E v^2 passes the
     residue test of _reducible_residues are searched for them."""
     R = math.isqrt(Q) + 3
-    half = D % 4 == 3
-    E = D if half else 4 * D
+    E, h = _field(D)
     Q1 = (Q - 1) ** 2
     residues = _reducible_residues()
     for v in range(1, row_count(D, Q) + 1):
         E_v2 = E * v * v
-        # w = 2u + v (half basis) or 2u keeps the parity of the basis
-        ws = range(1 if half and v % 2 else 2, math.isqrt(4 * R - E_v2) + 1, 2)
+        # w = 2u + h v keeps the parity of h v
+        ws = range(2 - h * (v % 2), math.isqrt(4 * R - E_v2) + 1, 2)
         X = Q1 - Q * E_v2  # N_max = floor(N*(v)), see the module notes
         N_max = (2 * Q * X + math.isqrt(Q * (X * (Q + 1)) ** 2)) // (Q * Q1)
         kept = len(range(ws.start, math.isqrt(max(4 * N_max - E_v2, 0)) + 1, 2))
@@ -293,26 +302,27 @@ def row_count(D: int, Q: int) -> int:
     """The rows v = 1..vmax that bianchi_census(D, Q) reads, vmax =
     isqrt(4R // E) with R = isqrt(Q) + 3 and E = D or 4D."""
     R = math.isqrt(Q) + 3
-    return math.isqrt(4 * R // (D if D % 4 == 3 else 4 * D))
+    return math.isqrt(4 * R // _field(D)[0])
 
 
 def census_bounds(D: int, Q: int) -> tuple[int, int]:
     """(members, steps), in O(1): an upper bound on
-    bianchi_census(D, Q).count and the count's exact steps, one cut formula
-    for each of its row_count(D, Q) rows.  A row holds at most
-    L = isqrt(4R) // 2 + 1 traces (R = isqrt(Q) + 3)."""
+    bianchi_census(D, Q).count and the count's steps, 5 for each of its
+    row_count(D, Q) rows, as a row (its cut and its reducible w) takes
+    about 5 times as long as an exact floor of count_system (see
+    cli.MAX_STEPS).  A row holds at most L = isqrt(4R) // 2 + 1 traces
+    (R = isqrt(Q) + 3)."""
     rows = row_count(D, Q)
-    return rows * (math.isqrt(4 * (math.isqrt(Q) + 3)) // 2 + 1), rows
+    return rows * (math.isqrt(4 * (math.isqrt(Q) + 3)) // 2 + 1), 5 * rows
 
 
 def marklof_constant(D: int) -> float:
     """Leading constant of the distinct-real-length count for PSL(2, o_K):
-    pi/(4 sqrt(D)) when D = 1, 2 (mod 4) and pi/(2 sqrt(D)) when
-    D = 3 (mod 4)."""
+    pi/(2 sqrt(E)), that is pi/(4 sqrt(D)) when D = 1, 2 (mod 4) and
+    pi/(2 sqrt(D)) when D = 3 (mod 4).  sqrt(4D) = 2 sqrt(D) holds in
+    floating point too, as scaling by 4 is exact."""
     require_square_free(D, 1, "D")
-    if D % 4 == 3:
-        return math.pi / (2.0 * math.sqrt(D))
-    return math.pi / (4.0 * math.sqrt(D))
+    return math.pi / (2.0 * math.sqrt(_field(D)[0]))
 
 
 def bianchi_csv_row(m: tuple[int, int, int, int]) -> str:
@@ -339,15 +349,15 @@ def bianchi_json_block(D: int, block: list[tuple[int, int, int, int]]) -> str:
     %r of lambda is the float repr that json.dumps writes.  The lift is
     (2B - A^2, B^2 - 2A^2 + 2) and lambda takes salem_value's float steps
     on it.  The witnesses are the traces t = u + v w of the member's sign
-    orbit (+-w, +-v), where 2 Re(t) = 2u + v (D = 3 mod 4) or 2u: so
-    u = (+-w -+ half v)/2, exact as w = half v mod 2."""
-    half = D % 4 == 3
+    orbit (+-w, +-v), where 2 Re(t) = w = 2u + h v: so
+    u = (+-w -+ h v)/2, exact as w = h v mod 2."""
+    h = _field(D)[1]
     sqrt = math.sqrt
     values = []
     for A, B, w, v in block:
         a, b = 2 * B - A * A, B * B - 2 * A * A + 2
         y = (-a + sqrt(a * a - 4 * b + 8)) / 2.0
-        p, m = (w + half * v) // 2, (w - half * v) // 2
+        p, m = (w + h * v) // 2, (w - h * v) // 2
         values += (A, B, a, b, abs(B - 2), (y + sqrt(y * y - 4.0)) / 2.0,
                    -m, -v, p, -v, -p, v, m, v)
     return ",\n".join([_JSON_OBJECT] * len(block)) % tuple(values)

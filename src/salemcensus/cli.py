@@ -57,12 +57,14 @@ MAX_FIELD_PARAM = 10**18
 MAX_ROWS = 10**8
 
 # Budget of the work of every other command, above all the count series of
-# fit and --plot-data: an upper bound on its exact count steps, a closed
-# form, a bianchi row (its cut and its reducible w) or an exact floor of
-# count_system (at most 1 + 2 r of them a k, 9 at d = 2).  Just under it, on
-# a 2-vCPU Xeon VM, fit --series system --field 2 on Q/4, Q/2, Q = 1.93e11
-# takes 63 s, 1.3 us a step, and fit --series bianchi --d 3 on Q/100, Q/10,
-# Q = 2.82e29 takes 5.3 minutes, 6.4 us a row.
+# fit and --plot-data: an upper bound on its count steps, 1 a closed form or
+# an exact floor of count_system (at most 1 + 2 r of them a k, 9 at d = 2),
+# and 5 a bianchi row (its cut and its reducible w).  On a 2-vCPU Xeon VM,
+# fit --series system --field 2 on Q/4, Q/2, Q = 1.93e11 takes 63 s, 1.3 us
+# a step, and fit --series bianchi --d 3 on Q/100, Q/10, Q = 2.82e29 (5e7
+# rows) 5.3 minutes, 6.4 us a row.  So a row is priced at 5 steps, and just
+# under the budget the bianchi fit on Q/100, Q/10, Q = 4.5e26 takes about as
+# long as the system fit.
 MAX_STEPS = 5 * 10**7
 
 # Largest M whose omega(M) prints: beyond it the numerator has more digits
@@ -305,6 +307,9 @@ def _plan_fit(args) -> Plan:
     qmin = 3 if args.series == "deg2" else 2
     if len(set(qs)) < 3 or qs[0] < qmin:
         raise DomainError(f"--qgrid needs >= 3 distinct values, all >= {qmin}")
+    for flag, value, series in (("--d", args.d, "bianchi"), ("--field", args.field, "system")):
+        if value is not None and args.series != series:
+            raise DomainError(f"{flag} is read only by --series {series}")
     params, work, count = _series(args, qs)
 
     def run():

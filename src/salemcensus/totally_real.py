@@ -17,7 +17,9 @@ all boundary cases, and every search bound is an integer square root.
 
 Coordinates are doubled: sigma1(x) = (A + B sqrt(d))/2 and
 sigma2(x) = (A - B sqrt(d))/2 with integers A = B (mod 2); x = u + v w has
-(A, B) = (2u, 2v) for w = sqrt(d) and (2u + v, v) for w = (1 + sqrt(d))/2.
+(A, B) = (2u + h v, (2 - h) v) for the basis w^2 = c + h w of
+algebra.quadratic_basis: (2u, 2v) for w = sqrt(d) and (2u + v, v) for
+w = (1 + sqrt(d))/2.
 For a fixed a, the k of one v-coordinate fill one interval of W (step 2).
 Its window sigma1(k) > 0, |sigma2(k)| < 4 depends only on (d, v) and is
 tabulated once per call, and the quadratic cut costs one integer square
@@ -129,6 +131,7 @@ from .algebra import (
     RealQuadElem,
     _check_q,
     is_perfect_square,
+    quadratic_basis,
     require_square_free,
     sign_plus_root,
 )
@@ -199,7 +202,8 @@ def _max_lt(A: int, B: int, d: int) -> int:
 
 
 def _disc(d: int) -> int:
-    return d if d % 4 == 1 else 4 * d
+    c, h = quadratic_basis(d)
+    return 4 * c + h
 
 
 # --- the system as integer intervals -----------------------------------------
@@ -219,9 +223,9 @@ def _va_range(d: int, Q: int) -> tuple[int, int]:
 def _iter_a_coords(d: int, Q: int) -> Iterator[tuple[int, int, int, int]]:
     """(u, v, A, B) of every a in o_L with -(Q+3) < sigma1(a) < 0 and
     -4 < sigma2(a) < 4, in (v, u) order."""
-    half = d % 4 == 1
+    h = quadratic_basis(d)[1]
     for v in range(*_va_range(d, Q)):
-        B, off = (v, v) if half else (2 * v, 0)
+        B, off = (2 - h) * v, h * v
         lo = max(_min_gt(-2 * (Q + 3), -B, d), _min_gt(-8, B, d))
         hi = min(_max_lt(0, -B, d), _max_lt(8, B, d))
         lo += (lo - B) % 2
@@ -240,11 +244,11 @@ def _k_rows(d: int, Q: int) -> Iterator[tuple[int, int, int, int, int, int]]:
     v^2 disc < 16.  The rows stop where 2 fV - 8 exceeds floor(2 sqrt(4(Q+3))),
     past which _k_ranges ends for every a.
     """
-    half = d % 4 == 1
+    h = quadratic_basis(d)[1]
     top = math.isqrt(16 * (Q + 3))
     v = -math.isqrt(15 // _disc(d))
     while True:
-        V, off = (v, v) if half else (2 * v, 0)
+        V, off = (2 - h) * v, h * v
         fv = _floor_root_mult(V, d)
         if 2 * fv - 8 > top:
             return
@@ -302,22 +306,16 @@ def _iter_solutions(d: int, Q: int) -> Iterator[tuple[int, int, int, int, str]]:
                 yield au, av, (W - off) // 2, v, branch
 
 
-def _square_coeffs(d: int) -> tuple[int, int]:
-    """(c, h) with (u + v w)^2 = (u^2 + c v^2) + (2uv + h v^2) w: w^2 = d
-    gives (d, 0), and w^2 = w + (d-1)/4 gives ((d-1)/4, 1)."""
-    return ((d - 1) // 4, 1) if d % 4 == 1 else (d, 0)
-
-
 def system_rows(
     d: int, Q: int, verified: bool = False
 ) -> Iterator[tuple[int, int, int, int, int, int, str, bool | None]]:
     """(a_u, a_v, k_u, k_v, b_u, b_v, branch, verified) of every solution,
     in the order of enumerate_system, in integer coordinates with no
-    element built: b = k^2 + 2a - 2 by _square_coeffs.  verified is
+    element built: b = k^2 + 2a - 2 by quadratic_basis.  verified is
     verify_salem_over_L's answer when asked for, else None."""
     require_square_free(d, 2, "d")
     _check_q(Q)
-    c, h = _square_coeffs(d)
+    c, h = quadratic_basis(d)
     for au, av, ku, kv, branch in _iter_solutions(d, Q):
         bu = ku * ku + c * kv * kv + 2 * au - 2
         bv = (2 * ku + h * kv) * kv + 2 * av
@@ -335,12 +333,11 @@ def enumerate_system(d: int, Q: int) -> Iterator[SystemSolution]:
         yield SystemSolution(a, a._like(ku, kv), a._like(bu, bv), branch)
 
 
-def _a_below(d: int, v_lo: int, P: int, G: int) -> int:
+def _a_below(d: int, step: int, v_lo: int, P: int, G: int) -> int:
     """F(c) of the module notes: the number of a with v-coordinate >= v_lo,
-    |sigma2(a)| < 4 and sigma1(a) < c = -(P + G sqrt(d))/16 < 0.  The rows
-    up to the seed hold 8 a each; the later ones are walked, two exact
-    floors a row, up to the first that holds none."""
-    step = 1 if d % 4 == 1 else 2  # B = step * v
+    |sigma2(a)| < 4 and sigma1(a) < c = -(P + G sqrt(d))/16 < 0, where
+    B = step * v.  The rows up to the seed hold 8 a each; the later ones
+    are walked, two exact floors a row, up to the first that holds none."""
     v = max((_floor_root_mult(-(64 + P), d) - G * d) // (16 * d) // step + 1, v_lo)
     n = 8 * (v - v_lo)
     while True:
@@ -362,11 +359,12 @@ def count_system(d: int, Q: int) -> int:
     require_square_free(d, 2, "d")
     _check_q(Q)
     v_lo = _va_range(d, Q)[0]
-    bottom = _a_below(d, v_lo, 16 * (Q + 3), 0)  # the a with sigma1(a) < -(Q+3)
+    step = 2 - quadratic_basis(d)[1]
+    bottom = _a_below(d, step, v_lo, 16 * (Q + 3), 0)  # the a with sigma1(a) < -(Q+3)
     total = 0
     for _, _, V, _, lo, hi in _k_rows(d, Q):
         for W in range(lo, hi + 1, 2):
-            n = _a_below(d, v_lo, W * W + V * V * d, 2 * W * V) - bottom
+            n = _a_below(d, step, v_lo, W * W + V * V * d, 2 * W * V) - bottom
             if n <= 0:  # sigma1(k) grows with W, so the row ends here
                 break
             total += n
@@ -383,7 +381,7 @@ def count_bounds(d: int, Q: int) -> tuple[int, int]:
     takes at most 1 + 2r steps (see the module notes)."""
     lo, hi = _va_range(d, Q)
     n_a = 8 * (hi - lo)
-    step = 1 if d % 4 == 1 else 2
+    step = 2 - quadratic_basis(d)[1]
     M = (math.isqrt(16 * (Q + 3)) + 8) // 2
     V = math.isqrt(((M + 1) ** 2 - 1) // d)  # the largest V >= 0 with floor(V sqrt(d)) <= M
     n_k = V // step + math.isqrt(15 // _disc(d)) + 1
@@ -394,22 +392,26 @@ def count_bounds(d: int, Q: int) -> tuple[int, int]:
 # --- verification ------------------------------------------------------------
 
 
-def ring_square_root(x: RealQuadElem) -> RealQuadElem | None:
-    """A square root of x in o_L if one exists, else None.
+def ring_square_root(d: int, u: int, v: int) -> tuple[int, int] | None:
+    """(u', v') with (u' + v' w)^2 = u + v w, a square root of x = u + v w
+    in o_L, if one exists, else None.
 
-    Write sigma1(y) = (T + S sqrt(d))/2.  If y^2 = x, then N(y)^2 = N(x),
-    T^2 = Tr(y)^2 = Tr(x) + 2 N(y) and S^2 d = (sigma1(y) - sigma2(y))^2 =
-    Tr(x) - 2 N(y).  So N(x) is a perfect square n^2, and for N(y) = n or
-    -n both T >= 0 and |S| come from integer square roots.  Each candidate
-    is confirmed by exact squaring, so the answer is right at every
-    magnitude.
+    With w^2 = c + h w (quadratic_basis), x has trace 2u + h v and norm
+    u^2 + h u v - c v^2.  Write sigma1(y) = (T + S sqrt(d))/2.  If y^2 = x,
+    then N(y)^2 = N(x), T^2 = Tr(y)^2 = Tr(x) + 2 N(y) and
+    S^2 d = (sigma1(y) - sigma2(y))^2 = Tr(x) - 2 N(y).  So N(x) is a
+    perfect square n^2, and for N(y) = n or -n both T >= 0 and |S| come
+    from integer square roots.  A root y (or -y) has the doubled
+    coordinates (T, S) or (T, -S), from which (u', v') follow exactly.  Each
+    candidate is confirmed by exact squaring, so the answer is right at
+    every magnitude.
     """
-    if x.is_zero():
-        return x
-    n = is_perfect_square(x.norm())
+    require_square_free(d, 2, "d")
+    c, h = quadratic_basis(d)
+    n = is_perfect_square(u * u + h * u * v - c * v * v)
     if n is None:
         return None
-    d, tr = x.d, x.trace()
+    tr = 2 * u + h * v
     for norm_y in (n, -n):
         T = is_perfect_square(tr + 2 * norm_y)
         S2, rem = divmod(tr - 2 * norm_y, d)
@@ -417,12 +419,11 @@ def ring_square_root(x: RealQuadElem) -> RealQuadElem | None:
         if T is None or S is None:
             continue
         for s in (S, -S):
-            if x.half_basis:
-                y = RealQuadElem(d, (T - s) // 2, s) if (T - s) % 2 == 0 else None
-            else:
-                y = RealQuadElem(d, T // 2, s // 2) if T % 2 == s % 2 == 0 else None
-            if y is not None and y * y == x:
-                return y
+            # (A, B) = (T, s); a candidate off the lattice fails the check
+            vy = s // (2 - h)
+            uy = (T - h * vy) // 2
+            if uy * uy + c * vy * vy == u and (2 * uy + h * vy) * vy == v:
+                return uy, vy
     return None
 
 
@@ -471,18 +472,14 @@ def verify_salem_over_L(d: int, s: SystemSolution) -> bool:
 def _salem_over_L(d: int, au: int, av: int, bu: int, bv: int) -> bool:
     """The two tests of verify_salem_over_L left after the branch 'both', on
     integer coordinates: sigma2(k^2 + 4a) > 0, with k^2 + 4a = b + 2a + 2,
-    and no square root of disc = a^2 - 4b + 8 in o_L.  A root needs
-    N(disc) = u^2 + h u v - c v^2 to be a square (ring_square_root's first
-    test), so disc is built, and ring_square_root called, only then."""
+    and no square root of disc = a^2 - 4b + 8 in o_L, which
+    ring_square_root decides on the coordinates of disc."""
     x, y = bu + 2 * au + 2, bv + 2 * av
-    c, h = _square_coeffs(d)
-    if sign_plus_root(2 * x + h * y, -y if h else -2 * y, d) <= 0:
+    c, h = quadratic_basis(d)
+    if sign_plus_root(2 * x + h * y, (h - 2) * y, d) <= 0:
         return False
-    u, v = au * au + c * av * av - 4 * bu + 8, (2 * au + h * av) * av - 4 * bv
-    norm = u * u + h * u * v - c * v * v
-    if norm < 0 or math.isqrt(norm) ** 2 != norm:
-        return True
-    return ring_square_root(RealQuadElem(d, u, v)) is None
+    return ring_square_root(d, au * au + c * av * av - 4 * bu + 8,
+                            (2 * au + h * av) * av - 4 * bv) is None
 
 
 # --- geometry of numbers -----------------------------------------------------
@@ -494,8 +491,9 @@ def lattice_geometry(d: int) -> LatticeGeometry:
     {1, w}."""
     require_square_free(d, 2, "d")
     rt = math.sqrt(d)
+    h = quadratic_basis(d)[1]
     # 1 + w and 1 - w as (A, B) with sigma1 = (A + B sqrt(d))/2, sigma2 = (A - B sqrt(d))/2
-    diagonals = ((3, 1), (1, -1)) if d % 4 == 1 else ((2, 2), (2, -2))
+    diagonals = ((2 + h, 2 - h), (2 - h, h - 2))
     delta = 2.0 * max(math.hypot((A + B * rt) / 2.0, (A - B * rt) / 2.0) for A, B in diagonals)
     return LatticeGeometry(d=d, h=2, disc=_disc(d), delta=delta)
 

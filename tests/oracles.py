@@ -27,6 +27,7 @@ import cmath
 import heapq
 import json
 import math
+import random
 
 import numpy as np
 
@@ -680,6 +681,42 @@ def trace_norm(D: int, u: int, v: int) -> int:
 def trace_sq(D: int, u: int, v: int) -> int:
     """Tr(t^2) = t^2 + conj(t)^2."""
     return 2 * (u * u + u * v) - (D - 1) // 2 * v * v if D % 4 == 3 else 2 * (u * u - D * v * v)
+
+
+def marklof_constant_branch(D: int) -> float:
+    """marklof_constant as two branches on D mod 4: pi / (2 sqrt(D)) for
+    D = 3 (mod 4), else pi / (4 sqrt(D))."""
+    if D % 4 == 3:
+        return math.pi / (2.0 * math.sqrt(D))
+    return math.pi / (4.0 * math.sqrt(D))
+
+
+def lattice_delta_branch(d: int) -> float:
+    """lattice_geometry(d).delta with its diagonals 1 + w and 1 - w chosen by
+    a branch on d mod 4."""
+    rt = math.sqrt(d)
+    diagonals = ((3, 1), (1, -1)) if d % 4 == 1 else ((2, 2), (2, -2))
+    return 2.0 * max(math.hypot((A + B * rt) / 2.0, (A - B * rt) / 2.0) for A, B in diagonals)
+
+
+def square_free_sample(minimum: int, seed: int) -> list[int]:
+    """Every square-free n in [minimum, 2e5), by a sieve of the squares,
+    then 40 seeded random square-free n up to 1e18, each a product of 2 to
+    4 distinct primes below 1e5."""
+    top = 2 * 10**5
+    free, prime = [True] * top, [True] * top
+    for f in range(2, math.isqrt(top) + 1):
+        free[f * f::f * f] = [False] * len(range(f * f, top, f * f))
+        if prime[f]:
+            prime[f * f::f] = [False] * len(range(f * f, top, f))
+    primes = [p for p in range(2, 10**5) if prime[p]]
+    rng = random.Random(seed)
+    big = []
+    while len(big) < 40:
+        n = math.prod(rng.sample(primes, rng.randint(2, 4)))
+        if n <= 10**18:
+            big.append(n)
+    return [n for n in range(minimum, top) if free[n]] + big
 
 
 def trace_quartic(D: int, u: int, v: int) -> tuple[int, int] | None:

@@ -10,6 +10,7 @@ from salemcensus.algebra import (
     RealQuadElem,
     is_perfect_square,
     is_square_free,
+    quadratic_basis,
     sign_plus_root,
 )
 from salemcensus.errors import DomainError
@@ -140,22 +141,36 @@ class TestQuadIntK:
         assert abs(trace_complex(D, *tb) - trace_complex(D, u, v).conjugate()) < 1e-9
 
 
+class TestQuadraticBasis:
+    @pytest.mark.parametrize("d", [*REAL_FIELDS, *(-D for D in SQUARE_FREE_D)])
+    def test_both_embeddings_satisfy_the_basis_relation(self, d):
+        c, h = quadratic_basis(d)
+        assert h in (0, 1) and 4 * c + h == (d if d % 4 == 1 else 4 * d)
+        # the two embeddings of w, from the oracles' coordinates of u + v w at (0, 1)
+        ws = _embeddings(d, (0, 1)) if d > 0 else (trace_complex(-d, 0, 1),
+                                                   trace_complex(-d, 0, 1).conjugate())
+        assert ws[0] != ws[1]
+        for w in ws:
+            assert abs(w * w - (c + h * w)) <= 1e-9 * abs(d)
+
+    @settings(max_examples=300)
+    @given(st.sampled_from(REAL_FIELDS), st.integers(-1000, 1000),
+           st.integers(-1000, 1000))
+    def test_embeddings_match_trace_and_norm(self, d, u, v):
+        # u + v w has trace 2u + h v and norm u^2 + h u v - c v^2
+        c, h = quadratic_basis(d)
+        s1, s2 = _embeddings(d, (u, v))
+        scale = max(1.0, abs(s1) + abs(s2))
+        assert abs((s1 + s2) - (2 * u + h * v)) <= 1e-9 * scale
+        assert abs(s1 * s2 - (u * u + h * u * v - c * v * v)) <= 1e-9 * scale * scale
+
+
 class TestRealQuadElem:
     def test_validation(self):
         with pytest.raises(DomainError):
             RealQuadElem(4, 1, 1)
         with pytest.raises(DomainError):
             RealQuadElem(1, 1, 1)
-
-    @settings(max_examples=300)
-    @given(st.sampled_from(REAL_FIELDS), st.integers(-1000, 1000),
-           st.integers(-1000, 1000))
-    def test_embeddings_match_trace_and_norm(self, d, u, v):
-        x = RealQuadElem(d, u, v)
-        s1, s2 = _embeddings(d, (u, v))
-        scale = max(1.0, abs(s1) + abs(s2))
-        assert abs((s1 + s2) - x.trace()) <= 1e-9 * scale
-        assert abs(s1 * s2 - x.norm()) <= 1e-9 * scale * scale
 
     @given(st.sampled_from(REAL_FIELDS),
            st.tuples(st.integers(-200, 200), st.integers(-200, 200)),

@@ -29,8 +29,10 @@ from oracles import (
     bianchi_census_scan,
     bianchi_members_merge,
     bianchi_rows_bisect,
+    marklof_constant_branch,
     quartic_at,
     sqrt_lambda_from_trace,
+    square_free_sample,
     trace_complex,
     trace_conjugate,
     trace_norm,
@@ -280,13 +282,13 @@ class TestCensus:
 
     @pytest.mark.parametrize("D", [1, 2, 3, 7, 163])
     def test_census_bounds_hold(self, D):
-        # one cut formula a row
+        # one cut formula a row, priced at 5 steps
         for Q in (2, 3, 10, 1000, 10**6, 10**8, 10**12):
             members, steps = census_bounds(D, Q)
             lens = [len(ws) for _, _, ws, _, _ in _rows(D, Q)]
             count = bianchi_census(D, Q).count
             assert count <= sum(lens) <= members
-            assert steps == row_count(D, Q) == len(lens)
+            assert steps == 5 * row_count(D, Q) == 5 * len(lens)
             if Q >= 10**8:  # and the bound stays close
                 assert members <= 1.35 * count
 
@@ -306,6 +308,11 @@ class TestMarklofConstant:
     def test_rejects_non_square_free(self):
         with pytest.raises(DomainError):
             marklof_constant(8)
+
+    def test_bit_identical_to_the_branch_formula(self):
+        # pi / (2 sqrt(E)) with E = D or 4D, against pi / (2 or 4) / sqrt(D) by D mod 4
+        for D in square_free_sample(1, seed=21):
+            assert marklof_constant(D) == marklof_constant_branch(D), D
 
 
 class TestSerialization:

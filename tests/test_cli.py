@@ -608,6 +608,21 @@ class TestInputGuards:
         code, out, err = results[0]
         assert code in (3, 4) and out == "" and err.startswith("salem-error kind=")
 
+    @pytest.mark.parametrize("argv, flag, series", [
+        (("--series", "deg2", "--qgrid", "3,4,5", "--d", "3"), "--d", "bianchi"),
+        (("--series", "system", "--field", "2", "--qgrid", "10,20,40", "--d", "3"), "--d",
+         "bianchi"),
+        (("--series", "sr", "--qgrid", "10,20,40", "--field", "2"), "--field", "system"),
+        (("--series", "bianchi", "--d", "3", "--qgrid", "10,20,40", "--field", "2"), "--field",
+         "system"),
+    ])
+    def test_fit_refuses_flags_of_other_series(self, capsys, argv, flag, series):
+        # --d and --field are read only by their own series, so elsewhere they are refused
+        for extra in ((), ("--dry-run",)):
+            code, out, err = self._timed(capsys, "fit", *argv, *extra)
+            assert code == 3 and out == ""
+            assert _error_detail(err) == f"{flag} is read only by --series {series}"
+
     def test_bianchi_plot_data_dry_run_plans_the_counts(self, capsys):
         # the table would write up to 1.15e9 rows; the plot counts 56 points
         argv = ("bianchi", "--d", "3", "--qmax", str(10**18), "--plot-data")
@@ -616,7 +631,7 @@ class TestInputGuards:
         work = sum(bianchi.census_bounds(3, q)[1] for q in qs)
         assert code == 0 and out == (f"plan command=bianchi-plot d=3 qmax={10**18} "
                                      f"grid_points={len(qs)} rows={len(qs)} work={work}\n")
-        assert work == 229462 < cli.MAX_STEPS
+        assert work == 5 * 229462 < cli.MAX_STEPS  # 5 steps a row
         code, _, err = self._timed(capsys, "bianchi", "--d", "3", "--qmax", str(10**28),
                                    "--plot-data", "--dry-run")
         assert code == 4 and "kind=capacity" in err and "steps" in err

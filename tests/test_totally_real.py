@@ -4,11 +4,11 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from salemcensus import totally_real
-from salemcensus.algebra import RealQuadElem, sign_plus_root
+from salemcensus.algebra import sign_plus_root
 from salemcensus.cli import main
 from salemcensus.errors import CapacityError, DomainError
 from salemcensus.quartics import SalemQuartic, is_salem
@@ -36,8 +36,10 @@ from oracles import (
     count_system_pairs,
     count_system_walk,
     enumerate_system_walk,
+    lattice_delta_branch,
     ring_square_root_bruteforce,
     ring_square_root_float,
+    square_free_sample,
     system_qmin,
     verify_salem_over_L_exact,
     verify_salem_over_L_numeric,
@@ -262,9 +264,11 @@ def _disc(d, a, b):
 
 def _salem_over_L_unscreened(d, au, av, bu, bv):
     """sigma2(b + 2a + 2) > 0 and no square root of a^2 - 4b + 8 in o_L,
-    decided by the oracle's signs and ring_square_root with no norm screen."""
-    disc = RealQuadElem(d, *_disc(d, (au, av), (bu, bv)))
-    return _sigma_signs(d, (bu + 2 * au + 2, bv + 2 * av))[1] > 0 and ring_square_root(disc) is None
+    decided by the oracle's signs and its float square root, which tests
+    no norm."""
+    disc = _disc(d, (au, av), (bu, bv))
+    return (_sigma_signs(d, (bu + 2 * au + 2, bv + 2 * av))[1] > 0
+            and ring_square_root_float(d, disc) is None)
 
 
 class TestVerifySalemOverL:
@@ -311,48 +315,57 @@ class TestVerifySalemOverL:
         # disc = (10 + 8 sqrt2)^2, so only (iv) rejects it
         (au, av), k = (-10, -8), (4, 2)
         s = _solution(2, 20, au, av, *k)
-        disc = RealQuadElem(2, *_disc(2, (au, av), (s.b.u, s.b.v)))
+        disc = _disc(2, (au, av), (s.b.u, s.b.v))
         kk = _mul(2, k, k)
         assert s.branch == "both" and _sigma_signs(2, (kk[0] + 4 * au, kk[1] + 4 * av))[1] > 0
-        assert ring_square_root(disc) in (RealQuadElem(2, 10, 8), RealQuadElem(2, -10, -8))
+        assert ring_square_root(2, *disc) in ((10, 8), (-10, -8))
         assert not verify_salem_over_L(2, s)
         assert not verify_salem_over_L_exact(2, (-10, -8), (4, 2))
 
     @pytest.mark.parametrize("d", [2, 3, 5, 13])
     def test_norm_screen_answers_as_the_ring_square_root(self, d, monkeypatch):
-        # _salem_over_L builds disc and asks ring_square_root only when the
-        # integer N(disc) is a square; every 'both' row up to Q = 200 gets
-        # the answer of the unscreened tests on elements
+        # _salem_over_L screens disc = a^2 - 4b + 8 by nothing but ring_square_root, whose
+        # first step is the norm test; every 'both' row up to Q = 200, and pairs whose disc
+        # is a square, get the answer of the unscreened oracle
         calls = []
         monkeypatch.setattr(totally_real, "ring_square_root",
-                            lambda x: calls.append(x) or ring_square_root(x))
-        both = [r for r in totally_real.system_rows(d, 200) if r[6] == "both"]
-        got = [totally_real._salem_over_L(d, au, av, bu, bv)
-               for au, av, _, _, bu, bv, _, _ in both]
-        assert got == [_salem_over_L_unscreened(d, au, av, bu, bv)
-                       for au, av, _, _, bu, bv, _, _ in both]
-        assert 0 < sum(got) < len(got)
-        assert calls and all(math.isqrt(x.norm()) ** 2 == x.norm() for x in calls)
-
-    @pytest.mark.parametrize("d", [2, 3, 5, 13])
-    def test_norm_screen_falls_back_on_square_discriminants(self, d, monkeypatch):
-        # a = s + 2t and b = 2 + t (s + t) give disc = a^2 - 4b + 8 = s^2
-        calls = []
-        monkeypatch.setattr(totally_real, "ring_square_root",
-                            lambda x: calls.append(x) or ring_square_root(x))
+                            lambda *x: calls.append(x) or ring_square_root(*x))
+        both = [(au, av, bu, bv) for au, av, _, _, bu, bv, branch, _
+                in totally_real.system_rows(d, 200) if branch == "both"]
+        got = [totally_real._salem_over_L(d, *r) for r in both]
+        assert got == [_salem_over_L_unscreened(d, *r) for r in both]
+        assert 0 < sum(got) < len(got) and calls
+        # a = s + 2t and b = 2 + t (s + t) give disc = s^2
         tried = 0
         for su, sv, tu, tv in itertools.product(range(-3, 4), repeat=4):
             ts = _mul(d, (tu, tv), (su + tu, sv + tv))
             a, b = (su + 2 * tu, sv + 2 * tv), (2 + ts[0], ts[1])
             assert _disc(d, a, b) == _mul(d, (su, sv), (su, sv))
-            if _sigma_signs(d, (b[0] + 2 * a[0] + 2, b[1] + 2 * a[1]))[1] <= 0:
-                continue  # the sign test decides before the square root
-            tried += 1
-            disc = RealQuadElem(d, *_disc(d, a, b))
-            assert ring_square_root(disc) is not None
-            assert not totally_real._salem_over_L(d, *a, *b)
-            assert calls.pop() == disc
+            calls.clear()
+            assert totally_real._salem_over_L(d, *a, *b) == _salem_over_L_unscreened(d, *a, *b)
+            if calls:  # the sign test let it through to the square root, which finds one
+                tried += 1
+                assert calls == [(d, *_disc(d, a, b))] and not _salem_over_L_unscreened(d, *a, *b)
         assert tried > 100
+
+    @pytest.mark.parametrize("argv", [
+        ("cocompact", "--field", "5", "--qmax", "60", "--verified"),
+        ("cocompact", "--field", "2", "--qmax", "30", "--verified", "--format", "json"),
+        ("fit", "--series", "system", "--field", "13", "--qgrid", "100,200,400"),
+        ("constants", "--c2-bound", "5"),
+    ])
+    def test_no_command_builds_an_element(self, argv, monkeypatch, capsys):
+        # every command computes on integer coordinates: RealQuadElem and _like refuse here
+        from salemcensus.algebra import RealQuadElem
+
+        def refuse(*_):
+            raise AssertionError("a RealQuadElem was built")
+
+        monkeypatch.setattr(RealQuadElem, "__init__", refuse)
+        monkeypatch.setattr(RealQuadElem, "_like", refuse)
+        assert main([*argv]) == 0 and capsys.readouterr().out
+        with pytest.raises(AssertionError):
+            next(enumerate_system(5, 10))
 
     def test_verified_count_subset(self):
         total = count_system(2, 20)
@@ -375,48 +388,56 @@ class TestVerifySalemOverL:
 
 class TestRingSquareRoot:
     def test_rational_squares(self):
-        nine = RealQuadElem(2, 9, 0)
-        root = ring_square_root(nine)
-        assert root is not None and root * root == nine
-        assert ring_square_root(RealQuadElem(2, 21, 0)) is None
+        assert ring_square_root(2, 9, 0) in ((3, 0), (-3, 0))
+        assert ring_square_root(2, 21, 0) is None
 
     def test_irrational_square(self):
-        x = RealQuadElem(2, 1, 1)
-        sq = x * x  # 3 + 2 sqrt2
-        root = ring_square_root(sq)
-        assert root is not None and root * root == sq
-        assert ring_square_root(RealQuadElem(2, sq.u + 1, sq.v)) is None
+        sq = _mul(2, (1, 1), (1, 1))  # 3 + 2 sqrt2
+        root = ring_square_root(2, *sq)
+        assert root is not None and _mul(2, root, root) == sq
+        assert ring_square_root(2, sq[0] + 1, sq[1]) is None
 
     def test_negative_embedding_has_no_root(self):
-        assert ring_square_root(RealQuadElem(2, 0, 1)) is None  # sigma2 < 0
+        assert ring_square_root(2, 0, 1) is None  # sigma2 < 0
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 13])
+    def test_zero_is_its_own_root(self, d):
+        assert ring_square_root(d, 0, 0) == (0, 0)
+        assert ring_square_root_bruteforce(d, (0, 0)) == (0, 0)
+        assert ring_square_root_float(d, (0, 0)) == (0, 0)
+
+    def test_field_is_validated(self):
+        for d in (4, 1, 0, -5):
+            with pytest.raises(DomainError):
+                ring_square_root(d, 9, 0)
 
     def test_huge_square_exact(self):
-        x = RealQuadElem(2, 10**40 + 7, 3 * 10**39 + 1)
-        sq = x * x
-        root = ring_square_root(sq)
-        assert root is not None and root * root == sq
-        assert ring_square_root(RealQuadElem(2, sq.u + 1, sq.v)) is None
+        # near 10^40 neither oracle runs: the root is confirmed by squaring
+        for d in (2, 5):
+            x = (10**40 + 7, 3 * 10**39 + 1)
+            sq = _mul(d, x, x)
+            assert ring_square_root(d, *sq) in (x, (-x[0], -x[1]))
+            assert ring_square_root(d, sq[0] + 1, sq[1]) is None
+            assert ring_square_root(d, sq[0], sq[1] + 1) is None
 
     @settings(max_examples=300)
     @given(st.sampled_from([2, 3, 5, 13]), st.integers(-60, 60), st.integers(-60, 60),
            st.integers(-6, 6), st.integers(-6, 6))
     def test_near_squares_match_bruteforce(self, d, u, v, eu, ev):
-        assume((eu, ev) != (0, 0))
+        # (eu, ev) = (0, 0) is a square, (u, v) = (0, 0) with it the zero element
         sq = _mul(d, (u, v), (u, v))
-        y = RealQuadElem(d, sq[0] + eu, sq[1] + ev)
-        root = ring_square_root(y)
-        brute = ring_square_root_bruteforce(d, (y.u, y.v))
+        y = (sq[0] + eu, sq[1] + ev)
+        root = ring_square_root(d, *y)
+        brute = ring_square_root_bruteforce(d, y)
         assert (root is None) == (brute is None)
-        assert (root is None) == (ring_square_root_float(d, (y.u, y.v)) is None)
+        assert (root is None) == (ring_square_root_float(d, y) is None)
         if root is not None:
-            assert root * root == y
+            assert _mul(d, root, root) == y and root in (brute, (-brute[0], -brute[1]))
 
     @settings(max_examples=200)
     @given(st.sampled_from([2, 5, 13]), st.integers(-50, 50), st.integers(-50, 50))
     def test_roundtrip(self, d, u, v):
-        x = RealQuadElem(d, u, v)
-        root = ring_square_root(x * x)
-        assert root is not None and root * root == x * x
+        assert ring_square_root(d, *_mul(d, (u, v), (u, v))) in ((u, v), (-u, -v))
 
 
 class TestGeometry:
@@ -428,6 +449,11 @@ class TestGeometry:
                 13: 6.6332495807108, 21: 7.745966692414833, 1000003: 2828.4327815947827,
                 999999999999999989: 1414213562.373095}
         assert {d: lattice_geometry(d).delta for d in pins} == pins
+
+    def test_delta_bit_identical_to_the_branch_formula(self):
+        # the diagonals (2 + h, 2 - h) and (2 - h, h - 2) of quadratic_basis, against a branch
+        for d in square_free_sample(2, seed=22):
+            assert lattice_geometry(d).delta == lattice_delta_branch(d), d
 
     def test_discriminants(self):
         assert lattice_geometry(5).disc == 5
