@@ -325,8 +325,8 @@ class TestVerifySalemOverL:
     @pytest.mark.parametrize("d", [2, 3, 5, 13])
     def test_norm_screen_answers_as_the_ring_square_root(self, d, monkeypatch):
         # _salem_over_L screens disc = a^2 - 4b + 8 by nothing but ring_square_root, whose
-        # first step is the norm test; every 'both' row up to Q = 200, and pairs whose disc
-        # is a square, get the answer of the unscreened oracle
+        # first step is the norm test; every 'both' row up to Q = 200 gets the answer of
+        # the unscreened oracle
         calls = []
         monkeypatch.setattr(totally_real, "ring_square_root",
                             lambda *x: calls.append(x) or ring_square_root(*x))
@@ -335,7 +335,15 @@ class TestVerifySalemOverL:
         got = [totally_real._salem_over_L(d, *r) for r in both]
         assert got == [_salem_over_L_unscreened(d, *r) for r in both]
         assert 0 < sum(got) < len(got) and calls
-        # a = s + 2t and b = 2 + t (s + t) give disc = s^2
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 13])
+    def test_norm_screen_falls_back_on_square_discriminants(self, d, monkeypatch):
+        # a = s + 2t and b = 2 + t (s + t) give disc = a^2 - 4b + 8 = s^2: whenever the
+        # sign test lets such a pair through, ring_square_root is asked with its disc
+        # and finds a root, as the unscreened oracle does
+        calls = []
+        monkeypatch.setattr(totally_real, "ring_square_root",
+                            lambda *x: calls.append(x) or ring_square_root(*x))
         tried = 0
         for su, sv, tu, tv in itertools.product(range(-3, 4), repeat=4):
             ts = _mul(d, (tu, tv), (su + tu, sv + tv))
