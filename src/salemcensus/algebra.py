@@ -42,8 +42,10 @@ def is_square_free(n: int) -> bool:
     least f > m^(1/3), so m is 1, a prime, a product of two distinct primes
     or the square of a prime, and only the last is not square-free: m is
     square-free iff it is not a perfect square (m = 1 aside).  That is
-    O(n^(1/3)) steps, about 5e5 at n = 1e18.  Results are cached, since a
-    field parameter is validated once per element built from it.
+    O(n^(1/3)) steps, about 5e5 at n = 1e18.  Results are cached, since
+    ring_square_root validates its field parameter on every call, and
+    `cocompact --verified` calls it once per row of the `both` branch that
+    passes the sign test before it.
     """
     if n < 1:
         return False

@@ -7,17 +7,13 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from itertools import chain
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .errors import CapacityError, DomainError
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 __all__ = [
     "FitResult",
     "MultiplicityRow",
-    "omega",
     "omega_series",
     "power_fit",
     "multiplicity_report",
@@ -54,17 +50,11 @@ class MultiplicityRow(NamedTuple):
     mean_mult_lower: float
 
 
-def omega(m: int) -> Fraction:
-    """Leading constant of the degree-2(m+1) Salem count:
-    2^(m(m+1))/(m+1) * prod_{k=0}^{m-1} k!^2 / (2k+1)!, exact."""
-    from fractions import Fraction  # only here: it loads decimal, which no command needs
-
-    return Fraction(*omega_series(m)[-1])
-
-
 def omega_series(M: int) -> list[tuple[int, int]]:
     """[omega(1), ..., omega(M)] as (numerator, denominator) pairs in
-    lowest terms, by one running product of O(M) integer steps:
+    lowest terms, where omega(m) = 2^(m(m+1))/(m+1) *
+    prod_{k=0}^{m-1} k!^2 / (2k+1)! is the leading constant of the
+    degree-2(m+1) Salem count, by one running product of O(M) integer steps:
     omega(m + 1) / omega(m) = 4^(m+1) (m+1) m!^2 / ((m+2) (2m+1)!) and
     m!^2 / (2m+1)! = 1 / ((2m+1) C(2m, m))."""
     if not isinstance(M, int) or M < 1:

@@ -24,7 +24,6 @@ from typing import NamedTuple
 
 from .algebra import _check_q, is_perfect_square
 from .errors import DomainError
-from .quartics import _salem_value_ab
 
 __all__ = [
     "CensusRecord",
@@ -116,13 +115,15 @@ def _deg4_rows(Q: int) -> Iterator[tuple[int, int, int, tuple[int, int, int]]]:
 def enumerate_salem_deg4(Q: int) -> Iterator[CensusRecord]:
     """All degree-4 Salem records with lambda <= Q, ordered by descending a
     then ascending b.  Streams with O(1) memory."""
+    from .quartics import salem_value  # here, so that no census command loads quartics
+
     _check_q(Q)
     for n, lo, hi, skip in _deg4_rows(Q):
         a = -n
         for b in range(lo, hi):
             if b not in skip:
                 k = is_perfect_square(2 + b + 2 * n)
-                yield CensusRecord(a, b, k, _salem_value_ab(a, b), "direct")
+                yield CensusRecord(a, b, k, salem_value((a, b)), "direct")
 
 
 # --- square-rootable census -------------------------------------------------
@@ -154,14 +155,6 @@ def _sr_rows(Q: int) -> Iterator[tuple[int, int, int, set[int]]]:
     """(n, lo, hi, skip) for each row a = -n, n = 1..Q+2 (see _sr_row)."""
     for n in range(1, Q + 3):
         yield n, *_sr_row(Q, n)
-
-
-def _iter_sr_tuples(Q: int) -> Iterator[tuple[int, int, int]]:
-    """(a, b, k) stream of the square-rootable census, no record overhead."""
-    for n, lo, hi, skip in _sr_rows(Q):
-        for k in range(lo, hi):
-            if k not in skip:
-                yield -n, k * k - 2 * n - 2, k
 
 
 # The reducible square-rootable points, one family per (i, m0):
@@ -217,9 +210,14 @@ def count_sr(Q: int) -> int:
 def enumerate_sr(Q: int) -> Iterator[CensusRecord]:
     """Square-rootable census records with lambda <= Q, same order as
     enumerate_salem_deg4."""
+    from .quartics import salem_value  # here, so that no census command loads quartics
+
     _check_q(Q)
-    for a, b, k in _iter_sr_tuples(Q):
-        yield CensusRecord(a, b, k, _salem_value_ab(a, b), "direct")
+    for n, lo, hi, skip in _sr_rows(Q):
+        for k in range(lo, hi):
+            if k not in skip:
+                a, b = -n, k * k - 2 * n - 2
+                yield CensusRecord(a, b, k, salem_value((a, b)), "direct")
 
 
 # --- closed box sums and the degree-2 census --------------------------------
@@ -269,9 +267,9 @@ def _census_chunks(which: str, Q: int, json_out: bool, block_rows: int) -> Itera
     """census deg4|sr formatted straight from the row intervals of
     _deg4_rows / _sr_rows, at most block_rows members to a chunk, with the
     bytes of census_csv_row or json.dumps(indent=2) on their records.
-    lambda repeats quartics._salem_value_ab's float steps on the same
-    integer a^2 - 4b + 8 = n^2 + 8 - 4b; k is the root of a square
-    p(-1) = b + 2n + 2.
+    lambda repeats quartics.salem_value's float steps on the same
+    integer a^2 - 4b + 8 = n^2 + 8 - 4b, without its exact tests, which the
+    row intervals already pass; k is the root of a square p(-1) = b + 2n + 2.
 
     A chunk is one % on the row template repeated once a member, over the
     flat (b, k, lambda) values of the chunk.  %d of an int is str(int), and

@@ -1,11 +1,12 @@
-"""Palindromic quartics x^4 + a x^3 + b x^2 + a x + 1 and their exact
-Salem predicates.
+"""Palindromic quartics x^4 + a x^3 + b x^2 + a x + 1: the Salem root of
+one, and the lift from the quartic of lambda^(1/2) to that of lambda.
 
 Substituting y = x + 1/x turns the quartic into r(y) = y^2 + a y + (b - 2)
 via x^2 r(x + 1/x) = p(x).  The quartic is a Salem polynomial exactly when
 r has one root above 2 (carrying the real pair lambda, 1/lambda) and one
 root strictly inside (-2, 2) (carrying the unit-circle pair), and the
-quartic is irreducible.  All three conditions are integer decisions:
+quartic is irreducible.  All three conditions are integer decisions, and
+salem_value makes them before it computes lambda:
 
     r(2)  = b + 2a + 2 < 0
     r(-2) = b - 2a + 2 > 0
@@ -22,12 +23,10 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .algebra import is_perfect_square
 from .errors import ContractError
 
 __all__ = [
     "SalemQuartic",
-    "is_salem",
     "salem_value",
     "lift_half_power",
 ]
@@ -40,30 +39,18 @@ class SalemQuartic(NamedTuple):
     b: int
 
 
-def is_salem(p: SalemQuartic) -> bool:
-    """True iff p is irreducible with roots lambda > 1, 1/lambda, and a
-    non-real unit-circle pair."""
-    a, b = p
-    if b + 2 * a + 2 >= 0 or b - 2 * a + 2 <= 0:
-        return False
-    return is_perfect_square(a * a - 4 * b + 8) is None
-
-
 def salem_value(p: SalemQuartic) -> float:
-    """The Salem root lambda at double precision (diagnostic), by
-    _salem_value_ab's float steps; ContractError unless p passes is_salem's
-    three exact tests, run here on the one discriminant both need."""
+    """The Salem root lambda at double precision (diagnostic), as the root
+    of y^2 + a y + (b - 2) above 2 lifted by x + 1/x = y; ContractError
+    unless p passes the three exact tests of the module docstring, which
+    share their discriminant with lambda and so are the package's one Salem
+    predicate."""
     a, b = p
     disc = a * a - 4 * b + 8
     # r(2) < 0 gives r a real root above 2, so disc > 0 past the sign tests
     if b + 2 * a + 2 >= 0 or b - 2 * a + 2 <= 0 or math.isqrt(disc) ** 2 == disc:
         raise ContractError(f"({a}, {b}) is not a Salem quartic")
     y = (-a + math.sqrt(disc)) / 2.0
-    return (y + math.sqrt(y * y - 4.0)) / 2.0
-
-
-def _salem_value_ab(a: int, b: int) -> float:
-    y = (-a + math.sqrt(a * a - 4 * b + 8)) / 2.0
     return (y + math.sqrt(y * y - 4.0)) / 2.0
 
 

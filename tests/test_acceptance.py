@@ -6,15 +6,15 @@ import math
 import time
 
 from salemcensus.algebra import is_perfect_square
-from salemcensus.asymptotics import omega, power_fit
+from salemcensus.asymptotics import omega_series, power_fit
 from salemcensus.bianchi import bianchi_census, marklof_constant
-from salemcensus.census import count_salem_deg4, count_sr, enumerate_salem_deg4
-from salemcensus.census import _iter_sr_tuples
+from salemcensus.census import count_salem_deg4, count_sr, enumerate_salem_deg4, enumerate_sr
 from salemcensus.cli import main
-from salemcensus.quartics import SalemQuartic, is_salem, lift_half_power
+from salemcensus.errors import ContractError
+from salemcensus.quartics import SalemQuartic, lift_half_power, salem_value
 from salemcensus.totally_real import count_system, volume_exact, volume_leading
 
-from oracles import at_minus_one, is_salem_oracle, root_margin, volume_monte_carlo
+from oracles import at_minus_one, is_salem_oracle, omega_direct, root_margin, volume_monte_carlo
 
 
 def _report(num, ok, detail):
@@ -92,12 +92,20 @@ def test_criterion_05_square_rootability_identity():
             f"D in {{1,2,3,7,11}}, Q=1e6 (exact)")
 
 
+def _salem_value_accepts(a, b):
+    try:
+        salem_value(SalemQuartic(a, b))
+    except ContractError:
+        return False
+    return True
+
+
 def test_criterion_06_oracle_equivalence():
     disagree = []
     excluded = 0
     for a in range(-60, 61):
         for b in range(-60, 61):
-            mine = is_salem(SalemQuartic(a, b))
+            mine = _salem_value_accepts(a, b)
             ref = is_salem_oracle(a, b)
             if mine != ref:
                 if root_margin(a, b) < 1e-6:
@@ -105,12 +113,12 @@ def test_criterion_06_oracle_equivalence():
                 else:
                     disagree.append((a, b))
     ok = not disagree and excluded < 10
-    _report(6, ok, f"is_salem vs numeric classifier on |a|,|b| <= 60: "
+    _report(6, ok, f"salem_value's exact tests vs numeric classifier on |a|,|b| <= 60: "
             f"{len(disagree)} disagreements, {excluded} margin exclusions (< 10)")
 
 
 def test_criterion_07_pipeline_oracles():
-    sr200 = {(r.a, r.b) for r in _sr_records(200)}
+    sr200 = {(r.a, r.b) for r in enumerate_sr(200)}
     filt200 = {(r.a, r.b) for r in enumerate_salem_deg4(200) if r.k is not None}
     eq = sr200 == filt200
 
@@ -118,18 +126,13 @@ def test_criterion_07_pipeline_oracles():
     for A, B, _, _ in bianchi_census(1, 10**4).members():
         p = lift_half_power(SalemQuartic(A, B))
         pending[(p.a, p.b)] = False
-    for a, b, _k in _iter_sr_tuples(10**4):
-        if (a, b) in pending:
-            pending[(a, b)] = True
+    for r in enumerate_sr(10**4):
+        if (r.a, r.b) in pending:
+            pending[(r.a, r.b)] = True
     subset = all(pending.values())
     ok = eq and subset
     _report(7, ok, f"enumerate_sr(200) == filtered deg4 ({len(sr200)} members); "
             f"bianchi lift subset of sr at D=1, Q=1e4 ({len(pending)} members)")
-
-
-def _sr_records(Q):
-    from salemcensus.census import enumerate_sr
-    return list(enumerate_sr(Q))
 
 
 def test_criterion_08_system_growth():
@@ -160,7 +163,7 @@ def test_criterion_09_volume_consistency():
 
 def test_criterion_10_constants():
     from fractions import Fraction
-    ok = omega(1) == Fraction(2)
+    ok = Fraction(*omega_series(1)[-1]) == Fraction(2) == omega_direct(1)
     checks = []
     for D in (1, 2, 5, 3, 7, 11):
         expected = (math.pi / (2 * math.sqrt(D)) if D % 4 == 3
@@ -168,5 +171,5 @@ def test_criterion_10_constants():
         got = marklof_constant(D)
         checks.append(abs(got - expected) <= 1e-12)
     ok = ok and all(checks)
-    _report(10, ok, "omega(1) = 2 exactly; marklof_constant matches the "
+    _report(10, ok, "omega_series(1) = [2] exactly; marklof_constant matches the "
             "D mod 4 branch to 1e-12 for D in {1,2,5,3,7,11}")

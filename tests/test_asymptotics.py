@@ -9,13 +9,17 @@ from salemcensus.asymptotics import (
     MULTIPLICITY_CSV_HEADER,
     multiplicity_report,
     multiplicity_table,
-    omega,
     omega_series,
     power_fit,
 )
 from salemcensus.errors import CapacityError, DomainError
 
 from oracles import omega_direct
+
+
+def omega(m):
+    """omega(m) as a Fraction, the last term of omega_series(m)."""
+    return Fraction(*omega_series(m)[-1])
 
 
 class TestOmega:

@@ -21,7 +21,7 @@ from salemcensus.bianchi import (
 )
 from salemcensus.census import enumerate_sr
 from salemcensus.errors import DomainError
-from salemcensus.quartics import SalemQuartic, is_salem, lift_half_power, salem_value
+from salemcensus.quartics import SalemQuartic, lift_half_power, salem_value
 
 from oracles import (
     at_minus_one,
@@ -29,6 +29,7 @@ from oracles import (
     bianchi_census_scan,
     bianchi_members_merge,
     bianchi_rows_bisect,
+    is_salem_oracle,
     marklof_constant_branch,
     quartic_at,
     sqrt_lambda_from_trace,
@@ -90,7 +91,7 @@ class TestSalemFromTrace:
         for D in (1, 2, 3, 7):
             c = bianchi_census(D, 10**4)
             for A, B, _, _ in c.members():
-                assert is_salem(SalemQuartic(A, B))
+                assert is_salem_oracle(A, B)
                 assert A < 0
 
 

@@ -10,7 +10,6 @@ from salemcensus.cli import main
 from salemcensus.census import (
     CENSUS_CSV_HEADER,
     _deg4_rows,
-    _iter_sr_tuples,
     _sr_rows,
     box_sums,
     census_csv_row,
@@ -21,7 +20,7 @@ from salemcensus.census import (
     enumerate_sr,
 )
 from salemcensus.errors import DomainError
-from salemcensus.quartics import SalemQuartic, is_salem, salem_value
+from salemcensus.quartics import SalemQuartic, salem_value
 
 from oracles import (
     census_record_texts,
@@ -56,7 +55,7 @@ class TestDeg4Census:
 
     def test_every_record_is_salem(self):
         for rec in enumerate_salem_deg4(40):
-            assert is_salem(SalemQuartic(rec.a, rec.b))
+            assert is_salem_oracle(rec.a, rec.b)
 
     def test_small_box_against_oracle(self):
         expected = set()
@@ -266,9 +265,10 @@ class TestCsv:
 
 
 def test_sr_tuple_stream_matches_records():
-    tuples = list(_iter_sr_tuples(60))
-    recs = [(r.a, r.b, r.k) for r in enumerate_sr(60)]
-    assert tuples == recs
+    # the per-candidate filter past the every-Q range of
+    # test_sr_enumeration_skips_exactly_the_reducible
+    recs = [(r.a, r.b, r.k) for r in enumerate_sr(2000)]
+    assert recs == enumerate_sr_filter(2000)
 
 
 @pytest.mark.parametrize("rows, count", [(_deg4_rows, count_salem_deg4), (_sr_rows, count_sr)])

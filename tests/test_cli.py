@@ -679,10 +679,13 @@ class TestImportFootprint:
     HEAVY = {"dataclasses", "inspect", "fractions", "decimal", "json"}
     FIELDS = {"salemcensus.bianchi", "salemcensus.totally_real"}
     FOOTPRINTS = [
-        (("census", "deg2", "--qmax", "10"), HEAVY | FIELDS | {"salemcensus.asymptotics"}, set()),
-        (("census", "sr", "--qmax", "30"), HEAVY | FIELDS, {"salemcensus.census"}),
-        (("census", "deg4", "--qmax", "30", "--format", "json"), HEAVY | FIELDS, set()),
-        (("fit", "--series", "sr", "--qgrid", "50,100,200"), HEAVY | FIELDS,
+        (("census", "deg2", "--qmax", "10"),
+         HEAVY | FIELDS | {"salemcensus.asymptotics", "salemcensus.quartics"}, set()),
+        (("census", "sr", "--qmax", "30"), HEAVY | FIELDS | {"salemcensus.quartics"},
+         {"salemcensus.census"}),
+        (("census", "deg4", "--qmax", "30", "--format", "json"),
+         HEAVY | FIELDS | {"salemcensus.quartics"}, set()),
+        (("fit", "--series", "sr", "--qgrid", "50,100,200"), HEAVY | FIELDS | {"salemcensus.quartics"},
          {"salemcensus.asymptotics"}),
         (("bianchi", "--d", "3", "--qmax", "1000", "--dry-run"), HEAVY,
          {"salemcensus.bianchi"}),

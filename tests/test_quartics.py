@@ -6,13 +6,7 @@ from hypothesis import strategies as st
 
 from salemcensus.algebra import is_perfect_square
 from salemcensus.errors import ContractError
-from salemcensus.quartics import (
-    SalemQuartic,
-    _salem_value_ab,
-    is_salem,
-    lift_half_power,
-    salem_value,
-)
+from salemcensus.quartics import SalemQuartic, lift_half_power, salem_value
 
 from oracles import (
     at_minus_one,
@@ -31,28 +25,8 @@ def salem_with_witness():
         .flatmap(lambda na: st.tuples(st.just(na),
                                       st.integers(1, math.isqrt(4 * na - 1))))
         .map(lambda t: SalemQuartic(-t[0], t[1] * t[1] - 2 * t[0] - 2))
-        .filter(is_salem)
+        .filter(lambda p: is_salem_oracle(*p))
     )
-
-
-class TestIsSalem:
-    def test_examples(self):
-        assert is_salem(SalemQuartic(-1, -1))
-        assert not is_salem(SalemQuartic(0, 2))    # (x^2+1)(x^2+1) family
-        assert not is_salem(SalemQuartic(-10, 100))
-        assert is_salem(SalemQuartic(-3, 3))
-
-    def test_palindrome(self):
-        # p is palindromic, so 1/lambda is a root of p with lambda
-        p = SalemQuartic(-7, 11)
-        lam = salem_value(p)
-        for x in (lam, 1 / lam):
-            assert quartic_at(*p, x) == pytest.approx(0, abs=1e-9 * lam**4)
-
-    @settings(max_examples=500, deadline=None)
-    @given(st.integers(-25, 25), st.integers(-25, 25))
-    def test_matches_numeric_oracle(self, a, b):
-        assert is_salem(SalemQuartic(a, b)) == is_salem_oracle(a, b)
 
 
 class TestWitness:
@@ -119,6 +93,13 @@ class TestSalemValue:
         assert salem_value(SalemQuartic(-41, 16)) == pytest.approx(
             40.63103264086892, rel=1e-12)
 
+    def test_palindrome(self):
+        # p is palindromic, so 1/lambda is a root of p with lambda
+        p = SalemQuartic(-7, 11)
+        lam = salem_value(p)
+        for x in (lam, 1 / lam):
+            assert quartic_at(*p, x) == pytest.approx(0, abs=1e-9 * lam**4)
+
     @settings(max_examples=200, deadline=None)
     @given(salem_with_witness())
     def test_matches_root_finder(self, p):
@@ -127,7 +108,8 @@ class TestSalemValue:
 
 
 class TestSalemValueTests:
-    """salem_value runs is_salem's three exact tests on its own discriminant."""
+    """salem_value's three exact tests on its own discriminant, the package's
+    one Salem predicate."""
 
     @pytest.mark.parametrize("a, b", [(0, 2),     # r(2) = b + 2a + 2 >= 0
                                       (0, -3),    # r(-2) = b - 2a + 2 <= 0
@@ -137,14 +119,15 @@ class TestSalemValueTests:
             salem_value(SalemQuartic(a, b))
 
     def test_raises_exactly_off_is_salem(self):
+        # against the numeric classifier of the oracles; (-1, -1) and (-3, 3)
+        # are Salem, (0, 2) is (x^2 + 1)^2
         for a in range(-25, 26):
             for b in range(-25, 26):
-                p = SalemQuartic(a, b)
-                if is_salem(p):
-                    assert salem_value(p) == _salem_value_ab(a, b)
+                if is_salem_oracle(a, b):
+                    assert salem_value(SalemQuartic(a, b)) > 1
                 else:
                     with pytest.raises(ContractError):
-                        salem_value(p)
+                        salem_value(SalemQuartic(a, b))
 
 
 class TestLiftHalfPower:
@@ -166,5 +149,5 @@ class TestLiftHalfPower:
     @given(salem_with_witness())
     def test_lift_squares_the_salem_root(self, q):
         p = lift_half_power(q)
-        assume(is_salem(p))
+        assume(is_salem_oracle(*p))
         assert salem_value(p) == pytest.approx(salem_value(q) ** 2, rel=1e-9)

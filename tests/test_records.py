@@ -23,12 +23,12 @@ from salemcensus.errors import DomainError
 # every name salemcensus re-exports, by the submodule that defines it
 PUBLIC = {
     "algebra": ["RealQuadElem", "is_perfect_square", "is_square_free"],
-    "asymptotics": ["FitResult", "MultiplicityRow", "multiplicity_report", "omega", "power_fit"],
+    "asymptotics": ["FitResult", "MultiplicityRow", "multiplicity_report", "power_fit"],
     "bianchi": ["BianchiCensus", "bianchi_census", "marklof_constant"],
     "census": ["CensusRecord", "box_sums", "count_deg2", "count_salem_deg4", "count_sr",
                "enumerate_salem_deg4", "enumerate_sr"],
     "errors": ["CapacityError", "ContractError", "DomainError"],
-    "quartics": ["SalemQuartic", "is_salem", "lift_half_power", "salem_value"],
+    "quartics": ["SalemQuartic", "lift_half_power", "salem_value"],
     "totally_real": ["LatticeGeometry", "SystemSolution", "c2_upper_bound", "count_system",
                      "enumerate_system", "lattice_geometry", "ring_square_root",
                      "verify_salem_over_L", "volume_exact", "volume_leading"],

@@ -11,7 +11,6 @@ from salemcensus import totally_real
 from salemcensus.algebra import sign_plus_root
 from salemcensus.cli import main
 from salemcensus.errors import CapacityError, DomainError
-from salemcensus.quartics import SalemQuartic, is_salem
 from salemcensus.totally_real import (
     SYSTEM_CSV_HEADER,
     _iter_a_coords,
@@ -36,6 +35,7 @@ from oracles import (
     count_system_pairs,
     count_system_walk,
     enumerate_system_walk,
+    is_salem_oracle,
     lattice_delta_branch,
     ring_square_root_bruteforce,
     ring_square_root_float,
@@ -301,7 +301,7 @@ class TestVerifySalemOverL:
         # exact tests decide it: the identity quartic x^4 - 5x^3 - 11x^2 - 5x + 1
         # is Salem, but the conjugate embedding is the same quartic, with
         # roots off the unit circle
-        assert is_salem(SalemQuartic(-5, -11))
+        assert is_salem_oracle(-5, -11)
         assert not verify_salem_over_L_exact(2, (-5, 0), (1, 0))
         # the rational system solutions fail (ii) the same way
         rational = [s for s in enumerate_system(2, 10) if s.a.v == 0 and s.k.v == 0]
