@@ -13,22 +13,28 @@ prints one line instead of running:
 where R is the exact number of records (CSV data lines or JSON objects)
 the run writes.
 
+One table, COMMANDS, names each leaf command, its plan and the only flags
+it accepts, and _parse reads argv from it: flags are named in full, as
+--flag value or --flag=value, the last of a repeated flag wins, and a
+negative number is a value.  -h or --help prints the help that the table
+describes and exits 0.
+
 Exit codes: 0 success, 2 usage error, 3 domain-validation error,
 4 arithmetic capacity failure.  Errors are one machine-parsable line on
-stderr, a " or backslash in its detail="..." escaped by a backslash.  Each
-command accepts only the flags it reads.  Identical argv produce
-byte-identical output; --workers is validated but runs nothing in parallel.
+stderr, salem-error kind=usage|domain|capacity detail="...", a " or
+backslash in the detail escaped by a backslash, and nothing on stdout.
+Identical argv produce byte-identical output; --workers is validated but
+runs nothing in parallel.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import os
-import signal
 import sys
 from collections.abc import Callable, Iterator
 from itertools import chain
+from types import SimpleNamespace
 from typing import NamedTuple
 
 # census, bianchi, totally_real and asymptotics are imported by the plans
@@ -104,12 +110,19 @@ def _write(out: str | None, chunks) -> None:
     atomic = (not exists or os.path.isfile(target)) and os.access(os.path.dirname(target), os.W_OK)
     path = f"{target}.{os.getpid()}.tmp" if atomic else target
     try:
-        with _out_errors(out, open, path, "w", encoding="utf-8", newline="\n") as fh:
+        fh = _out_errors(out, open, path, "w", encoding="utf-8", newline="\n")
+        try:
             if atomic and exists:
                 _out_errors(out, os.chmod, path, os.stat(target).st_mode & 0o7777)
             for chunk in chunks:  # errors of the row producers pass unchanged
                 _out_errors(out, fh.write, chunk)
-            _out_errors(out, fh.flush)
+            _out_errors(out, fh.close)  # flushes: a full disk or device fails here
+        finally:
+            # after a failed write or row producer, closing flushes what is still
+            # buffered, which fails again on a full device: the file is closed all
+            # the same, and the first error is the one reported
+            with contextlib.suppress(OSError):
+                fh.close()
         if atomic:
             _out_errors(out, os.replace, path, target)
     except BaseException:
@@ -301,11 +314,11 @@ def _series(args, qs: list[int]) -> tuple[str, int, Callable[[int], int]]:
 
 def _plan_fit(args) -> Plan:
     try:
-        qs = sorted(int(tok) for tok in args.qgrid.split(","))
+        qs = sorted({int(tok) for tok in args.qgrid.split(",")})  # a repeated Q is one point
     except ValueError as exc:
         raise DomainError(f"--qgrid expects comma-separated integers, got {args.qgrid!r}") from exc
     qmin = 3 if args.series == "deg2" else 2
-    if len(set(qs)) < 3 or qs[0] < qmin:
+    if len(qs) < 3 or qs[0] < qmin:
         raise DomainError(f"--qgrid needs >= 3 distinct values, all >= {qmin}")
     for flag, value, series in (("--d", args.d, "bianchi"), ("--field", args.field, "system")):
         if value is not None and args.series != series:
@@ -340,106 +353,203 @@ def _plan_report(args) -> Plan:
                     args.n, args.ell_max, args.step, args.format == "json", BLOCK_ROWS)))
 
 
-# --- parser ------------------------------------------------------------------
+# --- command table -----------------------------------------------------------
 
 
-# The commands and their help lines.  Given a command, build_parser fills
-# in only its subtree.
+# Flag and Command are plain classes: creating a NamedTuple class costs about
+# 0.3 ms, and the command table is built at every start.
+
+
+class Flag:
+    """A --flag of a command.  It takes nargs values, each passed through
+    convert (int, float or str) or checked against a tuple of the values
+    allowed, and kept as a list when there are several; a switch (nargs 0)
+    sets True.  Its value is default unless given, and a REQUIRED flag
+    must be given.  metavar names its values in the help."""
+
+    __slots__ = ("convert", "default", "help", "metavar", "nargs")
+
+    def __init__(self, convert: Callable[[str], object] | tuple[str, ...] | None,
+                 default: object = None, help: str = "", metavar: str = "", nargs: int = 1):
+        self.convert, self.default, self.help = convert, default, help
+        self.metavar, self.nargs = metavar, nargs
+
+
+class Command:
+    """A leaf command: its help line, its plan, the namespace values it
+    sets itself, and its flags."""
+
+    __slots__ = ("help", "plan", "defaults", "flags")
+
+    def __init__(self, help: str, plan: Callable[..., Plan], defaults: dict[str, str],
+                 flags: dict[str, Flag]):
+        self.help, self.plan, self.defaults, self.flags = help, plan, defaults, flags
+
+
+REQUIRED = object()  # the default of a flag that must be given
+
+_EVERY = {
+    "--out": Flag(str, None, "write output to this path instead of stdout", "PATH"),
+    "--workers": Flag(int, 1, "validated (>= 1), but every command runs in one process", "N"),
+    "--dry-run": Flag(None, False, "print the validated plan, its rows and work, instead of "
+                      "running", nargs=0),
+}
+_TABLE = {"--format": Flag(("csv", "json"), "csv")}
+_PLOT = {"--plot-data": Flag(None, False, "emit a two-column (Q, normalized count) series",
+                             nargs=0)}
+_QMAX = {"--qmax": Flag(int, REQUIRED)}
+
+# Each leaf command, named by its words, and the only flags it accepts.
 COMMANDS = {
-    "census": "integer censuses",
-    "bianchi": "Salem numbers generated by PSL(2, o_K), K = Q(sqrt(-D))",
-    "cocompact": "system solutions over the real quadratic field Q(sqrt(d))",
-    "constants": "closed-form constants",
-    "fit": "power-law fit of a count series",
-    "report": "derived reports",
+    "census deg4": Command("all degree-4 Salem numbers <= Q", _plan_census, {"series": "deg4"},
+                           {**_QMAX, **_TABLE, **_PLOT, **_EVERY}),
+    "census sr": Command("square-rootable degree-4 Salem numbers <= Q", _plan_census,
+                         {"series": "sr"}, {**_QMAX, **_TABLE, **_PLOT, **_EVERY}),
+    "census deg2": Command("degree-2 Salem numbers <= Q", _plan_census, {"series": "deg2"},
+                           {**_QMAX, **_PLOT, **_EVERY}),
+    "bianchi": Command("Salem numbers generated by PSL(2, o_K), K = Q(sqrt(-D))", _plan_bianchi,
+                       {"series": "bianchi"},
+                       {"--d": Flag(int, REQUIRED, "square-free D >= 1"), **_QMAX, **_TABLE,
+                        **_PLOT, **_EVERY}),
+    "cocompact": Command("system solutions over the real quadratic field Q(sqrt(d))",
+                         _plan_cocompact, {"series": "system"},
+                         {"--field": Flag(int, REQUIRED, "square-free d >= 2"), **_QMAX,
+                          "--verified": Flag(None, False, "verify the Salem-over-L property "
+                                             "per solution", nargs=0),
+                          **_TABLE, **_PLOT, **_EVERY}),
+    "constants": Command("closed-form constants", _plan_constants, {},
+                         {"--omega": Flag(int, metavar="M"),
+                          "--marklof-c": Flag(int, metavar="D"),
+                          "--c2-bound": Flag(int, metavar="D_FIELD"),
+                          "--volume": Flag(str, metavar="H DELTA QMAX", nargs=3), **_EVERY}),
+    "fit": Command("power-law fit of a count series", _plan_fit, {},
+                   {"--series": Flag(("deg4", "sr", "deg2", "bianchi", "system"), REQUIRED),
+                    "--qgrid": Flag(str, REQUIRED, "comma-separated Q values"),
+                    "--d": Flag(int), "--field": Flag(int), **_PLOT, **_EVERY}),
+    "report multiplicity": Command("mean-multiplicity lower bounds", _plan_report, {},
+                                   {"--n": Flag(int, REQUIRED, "even orbifold dimension >= 4"),
+                                    "--ell-max": Flag(float, REQUIRED),
+                                    "--step": Flag(float, REQUIRED), **_TABLE, **_EVERY}),
 }
 
 
-def _add_flags(p: argparse.ArgumentParser, table: bool = False, plot: bool = False) -> None:
-    """Add the flags of every leaf command to p, then --format if table
-    and --plot-data if plot."""
-    p.add_argument("--out", default=None, help="write output to this path instead of stdout")
-    p.add_argument("--workers", type=int, default=1,
-                   help="validated (>= 1), but every command runs in one process")
-    p.add_argument("--dry-run", action="store_true",
-                   help="print the validated plan, its rows and work, instead of running")
-    if table:
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-    if plot:
-        p.add_argument("--plot-data", action="store_true",
-                       help="emit a two-column (Q, normalized count) series")
+class UsageError(Exception):
+    """An argv that names no command, or a flag or value its command does
+    not take."""
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, or, given a command name, the parser
-    whose other commands are bare: the same top-level usage and help, and
-    the same parse of every argv that starts with that command."""
-    p = argparse.ArgumentParser(prog=PROG, description=__doc__)
-    sub = p.add_subparsers(dest="command", required=True)
-    built = {name: sub.add_parser(name, help=blurb, add_help=command in (None, name))
-             for name, blurb in COMMANDS.items()}
+def _takes_value(token: str) -> bool:
+    """Whether token can be the value of a flag: it does not look like a
+    flag, or it is "-", a negative number or has a space."""
+    if not token.startswith("-") or token == "-" or " " in token:
+        return True
+    head, dot, tail = token[1:].partition(".")
+    return (tail if dot else head).isdecimal() and (head == "" or head.isdecimal())
 
-    if command in (None, "census"):
-        census_sub = built["census"].add_subparsers(dest="which", required=True)
-        for which, blurb in (("deg4", "all degree-4 Salem numbers <= Q"),
-                             ("sr", "square-rootable degree-4 Salem numbers <= Q"),
-                             ("deg2", "degree-2 Salem numbers <= Q")):
-            sp = census_sub.add_parser(which, help=blurb)
-            _add_flags(sp, table=which != "deg2", plot=True)
-            sp.add_argument("--qmax", type=int, required=True)
-            sp.set_defaults(plan=_plan_census, series=which)
 
-    if command in (None, "bianchi"):
-        p_b = built["bianchi"]
-        _add_flags(p_b, table=True, plot=True)
-        p_b.add_argument("--d", type=int, required=True, help="square-free D >= 1")
-        p_b.add_argument("--qmax", type=int, required=True)
-        p_b.set_defaults(plan=_plan_bianchi, series="bianchi")
+def _value(flag: str, spec: Flag, values: list[str]):
+    """The value of flag given values, its nargs tokens."""
+    if not spec.nargs:
+        return True
+    if isinstance(spec.convert, tuple):
+        if values[0] not in spec.convert:
+            raise UsageError(f"{flag} must be one of {'|'.join(spec.convert)}, got {values[0]!r}")
+        return values[0]
+    try:
+        converted = [spec.convert(v) for v in values]
+    except ValueError:
+        raise UsageError(f"invalid {spec.convert.__name__} value for {flag}: "
+                         f"{' '.join(values)!r}") from None
+    return converted if spec.nargs > 1 else converted[0]
 
-    if command in (None, "cocompact"):
-        p_c = built["cocompact"]
-        _add_flags(p_c, table=True, plot=True)
-        p_c.add_argument("--field", type=int, required=True, help="square-free d >= 2")
-        p_c.add_argument("--qmax", type=int, required=True)
-        p_c.add_argument("--verified", action="store_true",
-                         help="verify the Salem-over-L property per solution")
-        p_c.set_defaults(plan=_plan_cocompact, series="system")
 
-    if command in (None, "constants"):
-        p_k = built["constants"]
-        _add_flags(p_k)
-        p_k.add_argument("--omega", type=int, default=None, metavar="M")
-        p_k.add_argument("--marklof-c", type=int, default=None, metavar="D")
-        p_k.add_argument("--c2-bound", type=int, default=None, metavar="D_FIELD")
-        p_k.add_argument("--volume", nargs=3, default=None, metavar=("H", "DELTA", "QMAX"))
-        p_k.set_defaults(plan=_plan_constants)
+def _command_words(argv: list[str]) -> str:
+    """The leaf command that the first one or two words of argv name, or ""."""
+    for n in (1, 2):
+        name = " ".join(argv[:n])
+        if name in COMMANDS and name.split() == argv[:n]:
+            return name
+    return ""
 
-    if command in (None, "fit"):
-        p_f = built["fit"]
-        _add_flags(p_f, plot=True)
-        p_f.add_argument("--series", choices=("deg4", "sr", "deg2", "bianchi", "system"),
-                         required=True)
-        p_f.add_argument("--qgrid", required=True, help="comma-separated Q values")
-        p_f.add_argument("--d", type=int, default=None)
-        p_f.add_argument("--field", type=int, default=None)
-        p_f.set_defaults(plan=_plan_fit)
 
-    if command in (None, "report"):
-        report_sub = built["report"].add_subparsers(dest="which", required=True)
-        sp = report_sub.add_parser("multiplicity", help="mean-multiplicity lower bounds")
-        _add_flags(sp, table=True)
-        sp.add_argument("--n", type=int, required=True, help="even orbifold dimension >= 4")
-        sp.add_argument("--ell-max", type=float, required=True)
-        sp.add_argument("--step", type=float, required=True)
-        sp.set_defaults(plan=_plan_report, which="multiplicity")
-    return p
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The namespace of argv: command (and which, the second word of
+    census and report), plan, the command's defaults and each flag's value
+    (the last given of a repeated flag).  Raises UsageError."""
+    name = _command_words(argv)
+    if not name:
+        raise UsageError(f"expected a command ({', '.join(COMMANDS)}), got {' '.join(argv[:2])!r}")
+    command = COMMANDS[name]
+    given = {}
+    rest = argv[len(name.split()):]
+    i = 0
+    while i < len(rest):
+        token = rest[i]
+        flag, eq, value = token.partition("=")
+        spec = command.flags.get(flag)
+        if spec is None:
+            raise UsageError(f"{name} does not take {token}")
+        if eq:
+            if spec.nargs != 1:
+                raise UsageError(f"{flag} takes {spec.nargs or 'no'} values: {token}")
+            values, i = [value], i + 1
+        else:
+            values, i = rest[i + 1:i + 1 + spec.nargs], i + 1 + spec.nargs
+            if len(values) < spec.nargs or not all(map(_takes_value, values)):
+                raise UsageError(f"{flag} needs {spec.nargs} value{'s' * (spec.nargs > 1)}")
+        given[flag] = _value(flag, spec, values)
+    missing = [flag for flag, spec in command.flags.items()
+               if spec.default is REQUIRED and flag not in given]
+    if missing:
+        raise UsageError(f"{name} requires {' '.join(missing)}")
+    return SimpleNamespace(**dict(zip(("command", "which"), name.split())), plan=command.plan,
+                           **command.defaults,
+                           **{flag[2:].replace("-", "_"): given.get(flag, spec.default)
+                              for flag, spec in command.flags.items()})
+
+
+def _synopsis(flag: str, spec: Flag) -> str:
+    """flag and the names of its values, as its help shows them."""
+    if not spec.nargs:
+        return flag
+    choices = isinstance(spec.convert, tuple)
+    return f"{flag} {spec.metavar or ('|'.join(spec.convert) if choices else flag[2:].upper())}"
+
+
+# The end of the help of salem, census and report.
+_HELP_END = """
+'salem <command> --help' lists the flags of a command.  Exit codes: 0 success,
+2 usage error, 3 domain error, 4 capacity failure; an error is one line on
+stderr, salem-error kind=usage|domain|capacity detail="...".
+"""
+
+
+def _help(argv: list[str]) -> str:
+    """The flags of the leaf command that argv's first words name, else the
+    commands under argv[0] (census, report) or every command."""
+    name = _command_words(argv)
+    if name:
+        flags = [(_synopsis(flag, spec), spec) for flag, spec in COMMANDS[name].flags.items()]
+        usage = [name, *(syn for syn, spec in flags if spec.default is REQUIRED)]
+        lines = [COMMANDS[name].help, "", *(f"  {syn:<22} {spec.help}".rstrip()
+                                            for syn, spec in flags),
+                 "  -h, --help             print this help"]
+        end = ""
+    else:
+        group = argv[0] if argv and any(n.startswith(argv[0] + " ") for n in COMMANDS) else ""
+        usage = [group, "<command>"] if group else ["<command>"]
+        lines = [f"  {n:<20} {c.help}" for n, c in COMMANDS.items() if n.startswith(group)]
+        end = _HELP_END
+    return "\n".join([f"usage: {PROG} {' '.join(usage)} [flags]", "", *lines, ""]) + end
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(_help(argv))
+        return 0
     try:
+        args = _parse(argv)
         if args.workers < 1:
             raise DomainError("--workers must be >= 1")
         plan = args.plan(args)
@@ -452,16 +562,22 @@ def main(argv: list[str] | None = None) -> int:
         else:
             plan.run()
         return 0
-    except (DomainError, CapacityError, OverflowError) as exc:
-        kind, code = ("domain", 3) if isinstance(exc, DomainError) else ("capacity", 4)
+    except (UsageError, DomainError, CapacityError, OverflowError) as exc:
+        kind, code = (("usage", 2) if isinstance(exc, UsageError) else
+                      ("domain", 3) if isinstance(exc, DomainError) else ("capacity", 4))
         detail = str(exc).replace("\\", "\\\\").replace('"', '\\"')
         print(f'{PROG}-error kind={kind} detail="{detail}"', file=sys.stderr)
         return code
 
 
 def entrypoint() -> None:
-    # SIGTERM unwinds like an exception, so _write removes its temporary file
-    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
+    if any(arg.partition("=")[0] == "--out" for arg in sys.argv[1:]):
+        # SIGTERM unwinds like an exception, so _write removes its temporary
+        # file; a run without --out makes none, and skips the 1 ms that
+        # importing signal takes
+        import signal
+
+        signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     try:
         code = main()
         sys.stdout.flush()

@@ -1,4 +1,3 @@
-import argparse
 import hashlib
 import importlib.util
 import json
@@ -12,6 +11,7 @@ import threading
 import time
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -205,10 +205,40 @@ class TestExitCodes:
         assert len(argvs) == 15
         capsys.readouterr()
         for argv in argvs:
-            with pytest.raises(SystemExit) as exc:
-                main(argv)
-            assert exc.value.code == 2, argv
-            assert capsys.readouterr().out == "", argv
+            assert main(argv) == 2, argv
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("salem-error kind=usage "), argv
+
+    # a flag is named in full: argparse took these prefixes of --qmax, --plot-data,
+    # --verified and --field
+    PREFIXES = [["census", "sr", "--q", "10"], ["census", "sr", "--qmax", "10", "--plot"],
+                ["cocompact", "--field", "5", "--qmax", "20", "--ver"],
+                ["fit", "--series", "system", "--fi", "2", "--qgrid", "10,20,40"]]
+
+    def test_usage_errors_are_one_line(self, capsys):
+        # help exits 0 on stdout; every other argv that the table refuses exits 2 with
+        # one salem-error line on stderr and nothing on stdout
+        helps = [["--help"], ["-h"], ["census", "--help"], ["census", "sr", "--help"],
+                 ["bianchi", "--help"], ["fit", "--qgrid", "x", "-h"]]
+        errors = [["census", "deg2"], [], ["bogus"], ["censu"], ["census"], ["report"],
+                  ["census deg2", "x", "--qmax", "5"],
+                  ["--out", "x", "census"], ["census", "deg2", "--qmax", "5", "extra"],
+                  ["census", "deg2", "--qmax", "5", "--"], ["census", "deg2", "--qmax"],
+                  ["census", "deg2", "--qmax", "five"], ["census", "deg2", "--qmax", "--dry-run"],
+                  ["census", "sr", "--qmax", "5", "--format", "xml"],
+                  ["census", "sr", "--qmax", "5", "--dry-run=yes"],
+                  ["constants", "--volume", "2", "1.0"], ["constants", "--volume=2"],
+                  ["report", "multiplicity", "--n", "4", "--ell-max", "-inf", "--step", "1"],
+                  *self.PREFIXES]
+        for base, flags in UNREAD_FLAGS.items():
+            errors += [[*base.split(), *flag.split()] for flag in flags]
+        for argv in helps:
+            code, out, err = run(capsys, *argv)
+            assert code == 0 and out.startswith("usage: salem ") and err == "", argv
+        for argv in errors:
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == "", argv
+            assert err.startswith("salem-error kind=usage ") and _error_detail(err), argv
 
     def test_domain_error_is_3(self, capsys):
         code, _, err = run(capsys, "bianchi", "--d", "12", "--qmax", "100")
@@ -251,18 +281,29 @@ class TestExitCodes:
                                               f"h={h}, delta={float(delta)}, Q={q}")
 
 
-def _leaf_parsers(parser, name=""):
-    """(name, parser) of each leaf command under parser."""
-    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    if not subs:
-        yield name, parser
-    for action in subs:
-        for word, sub in action.choices.items():
-            yield from _leaf_parsers(sub, f"{name} {word}".strip())
+def _benchmark_argvs(outdir: str) -> list[list[str]]:
+    """The argv of each command of the benchmark's workloads at seed 1,
+    writing under outdir."""
+    path = Path(__file__).resolve().parents[1] / "salembench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("salembench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look it up
+    try:
+        spec.loader.exec_module(workloads)
+        return [cmd.resolved(outdir) for name in workloads.WHY for cmd in workloads.build(name, 1)]
+    finally:
+        del sys.modules[spec.name]
+
+
+# A value each flag accepts, for the flag tests below.
+FLAG_VALUES = {"--out": os.devnull, "--workers": "1", "--format": "json", "--qmax": "10",
+               "--d": "3", "--field": "2", "--omega": "2", "--marklof-c": "3", "--c2-bound": "5",
+               "--volume": "2 1.0 100", "--series": "sr", "--qgrid": "10,20,40", "--n": "4",
+               "--ell-max": "10", "--step": "2", "--seed": "1", "--mc-samples": "10"}
 
 
 class TestParser:
-    def test_each_command_accepts_only_the_flags_it_reads(self):
+    def test_each_command_accepts_only_the_flags_it_reads(self, capsys):
         every = {"--help", "--out", "--workers", "--dry-run"}
         table, plot = {"--format"}, {"--plot-data"}
         want = {
@@ -275,55 +316,65 @@ class TestParser:
             "fit": every | plot | {"--series", "--qgrid", "--d", "--field"},
             "report multiplicity": every | table | {"--n", "--ell-max", "--step"},
         }
-        got = {name: {opt for a in parser._actions for opt in a.option_strings
-                      if opt.startswith("--")}
-               for name, parser in _leaf_parsers(cli.build_parser())}
-        assert got == want
+        assert {name: {*command.flags, "--help"} for name, command in cli.COMMANDS.items()} == want
+        # after the argv that runs without it, a flag of the command is never a usage
+        # error, and every other flag is one
+        bases = {cli._command_words(base.split()): base for base in UNREAD_FLAGS}
+        for name, flags in want.items():
+            for flag in set().union(*want.values(), FLAG_VALUES) - {"--help"}:
+                argv = [*bases[name].split(), flag, *FLAG_VALUES.get(flag, "").split(),
+                        "--dry-run"]
+                code, out, err = run(capsys, *argv)
+                if flag in flags:
+                    assert code != 2, (argv, err)
+                else:
+                    assert code == 2 and out == "", argv
+                    assert _error_detail(err) == f"{name} does not take {flag}", argv
 
-    @staticmethod
-    def _parsed(capsys, parser, argv):
-        """(the parsed namespace or the exit code, stdout, stderr)."""
-        try:
-            got = vars(parser.parse_args(argv))
-        except SystemExit as exc:
-            got = exc.code
-        out, err = capsys.readouterr()
-        return got, out, err
+    def test_parse_builds_the_namespace(self):
+        # the namespace of argparse's parse_args: --flag value and --flag=value, the last
+        # of a repeated flag, a negative number as a value, and the values of --volume
+        assert vars(cli._parse(["census", "sr", "--qmax", "5", "--format=json", "--qmax=-7",
+                                "--plot-data"])) == {
+            "command": "census", "which": "sr", "plan": cli._plan_census, "series": "sr",
+            "qmax": -7, "format": "json", "plot_data": True, "out": None, "workers": 1,
+            "dry_run": False}
+        assert vars(cli._parse(["report", "multiplicity", "--step", "-.5", "--n", "4",
+                                "--ell-max", "1e3", "--out", "-"])) == {
+            "command": "report", "which": "multiplicity", "plan": cli._plan_report,
+            "n": 4, "ell_max": 1000.0, "step": -0.5, "format": "csv", "out": "-",
+            "workers": 1, "dry_run": False}
+        assert vars(cli._parse(["constants", "--volume", "2", "-1", "1e4"])) == {
+            "command": "constants", "plan": cli._plan_constants, "omega": None,
+            "marklof_c": None, "c2_bound": None, "volume": ["2", "-1", "1e4"], "out": None,
+            "workers": 1, "dry_run": False}
+        assert cli._parse(["fit", "--qgrid", "-1, 2", "--series", "deg2"]).qgrid == "-1, 2"
 
-    def test_one_command_parser_parses_as_the_full_one(self, capsys, monkeypatch):
-        # main builds only the subtree of argv[0] when it names a command;
-        # help, usage errors and parses stay byte for byte those of the
-        # parser of every command
-        argvs = [["census", "deg2"], ["--help"], ["census", "--help"],
-                 ["census", "sr", "--help"], ["bianchi", "--help"], [], ["bogus"],
-                 ["--out", "x", "census"], ["census", "deg2", "--qmax", "5", "extra"]]
-        for base, flags in UNREAD_FLAGS.items():
-            argvs += [base.split(), *([*base.split(), *flag.split()] for flag in flags)]
-        full = cli.build_parser()
-        for argv in argvs:
-            lean = cli.build_parser(argv[0] if argv and argv[0] in cli.COMMANDS else None)
-            got = self._parsed(capsys, lean, argv)
-            assert got == self._parsed(capsys, full, argv), argv
-        built, build = [], cli.build_parser
-        monkeypatch.setattr(cli, "build_parser",
-                            lambda command=None: built.append(command) or build(command))
-        for argv, command in ((["fit", "--help"], "fit"), (["-h"], None), (["censu"], None)):
-            with pytest.raises(SystemExit):
-                main(argv)
-            assert built.pop() == command
-        capsys.readouterr()
+    def test_negative_values_reach_the_plan(self, capsys):
+        for argv in (("census", "sr", "--qmax", "-5"), ("census", "sr", "--qmax=-5"),
+                     ("bianchi", "--d", "-3", "--qmax", "10"),
+                     ("constants", "--volume", "2", "-1.0", "100")):
+            code, out, err = run(capsys, *argv)
+            assert code == 3 and out == "" and err.startswith("salem-error kind=domain "), argv
 
-    def test_benchmark_argv_parse(self, monkeypatch):
-        path = Path(__file__).resolve().parents[1] / "salembench" / "workloads.py"
-        spec = importlib.util.spec_from_file_location("salembench_workloads", path)
-        workloads = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
-        spec.loader.exec_module(workloads)
-        parser = cli.build_parser()
-        argvs = [cmd.resolved("out") for name in workloads.WHY for cmd in workloads.build(name, 1)]
+    def test_help_is_built_from_the_table(self, capsys):
+        code, out, err = run(capsys, "--help")
+        assert code == 0 and err == "" and all(f"  {name} " in out for name in cli.COMMANDS)
+        code, out, _ = run(capsys, "census", "-h")
+        assert [line.split()[:2] for line in out.splitlines() if line.startswith("  census")] == [
+            ["census", "deg4"], ["census", "sr"], ["census", "deg2"]]
+        for name, command in cli.COMMANDS.items():
+            code, out, err = run(capsys, *name.split(), "--help")
+            assert code == 0 and err == "" and out.startswith(f"usage: salem {name} ")
+            assert command.help in out
+            for flag, spec in command.flags.items():
+                assert f"\n  {flag}" in out and spec.help in out, (name, flag)
+
+    def test_benchmark_argv_parse(self):
+        argvs = _benchmark_argvs("out")
         assert len(argvs) == 8
         for argv in argvs:
-            assert parser.parse_args(argv).plan is not None, argv
+            assert cli._parse(argv).plan is not None, argv
 
 
 class TestBianchiCommand:
@@ -477,11 +528,14 @@ class TestFitCommand:
             assert code == 3 and out == "" and err.count("\n") == 1
             assert err.startswith("salem-error kind=domain") and "distinct" in err
 
-    def test_a_repeated_q_is_a_point_of_its_own(self, capsys):
-        # three distinct Q, four points: nothing is dropped and both 10s are plotted
-        code, out, _ = run(capsys, "fit", "--series", "deg2", "--qgrid", "10,10,20,40",
-                           "--plot-data")
-        assert code == 0 and "points_used=4" in out and out.count("\n10,") == 2
+    def test_a_repeated_q_is_fitted_once(self, capsys):
+        # the grid is a set of Q: a repeat changes neither the plan, the fit nor its plot
+        for extra, want in (((), "points_used=3\n"), (("--plot-data",), "\n10,"),
+                            (("--dry-run",), " qgrid=10,20,40 ")):
+            outs = [run(capsys, "fit", "--series", "deg2", "--qgrid", qgrid, *extra)
+                    for qgrid in ("10,10,20,40", "10,20,40", "40,20,10,20")]
+            assert outs[0][0] == 0 and outs[0][1].count(want) == 1, extra
+            assert outs[0] == outs[1] == outs[2], extra
 
 
 class TestHugeBounds:
@@ -719,6 +773,23 @@ class TestImportFootprint:
         assert not loaded & absent
         assert present <= loaded
 
+    def test_no_command_loads_argparse(self, tmp_path):
+        # the dry run of each benchmark argv, one run of every command, help and a usage
+        # error, in one fresh interpreter: none of them loads argparse or what its help
+        # strings load, whether or not the interpreter's start did
+        bench = [" ".join(argv) + " --dry-run" for argv in _benchmark_argvs(str(tmp_path))]
+        runs = [" ".join(argv) + f" --out {os.devnull}" for argv, _, _ in self.FOOTPRINTS]
+        lines = [*bench, *runs, "--help", "census sr --help", "census sr --q 10"]
+        assert len(bench) == 8
+        assert {cli._command_words(line.split()) for line in runs} == set(cli.COMMANDS)
+        env = dict(os.environ, PYTHONPATH=str(Path(salemcensus.__file__).parents[1]))
+        script = ("import sys\nfrom salemcensus.cli import main\n"
+                  "codes = [main(line.split()) for line in sys.argv[1:]]\n"
+                  "print(*codes, *sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-c", script, *lines], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.splitlines()[-1].split() == [*"0" * (len(lines) - 1), "2"]
+
 
 class TestReportCommand:
     def test_multiplicity_csv(self, capsys):
@@ -843,7 +914,7 @@ class TestTableWriter:
             for out in (None, str(path)):
                 chunks = (sep.join([row] * len(b)) % tuple(v for r in b for v in r)
                           for b in blocks)
-                cli._write_chunks(argparse.Namespace(format=fmt, out=out), "h1,h2,h3", chunks)
+                cli._write_chunks(SimpleNamespace(format=fmt, out=out), "h1,h2,h3", chunks)
             assert capsys.readouterr().out == expected
             assert path.read_bytes() == expected.encode()
 
@@ -891,12 +962,57 @@ class TestTableWriter:
         assert proc.stderr.read() == b""
         assert os.listdir(tmp_path) == []
 
+    def test_only_an_out_run_loads_signal(self):
+        # the SIGTERM handler exists to remove the temporary file of --out, so
+        # the entry point installs it only when argv has one
+        env = dict(os.environ, PYTHONPATH=str(Path(salemcensus.__file__).parents[1]))
+        script = ("import runpy, sys\nsys.argv[0] = 'salem'\ntry:\n"
+                  "    runpy.run_module('salemcensus.cli', run_name='__main__')\n"
+                  "except SystemExit as exc:\n"
+                  "    print(exc.code, 'signal' in sys.modules, file=sys.stderr)")
+        for extra, want in (((), "0 False\n"), (("--out", os.devnull), "0 True\n"),
+                            ((f"--out={os.devnull}",), "0 True\n")):
+            proc = subprocess.run([sys.executable, "-c", script, "census", "deg2", "--qmax", "10",
+                                   *extra], env=env, capture_output=True, text=True)
+            assert proc.stderr == want, extra
+
     def test_unwritable_out_exits_3(self, capsys, tmp_path):
         code, out, err = run(capsys, "census", "sr", "--qmax", "10",
                              "--out", str(tmp_path / "missing" / "x.csv"))
         assert code == 3 and out == ""
         assert err.startswith("salem-error kind=domain") and err.count("\n") == 1
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_out_to_a_full_device_exits_3(self, capsys, monkeypatch):
+        # a failed write or flush is one domain error, for one line and for tables that
+        # fill the write buffer or not, and close does not flush the same bytes again
+        for argv in (("census", "deg2", "--qmax", "3"), ("census", "sr", "--qmax", "10"),
+                     ("census", "sr", "--qmax", "1000")):
+            code, out, err = run(capsys, *argv, "--out", "/dev/full")
+            assert code == 3 and out == "", argv
+            assert err == ('salem-error kind=domain detail="cannot write --out /dev/full: '
+                           'No space left on device"\n'), argv
+        # a row producer that fails while the header is still buffered: its error is
+        # reported, not that of the flush on closing
+        real = census._sr_rows
+
+        def failing(Q):
+            for i, row in enumerate(real(Q)):
+                if i == 5:
+                    raise CapacityError("injected")
+                yield row
+
+        with monkeypatch.context() as m:
+            m.setattr(census, "_sr_rows", failing)
+            code, out, err = run(capsys, "census", "sr", "--qmax", "500", "--out", "/dev/full")
+        assert code == 4 and out == "" and _error_detail(err) == "injected"
+        env = dict(os.environ, PYTHONPATH=str(Path(salemcensus.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "salemcensus.cli", "census", "sr", "--qmax",
+                               "1000", "--out", "/dev/full"], env=env, capture_output=True)
+        assert proc.returncode == 3 and proc.stdout == b""
+        assert proc.stderr.startswith(b"salem-error kind=domain ")
+        assert proc.stderr.count(b"\n") == 1
 
     def test_out_through_a_symlink_keeps_the_link(self, capsys, tmp_path):
         real, link = tmp_path / "real.csv", tmp_path / "link.csv"
