@@ -11,7 +11,7 @@ _EXPORTS = {
     "algebra": ("RealQuadElem", "is_perfect_square", "is_square_free"),
     "asymptotics": ("FitResult", "MultiplicityRow", "multiplicity_report", "power_fit"),
     "bianchi": ("BianchiCensus", "bianchi_census", "marklof_constant"),
-    "census": ("CensusRecord", "box_sums", "count_deg2", "count_salem_deg4", "count_sr",
+    "census": ("CensusRecord", "count_deg2", "count_salem_deg4", "count_sr",
                "enumerate_salem_deg4", "enumerate_sr"),
     "errors": ("CapacityError", "ContractError", "DomainError"),
     "quartics": ("SalemQuartic", "lift_half_power", "salem_value"),

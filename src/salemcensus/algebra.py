@@ -4,8 +4,6 @@ Everything downstream decides membership with integer arithmetic only,
 and nothing in this module uses floating point.
 """
 
-from __future__ import annotations
-
 import math
 from functools import lru_cache
 

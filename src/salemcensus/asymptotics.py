@@ -2,8 +2,6 @@
 the mean-multiplicity lower-bound report for even-dimensional orbifolds.
 """
 
-from __future__ import annotations
-
 import math
 from collections.abc import Iterator
 from itertools import chain

@@ -124,8 +124,6 @@ that grow geometrically (or are finitely many when d (4 - d) E is a
 square), so O(log Q) of them have v <= Q^(1/4).
 """
 
-from __future__ import annotations
-
 import functools
 import math
 from collections.abc import Iterator

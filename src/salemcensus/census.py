@@ -1,5 +1,5 @@
 """Censuses over Z: degree-4 Salem numbers up to a bound, the
-square-rootable subclass, the degree-2 census, and box-sum upper bounds.
+square-rootable subclass and the degree-2 census.
 
 The scan region comes from the inequalities forced on Salem coefficients:
 0 < -a < Q+3 and 2a < 2+b < -2a, with the exact cut lambda <= Q applied as
@@ -16,8 +16,6 @@ is a handful of integer operations in exact arithmetic.  The proofs are in
 the docstrings of the count functions.
 """
 
-from __future__ import annotations
-
 import math
 from collections.abc import Iterator
 from typing import NamedTuple
@@ -31,7 +29,6 @@ __all__ = [
     "count_salem_deg4",
     "enumerate_sr",
     "count_sr",
-    "box_sums",
     "count_deg2",
     "CENSUS_CSV_HEADER",
     "census_csv_row",
@@ -220,22 +217,7 @@ def enumerate_sr(Q: int) -> Iterator[CensusRecord]:
                 yield CensusRecord(a, b, k, salem_value((a, b)), "direct")
 
 
-# --- closed box sums and the degree-2 census --------------------------------
-
-
-def box_sums(Q: int) -> tuple[int, int]:
-    """(S_sr, S_deg4): sizes of the two scan boxes before the exact lambda
-    cut and the reducibility filter.
-
-    S_sr = sum_{j=1}^{Q+2} (ceil(sqrt(4j)) - 1) counts the (a, k) box and
-    S_deg4 = sum_{j=1}^{Q+2} (4j - 1) = (Q+2)(2Q+5) counts the (a, b) box.
-    Both over-count the censuses; useful as estimates and sanity bounds.
-    As ceil(sqrt(4j)) - 1 = isqrt(4j - 1) for j >= 1, S_sr is
-    _isqrt_sum(Q + 2).
-    """
-    if Q < 0:
-        raise DomainError(f"Q must be >= 0, got {Q}")
-    return _isqrt_sum(Q + 2), (Q + 2) * (2 * Q + 5)
+# --- the degree-2 census -----------------------------------------------------
 
 
 def count_deg2(Q: int) -> int:

@@ -25,14 +25,17 @@ stderr, salem-error kind=usage|domain|capacity detail="...", a " or
 backslash in the detail escaped by a backslash, and nothing on stdout.
 Identical argv produce byte-identical output; --workers is validated but
 runs nothing in parallel.
-"""
 
-from __future__ import annotations
+A plan's run() returns its output, and main hands it, the dry-run line or
+the help to _write, the one writer of stdout and of --out: a write or flush
+that fails there is a domain error (exit 3), save a reader that closes the
+pipe of stdout (as head does), which ends the run quietly with exit 1.
+"""
 
 import contextlib
 import os
 import sys
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from itertools import chain
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -89,21 +92,23 @@ PLOT_SERIES = {"deg4": (2.0, 8), "sr": (1.5, 8), "deg2": (1.0, 4),
 class Plan(NamedTuple):
     """A validated command: what names it and its parameters, work bounds
     its kernel steps in unit ("rows" or "steps"), rows() counts the records
-    it writes, and run() writes them.  main calls one of rows() and run()."""
+    it writes, and run() returns them as strings to write.  main calls one
+    of rows() and run()."""
 
     what: str
     work: int
     unit: str
     rows: Callable[[], int]
-    run: Callable[[], None]
+    run: Callable[[], Iterable[str]]
 
 
-def _write(out: str | None, chunks) -> None:
-    """Write the strings of chunks as they come, to stdout or to out.  A new
-    or regular file is written under a temporary name and renamed over out
-    when complete; devices and FIFOs are written in place."""
+def _write(out: str | None, chunks: Iterable[str]) -> None:
+    """Write the strings of chunks as they come to out, or to stdout when out
+    is None.  A new or regular file is written under a temporary name and
+    renamed over out when complete; stdout, devices and FIFOs are written in
+    place.  A failed write, flush or close raises DomainError."""
     if out is None:
-        sys.stdout.writelines(chunks)
+        _drain(None, sys.stdout, chunks, sys.stdout.flush)
         return
     target = os.path.realpath(out)
     exists = os.path.exists(target)
@@ -114,9 +119,7 @@ def _write(out: str | None, chunks) -> None:
         try:
             if atomic and exists:
                 _out_errors(out, os.chmod, path, os.stat(target).st_mode & 0o7777)
-            for chunk in chunks:  # errors of the row producers pass unchanged
-                _out_errors(out, fh.write, chunk)
-            _out_errors(out, fh.close)  # flushes: a full disk or device fails here
+            _drain(out, fh, chunks, fh.close)
         finally:
             # after a failed write or row producer, closing flushes what is still
             # buffered, which fails again on a full device: the file is closed all
@@ -132,16 +135,25 @@ def _write(out: str | None, chunks) -> None:
         raise
 
 
-def _out_errors(out: str, fn, *args, **kwargs):
-    """fn(*args, **kwargs), an OSError turned into a DomainError on out."""
+def _drain(out: str | None, fh, chunks: Iterable[str], end: Callable[[], None]) -> None:
+    """Write chunks to fh, the stream of out, then end(): a flush or a close,
+    where a full disk or device fails."""
+    for chunk in chunks:  # errors of the row producers pass unchanged
+        _out_errors(out, fh.write, chunk)
+    _out_errors(out, end)
+
+
+def _out_errors(out: str | None, fn, *args, **kwargs):
+    """fn(*args, **kwargs), an OSError turned into a DomainError on out, or
+    on stdout when out is None, save a BrokenPipeError of stdout, which
+    passes for entrypoint."""
     try:
         return fn(*args, **kwargs)
     except OSError as exc:
-        raise DomainError(f"cannot write --out {out}: {exc.strerror or exc}") from exc
-
-
-def _emit(text: str, out: str | None) -> None:
-    _write(out, (text, "\n"))
+        if out is None and isinstance(exc, BrokenPipeError):
+            raise
+        where = "stdout" if out is None else f"--out {out}"
+        raise DomainError(f"cannot write {where}: {exc.strerror or exc}") from exc
 
 
 def _json_list(chunks) -> Iterator[str]:
@@ -154,12 +166,14 @@ def _json_list(chunks) -> Iterator[str]:
     yield "[]\n" if sep == "[\n" else "\n]\n"
 
 
-def _write_chunks(args, header: str, chunks) -> None:
-    """Write a table from the (header, chunks) of the module that owns its
-    rows, each chunk at most BLOCK_ROWS records and never empty: CSV lines
-    under header, or (--format json) the objects of one JSON list."""
-    _write(args.out, _json_list(chunks) if args.format == "json" else
-           chain([header + "\n"], chunks))
+def _table(args, table: Callable, *params) -> Iterable[str]:
+    """The output of the table that table(*params, json, BLOCK_ROWS) gives as
+    (header, chunks) from the module that owns its rows, each chunk at most
+    BLOCK_ROWS records and never empty: CSV lines under header, or (--format
+    json) the objects of one JSON list."""
+    json = args.format == "json"
+    header, chunks = table(*params, json, BLOCK_ROWS)
+    return _json_list(chunks) if json else chain([header + "\n"], chunks)
 
 
 def _require_qmax(args, minimum: int = 2) -> int:
@@ -187,13 +201,13 @@ def _plot_grid(series: str, Q: int) -> list[int]:
     return qs[::-1]
 
 
-def _plot_plan(args, command: str, Q: int) -> Plan:
-    """--plot-data: the plan of the args.series counts on _plot_grid."""
-    qs = _plot_grid(args.series, Q)
-    params, work, count = _series(args, qs)
+def _plot_plan(args, series: str, command: str, Q: int) -> Plan:
+    """--plot-data: the plan of the series counts on _plot_grid."""
+    qs = _plot_grid(series, Q)
+    params, work, count = _series(args, series, qs)
     return Plan(f"{command}-plot {params}qmax={Q} grid_points={len(qs)}", work, "steps",
-                lambda: len(qs), lambda: _write(args.out, _plot_lines(
-                    qs, list(map(count, qs)), PLOT_SERIES[args.series][0])))
+                lambda: len(qs),
+                lambda: _plot_lines(qs, map(count, qs), PLOT_SERIES[series][0]))
 
 
 # --- census ------------------------------------------------------------------
@@ -205,14 +219,13 @@ def _plan_census(args) -> Plan:
     which = args.which
     Q = _require_qmax(args, 3 if which == "deg2" else 2)
     if args.plot_data:
-        return _plot_plan(args, f"census-{which}", Q)
+        return _plot_plan(args, which, f"census-{which}", Q)
     what = f"census-{which} qmax={Q}"
     if which == "deg2":
-        return Plan(what, 1, "steps", lambda: 1,
-                    lambda: _emit(str(census.count_deg2(Q)), args.out))
+        return Plan(what, 1, "steps", lambda: 1, lambda: [f"{census.count_deg2(Q)}\n"])
     count = (census.count_sr if which == "sr" else census.count_salem_deg4)(Q)
-    return Plan(what, count, "rows", lambda: count, lambda: _write_chunks(
-        args, *census.census_table(which, Q, args.format == "json", BLOCK_ROWS)))
+    return Plan(what, count, "rows", lambda: count,
+                lambda: _table(args, census.census_table, which, Q))
 
 
 # --- bianchi -----------------------------------------------------------------
@@ -224,11 +237,11 @@ def _plan_bianchi(args) -> Plan:
     D = _require_squarefree(args.d, "--d", 1)
     Q = _require_qmax(args)
     if args.plot_data:
-        return _plot_plan(args, "bianchi", Q)
+        return _plot_plan(args, "bianchi", "bianchi", Q)
 
     return Plan(f"bianchi d={D} qmax={Q}", bianchi.census_bounds(D, Q)[0], "rows",
-                lambda: bianchi.bianchi_census(D, Q).count, lambda: _write_chunks(
-                    args, *bianchi.bianchi_table(D, Q, args.format == "json", BLOCK_ROWS)))
+                lambda: bianchi.bianchi_census(D, Q).count,
+                lambda: _table(args, bianchi.bianchi_table, D, Q))
 
 
 # --- cocompact (real quadratic fields) ---------------------------------------
@@ -242,12 +255,11 @@ def _plan_cocompact(args) -> Plan:
     if args.plot_data:
         if args.verified:
             raise DomainError("--verified cannot be combined with --plot-data")
-        return _plot_plan(args, "cocompact", Q)
+        return _plot_plan(args, "system", "cocompact", Q)
 
     return Plan(f"cocompact field={d} qmax={Q}", totally_real.count_bounds(d, Q)[0], "rows",
-                lambda: totally_real.count_system(d, Q), lambda: _write_chunks(
-                    args, *totally_real.system_table(d, Q, args.verified,
-                                                     args.format == "json", BLOCK_ROWS)))
+                lambda: totally_real.count_system(d, Q),
+                lambda: _table(args, totally_real.system_table, d, Q, args.verified))
 
 
 # --- constants ---------------------------------------------------------------
@@ -262,34 +274,31 @@ def _plan_constants(args) -> Plan:
     if args.omega is not None:
         if args.omega > MAX_OMEGA_M:
             raise CapacityError(f"--omega must be <= {MAX_OMEGA_M}, got {args.omega}")
-        which, lines = "omega", ["%d/%d" % asymptotics.omega_series(args.omega)[-1]]
+        which, lines = "omega", ["%d/%d\n" % asymptotics.omega_series(args.omega)[-1]]
     elif args.marklof_c is not None:
         D = _require_squarefree(args.marklof_c, "--marklof-c", 1)
-        which, lines = "marklof-c", [f"{bianchi.marklof_constant(D):.12g}"]
+        which, lines = "marklof-c", [f"{bianchi.marklof_constant(D):.12g}\n"]
     elif args.c2_bound is not None:
         d = _require_squarefree(args.c2_bound, "--c2-bound", 2)
-        which, lines = "c2-bound", [f"{totally_real.c2_upper_bound(d):.12g}"]
+        which, lines = "c2-bound", [f"{totally_real.c2_upper_bound(d):.12g}\n"]
     else:
         try:
             h, delta, q = int(args.volume[0]), float(args.volume[1]), int(args.volume[2])
         except ValueError as exc:
             raise DomainError(f"--volume expects H DELTA QMAX, got {args.volume}") from exc
         which, lines = "volume", [
-            f"volume_leading={totally_real.volume_leading(h, delta, q):.12g}",
-            f"volume_exact={totally_real.volume_exact(h, delta, q):.12g}"]
-    return Plan(f"constants which={which}", 1, "steps", lambda: len(lines),
-                lambda: _emit("\n".join(lines), args.out))
+            f"volume_leading={totally_real.volume_leading(h, delta, q):.12g}\n",
+            f"volume_exact={totally_real.volume_exact(h, delta, q):.12g}\n"]
+    return Plan(f"constants which={which}", 1, "steps", lambda: len(lines), lambda: lines)
 
 
 # --- fit ---------------------------------------------------------------------
 
 
-def _series(args, qs: list[int]) -> tuple[str, int, Callable[[int], int]]:
-    """(params, work, count) of the count series args.series on the grid
-    qs, after the checks of its flags: the flags for the plan line, the
-    bound on the count steps over qs, one step per closed form, and the
-    count of one Q."""
-    series = args.series
+def _series(args, series: str, qs: list[int]) -> tuple[str, int, Callable[[int], int]]:
+    """(params, work, count) of the count series on the grid qs, after the
+    checks of its flags: the flags for the plan line, the bound on the count
+    steps over qs, one step per closed form, and the count of one Q."""
     if series == "bianchi":
         if args.d is None:
             raise DomainError("--series bianchi requires --d")
@@ -323,7 +332,7 @@ def _plan_fit(args) -> Plan:
     for flag, value, series in (("--d", args.d, "bianchi"), ("--field", args.field, "system")):
         if value is not None and args.series != series:
             raise DomainError(f"{flag} is read only by --series {series}")
-    params, work, count = _series(args, qs)
+    params, work, count = _series(args, args.series, qs)
 
     def run():
         from . import asymptotics
@@ -331,9 +340,8 @@ def _plan_fit(args) -> Plan:
         counts = list(map(count, qs))
         fit = asymptotics.power_fit(list(zip(qs, counts)))
         line = (f"constant={fit.constant:.12g} exponent={fit.exponent:.12g} "
-                f"residual={fit.residual:.12g} points_used={fit.points_used}")
-        plot = _plot_lines(qs, counts, fit.exponent) if args.plot_data else []
-        _write(args.out, [line + "\n", *plot])
+                f"residual={fit.residual:.12g} points_used={fit.points_used}\n")
+        return [line, *(_plot_lines(qs, counts, fit.exponent) if args.plot_data else [])]
 
     return Plan(f"fit series={args.series} {params}qgrid={','.join(map(str, qs))}", work,
                 "steps", lambda: 1 + len(qs) * args.plot_data, run)
@@ -349,8 +357,8 @@ def _plan_report(args) -> Plan:
     n_rows = len(asymptotics._geodesic_terms(args.n, args.ell_max, args.step))
     # the omega series and n/2 terms a row
     return Plan(f"report-multiplicity n={args.n}", (n_rows + 1) * (args.n // 2), "steps",
-                lambda: n_rows, lambda: _write_chunks(args, *asymptotics.multiplicity_table(
-                    args.n, args.ell_max, args.step, args.format == "json", BLOCK_ROWS)))
+                lambda: n_rows, lambda: _table(args, asymptotics.multiplicity_table,
+                                               args.n, args.ell_max, args.step))
 
 
 # --- command table -----------------------------------------------------------
@@ -376,14 +384,12 @@ class Flag:
 
 
 class Command:
-    """A leaf command: its help line, its plan, the namespace values it
-    sets itself, and its flags."""
+    """A leaf command: its help line, its plan and its flags."""
 
-    __slots__ = ("help", "plan", "defaults", "flags")
+    __slots__ = ("help", "plan", "flags")
 
-    def __init__(self, help: str, plan: Callable[..., Plan], defaults: dict[str, str],
-                 flags: dict[str, Flag]):
-        self.help, self.plan, self.defaults, self.flags = help, plan, defaults, flags
+    def __init__(self, help: str, plan: Callable[..., Plan], flags: dict[str, Flag]):
+        self.help, self.plan, self.flags = help, plan, flags
 
 
 REQUIRED = object()  # the default of a flag that must be given
@@ -401,32 +407,31 @@ _QMAX = {"--qmax": Flag(int, REQUIRED)}
 
 # Each leaf command, named by its words, and the only flags it accepts.
 COMMANDS = {
-    "census deg4": Command("all degree-4 Salem numbers <= Q", _plan_census, {"series": "deg4"},
+    "census deg4": Command("all degree-4 Salem numbers <= Q", _plan_census,
                            {**_QMAX, **_TABLE, **_PLOT, **_EVERY}),
     "census sr": Command("square-rootable degree-4 Salem numbers <= Q", _plan_census,
-                         {"series": "sr"}, {**_QMAX, **_TABLE, **_PLOT, **_EVERY}),
-    "census deg2": Command("degree-2 Salem numbers <= Q", _plan_census, {"series": "deg2"},
+                         {**_QMAX, **_TABLE, **_PLOT, **_EVERY}),
+    "census deg2": Command("degree-2 Salem numbers <= Q", _plan_census,
                            {**_QMAX, **_PLOT, **_EVERY}),
     "bianchi": Command("Salem numbers generated by PSL(2, o_K), K = Q(sqrt(-D))", _plan_bianchi,
-                       {"series": "bianchi"},
                        {"--d": Flag(int, REQUIRED, "square-free D >= 1"), **_QMAX, **_TABLE,
                         **_PLOT, **_EVERY}),
     "cocompact": Command("system solutions over the real quadratic field Q(sqrt(d))",
-                         _plan_cocompact, {"series": "system"},
+                         _plan_cocompact,
                          {"--field": Flag(int, REQUIRED, "square-free d >= 2"), **_QMAX,
                           "--verified": Flag(None, False, "verify the Salem-over-L property "
                                              "per solution", nargs=0),
                           **_TABLE, **_PLOT, **_EVERY}),
-    "constants": Command("closed-form constants", _plan_constants, {},
+    "constants": Command("closed-form constants", _plan_constants,
                          {"--omega": Flag(int, metavar="M"),
                           "--marklof-c": Flag(int, metavar="D"),
                           "--c2-bound": Flag(int, metavar="D_FIELD"),
                           "--volume": Flag(str, metavar="H DELTA QMAX", nargs=3), **_EVERY}),
-    "fit": Command("power-law fit of a count series", _plan_fit, {},
+    "fit": Command("power-law fit of a count series", _plan_fit,
                    {"--series": Flag(("deg4", "sr", "deg2", "bianchi", "system"), REQUIRED),
                     "--qgrid": Flag(str, REQUIRED, "comma-separated Q values"),
                     "--d": Flag(int), "--field": Flag(int), **_PLOT, **_EVERY}),
-    "report multiplicity": Command("mean-multiplicity lower bounds", _plan_report, {},
+    "report multiplicity": Command("mean-multiplicity lower bounds", _plan_report,
                                    {"--n": Flag(int, REQUIRED, "even orbifold dimension >= 4"),
                                     "--ell-max": Flag(float, REQUIRED),
                                     "--step": Flag(float, REQUIRED), **_TABLE, **_EVERY}),
@@ -474,8 +479,8 @@ def _command_words(argv: list[str]) -> str:
 
 def _parse(argv: list[str]) -> SimpleNamespace:
     """The namespace of argv: command (and which, the second word of
-    census and report), plan, the command's defaults and each flag's value
-    (the last given of a repeated flag).  Raises UsageError."""
+    census and report), plan and each flag's value (the last given of a
+    repeated flag).  Raises UsageError."""
     name = _command_words(argv)
     if not name:
         raise UsageError(f"expected a command ({', '.join(COMMANDS)}), got {' '.join(argv[:2])!r}")
@@ -503,7 +508,6 @@ def _parse(argv: list[str]) -> SimpleNamespace:
     if missing:
         raise UsageError(f"{name} requires {' '.join(missing)}")
     return SimpleNamespace(**dict(zip(("command", "which"), name.split())), plan=command.plan,
-                           **command.defaults,
                            **{flag[2:].replace("-", "_"): given.get(flag, spec.default)
                               for flag, spec in command.flags.items()})
 
@@ -545,10 +549,10 @@ def _help(argv: list[str]) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    if "-h" in argv or "--help" in argv:
-        sys.stdout.write(_help(argv))
-        return 0
     try:
+        if "-h" in argv or "--help" in argv:
+            _write(None, [_help(argv)])
+            return 0
         args = _parse(argv)
         if args.workers < 1:
             raise DomainError("--workers must be >= 1")
@@ -557,10 +561,8 @@ def main(argv: list[str] | None = None) -> int:
         if plan.work > budget:
             raise CapacityError(f"{plan.what} needs up to {plan.work} {plan.unit}, "
                                 f"above the limit of {budget}")
-        if args.dry_run:
-            _emit(f"plan command={plan.what} rows={plan.rows()} work={plan.work}", args.out)
-        else:
-            plan.run()
+        _write(args.out, [f"plan command={plan.what} rows={plan.rows()} work={plan.work}\n"]
+               if args.dry_run else plan.run())
         return 0
     except (UsageError, DomainError, CapacityError, OverflowError) as exc:
         kind, code = (("usage", 2) if isinstance(exc, UsageError) else
@@ -580,11 +582,14 @@ def entrypoint() -> None:
         signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     try:
         code = main()
-        sys.stdout.flush()
     except BrokenPipeError:
-        # downstream consumer (e.g. head) closed the pipe; exit quietly
+        code = 1  # downstream consumer (e.g. head) closed the pipe; exit quietly
+    try:
+        sys.stdout.flush()  # what main left buffered after an error
+    except OSError:
+        # the bytes of a failed write, whose error is reported, or of a closed
+        # pipe: dropped, so that the flush at exit does not fail on them again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(1)
     sys.exit(code)
 
 

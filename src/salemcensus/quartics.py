@@ -18,8 +18,6 @@ and p(+-1) != 0 rules out linear factors, so the non-square discriminant
 is the whole irreducibility test.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 

@@ -120,8 +120,6 @@ each lie about 8 Q / |D_L|^(1/2) points a, all excluded by the strict
 inequalities, where the volume counts half of each.
 """
 
-from __future__ import annotations
-
 import math
 from collections.abc import Iterator
 from itertools import chain, islice

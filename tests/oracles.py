@@ -300,6 +300,16 @@ def count_deg2_loop(Q: int) -> int:
     return sum(1 for na in range(3, Q + 1) if Q * Q - na * Q + 1 >= 0)
 
 
+def box_sums(Q: int) -> tuple[int, int]:
+    """(S_sr, S_deg4): sizes of the (a, k) and (a, b) scan boxes before the
+    exact lambda cut and the reducibility filter, summed row by row.  Row
+    j = -a, 1 <= j <= Q + 2, holds the k with 0 < k^2 < 4j and the b with
+    2a < 2 + b < -2a, isqrt(4j - 1) and 4j - 1 of them.  Both over-count
+    the censuses."""
+    rows = range(1, Q + 3)
+    return sum(math.isqrt(4 * j - 1) for j in rows), sum(4 * j - 1 for j in rows)
+
+
 def is_square_free_trial(n: int) -> bool:
     """n >= 1 with no prime square dividing it, by trial division up to
     sqrt(n)."""

@@ -113,24 +113,24 @@ class TestCensusTables:
                 assert main([*argv, "--out", str(path)]) == 0
             assert path.read_text() == want, Q
 
-    def test_chunks_hold_at_most_block_rows(self, capsys, monkeypatch):
-        chunks = []
-        monkeypatch.setattr(cli, "_write", lambda out, items: chunks.extend(items))
-        assert main(["census", "deg4", "--qmax", "600"]) == 0
+    @staticmethod
+    def _chunks(argv) -> tuple[list[str], int]:
+        """The output of argv's plan, and the records it plans."""
+        args = cli._parse(list(argv))
+        plan = args.plan(args)
+        return list(plan.run()), plan.rows()
+
+    def test_chunks_hold_at_most_block_rows(self, monkeypatch):
+        chunks, _ = self._chunks(["census", "deg4", "--qmax", "600"])
         assert chunks[0] == census.CENSUS_CSV_HEADER + "\n"
         sizes = [c.count("\n") for c in chunks[1:]]
         assert max(sizes) <= cli.BLOCK_ROWS and sum(sizes) == census.count_salem_deg4(600)
         # row a = -598, the longest, holds 2,388 members: 4n - 1 less the
         # reducible b = -597, 2, 599, one in its first chunk and two in its second
         assert [n for c, n in zip(chunks[1:], sizes) if c.startswith("-598,")] == [1023, 1022, 343]
-        monkeypatch.undo()
         # every table, empty ones included: an empty chunk would break _json_list's
         # framing; each chunk holds 1..BLOCK_ROWS records, and they total the plan's rows
-        got = []
         monkeypatch.setattr(cli, "BLOCK_ROWS", 7)
-        monkeypatch.setattr(cli, "_write_chunks", lambda args, header, chunks: got.append(
-            [len(json.loads(f"[{c}]")) if args.format == "json" else c.count("\n")
-             for c in chunks]))
         for argv in (("census", "deg4", "--qmax", "60"), ("census", "sr", "--qmax", "300"),
                      ("census", "sr", "--qmax", "2"), ("bianchi", "--d", "3", "--qmax", "100000"),
                      ("bianchi", "--d", "3", "--qmax", "2"),
@@ -138,10 +138,11 @@ class TestCensusTables:
                      ("cocompact", "--field", "2", "--qmax", "10"),
                      ("report", "multiplicity", "--n", "6", "--ell-max", "30", "--step", "1")):
             for fmt in ("csv", "json"):
-                code, plan, _ = run(capsys, *argv, "--format", fmt, "--dry-run")
-                rows = int(plan.split(" rows=")[1].split()[0])
-                assert code == 0 and main([*argv, "--format", fmt]) == 0
-                sizes = got.pop()
+                chunks, rows = self._chunks([*argv, "--format", fmt])
+                # a CSV's first chunk is its header; a JSON chunk starts "[\n" or ",\n",
+                # and its last one closes the list
+                sizes = ([len(json.loads(f"[{c[2:]}]")) for c in chunks[:-1]] if fmt == "json"
+                         else [c.count("\n") for c in chunks[1:]])
                 assert all(0 < n <= 7 for n in sizes) and sum(sizes) == rows, (argv, fmt)
                 assert (rows == 0) == (argv[-1] == "2")
 
@@ -336,8 +337,7 @@ class TestParser:
         # of a repeated flag, a negative number as a value, and the values of --volume
         assert vars(cli._parse(["census", "sr", "--qmax", "5", "--format=json", "--qmax=-7",
                                 "--plot-data"])) == {
-            "command": "census", "which": "sr", "plan": cli._plan_census, "series": "sr",
-            "qmax": -7, "format": "json", "plot_data": True, "out": None, "workers": 1,
+            "command": "census", "which": "sr", "plan": cli._plan_census, "qmax": -7, "format": "json", "plot_data": True, "out": None, "workers": 1,
             "dry_run": False}
         assert vars(cli._parse(["report", "multiplicity", "--step", "-.5", "--n", "4",
                                 "--ell-max", "1e3", "--out", "-"])) == {
@@ -887,9 +887,9 @@ class TestDeterminism:
 
 class TestTableWriter:
     """Tables are formatted cli.BLOCK_ROWS rows at a time by the module that
-    owns their rows and written chunk by chunk by cli._write_chunks, with
-    the bytes of the whole-table json.dumps and join; an --out file appears
-    only when complete."""
+    owns their rows, framed by cli._table and written chunk by chunk by
+    cli._write, with the bytes of the whole-table json.dumps and join; an
+    --out file appears only when complete."""
 
     # a row (i, s, x) as a CSV line and as its object {"i": str(i), "s": s, "x": x,
     # "none": None} in an indent-2 JSON list, one % a chunk as the table modules do
@@ -914,7 +914,8 @@ class TestTableWriter:
             for out in (None, str(path)):
                 chunks = (sep.join([row] * len(b)) % tuple(v for r in b for v in r)
                           for b in blocks)
-                cli._write_chunks(SimpleNamespace(format=fmt, out=out), "h1,h2,h3", chunks)
+                cli._write(out, cli._table(SimpleNamespace(format=fmt),
+                                           lambda json, block: ("h1,h2,h3", chunks)))
             assert capsys.readouterr().out == expected
             assert path.read_bytes() == expected.encode()
 
@@ -1013,6 +1014,67 @@ class TestTableWriter:
         assert proc.returncode == 3 and proc.stdout == b""
         assert proc.stderr.startswith(b"salem-error kind=domain ")
         assert proc.stderr.count(b"\n") == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_stdout_on_a_full_device_exits_3(self):
+        # stdout goes through the writer of --out, buffered as when PYTHONUNBUFFERED is
+        # unset: the bytes of a failed flush must not fail again at exit, which printed
+        # "Exception ignored" and exited 120; a table cut short by an error of its rows
+        # leaves rows buffered, and its own error is the one line
+        env = dict(os.environ, PYTHONPATH=str(Path(salemcensus.__file__).parents[1]))
+        env.pop("PYTHONUNBUFFERED", None)
+        full = 'salem-error kind=domain detail="cannot write stdout: No space left on device"\n'
+        failing = ("from salemcensus import census, cli\nreal = census._sr_rows\n"
+                   "def failing(Q):\n    for i, row in enumerate(real(Q)):\n"
+                   "        if i == 5:\n            raise cli.CapacityError('injected')\n"
+                   "        yield row\n"
+                   "census._sr_rows = failing\ncli.entrypoint()\n")
+        for argv, code, err in (
+                (("-m", "salemcensus.cli", "census", "deg2", "--qmax", "3"), 3, full),
+                (("-m", "salemcensus.cli", "census", "sr", "--qmax", "1000"), 3, full),
+                (("-m", "salemcensus.cli", "census", "sr", "--qmax", "10", "--dry-run"), 3, full),
+                (("-m", "salemcensus.cli", "--help"), 3, full),
+                (("-c", failing, "census", "sr", "--qmax", "500"), 4,
+                 'salem-error kind=capacity detail="injected"\n')):
+            with open("/dev/full", "wb") as stdout:
+                proc = subprocess.run([sys.executable, *argv], env=env, stdout=stdout,
+                                      stderr=subprocess.PIPE, text=True)
+            assert (proc.returncode, proc.stderr) == (code, err), argv[1:]
+
+    def test_a_closed_pipe_ends_the_run(self, capsys, tmp_path):
+        # a reader that stops early, as head does: stdout exits 1 with nothing on
+        # stderr, buffered or not, and an --out FIFO is a domain error
+        env = dict(os.environ, PYTHONPATH=str(Path(salemcensus.__file__).parents[1]))
+        argv = [sys.executable, "-m", "salemcensus.cli", "census", "sr", "--qmax", "3000"]
+        for unbuffered in ("1", None):
+            if unbuffered is None:
+                env.pop("PYTHONUNBUFFERED", None)
+            else:
+                env["PYTHONUNBUFFERED"] = unbuffered
+            proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
+                                    stderr=subprocess.PIPE)
+            try:
+                assert proc.stdout.read(10) == census.CENSUS_CSV_HEADER.encode()[:10]
+                proc.stdout.close()
+                assert proc.wait(60) == 1
+                assert proc.stderr.read() == b"", unbuffered
+            finally:
+                proc.kill()
+                proc.wait()
+                proc.stderr.close()
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+
+        def read_some():
+            with open(fifo, "rb") as fh:
+                fh.read(10)
+
+        reader = threading.Thread(target=read_some, daemon=True)
+        reader.start()
+        code, out, err = run(capsys, *argv[3:], "--out", str(fifo))
+        reader.join(10)
+        assert code == 3 and out == ""
+        assert err.startswith(f'salem-error kind=domain detail="cannot write --out {fifo}: ')
 
     def test_out_through_a_symlink_keeps_the_link(self, capsys, tmp_path):
         real, link = tmp_path / "real.csv", tmp_path / "link.csv"
