@@ -65,12 +65,6 @@ def require_square_free(n: int, minimum: int, name: str) -> int:
     return n
 
 
-def _check_q(Q: int) -> None:
-    """Q, the bound of every census, is an integer >= 2, or DomainError."""
-    if not isinstance(Q, int) or Q < 2:
-        raise DomainError(f"Q must be an integer >= 2, got {Q}")
-
-
 def sign_plus_root(A: int, B: int, d: int) -> int:
     """Exact sign of A + B*sqrt(d) for integers A, B and non-square d >= 2.
 

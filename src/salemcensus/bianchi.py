@@ -130,7 +130,8 @@ from collections.abc import Iterator
 from itertools import chain, islice
 from typing import NamedTuple
 
-from .algebra import _check_q, quadratic_basis, require_square_free
+from .algebra import quadratic_basis, require_square_free
+from .errors import _check_q
 from .quartics import lift_half_power, salem_value
 
 __all__ = [

@@ -20,8 +20,7 @@ import math
 from collections.abc import Iterator
 from typing import NamedTuple
 
-from .algebra import _check_q, is_perfect_square
-from .errors import DomainError
+from .errors import DomainError, _check_q
 
 __all__ = [
     "CensusRecord",
@@ -112,7 +111,9 @@ def _deg4_rows(Q: int) -> Iterator[tuple[int, int, int, tuple[int, int, int]]]:
 def enumerate_salem_deg4(Q: int) -> Iterator[CensusRecord]:
     """All degree-4 Salem records with lambda <= Q, ordered by descending a
     then ascending b.  Streams with O(1) memory."""
-    from .quartics import salem_value  # here, so that no census command loads quartics
+    # here, so that no census command loads algebra or quartics
+    from .algebra import is_perfect_square
+    from .quartics import salem_value
 
     _check_q(Q)
     for n, lo, hi, skip in _deg4_rows(Q):
@@ -144,7 +145,8 @@ def _sr_row(Q: int, n: int) -> tuple[int, int, set[int]]:
     lo = _sr_k_floor and hi = isqrt(4n - 1) + 1, with b = k^2 - 2n - 2, that
     are not in skip, the integer k with k^2 = i (n + 4 - i), i = 1, 2, 3:
     the row's reducible points where they fall in the range (see count_sr)."""
-    skip = {is_perfect_square(i * (n + 4 - i)) for i, _ in _SR_REDUCIBLE} - {None}
+    skip = {k for k2 in (i * (n + 4 - i) for i, _ in _SR_REDUCIBLE)
+            for k in [math.isqrt(k2)] if k * k == k2}
     return _sr_k_floor(Q, n), math.isqrt(4 * n - 1) + 1, skip
 
 

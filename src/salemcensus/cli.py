@@ -28,8 +28,12 @@ runs nothing in parallel.
 
 A plan's run() returns its output, and main hands it, the dry-run line or
 the help to _write, the one writer of stdout and of --out: a write or flush
-that fails there is a domain error (exit 3), save a reader that closes the
-pipe of stdout (as head does), which ends the run quietly with exit 1.
+that fails there, or a closed stdout, is a domain error (exit 3), save a
+reader that closes the pipe of stdout (as head does), which ends the run
+quietly with exit 1.  Once main returns, entrypoint flushes stdout and
+stderr and ends the process with os._exit, skipping the interpreter's
+teardown: atexit handlers, and wrappers that report after the module
+returns (python -m cProfile, coverage run -m), see nothing.
 """
 
 import contextlib
@@ -38,11 +42,9 @@ import sys
 from collections.abc import Callable, Iterable, Iterator
 from itertools import chain
 from types import SimpleNamespace
-from typing import NamedTuple
 
-# census, bianchi, totally_real and asymptotics are imported by the plans
-# that use them, so that a command loads only the modules it runs.
-from .algebra import require_square_free
+# algebra, census, bianchi, totally_real and asymptotics are imported by the
+# plans that use them, so that a command loads only the modules it runs.
 from .errors import CapacityError, DomainError
 
 PROG = "salem"
@@ -89,25 +91,32 @@ PLOT_SERIES = {"deg4": (2.0, 8), "sr": (1.5, 8), "deg2": (1.0, 4),
                "bianchi": (0.5, 16), "system": (1.5, 16)}
 
 
-class Plan(NamedTuple):
+# Plan, Flag and Command are plain classes: creating a NamedTuple class costs
+# about 0.3 ms, at every start.
+
+
+class Plan:
     """A validated command: what names it and its parameters, work bounds
     its kernel steps in unit ("rows" or "steps"), rows() counts the records
     it writes, and run() returns them as strings to write.  main calls one
     of rows() and run()."""
 
-    what: str
-    work: int
-    unit: str
-    rows: Callable[[], int]
-    run: Callable[[], Iterable[str]]
+    __slots__ = ("what", "work", "unit", "rows", "run")
+
+    def __init__(self, what: str, work: int, unit: str, rows: Callable[[], int],
+                 run: Callable[[], Iterable[str]]):
+        self.what, self.work, self.unit, self.rows, self.run = what, work, unit, rows, run
 
 
 def _write(out: str | None, chunks: Iterable[str]) -> None:
     """Write the strings of chunks as they come to out, or to stdout when out
     is None.  A new or regular file is written under a temporary name and
     renamed over out when complete; stdout, devices and FIFOs are written in
-    place.  A failed write, flush or close raises DomainError."""
+    place.  A failed write, flush or close raises DomainError, and so does
+    a stdout that is closed (None)."""
     if out is None:
+        if sys.stdout is None:
+            raise DomainError("cannot write stdout: it is closed")
         _drain(None, sys.stdout, chunks, sys.stdout.flush)
         return
     target = os.path.realpath(out)
@@ -185,6 +194,8 @@ def _require_qmax(args, minimum: int = 2) -> int:
 def _require_squarefree(value: int, flag: str, minimum: int) -> int:
     if value > MAX_FIELD_PARAM:
         raise DomainError(f"{flag} must be <= {MAX_FIELD_PARAM}, got {value}")
+    from .algebra import require_square_free
+
     return require_square_free(value, minimum, flag)
 
 
@@ -362,10 +373,6 @@ def _plan_report(args) -> Plan:
 
 
 # --- command table -----------------------------------------------------------
-
-
-# Flag and Command are plain classes: creating a NamedTuple class costs about
-# 0.3 ms, and the command table is built at every start.
 
 
 class Flag:
@@ -584,13 +591,17 @@ def entrypoint() -> None:
         code = main()
     except BrokenPipeError:
         code = 1  # downstream consumer (e.g. head) closed the pipe; exit quietly
-    try:
-        sys.stdout.flush()  # what main left buffered after an error
-    except OSError:
-        # the bytes of a failed write, whose error is reported, or of a closed
-        # pipe: dropped, so that the flush at exit does not fail on them again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    sys.exit(code)
+    # Leave without the interpreter's teardown (its last GC passes and module
+    # cleanup, about 5 ms): _write has closed and renamed --out, and nothing
+    # registers an atexit handler, so only the standard streams hold bytes.
+    # A flush that fails drops the bytes of a failed write, whose error is
+    # reported, or of a closed pipe; a closed stream is None.  An exception
+    # out of main, SIGTERM's SystemExit included, still exits the usual way.
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            with contextlib.suppress(OSError):
+                stream.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -127,13 +127,12 @@ from typing import NamedTuple
 
 from .algebra import (
     RealQuadElem,
-    _check_q,
     is_perfect_square,
     quadratic_basis,
     require_square_free,
     sign_plus_root,
 )
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, _check_q
 
 __all__ = [
     "SystemSolution",

@@ -33,6 +33,13 @@ from oracles import (
 )
 
 
+# A script that makes census._sr_rows fail after its first 5 rows.
+FAILING_SR_ROWS = ("from salemcensus import census, cli\nreal = census._sr_rows\n"
+                   "def failing(Q):\n    for i, row in enumerate(real(Q)):\n"
+                   "        if i == 5:\n            raise cli.CapacityError('injected')\n"
+                   "        yield row\n")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -732,15 +739,13 @@ class TestImportFootprint:
     # (argv, modules it must not load, modules it must load)
     HEAVY = {"dataclasses", "inspect", "fractions", "decimal", "json"}
     FIELDS = {"salemcensus.bianchi", "salemcensus.totally_real"}
+    # what a census over Z never runs
+    Z = HEAVY | FIELDS | {"salemcensus.algebra", "salemcensus.quartics"}
     FOOTPRINTS = [
-        (("census", "deg2", "--qmax", "10"),
-         HEAVY | FIELDS | {"salemcensus.asymptotics", "salemcensus.quartics"}, set()),
-        (("census", "sr", "--qmax", "30"), HEAVY | FIELDS | {"salemcensus.quartics"},
-         {"salemcensus.census"}),
-        (("census", "deg4", "--qmax", "30", "--format", "json"),
-         HEAVY | FIELDS | {"salemcensus.quartics"}, set()),
-        (("fit", "--series", "sr", "--qgrid", "50,100,200"), HEAVY | FIELDS | {"salemcensus.quartics"},
-         {"salemcensus.asymptotics"}),
+        (("census", "deg2", "--qmax", "10"), Z | {"salemcensus.asymptotics"}, set()),
+        (("census", "sr", "--qmax", "30"), Z, {"salemcensus.census"}),
+        (("census", "deg4", "--qmax", "30", "--format", "json"), Z, set()),
+        (("fit", "--series", "sr", "--qgrid", "50,100,200"), Z, {"salemcensus.asymptotics"}),
         (("bianchi", "--d", "3", "--qmax", "1000", "--dry-run"), HEAVY,
          {"salemcensus.bianchi"}),
         (("bianchi", "--d", "3", "--qmax", "1000"), HEAVY | {"salemcensus.census"},
@@ -965,12 +970,15 @@ class TestTableWriter:
 
     def test_only_an_out_run_loads_signal(self):
         # the SIGTERM handler exists to remove the temporary file of --out, so
-        # the entry point installs it only when argv has one
+        # the entry point installs it only when argv has one; the entry point ends
+        # in os._exit, which reports the code and the modules before it exits
         env = dict(os.environ, PYTHONPATH=str(Path(salemcensus.__file__).parents[1]))
-        script = ("import runpy, sys\nsys.argv[0] = 'salem'\ntry:\n"
-                  "    runpy.run_module('salemcensus.cli', run_name='__main__')\n"
-                  "except SystemExit as exc:\n"
-                  "    print(exc.code, 'signal' in sys.modules, file=sys.stderr)")
+        script = ("import os, runpy, sys\nsys.argv[0] = 'salem'\nreal_exit = os._exit\n"
+                  "def _exit(code):\n"
+                  "    print(code, 'signal' in sys.modules, file=sys.stderr, flush=True)\n"
+                  "    real_exit(code)\n"
+                  "os._exit = _exit\n"
+                  "runpy.run_module('salemcensus.cli', run_name='__main__')")
         for extra, want in (((), "0 False\n"), (("--out", os.devnull), "0 True\n"),
                             ((f"--out={os.devnull}",), "0 True\n")):
             proc = subprocess.run([sys.executable, "-c", script, "census", "deg2", "--qmax", "10",
@@ -1024,11 +1032,7 @@ class TestTableWriter:
         env = dict(os.environ, PYTHONPATH=str(Path(salemcensus.__file__).parents[1]))
         env.pop("PYTHONUNBUFFERED", None)
         full = 'salem-error kind=domain detail="cannot write stdout: No space left on device"\n'
-        failing = ("from salemcensus import census, cli\nreal = census._sr_rows\n"
-                   "def failing(Q):\n    for i, row in enumerate(real(Q)):\n"
-                   "        if i == 5:\n            raise cli.CapacityError('injected')\n"
-                   "        yield row\n"
-                   "census._sr_rows = failing\ncli.entrypoint()\n")
+        failing = FAILING_SR_ROWS + "census._sr_rows = failing\ncli.entrypoint()\n"
         for argv, code, err in (
                 (("-m", "salemcensus.cli", "census", "deg2", "--qmax", "3"), 3, full),
                 (("-m", "salemcensus.cli", "census", "sr", "--qmax", "1000"), 3, full),
@@ -1040,6 +1044,41 @@ class TestTableWriter:
                 proc = subprocess.run([sys.executable, *argv], env=env, stdout=stdout,
                                       stderr=subprocess.PIPE, text=True)
             assert (proc.returncode, proc.stderr) == (code, err), argv[1:]
+
+    @pytest.mark.parametrize("failing, argv", [
+        (False, ("census", "sr", "--qmax", "1000")),
+        (False, ("census", "deg4", "--qmax", "60", "--format", "json")),
+        (False, ("--help",)), (False, ("census", "sr", "--qmax", "10", "--dry-run")),
+        (False, ("census", "sr", "--q", "10")), (False, ("census", "sr", "--qmax", "1")),
+        (False, ("cocompact", "--field", "2", "--qmax", "100000")),
+        (True, ("census", "sr", "--qmax", "500"))])
+    def test_the_entry_point_writes_what_main_writes(self, capsys, monkeypatch, failing, argv):
+        # entrypoint leaves by os._exit, which flushes nothing: through a buffered pipe it
+        # prints the bytes and the code of main, on success, help, a dry run, each error
+        # kind (2, 3 and 4) and a table whose rows fail while some are still buffered
+        env = dict(os.environ, PYTHONPATH=str(Path(salemcensus.__file__).parents[1]))
+        env.pop("PYTHONUNBUFFERED", None)
+        script = ["-m", "salemcensus.cli"]
+        if failing:
+            script = ["-c", FAILING_SR_ROWS + "census._sr_rows = failing\ncli.entrypoint()\n"]
+            rows = {}
+            exec(FAILING_SR_ROWS, rows)
+            monkeypatch.setattr(census, "_sr_rows", rows["failing"])
+        proc = subprocess.run([sys.executable, *script, *argv], env=env,
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
+
+    @pytest.mark.parametrize("argv", [
+        ("census", "deg2", "--qmax", "3"), ("census", "sr", "--qmax", "1000"), ("--help",),
+        ("census", "sr", "--qmax", "10", "--dry-run")])
+    def test_a_closed_stdout_exits_3(self, argv):
+        # a shell's >&- leaves sys.stdout None: one domain error, not a traceback
+        env = dict(os.environ, PYTHONPATH=str(Path(salemcensus.__file__).parents[1]))
+        proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m",
+                               "salemcensus.cli", *argv], env=env, stderr=subprocess.PIPE,
+                              text=True)
+        assert (proc.returncode, proc.stderr) == (
+            3, 'salem-error kind=domain detail="cannot write stdout: it is closed"\n')
 
     def test_a_closed_pipe_ends_the_run(self, capsys, tmp_path):
         # a reader that stops early, as head does: stdout exits 1 with nothing on
