@@ -18,6 +18,10 @@ __all__ = [
     "RealQuadElem",
 ]
 
+# Field parameters above this are refused before any arithmetic: validating
+# one costs O(n^(1/3)) trial divisions, about 5e5 at the limit.
+MAX_FIELD_PARAM = 10**18
+
 
 def is_perfect_square(n: int) -> int | None:
     """Return the non-negative r with r*r == n, or None.
@@ -59,7 +63,10 @@ def is_square_free(n: int) -> bool:
 
 
 def require_square_free(n: int, minimum: int, name: str) -> int:
-    """n, or DomainError unless n is a square-free integer >= minimum."""
+    """n, or DomainError unless n is a square-free integer >= minimum and
+    <= MAX_FIELD_PARAM, the limit checked before any trial division."""
+    if isinstance(n, int) and n > MAX_FIELD_PARAM:
+        raise DomainError(f"{name} must be <= {MAX_FIELD_PARAM}, got {n}")
     if not isinstance(n, int) or n < minimum or not is_square_free(n):
         raise DomainError(f"{name} must be a square-free integer >= {minimum}, got {n}")
     return n

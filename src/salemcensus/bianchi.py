@@ -164,8 +164,9 @@ class BianchiCensus(NamedTuple):
 
     def members(self) -> Iterator[tuple[int, int, int, int]]:
         """(A, B, w, v) of each member in (A, B) order: its key and its
-        quadrant trace, computed again on each call."""
-        return chain.from_iterable(_bands(self.D, self.qmax, self.count))
+        quadrant trace, computed again on each call from D and qmax alone,
+        which are checked as bianchi_census checks them."""
+        return chain.from_iterable(_bands(require_square_free(self.D, 1, "D"), _check_q(self.qmax)))
 
 
 def _reducible(E_v2: int, R: int) -> tuple[int, ...]:
@@ -221,19 +222,20 @@ def _rows(D: int, Q: int) -> Iterator[tuple[int, int, range, int, tuple[int, ...
         yield v, E_v2, ws, kept, _reducible(E_v2, R) if residues >> E_v2 % 576 & 1 else ()
 
 
-def _bands(D: int, Q: int, count: int) -> Iterator[list[tuple[int, int, int, int]]]:
-    """The members (A, B, w, v) of bianchi_census(D, Q), count of them, as
-    one sorted list a band (N_lo, N_hi] of N = (w^2 + E v^2)/4, bands
-    descending.  A live row is [top, v, E v^2, start, reducible]: its w not
-    yet listed are start, start + 2, .., top.  There are about count / R
-    members a unit of N, so a band width of 8 rows R / count holds about
-    8 members a row."""
+def _bands(D: int, Q: int) -> Iterator[list[tuple[int, int, int, int]]]:
+    """The members (A, B, w, v) of bianchi_census(D, Q) as one sorted list
+    a band (N_lo, N_hi] of N = (w^2 + E v^2)/4, bands descending.  A live
+    row is [top, v, E v^2, start, reducible]: its w not yet listed are
+    start, start + 2, .., top.  The live rows keep kept traces, the
+    members and their few reducible w, over about R units of N, so a band
+    width of 8 rows R / kept holds about 8 members a row."""
     isqrt = math.isqrt
     live = [[ws.start + 2 * kept - 2, v, E_v2, ws.start, red]
             for v, E_v2, ws, kept, red in _rows(D, Q) if kept]
     if not live:
         return
-    width = 8 * len(live) * (isqrt(Q) + 3) // max(count, 1) + 1
+    kept = sum(top - start for top, _, _, start, _ in live) // 2 + len(live)
+    width = 8 * len(live) * (isqrt(Q) + 3) // kept + 1
     N_lo = max((top * top + E_v2) // 4 for top, _, E_v2, _, _ in live)
     while live:
         N_lo -= width

@@ -20,7 +20,7 @@ import math
 from collections.abc import Iterator
 from typing import NamedTuple
 
-from .errors import DomainError, _check_q
+from .errors import _check_q
 
 __all__ = [
     "CensusRecord",
@@ -95,8 +95,7 @@ def count_salem_deg4(Q: int) -> int:
     2(Q-2)(Q-3) + 6 + 6Q - 16 = 2(Q-1)^2.  Q = 2, 3, 4 give 2, 8, 18 by
     direct count, which fit the same formula.
     """
-    _check_q(Q)
-    return 2 * (Q - 1) ** 2
+    return 2 * (_check_q(Q) - 1) ** 2
 
 
 def _deg4_rows(Q: int) -> Iterator[tuple[int, int, int, tuple[int, int, int]]]:
@@ -195,8 +194,7 @@ def count_sr(Q: int) -> int:
     = (4/3) N^(3/2) - N/2 + O(N^(1/2)).  Last, (4/3) (Q - 2)^(3/2) =
     (4/3) Q^(3/2) - 4 Q^(1/2) + O(Q^(-1/2)) and N/2 = Q/2 - 1.
     """
-    _check_q(Q)
-    N = Q - 2
+    N = _check_q(Q) - 2
     total = _isqrt_sum(N)
     for i, m0 in _SR_REDUCIBLE:
         total -= max(0, math.isqrt((N + 4 - i) // i) - m0 + 1)
@@ -232,9 +230,7 @@ def count_deg2(Q: int) -> int:
     Q^2 - nQ + 1 >= 0, i.e. n <= Q + 1/Q, i.e. n <= Q.  That leaves
     n = 3, ..., Q.
     """
-    if not isinstance(Q, int) or Q < 3:
-        raise DomainError(f"Q must be an integer >= 3, got {Q}")
-    return Q - 2
+    return _check_q(Q, 3) - 2
 
 
 # --- the census table -------------------------------------------------------

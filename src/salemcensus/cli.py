@@ -1,12 +1,14 @@
 """Command-line surface: censuses, constants, fits, and reports with
 reproducible file output.
 
-Every subcommand is first planned (Plan): its arguments are validated as
-the run validates them, and its work, an exact upper bound on its kernel
-steps, is computed in O(1) per grid point before any kernel runs.  main
-exits 4 before any output when the work is above the budget of its unit,
-MAX_ROWS (records written) or MAX_STEPS (count steps), and --dry-run
-prints one line instead of running:
+Every subcommand is first planned (Plan): its arguments are validated by
+the library checks that the run makes, called with the flag's name:
+errors._check_q for --qmax, and algebra.require_square_free, which holds
+the 1e18 limit, for --d, --field, --marklof-c and --c2-bound.  Its work,
+an exact upper bound on its kernel steps, is computed in O(1) per grid
+point before any kernel runs.  main exits 4 before any output when the
+work is above the budget of its unit, MAX_ROWS (records written) or
+MAX_STEPS (count steps), and --dry-run prints one line instead of running:
 
     plan command=<cmd> <validated params> rows=R work=W
 
@@ -22,7 +24,8 @@ describes and exits 0.
 Exit codes: 0 success, 2 usage error, 3 domain-validation error,
 4 arithmetic capacity failure.  Errors are one machine-parsable line on
 stderr, salem-error kind=usage|domain|capacity detail="...", a " or
-backslash in the detail escaped by a backslash, and nothing on stdout.
+backslash in the detail escaped by a backslash, and nothing on stdout; a
+closed stderr loses the line, not the exit code.
 Identical argv produce byte-identical output; --workers is validated but
 runs nothing in parallel.
 
@@ -45,13 +48,9 @@ from types import SimpleNamespace
 
 # algebra, census, bianchi, totally_real and asymptotics are imported by the
 # plans that use them, so that a command loads only the modules it runs.
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, _check_q
 
 PROG = "salem"
-
-# Field parameters above this are refused before any arithmetic: validating
-# one costs O(d^(1/3)) trial divisions, about 5e5 at the limit.
-MAX_FIELD_PARAM = 10**18
 
 # Budget of the work of a table (census deg4|sr, bianchi, cocompact): an
 # upper bound on the records it writes, so a file of at most several GB.
@@ -185,20 +184,6 @@ def _table(args, table: Callable, *params) -> Iterable[str]:
     return _json_list(chunks) if json else chain([header + "\n"], chunks)
 
 
-def _require_qmax(args, minimum: int = 2) -> int:
-    if args.qmax < minimum:
-        raise DomainError(f"--qmax must be >= {minimum}, got {args.qmax}")
-    return args.qmax
-
-
-def _require_squarefree(value: int, flag: str, minimum: int) -> int:
-    if value > MAX_FIELD_PARAM:
-        raise DomainError(f"{flag} must be <= {MAX_FIELD_PARAM}, got {value}")
-    from .algebra import require_square_free
-
-    return require_square_free(value, minimum, flag)
-
-
 def _plot_lines(qs, counts, exponent: float) -> list[str]:
     """The CSV series (Q, count / Q^exponent), whatever --format."""
     return ["Q,normalized_count\n", *(f"{q},{c / q**exponent:.12g}\n" for q, c in zip(qs, counts))]
@@ -228,7 +213,7 @@ def _plan_census(args) -> Plan:
     from . import census
 
     which = args.which
-    Q = _require_qmax(args, 3 if which == "deg2" else 2)
+    Q = _check_q(args.qmax, 3 if which == "deg2" else 2, "--qmax")
     if args.plot_data:
         return _plot_plan(args, which, f"census-{which}", Q)
     what = f"census-{which} qmax={Q}"
@@ -244,9 +229,10 @@ def _plan_census(args) -> Plan:
 
 def _plan_bianchi(args) -> Plan:
     from . import bianchi
+    from .algebra import require_square_free
 
-    D = _require_squarefree(args.d, "--d", 1)
-    Q = _require_qmax(args)
+    D = require_square_free(args.d, 1, "--d")
+    Q = _check_q(args.qmax, 2, "--qmax")
     if args.plot_data:
         return _plot_plan(args, "bianchi", "bianchi", Q)
 
@@ -260,9 +246,10 @@ def _plan_bianchi(args) -> Plan:
 
 def _plan_cocompact(args) -> Plan:
     from . import totally_real
+    from .algebra import require_square_free
 
-    d = _require_squarefree(args.field, "--field", 2)
-    Q = _require_qmax(args)
+    d = require_square_free(args.field, 2, "--field")
+    Q = _check_q(args.qmax, 2, "--qmax")
     if args.plot_data:
         if args.verified:
             raise DomainError("--verified cannot be combined with --plot-data")
@@ -278,6 +265,7 @@ def _plan_cocompact(args) -> Plan:
 
 def _plan_constants(args) -> Plan:
     from . import asymptotics, bianchi, totally_real
+    from .algebra import require_square_free
 
     chosen = [x is not None for x in (args.omega, args.marklof_c, args.c2_bound, args.volume)]
     if sum(chosen) != 1:
@@ -287,10 +275,10 @@ def _plan_constants(args) -> Plan:
             raise CapacityError(f"--omega must be <= {MAX_OMEGA_M}, got {args.omega}")
         which, lines = "omega", ["%d/%d\n" % asymptotics.omega_series(args.omega)[-1]]
     elif args.marklof_c is not None:
-        D = _require_squarefree(args.marklof_c, "--marklof-c", 1)
+        D = require_square_free(args.marklof_c, 1, "--marklof-c")
         which, lines = "marklof-c", [f"{bianchi.marklof_constant(D):.12g}\n"]
     elif args.c2_bound is not None:
-        d = _require_squarefree(args.c2_bound, "--c2-bound", 2)
+        d = require_square_free(args.c2_bound, 2, "--c2-bound")
         which, lines = "c2-bound", [f"{totally_real.c2_upper_bound(d):.12g}\n"]
     else:
         try:
@@ -313,17 +301,19 @@ def _series(args, series: str, qs: list[int]) -> tuple[str, int, Callable[[int],
     if series == "bianchi":
         if args.d is None:
             raise DomainError("--series bianchi requires --d")
-        D = _require_squarefree(args.d, "--d", 1)
         from . import bianchi
+        from .algebra import require_square_free
 
+        D = require_square_free(args.d, 1, "--d")
         return (f"d={D} ", sum(bianchi.census_bounds(D, q)[1] for q in qs),
                 lambda q: bianchi.bianchi_census(D, q).count)
     if series == "system":
         if args.field is None:
             raise DomainError("--series system requires --field")
-        d = _require_squarefree(args.field, "--field", 2)
         from . import totally_real
+        from .algebra import require_square_free
 
+        d = require_square_free(args.field, 2, "--field")
         return (f"field={d} ", sum(totally_real.count_bounds(d, q)[1] for q in qs),
                 lambda q: totally_real.count_system(d, q))
     from . import census
@@ -575,7 +565,10 @@ def main(argv: list[str] | None = None) -> int:
         kind, code = (("usage", 2) if isinstance(exc, UsageError) else
                       ("domain", 3) if isinstance(exc, DomainError) else ("capacity", 4))
         detail = str(exc).replace("\\", "\\\\").replace('"', '\\"')
-        print(f'{PROG}-error kind={kind} detail="{detail}"', file=sys.stderr)
+        # a closed stderr (None, or an fd that fails) drops the line, not the exit code
+        if sys.stderr is not None:
+            with contextlib.suppress(OSError):
+                sys.stderr.write(f'{PROG}-error kind={kind} detail="{detail}"\n')
         return code
 
 

@@ -14,7 +14,9 @@ class CapacityError(ArithmeticError):
     """A computation exceeded the range it can be carried out in exactly."""
 
 
-def _check_q(Q: int) -> None:
-    """Q, the bound of every census, is an integer >= 2, or DomainError."""
-    if not isinstance(Q, int) or Q < 2:
-        raise DomainError(f"Q must be an integer >= 2, got {Q}")
+def _check_q(Q: int, minimum: int = 2, name: str = "Q") -> int:
+    """Q, the bound of a census, or DomainError unless it is an integer >=
+    minimum; name is how the message calls it."""
+    if not isinstance(Q, int) or Q < minimum:
+        raise DomainError(f"{name} must be an integer >= {minimum}, got {Q}")
+    return Q

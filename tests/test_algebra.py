@@ -7,13 +7,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from salemcensus.algebra import (
+    MAX_FIELD_PARAM,
     RealQuadElem,
     is_perfect_square,
     is_square_free,
     quadratic_basis,
+    require_square_free,
     sign_plus_root,
 )
+from salemcensus.bianchi import bianchi_census, marklof_constant
 from salemcensus.errors import DomainError
+from salemcensus.totally_real import (
+    c2_upper_bound,
+    count_system,
+    lattice_geometry,
+    ring_square_root,
+    system_rows,
+)
 
 from oracles import (
     _embeddings,
@@ -74,6 +84,39 @@ def test_square_free_near_1e18_is_fast():
     assert not is_square_free(p * p)
     assert not is_square_free(4 * 249_999_999_999_999_969)
     assert time.perf_counter() - t0 < 1.0
+
+
+# Each public entry point that takes a field parameter, called with it.
+FIELD_ENTRY_POINTS = {
+    "require_square_free": lambda n: require_square_free(n, 1, "n"),
+    "RealQuadElem": lambda n: RealQuadElem(n, 1, 1),
+    "bianchi_census": lambda n: bianchi_census(n, 100),
+    "marklof_constant": marklof_constant,
+    "count_system": lambda n: count_system(n, 100),
+    "system_rows": lambda n: next(system_rows(n, 100)),
+    "ring_square_root": lambda n: ring_square_root(n, 4, 0),
+    "lattice_geometry": lattice_geometry,
+    "c2_upper_bound": c2_upper_bound,
+}
+
+
+@pytest.mark.parametrize("name", FIELD_ENTRY_POINTS)
+def test_a_field_parameter_above_the_limit_is_refused_at_once(name):
+    # validating 1e24 + 7 would take about 5e7 trial divisions
+    n = 10**24 + 7
+    t0 = time.perf_counter()
+    with pytest.raises(DomainError, match=f" must be <= {MAX_FIELD_PARAM}, got {n}$"):
+        FIELD_ENTRY_POINTS[name](n)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_the_field_limit_is_inclusive():
+    # 1e18 itself is tested for square factors, as is every value below it
+    p = 999_999_999_999_999_989  # the largest prime below 1e18
+    assert require_square_free(p, 2, "d") == p
+    for n in (MAX_FIELD_PARAM, -(10**19), "7"):
+        with pytest.raises(DomainError, match="d must be a square-free integer >= 2, got "):
+            require_square_free(n, 2, "d")
 
 
 class TestSignPlusRoot:

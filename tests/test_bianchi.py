@@ -2,12 +2,14 @@ import cmath
 import json
 import math
 import random
+import time
 
 import pytest
 
 from salemcensus.algebra import is_perfect_square
 from salemcensus.bianchi import (
     BIANCHI_CSV_HEADER,
+    BianchiCensus,
     _bands,
     _reducible,
     _reducible_residues,
@@ -255,9 +257,21 @@ class TestCensus:
         # bands of about 8 members a row keep the live state O(Q^(1/4))
         for Q in [*range(2, 500), 10**6, 10**8, 3 * 10**9, 10**12]:
             c = bianchi_census(D, Q)
-            sizes = [len(band) for band in _bands(D, Q, c.count)]
+            sizes = [len(band) for band in _bands(D, Q)]
             assert sum(sizes) == c.count, Q
             assert max(sizes, default=0) <= 16 * row_count(D, Q), Q
+
+    @pytest.mark.parametrize("D", [1, 3, 163])
+    def test_members_read_only_d_and_qmax(self, D):
+        # a count set by the caller no longer sizes the bands: 1e30 made one band a
+        # member (9.95 s at D = 3, Q = 1e10), 0 one band of them all
+        for Q in (2, 100, 10**6, 10**10):
+            want = list(bianchi_members_merge(list(_rows(D, Q))))
+            for count in (0, 1, 10**30):
+                t0 = time.perf_counter()
+                got = list(bianchi_census(D, Q)._replace(count=count).members())
+                assert time.perf_counter() - t0 < 1.0, (Q, count)
+                assert got == want, (Q, count)
 
     def test_members_stream_again_on_each_iteration(self):
         c = bianchi_census(2, 10**6)
@@ -298,6 +312,11 @@ class TestCensus:
             bianchi_census(12, 100)
         with pytest.raises(DomainError):
             bianchi_census(1, 1)
+        # members() checks D and qmax as bianchi_census does
+        with pytest.raises(DomainError, match="D must be a square-free integer >= 1, got 12"):
+            BianchiCensus(12, 100).members()
+        with pytest.raises(DomainError, match="Q must be an integer >= 2, got 1"):
+            BianchiCensus(3, 1).members()
 
 
 class TestMarklofConstant:

@@ -271,6 +271,32 @@ class TestExitCodes:
     def test_qmax_too_small_is_3(self, capsys):
         code, _, err = run(capsys, "census", "deg4", "--qmax", "1")
         assert code == 3 and "kind=domain" in err
+        # the plan calls the run's own check, with the flag's name
+        for argv, minimum in ((("census", "deg2"), 3), (("bianchi", "--d", "3"), 2),
+                              (("cocompact", "--field", "5"), 2)):
+            for extra in ((), ("--dry-run",)):
+                code, out, err = run(capsys, *argv, "--qmax", "1", *extra)
+                assert code == 3 and out == ""
+                assert _error_detail(err) == f"--qmax must be an integer >= {minimum}, got 1"
+
+    # a usage, a domain and a capacity error
+    ERRORS = [(("census", "sr", "--q", "10"), 2), (("census", "deg2", "--qmax", "2"), 3),
+              (("constants", "--omega", "121"), 4)]
+
+    @pytest.mark.parametrize("argv, code", ERRORS)
+    def test_a_closed_stderr_keeps_the_exit_code(self, argv, code):
+        # a shell's 2>&- leaves fd 2 closed: the line is lost, the exit code stands
+        env = dict(os.environ, PYTHONPATH=str(Path(salemcensus.__file__).parents[1]))
+        proc = subprocess.run(["sh", "-c", 'exec "$@" 2>&-', "sh", sys.executable, "-m",
+                               "salemcensus.cli", *argv], env=env, stdout=subprocess.PIPE)
+        assert (proc.returncode, proc.stdout) == (code, b"")
+
+    @pytest.mark.parametrize("argv, code", ERRORS)
+    def test_no_stderr_writes_nothing_on_stdout(self, capsys, monkeypatch, argv, code):
+        # sys.stderr None, as Python leaves it when fd 2 is closed at its start
+        monkeypatch.setattr(sys, "stderr", None)
+        assert main(list(argv)) == code
+        assert capsys.readouterr().out == ""
 
     def test_capacity_error_is_4(self, capsys):
         code, _, err = run(capsys, "report", "multiplicity", "--n", "4",
@@ -589,15 +615,21 @@ class TestInputGuards:
         assert code == 3 and "kind=domain" in err and "--field must be <=" in err
 
     @pytest.mark.parametrize("argv", [
-        ("bianchi", "--d", "1000000000000000003", "--qmax", "10"),
-        ("constants", "--marklof-c", "1000000000000000003"),
-        ("constants", "--c2-bound", "1000000000000000003"),
-        ("fit", "--series", "system", "--field", "1000000000000000003",
+        ("bianchi", "--d", "1000000000000000001", "--qmax", "10"),
+        ("constants", "--marklof-c", "1000000000000000001"),
+        ("constants", "--c2-bound", "1000000000000000001"),
+        ("fit", "--series", "system", "--field", "1000000000000000001",
          "--qgrid", "10,20,40"),
+        ("cocompact", "--field", "1000000000000000001", "--qmax", "10"),
+        ("fit", "--series", "bianchi", "--d", "1000000000000000001", "--qgrid", "10,20,40"),
     ])
     def test_every_field_flag_is_capped(self, capsys, argv):
-        code, _, err = self._timed(capsys, *argv)
-        assert code == 3 and "kind=domain" in err
+        flag = argv[argv.index("1000000000000000001") - 1]
+        for extra in ((), ("--dry-run",)):
+            code, out, err = self._timed(capsys, *argv, *extra)
+            assert code == 3 and out == ""
+            assert err == (f'salem-error kind=domain detail="{flag} must be <= '
+                           '1000000000000000000, got 1000000000000000001"\n')
 
     def test_prime_near_limit_accepted(self, capsys):
         p = 999_999_999_999_999_989  # the largest prime below 1e18
