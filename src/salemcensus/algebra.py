@@ -13,7 +13,7 @@ __all__ = [
     "is_perfect_square",
     "is_square_free",
     "require_square_free",
-    "sign_plus_root",
+    "floor_root",
     "quadratic_basis",
     "RealQuadElem",
 ]
@@ -72,27 +72,27 @@ def require_square_free(n: int, minimum: int, name: str) -> int:
     return n
 
 
-def sign_plus_root(A: int, B: int, d: int) -> int:
-    """Exact sign of A + B*sqrt(d) for integers A, B and non-square d >= 2.
+def floor_root(B: int, d: int) -> int:
+    """floor(B sqrt(d)), exact, for every integer B and every d >= 0.
 
-    Comparisons of quadratic irrationals reduce to this; the decision is
-    made by comparing A*A against B*B*d, never through floats.
+    isqrt(B^2 d) for B >= 0; for B < 0 it is -isqrt(B^2 d), less 1 when
+    B^2 d is not a square.  Every bound on a quadratic irrational reduces
+    to this one floor, with integers a and c > 0 and x = a + B sqrt(d):
+
+    * floor(x / c) = (a + floor_root(B, d)) // c.  With n = floor(x) =
+      a + floor_root(B, d) and q = n // c: q c <= n <= x, and as n + 1 <=
+      (q + 1) c, x < n + 1 <= (q + 1) c, so q <= x / c < q + 1.
+    * the least integer above x is floor(x) + 1, and the greatest below
+      it is floor(x) - [x is an integer] = -floor(-x) - 1.  For
+      square-free d, x is an integer only when B = 0.
+    * x >= 0 iff floor(x) >= 0, and x < 0 iff floor(x) < 0, so a sign
+      test where x cannot vanish is one comparison.
     """
-    if B == 0:
-        return (A > 0) - (A < 0)
-    if A == 0:
-        return 1 if B > 0 else -1
-    if A > 0 and B > 0:
-        return 1
-    if A < 0 and B < 0:
-        return -1
-    # opposite signs: |A| vs |B|sqrt(d); equality would force d square
-    lhs, rhs = A * A, B * B * d
-    if lhs == rhs:
-        raise DomainError(f"d={d} must not be a perfect square")
-    if A > 0:
-        return 1 if lhs > rhs else -1
-    return -1 if lhs > rhs else 1
+    n = B * B * d
+    r = math.isqrt(n)
+    if B >= 0:
+        return r
+    return -r if r * r == n else -r - 1
 
 
 def quadratic_basis(d: int) -> tuple[int, int]:

@@ -69,13 +69,16 @@ that is c = -(P + G sqrt(d))/16, with P = W^2 + V^2 d and G = 2WV for
 k = (W, V), and P = 16(Q+3), G = 0 for the floor.  The greatest sigma1
 of row B != 0 is below B sqrt(d) + 4, so the row is whole when
 B sqrt(d) + 4 <= c, i.e. 16 B sqrt(d) <= -(64 + P) - G sqrt(d), i.e.
-B <= B1 = floor((floor(-(64 + P) sqrt(d)) - G d) / (16 d)), exact as
-floor(x / m) = floor(floor(x) / m) for an integer m > 0.  These rows have
+B <= B1 = floor((floor(-(64 + P) sqrt(d)) - G d) / (16 d)), exact by
+the rule of algebra.floor_root: floor((a + B sqrt(d)) / m) =
+(a + floor_root(B, d)) // m for m > 0.  These rows have
 B < 0 (as c < 0), so each holds 8 a and the rows v_lo..v1, v1 = B1 // step,
 add 8 each.  From v = max(v1 + 1, v_lo) the rows are walked: row B adds
 the A = lo + 2j <= top, where top, the greatest A with
-8A < -P - (8B + G) sqrt(d), is one exact floor and lo another (the
-strict < is exact also where 8B + G = 0 and the bound is rational).
+8A < -P - (8B + G) sqrt(d), is one exact floor and lo another: by
+floor_root's rule the greatest integer below x is -floor(-x) - 1, so
+top = (-P - 1 - floor_root(8B + G, d)) // 8, also where 8B + G = 0
+and the bound is rational.
 That is (top - lo) // 2 + 1 of them, and never more than the row holds:
 v > v1 means B sqrt(d) + 4 > c, while lo + 16 has sigma1 above
 B sqrt(d) + 4, so top < lo + 16 (and row 0 adds at most 3, as its
@@ -127,10 +130,10 @@ from typing import NamedTuple
 
 from .algebra import (
     RealQuadElem,
+    floor_root,
     is_perfect_square,
     quadratic_basis,
     require_square_free,
-    sign_plus_root,
 )
 from .errors import CapacityError, DomainError, _check_q
 
@@ -174,30 +177,6 @@ class LatticeGeometry(NamedTuple):
     delta: float
 
 
-# --- exact interval endpoints ------------------------------------------------
-
-
-def _floor_root_mult(B: int, d: int) -> int:
-    """floor(B * sqrt(d)), exact; B*sqrt(d) is irrational unless B = 0."""
-    if B == 0:
-        return 0
-    if B > 0:
-        return math.isqrt(B * B * d)
-    return -math.isqrt(B * B * d) - 1
-
-
-def _min_gt(A: int, B: int, d: int) -> int:
-    """Smallest integer u with u > A + B*sqrt(d)."""
-    return A + _floor_root_mult(B, d) + 1
-
-
-def _max_lt(A: int, B: int, d: int) -> int:
-    """Largest integer u with u < A + B*sqrt(d)."""
-    if B == 0:
-        return A - 1
-    return A + _floor_root_mult(B, d)
-
-
 def _disc(d: int) -> int:
     c, h = quadratic_basis(d)
     return 4 * c + h
@@ -219,12 +198,20 @@ def _va_range(d: int, Q: int) -> tuple[int, int]:
 
 def _iter_a_coords(d: int, Q: int) -> Iterator[tuple[int, int, int, int]]:
     """(u, v, A, B) of every a in o_L with -(Q+3) < sigma1(a) < 0 and
-    -4 < sigma2(a) < 4, in (v, u) order."""
+    -4 < sigma2(a) < 4, in (v, u) order.
+
+    Row B holds the A with -2(Q+3) - B sqrt(d) < A < -B sqrt(d) and
+    B sqrt(d) - 8 < A < B sqrt(d) + 8.  With f = floor_root(B, d) and
+    B sqrt(d) irrational, floor(-B sqrt(d)) = -f - 1, so by floor_root's
+    rule the ends are lo = max(-2(Q+3) - f, f - 7) and
+    hi = min(-f - 1, f + 8).  At B = 0 these are -7 and -1, the right ends
+    as Q >= 2."""
     h = quadratic_basis(d)[1]
     for v in range(*_va_range(d, Q)):
         B, off = (2 - h) * v, h * v
-        lo = max(_min_gt(-2 * (Q + 3), -B, d), _min_gt(-8, B, d))
-        hi = min(_max_lt(0, -B, d), _max_lt(8, B, d))
+        f = floor_root(B, d)
+        lo = max(-2 * (Q + 3) - f, f - 7)
+        hi = min(-f - 1, f + 8)
         lo += (lo - B) % 2
         for A in range(lo, hi + 1, 2):
             yield (A - off) // 2, v, A, B
@@ -246,7 +233,7 @@ def _k_rows(d: int, Q: int) -> Iterator[tuple[int, int, int, int, int, int]]:
     v = -math.isqrt(15 // _disc(d))
     while True:
         V, off = (2 - h) * v, h * v
-        fv = _floor_root_mult(V, d)
+        fv = floor_root(V, d)
         if 2 * fv - 8 > top:
             return
         on_axis = int(V == 0)  # V sqrt(d) is rational only for V = 0
@@ -274,14 +261,14 @@ def _k_ranges(
     <= 0 at W = c, c < lo and the range is empty either way).  A row needs
     V sqrt(d) - 8 < X, so 2 fV - 8 > F ends this row and all later ones.
     """
-    f2r = math.isqrt(_floor_root_mult(-8 * B, d) - 8 * A)
+    f2r = math.isqrt(floor_root(-8 * B, d) - 8 * A)
     for v, off, V, fv, lo, hi in rows:
         if 2 * fv - 8 > f2r:
             return
         c = f2r - fv
         if (c - V) % 2:
             c -= 1
-        elif c <= hi and sign_plus_root(c * c + V * V * d + 8 * A, 2 * c * V + 8 * B, d) >= 0:
+        elif c <= hi and c * c + V * V * d + 8 * A + floor_root(2 * c * V + 8 * B, d) >= 0:
             c -= 2
         hi = min(hi, c)
         if lo <= hi:
@@ -295,8 +282,8 @@ def _iter_solutions(d: int, Q: int) -> Iterator[tuple[int, int, int, int, str]]:
             # plus:  sigma2(2k - a + 4) > 0  <=>  2W > (A - 8) + (2V - B) sqrt(d)
             # minus: sigma2(2k + a - 4) < 0  <=>  2W < (8 - A) + (2V + B) sqrt(d)
             # Both fail only if sigma2(a) >= 4, so one of them holds.
-            plus_from = _min_gt(A - 8, 2 * V - B, d)
-            minus_to = _max_lt(8 - A, 2 * V + B, d)
+            plus_from = A - 7 + floor_root(2 * V - B, d)
+            minus_to = 7 - A - floor_root(-2 * V - B, d)
             for W in range(lo, hi + 1, 2):
                 branch = ("plus" if 2 * W > minus_to else
                           "minus" if 2 * W < plus_from else "both")
@@ -335,13 +322,13 @@ def _a_below(d: int, step: int, v_lo: int, P: int, G: int) -> int:
     |sigma2(a)| < 4 and sigma1(a) < c = -(P + G sqrt(d))/16 < 0, where
     B = step * v.  The rows up to the seed hold 8 a each; the later ones
     are walked, two exact floors a row, up to the first that holds none."""
-    v = max((_floor_root_mult(-(64 + P), d) - G * d) // (16 * d) // step + 1, v_lo)
+    v = max((floor_root(-(64 + P), d) - G * d) // (16 * d) // step + 1, v_lo)
     n = 8 * (v - v_lo)
     while True:
         B = step * v
-        lo = _min_gt(-8, B, d)
+        lo = floor_root(B, d) - 7
         lo += (lo - B) % 2
-        top = _max_lt(-P, -(8 * B + G), d) // 8
+        top = (-P - 1 - floor_root(8 * B + G, d)) // 8
         got = (top - lo) // 2 + 1
         if got <= 0:
             return n
@@ -370,7 +357,7 @@ def count_system(d: int, Q: int) -> int:
 
 def count_bounds(d: int, Q: int) -> tuple[int, int]:
     """(solutions, steps), in O(1): upper bounds on count_system(d, Q) and on
-    its exact steps, the _floor_root_mult calls it makes.  A v-row of
+    its exact steps, the floor_root calls it makes.  A v-row of
     _iter_a_coords holds at most 8 a, and a k-row at most 8 k.  _k_rows
     reads the n_k rows up to the last v with floor(V sqrt(d)) <= M =
     (top + 8) // 2, one call each, and one call more.  count_system calls
@@ -473,7 +460,7 @@ def _salem_over_L(d: int, au: int, av: int, bu: int, bv: int) -> bool:
     ring_square_root decides on the coordinates of disc."""
     x, y = bu + 2 * au + 2, bv + 2 * av
     c, h = quadratic_basis(d)
-    if sign_plus_root(2 * x + h * y, (h - 2) * y, d) <= 0:
+    if 2 * x + h * y + floor_root((h - 2) * y, d) < 0:  # 2 sigma2(k^2 + 4a), never 0
         return False
     return ring_square_root(d, au * au + c * av * av - 4 * bu + 8,
                             (2 * au + h * av) * av - 4 * bv) is None

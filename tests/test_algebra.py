@@ -1,4 +1,3 @@
-import math
 import random
 import time
 
@@ -9,11 +8,11 @@ from hypothesis import strategies as st
 from salemcensus.algebra import (
     MAX_FIELD_PARAM,
     RealQuadElem,
+    floor_root,
     is_perfect_square,
     is_square_free,
     quadratic_basis,
     require_square_free,
-    sign_plus_root,
 )
 from salemcensus.bianchi import bianchi_census, marklof_constant
 from salemcensus.errors import DomainError
@@ -119,19 +118,43 @@ def test_the_field_limit_is_inclusive():
             require_square_free(n, 2, "d")
 
 
-class TestSignPlusRoot:
-    @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6),
-           st.sampled_from(REAL_FIELDS))
-    def test_against_float(self, A, B, d):
-        val = A + B * math.sqrt(d)
-        got = sign_plus_root(A, B, d)
-        if abs(val) > 1e-3:  # away from the (exactly decided) boundary
-            assert got == (1 if val > 0 else -1)
+# square-free field parameters above 2^53, where a double no longer holds
+# B^2 d exactly; the last is the largest prime below 1e18
+BIG_FIELDS = [2**53 + 1, 999_999_999_999_999_989]
 
-    def test_zero_cases(self):
-        assert sign_plus_root(0, 0, 2) == 0
-        assert sign_plus_root(-3, 0, 2) == -1
-        assert sign_plus_root(0, 2, 2) == 1
+
+def _root_at_least(x: int, B: int, d: int) -> bool:
+    """x <= B sqrt(d), by integer squares only."""
+    if B >= 0:
+        return x < 0 or x * x <= B * B * d
+    return x <= 0 and x * x >= B * B * d
+
+
+class TestFloorRoot:
+    """floor_root(B, d) = floor(B sqrt(d)), checked with integer squares."""
+
+    fields = st.one_of(st.just(0), st.integers(1, 10**9).map(lambda r: r * r),
+                       st.sampled_from(REAL_FIELDS), st.sampled_from(BIG_FIELDS))
+
+    def test_big_fields_are_square_free(self):
+        assert all(2**53 < d and is_square_free(d) for d in BIG_FIELDS)
+
+    @given(st.integers(-10**40, 10**40), fields)
+    def test_floor(self, B, d):
+        f = floor_root(B, d)
+        assert _root_at_least(f, B, d) and not _root_at_least(f + 1, B, d)
+
+    @given(st.integers(-10**40, 10**40), fields, st.integers(-10**45, 10**45),
+           st.integers(1, 10**20))
+    def test_floor_division_rule(self, B, d, a, c):
+        # q = floor((a + B sqrt(d)) / c): q c <= a + B sqrt(d) < (q + 1) c
+        q = (a + floor_root(B, d)) // c
+        assert _root_at_least(q * c - a, B, d) and not _root_at_least((q + 1) * c - a, B, d)
+
+    def test_squares_and_zero(self):
+        assert floor_root(0, 7) == floor_root(5, 0) == floor_root(-5, 0) == 0
+        assert floor_root(-3, 4) == -6 and floor_root(3, 4) == 6
+        assert floor_root(1, 2) == 1 and floor_root(-1, 2) == -2
 
 
 class TestQuadIntK:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from salemcensus import totally_real
-from salemcensus.algebra import sign_plus_root
+from salemcensus.algebra import floor_root
 from salemcensus.cli import main
 from salemcensus.errors import CapacityError, DomainError
 from salemcensus.totally_real import (
@@ -23,6 +23,7 @@ from salemcensus.totally_real import (
     lattice_geometry,
     ring_square_root,
     system_csv_row,
+    system_rows,
     verify_salem_over_L,
     volume_exact,
     volume_leading,
@@ -32,6 +33,7 @@ from oracles import (
     _embeddings,
     _mul,
     _sigma_signs,
+    _sign_plus_root,
     count_system_pairs,
     count_system_walk,
     enumerate_system_walk,
@@ -172,6 +174,20 @@ class TestIntervalKernelAgainstWalks:
         assert got == enumerate_system_walk(d, 149)
 
 
+@pytest.mark.parametrize("d, Q, rows, verified", [(10**15 + 37, 10**9, 750, 107),
+                                                 (999_999_999_999_999_989, 10**10, 246, 40)])
+def test_large_fields(d, Q, rows, verified):
+    """Field parameters whose B^2 d no double holds exactly, the last the
+    largest prime below the 1e18 limit of --field: the rows against the walk,
+    their verification against the general exact tests, and the count."""
+    got = list(system_rows(d, Q, verified=True))
+    assert [(*r[:4], r[6]) for r in got] == enumerate_system_walk(d, Q)
+    assert [r[7] for r in got] == [verify_salem_over_L_exact(d, (au, av), (ku, kv))
+                                   for au, av, ku, kv, *_ in got]
+    assert count_system(d, Q) == len(got) == rows
+    assert sum(r[7] for r in got) == verified
+
+
 @pytest.mark.parametrize("d", [2, 3, 5, 6, 7, 10, 13, 17, 101, 10**6 + 3])
 def test_count_matches_the_pair_sum(d):
     """The count over k against the (a, k-row) pair sum it replaced at every
@@ -202,7 +218,7 @@ def test_bulk_a_rows_hold_eight(d):
     for B in range(-60 * step, 61 * step, step):
         c = math.isqrt(B * B * d) * (1 if B > 0 else -1)
         row = [A for A in range(c - 12, c + 13) if (A - B) % 2 == 0
-               and sign_plus_root(A - 8, -B, d) < 0 < sign_plus_root(A + 8, -B, d)]
+               and _sign_plus_root(A - 8, -B, d) < 0 < _sign_plus_root(A + 8, -B, d)]
         assert len(row) == (8 if B else 7), B
     Q = 1000
     rows = Counter(v for _, v, _, _ in _iter_a_coords(d, Q))
@@ -214,21 +230,21 @@ def test_bulk_a_rows_hold_eight(d):
 
 @pytest.mark.parametrize("d", [2, 3, 5, 13, 101, 10**6 + 3])
 def test_exact_steps_within_the_bound(d, monkeypatch):
-    calls = Counter()
+    calls = 0
 
-    def counted(name):
-        fn = getattr(totally_real, name)
-        return lambda *args: calls.update([name]) or fn(*args)
+    def counted(B, d):
+        nonlocal calls
+        calls += 1
+        return floor_root(B, d)
 
-    for name in ("sign_plus_root", "_floor_root_mult"):
-        monkeypatch.setattr(totally_real, name, counted(name))
+    monkeypatch.setattr(totally_real, "floor_root", counted)
     for Q in (2, 3, 10, 100, 1000, 20000):
-        calls.clear()
+        calls = 0
         count_system(d, Q)
         steps = count_bounds(d, Q)[1]
-        assert 0 < sum(calls.values()) <= steps, Q
+        assert 0 < calls <= steps, Q
         if d < 100 and Q >= 1000:  # and the bound stays close
-            assert steps <= 2 * sum(calls.values())
+            assert steps <= 2 * calls
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 13, 10**6 + 3])
