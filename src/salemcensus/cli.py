@@ -19,7 +19,8 @@ One table, COMMANDS, names each leaf command, its plan and the only flags
 it accepts, and _parse reads argv from it: flags are named in full, as
 --flag value or --flag=value, the last of a repeated flag wins, and a
 negative number is a value.  -h or --help prints the help that the table
-describes and exits 0.
+describes and exits 0.  Another table, SERIES, declares each count series
+of fit and --plot-data: its field flag, least Q and plot grid.
 
 Exit codes: 0 success, 2 usage error, 3 domain-validation error,
 4 arithmetic capacity failure.  Errors are one machine-parsable line on
@@ -85,9 +86,13 @@ MAX_OMEGA_M = 120
 # bianchi, totally_real and asymptotics modules format their own tables.
 BLOCK_ROWS = 1024
 
-# Normalizing exponent and smallest grid Q of each --plot-data series.
-PLOT_SERIES = {"deg4": (2.0, 8), "sr": (1.5, 8), "deg2": (1.0, 4),
-               "bianchi": (0.5, 16), "system": (1.5, 16)}
+# Each count series of fit and --plot-data, which the plans read here alone:
+# the flag of its field and that flag's least value (None over Z), the least
+# Q it counts, and the normalizing exponent and smallest grid Q of its
+# --plot-data.  A new series is one row here and its count in _series.
+SERIES = {"deg4": (None, None, 2, 2.0, 8), "sr": (None, None, 2, 1.5, 8),
+          "deg2": (None, None, 3, 1.0, 4), "bianchi": ("--d", 1, 2, 0.5, 16),
+          "system": ("--field", 2, 2, 1.5, 16)}
 
 
 # Plan, Flag and Command are plain classes: creating a NamedTuple class costs
@@ -192,18 +197,34 @@ def _plot_lines(qs, counts, exponent: float) -> list[str]:
 def _plot_grid(series: str, Q: int) -> list[int]:
     """The --plot-data grid ..., Q//4, Q//2, Q of series, ascending."""
     qs = [Q]
-    while qs[-1] // 2 >= PLOT_SERIES[series][1]:
+    while qs[-1] // 2 >= SERIES[series][4]:
         qs.append(qs[-1] // 2)
     return qs[::-1]
 
 
 def _plot_plan(args, series: str, command: str, Q: int) -> Plan:
-    """--plot-data: the plan of the series counts on _plot_grid."""
+    """--plot-data: the plan of the series counts on _plot_grid.  It writes
+    no table, so it refuses the flags that only a table reads."""
+    for flag, given in (("--verified", getattr(args, "verified", False)),
+                        ("--format json", getattr(args, "format", "csv") == "json")):
+        if given:
+            raise DomainError(f"{flag} cannot be combined with --plot-data")
     qs = _plot_grid(series, Q)
     params, work, count = _series(args, series, qs)
     return Plan(f"{command}-plot {params}qmax={Q} grid_points={len(qs)}", work, "steps",
                 lambda: len(qs),
-                lambda: _plot_lines(qs, map(count, qs), PLOT_SERIES[series][0]))
+                lambda: _plot_lines(qs, map(count, qs), SERIES[series][3]))
+
+
+def _field(args, series: str) -> int:
+    """The value of the field flag of series, checked as the library checks
+    it.  Only fit can leave the flag out: a table command requires it."""
+    flag, least = SERIES[series][:2]
+    if getattr(args, flag[2:]) is None:
+        raise DomainError(f"--series {series} requires {flag}")
+    from .algebra import require_square_free
+
+    return require_square_free(getattr(args, flag[2:]), least, flag)
 
 
 # --- census ------------------------------------------------------------------
@@ -213,7 +234,7 @@ def _plan_census(args) -> Plan:
     from . import census
 
     which = args.which
-    Q = _check_q(args.qmax, 3 if which == "deg2" else 2, "--qmax")
+    Q = _check_q(args.qmax, SERIES[which][2], "--qmax")
     if args.plot_data:
         return _plot_plan(args, which, f"census-{which}", Q)
     what = f"census-{which} qmax={Q}"
@@ -229,13 +250,10 @@ def _plan_census(args) -> Plan:
 
 def _plan_bianchi(args) -> Plan:
     from . import bianchi
-    from .algebra import require_square_free
 
-    D = require_square_free(args.d, 1, "--d")
-    Q = _check_q(args.qmax, 2, "--qmax")
+    D, Q = _field(args, "bianchi"), _check_q(args.qmax, SERIES["bianchi"][2], "--qmax")
     if args.plot_data:
         return _plot_plan(args, "bianchi", "bianchi", Q)
-
     return Plan(f"bianchi d={D} qmax={Q}", bianchi.census_bounds(D, Q)[0], "rows",
                 lambda: bianchi.bianchi_census(D, Q).count,
                 lambda: _table(args, bianchi.bianchi_table, D, Q))
@@ -246,15 +264,10 @@ def _plan_bianchi(args) -> Plan:
 
 def _plan_cocompact(args) -> Plan:
     from . import totally_real
-    from .algebra import require_square_free
 
-    d = require_square_free(args.field, 2, "--field")
-    Q = _check_q(args.qmax, 2, "--qmax")
+    d, Q = _field(args, "system"), _check_q(args.qmax, SERIES["system"][2], "--qmax")
     if args.plot_data:
-        if args.verified:
-            raise DomainError("--verified cannot be combined with --plot-data")
         return _plot_plan(args, "system", "cocompact", Q)
-
     return Plan(f"cocompact field={d} qmax={Q}", totally_real.count_bounds(d, Q)[0], "rows",
                 lambda: totally_real.count_system(d, Q),
                 lambda: _table(args, totally_real.system_table, d, Q, args.verified))
@@ -296,30 +309,24 @@ def _plan_constants(args) -> Plan:
 
 def _series(args, series: str, qs: list[int]) -> tuple[str, int, Callable[[int], int]]:
     """(params, work, count) of the count series on the grid qs, after the
-    checks of its flags: the flags for the plan line, the bound on the count
-    steps over qs, one step per closed form, and the count of one Q."""
+    check of its field flag: the field for the plan line, the bound on the
+    count steps over qs, one step per closed form, and the count of one Q."""
+    field = SERIES[series][0] and _field(args, series)
+    params = f"{SERIES[series][0][2:]}={field} " if field else ""
     if series == "bianchi":
-        if args.d is None:
-            raise DomainError("--series bianchi requires --d")
         from . import bianchi
-        from .algebra import require_square_free
 
-        D = require_square_free(args.d, 1, "--d")
-        return (f"d={D} ", sum(bianchi.census_bounds(D, q)[1] for q in qs),
-                lambda q: bianchi.bianchi_census(D, q).count)
+        return (params, sum(bianchi.census_bounds(field, q)[1] for q in qs),
+                lambda q: bianchi.bianchi_census(field, q).count)
     if series == "system":
-        if args.field is None:
-            raise DomainError("--series system requires --field")
         from . import totally_real
-        from .algebra import require_square_free
 
-        d = require_square_free(args.field, 2, "--field")
-        return (f"field={d} ", sum(totally_real.count_bounds(d, q)[1] for q in qs),
-                lambda q: totally_real.count_system(d, q))
+        return (params, sum(totally_real.count_bounds(field, q)[1] for q in qs),
+                lambda q: totally_real.count_system(field, q))
     from . import census
 
-    return "", len(qs), {"deg4": census.count_salem_deg4, "sr": census.count_sr,
-                         "deg2": census.count_deg2}[series]
+    return params, len(qs), {"deg4": census.count_salem_deg4, "sr": census.count_sr,
+                             "deg2": census.count_deg2}[series]
 
 
 def _plan_fit(args) -> Plan:
@@ -327,11 +334,11 @@ def _plan_fit(args) -> Plan:
         qs = sorted({int(tok) for tok in args.qgrid.split(",")})  # a repeated Q is one point
     except ValueError as exc:
         raise DomainError(f"--qgrid expects comma-separated integers, got {args.qgrid!r}") from exc
-    qmin = 3 if args.series == "deg2" else 2
+    qmin = SERIES[args.series][2]
     if len(qs) < 3 or qs[0] < qmin:
         raise DomainError(f"--qgrid needs >= 3 distinct values, all >= {qmin}")
-    for flag, value, series in (("--d", args.d, "bianchi"), ("--field", args.field, "system")):
-        if value is not None and args.series != series:
+    for series, (flag, *_) in SERIES.items():
+        if flag and series != args.series and getattr(args, flag[2:]) is not None:
             raise DomainError(f"{flag} is read only by --series {series}")
     params, work, count = _series(args, args.series, qs)
 
@@ -425,7 +432,7 @@ COMMANDS = {
                           "--c2-bound": Flag(int, metavar="D_FIELD"),
                           "--volume": Flag(str, metavar="H DELTA QMAX", nargs=3), **_EVERY}),
     "fit": Command("power-law fit of a count series", _plan_fit,
-                   {"--series": Flag(("deg4", "sr", "deg2", "bianchi", "system"), REQUIRED),
+                   {"--series": Flag(tuple(SERIES), REQUIRED),
                     "--qgrid": Flag(str, REQUIRED, "comma-separated Q values"),
                     "--d": Flag(int), "--field": Flag(int), **_PLOT, **_EVERY}),
     "report multiplicity": Command("mean-multiplicity lower bounds", _plan_report,
@@ -442,11 +449,12 @@ class UsageError(Exception):
 
 def _takes_value(token: str) -> bool:
     """Whether token can be the value of a flag: it does not look like a
-    flag, or it is "-", a negative number or has a space."""
-    if not token.startswith("-") or token == "-" or " " in token:
+    flag, or it is "-", a number that float() parses (-1e5, -inf) or has a
+    space."""
+    with contextlib.suppress(ValueError):
+        float(token)
         return True
-    head, dot, tail = token[1:].partition(".")
-    return (tail if dot else head).isdecimal() and (head == "" or head.isdecimal())
+    return not token.startswith("-") or token == "-" or " " in token
 
 
 def _value(flag: str, spec: Flag, values: list[str]):
@@ -556,7 +564,9 @@ def main(argv: list[str] | None = None) -> int:
         plan = args.plan(args)
         budget = MAX_ROWS if plan.unit == "rows" else MAX_STEPS
         if plan.work > budget:
-            raise CapacityError(f"{plan.what} needs up to {plan.work} {plan.unit}, "
+            # str() may refuse 640 digits, so past 2000 bits the bound is a power of 2
+            work = plan.work if plan.work.bit_length() <= 2000 else f"2^{plan.work.bit_length()}"
+            raise CapacityError(f"{plan.what} needs up to {work} {plan.unit}, "
                                 f"above the limit of {budget}")
         _write(args.out, [f"plan command={plan.what} rows={plan.rows()} work={plan.work}\n"]
                if args.dry_run else plan.run())

@@ -18,7 +18,7 @@ import pytest
 import salemcensus
 from salemcensus import asymptotics, bianchi, census, cli, totally_real
 from salemcensus.cli import main
-from salemcensus.errors import CapacityError
+from salemcensus.errors import CapacityError, DomainError
 
 from oracles import (
     bianchi_json_obj,
@@ -236,7 +236,6 @@ class TestExitCodes:
                   ["census", "sr", "--qmax", "5", "--format", "xml"],
                   ["census", "sr", "--qmax", "5", "--dry-run=yes"],
                   ["constants", "--volume", "2", "1.0"], ["constants", "--volume=2"],
-                  ["report", "multiplicity", "--n", "4", "--ell-max", "-inf", "--step", "1"],
                   *self.PREFIXES]
         for base, flags in UNREAD_FLAGS.items():
             errors += [[*base.split(), *flag.split()] for flag in flags]
@@ -257,12 +256,16 @@ class TestExitCodes:
         code, out, err = run(capsys, "fit", "--series", "sr", "--qgrid", qgrid)
         assert code == 3 and out == "" and err.startswith("salem-error kind=domain ")
         assert _error_detail(err) == f"--qgrid expects comma-separated integers, got {qgrid!r}"
-        # --plot-data never reads --verified, so the pair is refused, dry run or not
-        for extra in ((), ("--dry-run",)):
-            code, out, err = run(capsys, "cocompact", "--field", "5", "--qmax", "20",
-                                 "--verified", "--plot-data", *extra)
-            assert code == 3 and out == ""
-            assert _error_detail(err) == "--verified cannot be combined with --plot-data"
+        # --plot-data writes no table, so it refuses the flags that only a table reads,
+        # dry run or not
+        for argv, flag in ((("cocompact", "--field", "5", "--verified"), "--verified"),
+                           (("census", "sr", "--format", "json"), "--format json"),
+                           (("bianchi", "--d", "3", "--format", "json"), "--format json"),
+                           (("cocompact", "--field", "5", "--format=json"), "--format json")):
+            for extra in ((), ("--dry-run",)):
+                code, out, err = run(capsys, *argv, "--qmax", "20", "--plot-data", *extra)
+                assert code == 3 and out == "", argv
+                assert _error_detail(err) == f"{flag} cannot be combined with --plot-data"
 
     def test_workers_below_one_is_3(self, capsys):
         code, out, err = run(capsys, "census", "deg2", "--qmax", "10", "--workers", "0")
@@ -386,7 +389,11 @@ class TestParser:
     def test_negative_values_reach_the_plan(self, capsys):
         for argv in (("census", "sr", "--qmax", "-5"), ("census", "sr", "--qmax=-5"),
                      ("bianchi", "--d", "-3", "--qmax", "10"),
-                     ("constants", "--volume", "2", "-1.0", "100")):
+                     ("constants", "--volume", "2", "-1.0", "100"),
+                     # a negative number in any syntax that float() reads
+                     ("report", "multiplicity", "--n", "4", "--ell-max", "-1e5", "--step", "1"),
+                     ("report", "multiplicity", "--n", "4", "--ell-max", "-inf", "--step", "1"),
+                     ("constants", "--volume", "2", "-1e-3", "100")):
             code, out, err = run(capsys, *argv)
             assert code == 3 and out == "" and err.startswith("salem-error kind=domain "), argv
 
@@ -532,6 +539,11 @@ class TestConstantsCommand:
             assert code == 4 and out == "" and err.startswith("salem-error kind=capacity")
 
 
+# The table command of each count series, whose --plot-data counts it.
+SERIES_TABLES = {"deg4": "census deg4", "sr": "census sr", "deg2": "census deg2",
+                 "bianchi": "bianchi", "system": "cocompact"}
+
+
 class TestFitCommand:
     def test_deg2_series_is_linear(self, capsys):
         code, out, _ = run(capsys, "fit", "--series", "deg2",
@@ -548,6 +560,39 @@ class TestFitCommand:
         lines = out.strip().split("\n")
         assert lines[1] == "Q,normalized_count"
         assert len(lines) == 5
+
+    @pytest.mark.parametrize("series", list(cli.SERIES))
+    def test_series_table_holds_the_library_minimum(self, capsys, series):
+        # the least Q of each series is the one its count accepts: fit and the table
+        # command's --plot-data take it and refuse the integer below it, with the field
+        # flag at its least value, which the library accepts and refuses below
+        flag, least, qmin = cli.SERIES[series][:3]
+        field = (flag, str(least)) if flag else ()
+        _, _, count = cli._series(SimpleNamespace(d=least, field=least), series, [qmin])
+        assert count(qmin) >= 0
+        with pytest.raises(DomainError):
+            count(qmin - 1)
+        for q, code in ((qmin, 0), (qmin - 1, 3)):
+            qgrid = f"{q},{q + 1},{q + 2}"
+            got, out, err = run(capsys, "fit", "--series", series, *field, "--qgrid", qgrid,
+                                "--dry-run")
+            assert got == code, (qgrid, err)
+            if code:
+                assert _error_detail(err) == f"--qgrid needs >= 3 distinct values, all >= {qmin}"
+            table = SERIES_TABLES.get(series)
+            if table:
+                got, out, err = run(capsys, *table.split(), *field, "--qmax", str(q),
+                                    "--plot-data")
+                assert got == code, (table, q, err)
+                if code:
+                    assert _error_detail(err) == f"--qmax must be an integer >= {qmin}, got {q}"
+                else:  # one grid point, Q itself
+                    assert out.startswith(f"Q,normalized_count\n{q},") and out.count("\n") == 2
+        if flag:
+            got, out, err = run(capsys, "fit", "--series", series, flag, str(least - 1),
+                                "--qgrid", f"{qmin},{qmin + 1},{qmin + 2}", "--dry-run")
+            assert got == 3 and _error_detail(err) == (
+                f"{flag} must be a square-free integer >= {least}, got {least - 1}")
 
     def test_bianchi_series_requires_d(self, capsys):
         code, _, err = run(capsys, "fit", "--series", "bianchi",
@@ -636,6 +681,20 @@ class TestInputGuards:
         code, out, _ = self._timed(capsys, "cocompact", "--field", str(p), "--qmax", "10",
                                    "--dry-run")
         assert code == 0 and out.startswith(f"plan command=cocompact field={p} ")
+
+    @pytest.mark.parametrize("argv", [("census", "deg4", "--qmax", str(10**2200)),
+                                      ("census", "sr", "--qmax", str(10**2900)),
+                                      ("cocompact", "--field", "2", "--qmax", str(10**2900))])
+    @pytest.mark.parametrize("extra", [(), ("--dry-run",)])
+    def test_work_too_long_to_print(self, capsys, argv, extra):
+        # a work with more digits than str() prints is given as a power of 2 above it
+        code, out, err = self._timed(capsys, *argv, *extra)
+        assert code == 4 and out == "" and err.count("\n") == 1
+        bits = re.fullmatch(r'salem-error kind=capacity detail=".* needs up to 2\^(\d+) rows, '
+                            r'above the limit of 100000000"\n', err).group(1)
+        Q = int(argv[-1])
+        if argv[1] == "deg4":
+            assert int(bits) == census.count_salem_deg4(Q).bit_length()
 
     def test_bianchi_fit_over_budget(self, capsys):
         code, _, err = self._timed(
