@@ -7,7 +7,7 @@ from collections.abc import Iterator
 from itertools import chain
 from typing import NamedTuple
 
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, _check_grid
 
 __all__ = [
     "FitResult",
@@ -90,10 +90,10 @@ def power_fit(points) -> FitResult:
     Deterministic.
     """
     pts = sorted((float(q), float(c)) for q, c in points)
-    if len({q for q, _ in pts}) < 3:
-        raise DomainError(f"need at least 3 distinct Q, got {len({q for q, _ in pts})}")
-    if any(q <= 0 or c <= 0 for q, c in pts):
-        raise DomainError("all points must be positive")
+    _check_grid([q for q, _ in pts])
+    for q, c in pts:
+        if q <= 0 or c <= 0:
+            raise DomainError(f"all points must be positive, got count {c:.12g} at Q = {q:.12g}")
     while True:
         constant, exponent, rms = _ols_loglog(pts)
         if rms <= RESIDUAL_THRESHOLD or len({q for q, _ in pts}) <= 3:

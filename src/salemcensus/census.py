@@ -9,15 +9,19 @@ a^2 - 4b + 8 is a perfect square.  The square-rootable census is
 parametrized by (a, k) with b = k^2 + 2a - 2 and 0 < k^2 < -4a, where the
 same reshuffle turns the lambda cut into a lower bound on k.
 
-The enumerators walk this region row by row.  The counts do not: the
-lambda cut binds only in the top four rows, the reducible points form a
-few explicit families, and what remains are closed forms, so every count
-is a handful of integer operations in exact arithmetic.  The proofs are in
-the docstrings of the count functions.
+One kernel walks this region: _census_rows gives each row as an integer
+interval less its reducible points, and _census_blocks cuts the rows into
+blocks of members with their k and lambda.  It has two readers, the
+census table (census_table) and the records (enumerate_salem_deg4,
+enumerate_sr).  The counts do not walk it: the lambda cut binds only in
+the top four rows, the reducible points form a few explicit families, and
+what remains are closed forms, so every count is a handful of integer
+operations in exact arithmetic.  The proofs are in the docstrings of the
+count functions.
 """
 
 import math
-from collections.abc import Iterator
+from collections.abc import Collection, Iterator
 from typing import NamedTuple
 
 from .errors import _check_q
@@ -35,6 +39,12 @@ __all__ = [
 ]
 
 CENSUS_CSV_HEADER = "a,b,k,lambda,source"
+
+# A census row's CSV line, and its JSON object as json.dumps(indent=2) writes
+# its record in a list; the first % fills in a = -n, a row at a time
+_CSV_ROW = "-%d,%%d,%%s,%%.12g,direct\n"
+_JSON_OBJECT = ('  {\n    "a": "-%d",\n    "b": "%%d",\n    "k": %%s,\n    "lambda": %%r,\n'
+                '    "source": "direct"\n  }')
 
 
 class CensusRecord(NamedTuple):
@@ -98,31 +108,6 @@ def count_salem_deg4(Q: int) -> int:
     return 2 * (_check_q(Q) - 1) ** 2
 
 
-def _deg4_rows(Q: int) -> Iterator[tuple[int, int, int, tuple[int, int, int]]]:
-    """(n, lo, hi, skip) for each row a = -n, n = 1..Q+2: the row's members
-    are the b in range(lo, hi), lo raised to the lambda floor, that are not
-    in skip, the reducible b = a + 1, 2, 1 - a of the window (the families
-    of _SR_REDUCIBLE; see count_salem_deg4)."""
-    for n in range(1, Q + 3):
-        yield n, max(-2 * n - 1, _deg4_lambda_floor(Q, n)), 2 * n - 2, (1 - n, 2, 1 + n)
-
-
-def enumerate_salem_deg4(Q: int) -> Iterator[CensusRecord]:
-    """All degree-4 Salem records with lambda <= Q, ordered by descending a
-    then ascending b.  Streams with O(1) memory."""
-    # here, so that no census command loads algebra or quartics
-    from .algebra import is_perfect_square
-    from .quartics import salem_value
-
-    _check_q(Q)
-    for n, lo, hi, skip in _deg4_rows(Q):
-        a = -n
-        for b in range(lo, hi):
-            if b not in skip:
-                k = is_perfect_square(2 + b + 2 * n)
-                yield CensusRecord(a, b, k, salem_value((a, b)), "direct")
-
-
 # --- square-rootable census -------------------------------------------------
 
 
@@ -147,12 +132,6 @@ def _sr_row(Q: int, n: int) -> tuple[int, int, set[int]]:
     skip = {k for k2 in (i * (n + 4 - i) for i, _ in _SR_REDUCIBLE)
             for k in [math.isqrt(k2)] if k * k == k2}
     return _sr_k_floor(Q, n), math.isqrt(4 * n - 1) + 1, skip
-
-
-def _sr_rows(Q: int) -> Iterator[tuple[int, int, int, set[int]]]:
-    """(n, lo, hi, skip) for each row a = -n, n = 1..Q+2 (see _sr_row)."""
-    for n in range(1, Q + 3):
-        yield n, *_sr_row(Q, n)
 
 
 # The reducible square-rootable points, one family per (i, m0):
@@ -204,19 +183,6 @@ def count_sr(Q: int) -> int:
     return total
 
 
-def enumerate_sr(Q: int) -> Iterator[CensusRecord]:
-    """Square-rootable census records with lambda <= Q, same order as
-    enumerate_salem_deg4."""
-    from .quartics import salem_value  # here, so that no census command loads quartics
-
-    _check_q(Q)
-    for n, lo, hi, skip in _sr_rows(Q):
-        for k in range(lo, hi):
-            if k not in skip:
-                a, b = -n, k * k - 2 * n - 2
-                yield CensusRecord(a, b, k, salem_value((a, b)), "direct")
-
-
 # --- the degree-2 census -----------------------------------------------------
 
 
@@ -233,7 +199,63 @@ def count_deg2(Q: int) -> int:
     return _check_q(Q, 3) - 2
 
 
-# --- the census table -------------------------------------------------------
+# --- the census kernel and its two readers ---------------------------------
+
+
+def _census_rows(which: str, Q: int) -> Iterator[tuple[int, int, int, Collection[int]]]:
+    """(n, lo, hi, skip) for each row a = -n, n = 1..Q+2, of census deg4|sr:
+    the row's members are the values in range(lo, hi) that are not in skip.
+    For deg4 they are the b of the window [-2n-1, 2n-3], lo raised to the
+    lambda floor, less the reducible b = a + 1, 2, 1 - a (the families of
+    _SR_REDUCIBLE; see count_salem_deg4); for sr they are the k of
+    _sr_row."""
+    _check_q(Q)
+    for n in range(1, Q + 3):
+        yield ((n, *_sr_row(Q, n)) if which == "sr" else
+               (n, max(-2 * n - 1, _deg4_lambda_floor(Q, n)), 2 * n - 2, (1 - n, 2, 1 + n)))
+
+
+def _census_blocks(which: str, Q: int, block_rows: int) -> Iterator[tuple[int, list, list, list]]:
+    """(n, bs, ks, lambdas) for each block of at most block_rows members of a
+    row a = -n of _census_rows, in row order, never empty: the members' b,
+    their k, the root of p(-1) = b + 2n + 2 where it is a square and None
+    elsewhere, and their lambda.  lambda repeats quartics.salem_value's
+    float steps on the same integer a^2 - 4b + 8 = n^2 + 8 - 4b, without its
+    exact tests, which the row intervals already pass."""
+    sqrt, isqrt = math.sqrt, math.isqrt
+    for n, lo, hi, skip in _census_rows(which, Q):
+        c, b0 = n * n + 8, -2 * n - 2
+        for start in range(lo, hi, block_rows):
+            stop = min(start + block_rows, hi)
+            if which == "sr":  # the range is over k
+                ks = [k for k in range(start, stop) if k not in skip]
+                bs = [k * k + b0 for k in ks]
+            else:  # over b, where p(-1) = b - b0 >= 1
+                squares = {k * k + b0: k
+                           for k in range(isqrt(start - b0 - 1) + 1, isqrt(stop - 1 - b0) + 1)}
+                bs = [b for b in range(start, stop) if b not in skip]
+                ks = [squares.get(b) for b in bs]
+            if bs:
+                yield n, bs, ks, [(y + sqrt(y * y - 4.0)) / 2.0
+                                  for b in bs for y in [(n + sqrt(c - 4 * b)) / 2.0]]
+
+
+def _records(which: str, Q: int) -> Iterator[CensusRecord]:
+    """The CensusRecord of each member of _census_blocks, 1024 at a time."""
+    for n, bs, ks, lambdas in _census_blocks(which, Q, 1024):
+        yield from (CensusRecord(-n, *member) for member in zip(bs, ks, lambdas))
+
+
+def enumerate_salem_deg4(Q: int) -> Iterator[CensusRecord]:
+    """All degree-4 Salem records with lambda <= Q, ordered by descending a
+    then ascending b.  Streams with O(1) memory."""
+    return _records("deg4", Q)
+
+
+def enumerate_sr(Q: int) -> Iterator[CensusRecord]:
+    """Square-rootable census records with lambda <= Q, same order as
+    enumerate_salem_deg4."""
+    return _records("sr", Q)
 
 
 def census_table(which: str, Q: int, json_out: bool, block_rows: int) -> tuple[str, Iterator[str]]:
@@ -244,44 +266,20 @@ def census_table(which: str, Q: int, json_out: bool, block_rows: int) -> tuple[s
 
 
 def _census_chunks(which: str, Q: int, json_out: bool, block_rows: int) -> Iterator[str]:
-    """census deg4|sr formatted straight from the row intervals of
-    _deg4_rows / _sr_rows, at most block_rows members to a chunk, with the
+    """census deg4|sr formatted from the blocks of _census_blocks, with the
     bytes of census_csv_row or json.dumps(indent=2) on their records.
-    lambda repeats quartics.salem_value's float steps on the same
-    integer a^2 - 4b + 8 = n^2 + 8 - 4b, without its exact tests, which the
-    row intervals already pass; k is the root of a square p(-1) = b + 2n + 2.
 
     A chunk is one % on the row template repeated once a member, over the
-    flat (b, k, lambda) values of the chunk.  %d of an int is str(int), and
+    flat (b, k, lambda) values of the block.  %d of an int is str(int), and
     %.12g and %r of a float run the float formatter of format(x, ".12g")
     and repr(x), which the f-string's :.12g and json.dumps call, so the
     bytes are those of the per-member f-strings."""
-    sqrt, isqrt = math.sqrt, math.isqrt
-    none = "null" if json_out else ""
-    for n, lo, hi, skip in (_sr_rows if which == "sr" else _deg4_rows)(Q):
-        c, b0 = n * n + 8, -2 * n - 2
+    row, sep = (_JSON_OBJECT, ",\n") if json_out else (_CSV_ROW, "")
+    for n, bs, ks, lambdas in _census_blocks(which, Q, block_rows):
         if json_out:
-            row, sep = (f'  {{\n    "a": "-{n}",\n    "b": "%d",\n    "k": %s,\n    '
-                        f'"lambda": %r,\n    "source": "direct"\n  }}', ",\n")
-        else:
-            row, sep = f"-{n},%d,%s,%.12g,direct\n", ""
-        for start in range(lo, hi, block_rows):
-            stop = min(start + block_rows, hi)
-            if which == "sr":  # the range is over k
-                ks = [k for k in range(start, stop) if k not in skip]
-                bs = [k * k + b0 for k in ks]
-                if json_out:
-                    ks = [f'"{k}"' for k in ks]
-            else:  # over b, where p(-1) = b - b0 >= 1
-                squares = {k * k + b0: f'"{k}"' if json_out else k
-                           for k in range(isqrt(start - b0 - 1) + 1, isqrt(stop - 1 - b0) + 1)}
-                bs = [b for b in range(start, stop) if b not in skip]
-                ks = [squares.get(b, none) for b in bs]
-            m = len(bs)
-            if not m:
-                continue
-            values = [0] * (3 * m)
-            values[0::3], values[1::3] = bs, ks
-            values[2::3] = [(y + sqrt(y * y - 4.0)) / 2.0
-                            for b in bs for y in [(n + sqrt(c - 4 * b)) / 2.0]]
-            yield sep.join([row] * m) % tuple(values)
+            ks = ["null" if k is None else f'"{k}"' for k in ks]
+        elif which == "deg4":  # an sr k is never None
+            ks = ["" if k is None else k for k in ks]
+        values = [0] * (3 * len(bs))
+        values[0::3], values[1::3], values[2::3] = bs, ks, lambdas
+        yield sep.join([row % n] * len(bs)) % tuple(values)

@@ -3,8 +3,10 @@ reproducible file output.
 
 Every subcommand is first planned (Plan): its arguments are validated by
 the library checks that the run makes, called with the flag's name:
-errors._check_q for --qmax, and algebra.require_square_free, which holds
-the 1e18 limit, for --d, --field, --marklof-c and --c2-bound.  Its work,
+errors._check_q for --qmax, errors._check_grid for the doubles of --qgrid,
+and algebra.require_square_free, which holds the 1e18 limit, for --d,
+--field, --marklof-c and --c2-bound.  A count series also refuses a Q whose
+count or Q^exponent is past a double (see _series).  Its work,
 an exact upper bound on its kernel steps, is computed in O(1) per grid
 point before any kernel runs.  main exits 4 before any output when the
 work is above the budget of its unit, MAX_ROWS (records written) or
@@ -49,7 +51,7 @@ from types import SimpleNamespace
 
 # algebra, census, bianchi, totally_real and asymptotics are imported by the
 # plans that use them, so that a command loads only the modules it runs.
-from .errors import CapacityError, DomainError, _check_q
+from .errors import CapacityError, DomainError, _check_grid, _check_q
 
 PROG = "salem"
 
@@ -210,7 +212,7 @@ def _plot_plan(args, series: str, command: str, Q: int) -> Plan:
         if given:
             raise DomainError(f"{flag} cannot be combined with --plot-data")
     qs = _plot_grid(series, Q)
-    params, work, count = _series(args, series, qs)
+    params, work, count = _series(args, series, qs, "--qmax")
     return Plan(f"{command}-plot {params}qmax={Q} grid_points={len(qs)}", work, "steps",
                 lambda: len(qs),
                 lambda: _plot_lines(qs, map(count, qs), SERIES[series][3]))
@@ -307,26 +309,36 @@ def _plan_constants(args) -> Plan:
 # --- fit ---------------------------------------------------------------------
 
 
-def _series(args, series: str, qs: list[int]) -> tuple[str, int, Callable[[int], int]]:
+def _series(args, series: str, qs: list[int], flag: str) -> tuple[str, int, Callable[[int], int]]:
     """(params, work, count) of the count series on the grid qs, after the
     check of its field flag: the field for the plan line, the bound on the
-    count steps over qs, one step per closed form, and the count of one Q."""
-    field = SERIES[series][0] and _field(args, series)
-    params = f"{SERIES[series][0][2:]}={field} " if field else ""
+    count steps over qs, one step per closed form, and the count of one Q.
+    bounds(field, q) is (an upper bound on the count, its steps), and qs
+    ascend.  The run's fit and plot lines take each count and Q^exponent as
+    a double, so a grid whose largest Q has a bound or Q^exponent past a
+    double's range is a CapacityError on flag, the flag that gave qs."""
+    name, _, _, exponent, _ = SERIES[series]
+    field = name and _field(args, series)
+    params = f"{name[2:]}={field} " if field else ""
     if series == "bianchi":
         from . import bianchi
 
-        return (params, sum(bianchi.census_bounds(field, q)[1] for q in qs),
-                lambda q: bianchi.bianchi_census(field, q).count)
-    if series == "system":
+        bounds, count = bianchi.census_bounds, lambda q: bianchi.bianchi_census(field, q).count
+    elif series == "system":
         from . import totally_real
 
-        return (params, sum(totally_real.count_bounds(field, q)[1] for q in qs),
-                lambda q: totally_real.count_system(field, q))
-    from . import census
+        bounds, count = totally_real.count_bounds, lambda q: totally_real.count_system(field, q)
+    else:
+        from . import census
 
-    return params, len(qs), {"deg4": census.count_salem_deg4, "sr": census.count_sr,
-                             "deg2": census.count_deg2}[series]
+        count = {"deg4": census.count_salem_deg4, "sr": census.count_sr,
+                 "deg2": census.count_deg2}[series]
+        bounds = lambda _, q: (count(q), 1)  # a closed form: one step
+    try:  # no count or Q^exponent on the grid is above the largest Q's
+        float(bounds(field, qs[-1])[0]), float(qs[-1]) ** exponent
+    except OverflowError:
+        raise CapacityError(f"{flag}: a count or Q^{exponent:g} overflows a double") from None
+    return params, sum(bounds(field, q)[1] for q in qs), count
 
 
 def _plan_fit(args) -> Plan:
@@ -334,13 +346,12 @@ def _plan_fit(args) -> Plan:
         qs = sorted({int(tok) for tok in args.qgrid.split(",")})  # a repeated Q is one point
     except ValueError as exc:
         raise DomainError(f"--qgrid expects comma-separated integers, got {args.qgrid!r}") from exc
-    qmin = SERIES[args.series][2]
-    if len(qs) < 3 or qs[0] < qmin:
-        raise DomainError(f"--qgrid needs >= 3 distinct values, all >= {qmin}")
+    _check_q(qs[0], SERIES[args.series][2], "--qgrid")
     for series, (flag, *_) in SERIES.items():
         if flag and series != args.series and getattr(args, flag[2:]) is not None:
             raise DomainError(f"{flag} is read only by --series {series}")
-    params, work, count = _series(args, args.series, qs)
+    params, work, count = _series(args, args.series, qs, "--qgrid")
+    _check_grid(qs, "--qgrid")  # after the range check of _series: it takes each Q as a double
 
     def run():
         from . import asymptotics

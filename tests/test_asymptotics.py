@@ -12,7 +12,7 @@ from salemcensus.asymptotics import (
     omega_series,
     power_fit,
 )
-from salemcensus.errors import CapacityError, DomainError
+from salemcensus.errors import CapacityError, DomainError, _check_grid
 
 from oracles import omega_direct
 
@@ -83,8 +83,18 @@ class TestPowerFit:
         for pts in ([(10, 8), (10, 8), (10, 8)], [(3, 1), (3, 1), (4, 2)]):
             with pytest.raises(DomainError, match="3 distinct Q"):
                 power_fit(pts)
-        with pytest.raises(DomainError):
+        zero = "^all points must be positive, got count 0 at Q = 20$"
+        with pytest.raises(DomainError, match=zero):
             power_fit([(10, 100), (20, 0), (30, 900)])
+
+    def test_the_grid_is_counted_as_doubles(self):
+        # three integers past 2^53 that round to one double are one Q to the fit
+        qs = [10**17, 10**17 + 1, 10**17 + 2]
+        for check in (lambda: power_fit([(q, q) for q in qs]),
+                      lambda: _check_grid(qs, "--qgrid")):
+            with pytest.raises(DomainError, match="needs at least 3 distinct Q as doubles, got 1"):
+                check()
+        _check_grid([2**53, 2**53 + 2, 2**53 + 4])
 
 
 class TestMultiplicityReport:

@@ -9,9 +9,8 @@ from salemcensus.algebra import is_perfect_square
 from salemcensus.cli import main
 from salemcensus.census import (
     CENSUS_CSV_HEADER,
-    _deg4_rows,
+    _census_rows,
     _isqrt_sum,
-    _sr_rows,
     census_csv_row,
     count_deg2,
     count_salem_deg4,
@@ -271,12 +270,12 @@ def test_sr_tuple_stream_matches_records():
     assert recs == enumerate_sr_filter(2000)
 
 
-@pytest.mark.parametrize("rows, count", [(_deg4_rows, count_salem_deg4), (_sr_rows, count_sr)])
-def test_row_kernel_sums_to_the_count(rows, count):
+@pytest.mark.parametrize("which, count", [("deg4", count_salem_deg4), ("sr", count_sr)])
+def test_row_kernel_sums_to_the_count(which, count):
     # each row is range(lo, hi) less the skipped values that fall in it
     for Q in range(2, 2000):
         total = 0
-        for _, lo, hi, skip in rows(Q):
+        for _, lo, hi, skip in _census_rows(which, Q):
             if lo < hi:
                 total += hi - lo - len({s for s in skip if lo <= s < hi})
         assert total == count(Q), Q
@@ -288,6 +287,7 @@ def test_one_q_check_for_every_census(Q):
     from salemcensus.totally_real import count_system, enumerate_system
 
     for census_of in (count_sr, count_salem_deg4, lambda q: list(enumerate_sr(q)),
+                      lambda q: list(enumerate_salem_deg4(q)),
                       lambda q: count_system(2, q), lambda q: list(enumerate_system(2, q)),
                       lambda q: bianchi_census(1, q)):
         with pytest.raises(DomainError, match=rf"^Q must be an integer >= 2, got {Q}$"):

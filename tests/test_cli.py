@@ -19,11 +19,14 @@ import salemcensus
 from salemcensus import asymptotics, bianchi, census, cli, totally_real
 from salemcensus.cli import main
 from salemcensus.errors import CapacityError, DomainError
+from salemcensus.quartics import salem_value
 
 from oracles import (
     bianchi_json_obj,
     census_record_texts,
     census_table,
+    enumerate_deg4_filter,
+    enumerate_sr_filter,
     enumerate_system_walk,
     multiplicity_csv_row,
     system_qmin,
@@ -33,11 +36,11 @@ from oracles import (
 )
 
 
-# A script that makes census._sr_rows fail after its first 5 rows.
-FAILING_SR_ROWS = ("from salemcensus import census, cli\nreal = census._sr_rows\n"
-                   "def failing(Q):\n    for i, row in enumerate(real(Q)):\n"
-                   "        if i == 5:\n            raise cli.CapacityError('injected')\n"
-                   "        yield row\n")
+# A script that makes census._census_rows fail after its first 5 rows.
+FAILING_ROWS = ("from salemcensus import census, cli\nreal = census._census_rows\n"
+                "def failing(which, Q):\n    for i, row in enumerate(real(which, Q)):\n"
+                "        if i == 5:\n            raise cli.CapacityError('injected')\n"
+                "        yield row\n")
 
 
 def run(capsys, *argv):
@@ -103,10 +106,13 @@ class TestCensusTables:
     @pytest.mark.parametrize("which, qmax", [("sr", 300), ("deg4", 100)])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_bytes_equal_the_record_writer(self, capsys, tmp_path, monkeypatch, which, qmax, fmt):
-        # every Q below qmax; a deg4 table holds 2 (Q-1)^2 rows, so its range is shorter
-        enum = census.enumerate_sr if which == "sr" else census.enumerate_salem_deg4
+        # every Q below qmax; a deg4 table holds 2 (Q-1)^2 rows, so its range is shorter.
+        # The records come from the per-candidate filters of tests/oracles.py and lambda
+        # from quartics.salem_value, which share no walk with the census kernel
+        enum = enumerate_sr_filter if which == "sr" else enumerate_deg4_filter
         # the members at Q are those at qmax - 1 with lambda <= Q, in the same order
-        records = list(enum(qmax - 1))
+        records = [census.CensusRecord(a, b, k, salem_value((a, b)))
+                   for a, b, k in enum(qmax - 1)]
         texts = census_record_texts(records, fmt)
         qmins = [self._qmin(r) for r in records]
         path = tmp_path / "t"
@@ -568,7 +574,8 @@ class TestFitCommand:
         # flag at its least value, which the library accepts and refuses below
         flag, least, qmin = cli.SERIES[series][:3]
         field = (flag, str(least)) if flag else ()
-        _, _, count = cli._series(SimpleNamespace(d=least, field=least), series, [qmin])
+        _, _, count = cli._series(SimpleNamespace(d=least, field=least), series, [qmin],
+                                  "--qgrid")
         assert count(qmin) >= 0
         with pytest.raises(DomainError):
             count(qmin - 1)
@@ -578,7 +585,7 @@ class TestFitCommand:
                                 "--dry-run")
             assert got == code, (qgrid, err)
             if code:
-                assert _error_detail(err) == f"--qgrid needs >= 3 distinct values, all >= {qmin}"
+                assert _error_detail(err) == f"--qgrid must be an integer >= {qmin}, got {q}"
             table = SERIES_TABLES.get(series)
             if table:
                 got, out, err = run(capsys, *table.split(), *field, "--qmax", str(q),
@@ -760,6 +767,37 @@ class TestInputGuards:
         code, out, err = results[0]
         assert code in (3, 4) and out == "" and err.startswith("salem-error kind=")
 
+    @pytest.mark.parametrize("argv, code, detail", [
+        (("census", "deg4", "--qmax", str(10**200), "--plot-data"), 4,
+         "--qmax: a count or Q^2 overflows a double"),
+        (("census", "deg2", "--qmax", str(10**400), "--plot-data"), 4,
+         "--qmax: a count or Q^1 overflows a double"),
+        (("census", "sr", "--qmax", str(10**2900), "--plot-data"), 4,
+         "--qmax: a count or Q^1.5 overflows a double"),
+        (("fit", "--series", "deg4", "--qgrid", ",".join(str(10**e) for e in (400, 401, 402))),
+         4, "--qgrid: a count or Q^2 overflows a double"),
+        (("fit", "--series", "deg2", "--qgrid",
+          "100000000000000000,100000000000000001,100000000000000002"), 3,
+         "--qgrid needs at least 3 distinct Q as doubles, got 1"),
+    ])
+    def test_count_series_plan_refuses_what_its_run_refuses(self, capsys, argv, code, detail):
+        # a Q whose count or Q^exponent is past a double, and a grid whose Q round to
+        # fewer than 3 doubles, are refused by the plan: dry run and run end alike, and the
+        # detail names the flag
+        results = [self._timed(capsys, *argv, *extra) for extra in ((), ("--dry-run",))]
+        assert results[0] == results[1]
+        got, out, err = results[0]
+        assert got == code and out == "" and _error_detail(err) == detail
+
+    def test_a_zero_count_is_found_by_the_run(self, capsys):
+        # only the run counts: its error names the Q whose count is 0
+        argv = ("fit", "--series", "bianchi", "--d", "3", "--qgrid", "2,3,4")
+        code, out, _ = run(capsys, *argv, "--dry-run")
+        assert code == 0 and out.startswith("plan command=fit series=bianchi d=3 qgrid=2,3,4 ")
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert _error_detail(err) == "all points must be positive, got count 0 at Q = 2"
+
     @pytest.mark.parametrize("argv, flag, series", [
         (("--series", "deg2", "--qgrid", "3,4,5", "--d", "3"), "--d", "bianchi"),
         (("--series", "system", "--field", "2", "--qgrid", "10,20,40", "--d", "3"), "--d",
@@ -868,6 +906,20 @@ class TestImportFootprint:
                                     check=True).stderr.split())
         assert not loaded & absent
         assert present <= loaded
+
+    def test_the_census_records_load_neither_algebra_nor_quartics(self):
+        # enumerate_sr and enumerate_salem_deg4 read the census table's blocks, k and
+        # lambda included, so a fresh interpreter that lists them loads neither module
+        env = dict(os.environ, PYTHONPATH=str(Path(salemcensus.__file__).parents[1]))
+        script = ("import sys\nfrom salemcensus.census import enumerate_salem_deg4, enumerate_sr\n"
+                  "print(len(list(enumerate_sr(30))), len(list(enumerate_salem_deg4(10))))\n"
+                  "print(*sorted(m for m in sys.modules if m.startswith('salemcensus')))")
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, check=True)
+        counts, loaded = proc.stdout.splitlines()
+        assert counts == f"{census.count_sr(30)} {census.count_salem_deg4(10)}"
+        assert "salemcensus.census" in loaded.split()
+        assert not {"salemcensus.algebra", "salemcensus.quartics"} & set(loaded.split())
 
     def test_no_command_loads_argparse(self, tmp_path):
         # the dry run of each benchmark argv, one run of every command, help and a usage
@@ -1021,15 +1073,15 @@ class TestTableWriter:
     def test_failure_keeps_the_old_out_file(self, capsys, tmp_path, monkeypatch, exc):
         path = tmp_path / "sr.csv"
         path.write_bytes(b"old contents\n")
-        real = census._sr_rows
+        real = census._census_rows
 
-        def failing(Q):
-            for i, row in enumerate(real(Q)):
+        def failing(which, Q):
+            for i, row in enumerate(real(which, Q)):
                 if i == 300:  # some chunks are already written
                     raise exc
                 yield row
 
-        monkeypatch.setattr(census, "_sr_rows", failing)
+        monkeypatch.setattr(census, "_census_rows", failing)
         argv = ["census", "sr", "--qmax", "500", "--out", str(path)]
         if isinstance(exc, CapacityError):
             assert main(argv) == 4
@@ -1095,16 +1147,16 @@ class TestTableWriter:
                            'No space left on device"\n'), argv
         # a row producer that fails while the header is still buffered: its error is
         # reported, not that of the flush on closing
-        real = census._sr_rows
+        real = census._census_rows
 
-        def failing(Q):
-            for i, row in enumerate(real(Q)):
+        def failing(which, Q):
+            for i, row in enumerate(real(which, Q)):
                 if i == 5:
                     raise CapacityError("injected")
                 yield row
 
         with monkeypatch.context() as m:
-            m.setattr(census, "_sr_rows", failing)
+            m.setattr(census, "_census_rows", failing)
             code, out, err = run(capsys, "census", "sr", "--qmax", "500", "--out", "/dev/full")
         assert code == 4 and out == "" and _error_detail(err) == "injected"
         env = dict(os.environ, PYTHONPATH=str(Path(salemcensus.__file__).parents[1]))
@@ -1123,7 +1175,7 @@ class TestTableWriter:
         env = dict(os.environ, PYTHONPATH=str(Path(salemcensus.__file__).parents[1]))
         env.pop("PYTHONUNBUFFERED", None)
         full = 'salem-error kind=domain detail="cannot write stdout: No space left on device"\n'
-        failing = FAILING_SR_ROWS + "census._sr_rows = failing\ncli.entrypoint()\n"
+        failing = FAILING_ROWS + "census._census_rows = failing\ncli.entrypoint()\n"
         for argv, code, err in (
                 (("-m", "salemcensus.cli", "census", "deg2", "--qmax", "3"), 3, full),
                 (("-m", "salemcensus.cli", "census", "sr", "--qmax", "1000"), 3, full),
@@ -1151,10 +1203,10 @@ class TestTableWriter:
         env.pop("PYTHONUNBUFFERED", None)
         script = ["-m", "salemcensus.cli"]
         if failing:
-            script = ["-c", FAILING_SR_ROWS + "census._sr_rows = failing\ncli.entrypoint()\n"]
+            script = ["-c", FAILING_ROWS + "census._census_rows = failing\ncli.entrypoint()\n"]
             rows = {}
-            exec(FAILING_SR_ROWS, rows)
-            monkeypatch.setattr(census, "_sr_rows", rows["failing"])
+            exec(FAILING_ROWS, rows)
+            monkeypatch.setattr(census, "_census_rows", rows["failing"])
         proc = subprocess.run([sys.executable, *script, *argv], env=env,
                               capture_output=True, text=True)
         assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
