@@ -7,7 +7,7 @@ from collections.abc import Iterator
 from itertools import chain
 from typing import NamedTuple
 
-from .errors import CapacityError, DomainError, _check_grid
+from .errors import CapacityError, DomainError, _check_grid, _check_q
 
 __all__ = [
     "FitResult",
@@ -55,8 +55,7 @@ def omega_series(M: int) -> list[tuple[int, int]]:
     degree-2(m+1) Salem count, by one running product of O(M) integer steps:
     omega(m + 1) / omega(m) = 4^(m+1) (m+1) m!^2 / ((m+2) (2m+1)!) and
     m!^2 / (2m+1)! = 1 / ((2m+1) C(2m, m))."""
-    if not isinstance(M, int) or M < 1:
-        raise DomainError(f"m must be a positive integer, got {M}")
+    _check_q(M, 1, "m")
     out = []
     num, den = 2, 1
     for m in range(1, M + 1):
@@ -101,13 +100,16 @@ def power_fit(points) -> FitResult:
         pts.pop(0)
 
 
-def _check_multiplicity_args(n: int, ell_max: float, step: float) -> None:
-    """Raise DomainError unless multiplicity_report accepts these arguments."""
+def _check_multiplicity_args(n: int, ell_max: float, step: float,
+                             names: tuple[str, str, str] = ("n", "ell_max", "step")) -> None:
+    """Raise DomainError unless multiplicity_report accepts these arguments;
+    names are how the message calls n, ell_max and step."""
+    n_name, ell_name, step_name = names
     if not isinstance(n, int) or n < 4 or n % 2:
-        raise DomainError(f"n must be an even integer >= 4, got {n}")
+        raise DomainError(f"{n_name} must be an even integer >= 4, got {n}")
     if not (1.0 <= step <= ell_max) or ell_max == math.inf:
-        raise DomainError(f"need 1 <= step <= ell_max, both finite, "
-                          f"got step={step}, ell_max={ell_max}")
+        raise DomainError(f"need 1 <= {step_name} <= {ell_name}, both finite, "
+                          f"got {step_name}={step}, {ell_name}={ell_max}")
 
 
 def _geodesic_terms(n: int, ell_max: float, step: float) -> list[tuple[float, float]]:

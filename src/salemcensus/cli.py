@@ -6,7 +6,7 @@ the library checks that the run makes, called with the flag's name:
 errors._check_q for --qmax, errors._check_grid for the doubles of --qgrid,
 and algebra.require_square_free, which holds the 1e18 limit, for --d,
 --field, --marklof-c and --c2-bound.  A count series also refuses a Q whose
-count or Q^exponent is past a double (see _series).  Its work,
+count or Q^exponent is past a double (see _grid_work).  Its work,
 an exact upper bound on its kernel steps, is computed in O(1) per grid
 point before any kernel runs.  main exits 4 before any output when the
 work is above the budget of its unit, MAX_ROWS (records written) or
@@ -22,7 +22,10 @@ it accepts, and _parse reads argv from it: flags are named in full, as
 --flag value or --flag=value, the last of a repeated flag wins, and a
 negative number is a value.  -h or --help prints the help that the table
 describes and exits 0.  Another table, SERIES, declares each count series
-of fit and --plot-data: its field flag, least Q and plot grid.
+of fit and --plot-data: the table command that lists it, its field flag,
+least Q and plot grid.  One plan, _plan_table, serves the five table
+commands, and _kernel names each series' library calls: a new series is
+one row of SERIES and its library calls in _kernel.
 
 Exit codes: 0 success, 2 usage error, 3 domain-validation error,
 4 arithmetic capacity failure.  Errors are one machine-parsable line on
@@ -89,12 +92,15 @@ MAX_OMEGA_M = 120
 BLOCK_ROWS = 1024
 
 # Each count series of fit and --plot-data, which the plans read here alone:
-# the flag of its field and that flag's least value (None over Z), the least
-# Q it counts, and the normalizing exponent and smallest grid Q of its
-# --plot-data.  A new series is one row here and its count in _series.
-SERIES = {"deg4": (None, None, 2, 2.0, 8), "sr": (None, None, 2, 1.5, 8),
-          "deg2": (None, None, 3, 1.0, 4), "bianchi": ("--d", 1, 2, 0.5, 16),
-          "system": ("--field", 2, 2, 1.5, 16)}
+# the words of the table command that lists it, the flag of its field and
+# that flag's least value (None over Z), the least Q it counts, and the
+# normalizing exponent and smallest grid Q of its --plot-data.  A new series
+# is one row here and its library calls in _kernel.
+SERIES = {"deg4": ("census deg4", None, None, 2, 2.0, 8),
+          "sr": ("census sr", None, None, 2, 1.5, 8),
+          "deg2": ("census deg2", None, None, 3, 1.0, 4),
+          "bianchi": ("bianchi", "--d", 1, 2, 0.5, 16),
+          "system": ("cocompact", "--field", 2, 2, 1.5, 16)}
 
 
 # Plan, Flag and Command are plain classes: creating a NamedTuple class costs
@@ -199,80 +205,84 @@ def _plot_lines(qs, counts, exponent: float) -> list[str]:
 def _plot_grid(series: str, Q: int) -> list[int]:
     """The --plot-data grid ..., Q//4, Q//2, Q of series, ascending."""
     qs = [Q]
-    while qs[-1] // 2 >= SERIES[series][4]:
+    while qs[-1] // 2 >= SERIES[series][5]:
         qs.append(qs[-1] // 2)
     return qs[::-1]
 
 
-def _plot_plan(args, series: str, command: str, Q: int) -> Plan:
-    """--plot-data: the plan of the series counts on _plot_grid.  It writes
-    no table, so it refuses the flags that only a table reads."""
-    for flag, given in (("--verified", getattr(args, "verified", False)),
-                        ("--format json", getattr(args, "format", "csv") == "json")):
-        if given:
-            raise DomainError(f"{flag} cannot be combined with --plot-data")
-    qs = _plot_grid(series, Q)
-    params, work, count = _series(args, series, qs, "--qmax")
-    return Plan(f"{command}-plot {params}qmax={Q} grid_points={len(qs)}", work, "steps",
-                lambda: len(qs),
-                lambda: _plot_lines(qs, map(count, qs), SERIES[series][3]))
+# --- the table commands: census deg4|sr|deg2, bianchi, cocompact ------------
 
 
-def _field(args, series: str) -> int:
-    """The value of the field flag of series, checked as the library checks
-    it.  Only fit can leave the flag out: a table command requires it."""
-    flag, least = SERIES[series][:2]
-    if getattr(args, flag[2:]) is None:
-        raise DomainError(f"--series {series} requires {flag}")
-    from .algebra import require_square_free
+def _kernel(args, series: str) -> tuple[str, Callable, Callable, Callable | None]:
+    """(params, bounds, count, table) of series, after the check of its field
+    flag as the library checks it; only fit can leave the flag out, as a
+    table command requires it.  params names the field for the plan line,
+    bounds(q) is an upper bound on the count of q and its count steps, one
+    step a closed form, and table(q) the table function and its parameters
+    that _table takes, None for deg2, whose command prints its count.  The
+    one place that names a series' library calls."""
+    flag, least = SERIES[series][1:3]
+    params, field = "", None
+    if flag:
+        if (field := getattr(args, flag[2:])) is None:
+            raise DomainError(f"--series {series} requires {flag}")
+        from .algebra import require_square_free
 
-    return require_square_free(getattr(args, flag[2:]), least, flag)
+        field = require_square_free(field, least, flag)
+        params = f"{flag[2:]}={field} "
+    if series == "bianchi":
+        from . import bianchi
 
+        return (params, lambda q: bianchi.census_bounds(field, q),
+                lambda q: bianchi.bianchi_census(field, q).count,
+                lambda q: (bianchi.bianchi_table, field, q))
+    if series == "system":
+        from . import totally_real
 
-# --- census ------------------------------------------------------------------
-
-
-def _plan_census(args) -> Plan:
+        return (params, lambda q: totally_real.count_bounds(field, q),
+                lambda q: totally_real.count_system(field, q),
+                lambda q: (totally_real.system_table, field, q, args.verified))
     from . import census
 
-    which = args.which
-    Q = _check_q(args.qmax, SERIES[which][2], "--qmax")
+    count = {"deg4": census.count_salem_deg4, "sr": census.count_sr,
+             "deg2": census.count_deg2}[series]
+    return (params, lambda q: (count(q), 1), count,
+            None if series == "deg2" else lambda q: (census.census_table, series, q))
+
+
+def _grid_work(bounds: Callable, qs: list[int], exponent: float, flag: str) -> int:
+    """The count steps of a series on the grid qs, the sum of bounds(q)[1].
+    The run's fit and plot lines take each count and Q^exponent as a double,
+    so a grid whose largest Q has a count bound or Q^exponent past a double's
+    range is a CapacityError on flag, the flag that gave qs; qs ascend."""
+    try:  # no count or Q^exponent on the grid is above the largest Q's
+        float(bounds(qs[-1])[0]), float(qs[-1]) ** exponent
+    except OverflowError:
+        raise CapacityError(f"{flag}: a count or Q^{exponent:g} overflows a double") from None
+    return sum(bounds(q)[1] for q in qs)
+
+
+def _plan_table(args) -> Plan:
+    """The plan of a table command, whose words name its series in SERIES:
+    the series' table, or the count that census deg2 prints.  --plot-data
+    plans the counts on _plot_grid instead; it writes no table, so it
+    refuses the flags that only a table reads."""
+    name = " ".join(filter(None, (args.command, getattr(args, "which", None))))
+    series = next(s for s, row in SERIES.items() if row[0] == name)
+    params, bounds, count, table = _kernel(args, series)
+    Q = _check_q(args.qmax, SERIES[series][3], "--qmax")
+    what = f"{name.replace(' ', '-')}{'-plot' * args.plot_data} {params}qmax={Q}"
     if args.plot_data:
-        return _plot_plan(args, which, f"census-{which}", Q)
-    what = f"census-{which} qmax={Q}"
-    if which == "deg2":
-        return Plan(what, 1, "steps", lambda: 1, lambda: [f"{census.count_deg2(Q)}\n"])
-    count = (census.count_sr if which == "sr" else census.count_salem_deg4)(Q)
-    return Plan(what, count, "rows", lambda: count,
-                lambda: _table(args, census.census_table, which, Q))
-
-
-# --- bianchi -----------------------------------------------------------------
-
-
-def _plan_bianchi(args) -> Plan:
-    from . import bianchi
-
-    D, Q = _field(args, "bianchi"), _check_q(args.qmax, SERIES["bianchi"][2], "--qmax")
-    if args.plot_data:
-        return _plot_plan(args, "bianchi", "bianchi", Q)
-    return Plan(f"bianchi d={D} qmax={Q}", bianchi.census_bounds(D, Q)[0], "rows",
-                lambda: bianchi.bianchi_census(D, Q).count,
-                lambda: _table(args, bianchi.bianchi_table, D, Q))
-
-
-# --- cocompact (real quadratic fields) ---------------------------------------
-
-
-def _plan_cocompact(args) -> Plan:
-    from . import totally_real
-
-    d, Q = _field(args, "system"), _check_q(args.qmax, SERIES["system"][2], "--qmax")
-    if args.plot_data:
-        return _plot_plan(args, "system", "cocompact", Q)
-    return Plan(f"cocompact field={d} qmax={Q}", totally_real.count_bounds(d, Q)[0], "rows",
-                lambda: totally_real.count_system(d, Q),
-                lambda: _table(args, totally_real.system_table, d, Q, args.verified))
+        for flag, given in (("--verified", getattr(args, "verified", False)),
+                            ("--format json", getattr(args, "format", "csv") == "json")):
+            if given:
+                raise DomainError(f"{flag} cannot be combined with --plot-data")
+        qs, exponent = _plot_grid(series, Q), SERIES[series][4]
+        return Plan(f"{what} grid_points={len(qs)}", _grid_work(bounds, qs, exponent, "--qmax"),
+                    "steps", lambda: len(qs), lambda: _plot_lines(qs, map(count, qs), exponent))
+    if table is None:
+        return Plan(what, 1, "steps", lambda: 1, lambda: [f"{count(Q)}\n"])
+    return Plan(what, bounds(Q)[0], "rows", lambda: count(Q), lambda: _table(args, *table(Q)))
 
 
 # --- constants ---------------------------------------------------------------
@@ -286,7 +296,7 @@ def _plan_constants(args) -> Plan:
     if sum(chosen) != 1:
         raise DomainError("pick exactly one of --omega/--marklof-c/--c2-bound/--volume")
     if args.omega is not None:
-        if args.omega > MAX_OMEGA_M:
+        if _check_q(args.omega, 1, "--omega") > MAX_OMEGA_M:
             raise CapacityError(f"--omega must be <= {MAX_OMEGA_M}, got {args.omega}")
         which, lines = "omega", ["%d/%d\n" % asymptotics.omega_series(args.omega)[-1]]
     elif args.marklof_c is not None:
@@ -300,6 +310,7 @@ def _plan_constants(args) -> Plan:
             h, delta, q = int(args.volume[0]), float(args.volume[1]), int(args.volume[2])
         except ValueError as exc:
             raise DomainError(f"--volume expects H DELTA QMAX, got {args.volume}") from exc
+        totally_real._check_volume(h, delta, q, ("--volume H", "--volume DELTA", "--volume QMAX"))
         which, lines = "volume", [
             f"volume_leading={totally_real.volume_leading(h, delta, q):.12g}\n",
             f"volume_exact={totally_real.volume_exact(h, delta, q):.12g}\n"]
@@ -309,49 +320,18 @@ def _plan_constants(args) -> Plan:
 # --- fit ---------------------------------------------------------------------
 
 
-def _series(args, series: str, qs: list[int], flag: str) -> tuple[str, int, Callable[[int], int]]:
-    """(params, work, count) of the count series on the grid qs, after the
-    check of its field flag: the field for the plan line, the bound on the
-    count steps over qs, one step per closed form, and the count of one Q.
-    bounds(field, q) is (an upper bound on the count, its steps), and qs
-    ascend.  The run's fit and plot lines take each count and Q^exponent as
-    a double, so a grid whose largest Q has a bound or Q^exponent past a
-    double's range is a CapacityError on flag, the flag that gave qs."""
-    name, _, _, exponent, _ = SERIES[series]
-    field = name and _field(args, series)
-    params = f"{name[2:]}={field} " if field else ""
-    if series == "bianchi":
-        from . import bianchi
-
-        bounds, count = bianchi.census_bounds, lambda q: bianchi.bianchi_census(field, q).count
-    elif series == "system":
-        from . import totally_real
-
-        bounds, count = totally_real.count_bounds, lambda q: totally_real.count_system(field, q)
-    else:
-        from . import census
-
-        count = {"deg4": census.count_salem_deg4, "sr": census.count_sr,
-                 "deg2": census.count_deg2}[series]
-        bounds = lambda _, q: (count(q), 1)  # a closed form: one step
-    try:  # no count or Q^exponent on the grid is above the largest Q's
-        float(bounds(field, qs[-1])[0]), float(qs[-1]) ** exponent
-    except OverflowError:
-        raise CapacityError(f"{flag}: a count or Q^{exponent:g} overflows a double") from None
-    return params, sum(bounds(field, q)[1] for q in qs), count
-
-
 def _plan_fit(args) -> Plan:
     try:
         qs = sorted({int(tok) for tok in args.qgrid.split(",")})  # a repeated Q is one point
     except ValueError as exc:
         raise DomainError(f"--qgrid expects comma-separated integers, got {args.qgrid!r}") from exc
-    _check_q(qs[0], SERIES[args.series][2], "--qgrid")
-    for series, (flag, *_) in SERIES.items():
+    _check_q(qs[0], SERIES[args.series][3], "--qgrid")
+    for series, (_, flag, *_) in SERIES.items():
         if flag and series != args.series and getattr(args, flag[2:]) is not None:
             raise DomainError(f"{flag} is read only by --series {series}")
-    params, work, count = _series(args, args.series, qs, "--qgrid")
-    _check_grid(qs, "--qgrid")  # after the range check of _series: it takes each Q as a double
+    params, bounds, count, _ = _kernel(args, args.series)
+    work = _grid_work(bounds, qs, SERIES[args.series][4], "--qgrid")
+    _check_grid(qs, "--qgrid")  # after the range check of _grid_work: it takes each Q as a double
 
     def run():
         from . import asymptotics
@@ -372,7 +352,8 @@ def _plan_fit(args) -> Plan:
 def _plan_report(args) -> Plan:
     from . import asymptotics
 
-    asymptotics._check_multiplicity_args(args.n, args.ell_max, args.step)
+    asymptotics._check_multiplicity_args(args.n, args.ell_max, args.step,
+                                         ("--n", "--ell-max", "--step"))
     n_rows = len(asymptotics._geodesic_terms(args.n, args.ell_max, args.step))
     # the omega series and n/2 terms a row
     return Plan(f"report-multiplicity n={args.n}", (n_rows + 1) * (args.n // 2), "steps",
@@ -422,17 +403,17 @@ _QMAX = {"--qmax": Flag(int, REQUIRED)}
 
 # Each leaf command, named by its words, and the only flags it accepts.
 COMMANDS = {
-    "census deg4": Command("all degree-4 Salem numbers <= Q", _plan_census,
+    "census deg4": Command("all degree-4 Salem numbers <= Q", _plan_table,
                            {**_QMAX, **_TABLE, **_PLOT, **_EVERY}),
-    "census sr": Command("square-rootable degree-4 Salem numbers <= Q", _plan_census,
+    "census sr": Command("square-rootable degree-4 Salem numbers <= Q", _plan_table,
                          {**_QMAX, **_TABLE, **_PLOT, **_EVERY}),
-    "census deg2": Command("degree-2 Salem numbers <= Q", _plan_census,
+    "census deg2": Command("degree-2 Salem numbers <= Q", _plan_table,
                            {**_QMAX, **_PLOT, **_EVERY}),
-    "bianchi": Command("Salem numbers generated by PSL(2, o_K), K = Q(sqrt(-D))", _plan_bianchi,
+    "bianchi": Command("Salem numbers generated by PSL(2, o_K), K = Q(sqrt(-D))", _plan_table,
                        {"--d": Flag(int, REQUIRED, "square-free D >= 1"), **_QMAX, **_TABLE,
                         **_PLOT, **_EVERY}),
     "cocompact": Command("system solutions over the real quadratic field Q(sqrt(d))",
-                         _plan_cocompact,
+                         _plan_table,
                          {"--field": Flag(int, REQUIRED, "square-free d >= 2"), **_QMAX,
                           "--verified": Flag(None, False, "verify the Salem-over-L property "
                                              "per solution", nargs=0),

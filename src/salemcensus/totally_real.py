@@ -527,15 +527,20 @@ def volume_exact(h: int, delta: float, Q: int) -> float:
     return _volume("exact", h, delta, Q, x1_area)
 
 
+def _check_volume(h: int, delta: float, Q: int,
+                  names: tuple[str, str, str] = ("h", "delta", "Q")) -> None:
+    """DomainError unless h and Q are integers >= 1 and delta is finite and
+    >= 0; names are how the message calls h, delta and Q."""
+    _check_q(h, 1, names[0])
+    if not 0 <= delta < math.inf:
+        raise DomainError(f"{names[1]} must be finite and >= 0, got {delta}")
+    _check_q(Q, 1, names[2])
+
+
 def _volume(which: str, h: int, delta: float, Q: int, x1_area) -> float:
     """(48 + 28 delta + 4 delta^2)^(h-1) * x1_area() after the checks of h,
     delta and Q, or CapacityError when it overflows a double."""
-    if h < 1:
-        raise DomainError(f"h must be >= 1, got {h}")
-    if not 0 <= delta < math.inf:
-        raise DomainError(f"delta must be finite and >= 0, got {delta}")
-    if Q < 1:
-        raise DomainError(f"Q must be >= 1, got {Q}")
+    _check_volume(h, delta, Q)
     try:
         volume = (48 + 28 * delta + 4 * delta * delta) ** (h - 1) * x1_area()
     except OverflowError:  # a power past the largest double raises; a product is inf

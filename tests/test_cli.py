@@ -379,7 +379,7 @@ class TestParser:
         # of a repeated flag, a negative number as a value, and the values of --volume
         assert vars(cli._parse(["census", "sr", "--qmax", "5", "--format=json", "--qmax=-7",
                                 "--plot-data"])) == {
-            "command": "census", "which": "sr", "plan": cli._plan_census, "qmax": -7, "format": "json", "plot_data": True, "out": None, "workers": 1,
+            "command": "census", "which": "sr", "plan": cli._plan_table, "qmax": -7, "format": "json", "plot_data": True, "out": None, "workers": 1,
             "dry_run": False}
         assert vars(cli._parse(["report", "multiplicity", "--step", "-.5", "--n", "4",
                                 "--ell-max", "1e3", "--out", "-"])) == {
@@ -523,16 +523,23 @@ class TestConstantsCommand:
         code, out, _ = run(capsys, "constants", "--volume", "2", "1.0", "100", "--dry-run")
         assert code == 0 and out == "plan command=constants which=volume rows=2 work=1\n"
 
-    @pytest.mark.parametrize("argv", [("--omega", "0"), ("--volume", "0", "1.0", "100"),
-                                      ("--volume", "2", "-1.0", "100"),
-                                      ("--volume", "2", "nan", "100"),
-                                      ("--volume", "2", "inf", "100"),
-                                      ("--volume", "2", "1.0", "0"),
-                                      ("--volume", "2", "1.0", "1e4")])
+    # the detail of each refused argv: the plan makes the library's check, named by the flag
+    DETAILS = {
+        ("--omega", "0"): "--omega must be an integer >= 1, got 0",
+        ("--volume", "0", "1.0", "100"): "--volume H must be an integer >= 1, got 0",
+        ("--volume", "2", "-1.0", "100"): "--volume DELTA must be finite and >= 0, got -1.0",
+        ("--volume", "2", "nan", "100"): "--volume DELTA must be finite and >= 0, got nan",
+        ("--volume", "2", "inf", "100"): "--volume DELTA must be finite and >= 0, got inf",
+        ("--volume", "2", "1.0", "0"): "--volume QMAX must be an integer >= 1, got 0",
+        ("--volume", "2", "1.0", "1e4"): "--volume expects H DELTA QMAX, got ['2', '1.0', '1e4']",
+    }
+
+    @pytest.mark.parametrize("argv", list(DETAILS))
     def test_dry_run_validates_like_the_run(self, capsys, argv):
         for extra in ((), ("--dry-run",)):
             code, out, err = run(capsys, "constants", *argv, *extra)
             assert code == 3 and out == "" and err.startswith("salem-error kind=domain")
+            assert _error_detail(err) == self.DETAILS[argv]
 
     def test_omega_limit(self, capsys):
         code, out, _ = run(capsys, "constants", "--omega", "120")
@@ -543,11 +550,6 @@ class TestConstantsCommand:
             code, out, err = run(capsys, "constants", "--omega", m)
             assert time.perf_counter() - t0 < 1.0
             assert code == 4 and out == "" and err.startswith("salem-error kind=capacity")
-
-
-# The table command of each count series, whose --plot-data counts it.
-SERIES_TABLES = {"deg4": "census deg4", "sr": "census sr", "deg2": "census deg2",
-                 "bianchi": "bianchi", "system": "cocompact"}
 
 
 class TestFitCommand:
@@ -572,10 +574,9 @@ class TestFitCommand:
         # the least Q of each series is the one its count accepts: fit and the table
         # command's --plot-data take it and refuse the integer below it, with the field
         # flag at its least value, which the library accepts and refuses below
-        flag, least, qmin = cli.SERIES[series][:3]
+        table, flag, least, qmin = cli.SERIES[series][:4]
         field = (flag, str(least)) if flag else ()
-        _, _, count = cli._series(SimpleNamespace(d=least, field=least), series, [qmin],
-                                  "--qgrid")
+        count = cli._kernel(SimpleNamespace(d=least, field=least), series)[2]
         assert count(qmin) >= 0
         with pytest.raises(DomainError):
             count(qmin - 1)
@@ -586,20 +587,26 @@ class TestFitCommand:
             assert got == code, (qgrid, err)
             if code:
                 assert _error_detail(err) == f"--qgrid must be an integer >= {qmin}, got {q}"
-            table = SERIES_TABLES.get(series)
-            if table:
-                got, out, err = run(capsys, *table.split(), *field, "--qmax", str(q),
-                                    "--plot-data")
-                assert got == code, (table, q, err)
-                if code:
-                    assert _error_detail(err) == f"--qmax must be an integer >= {qmin}, got {q}"
-                else:  # one grid point, Q itself
-                    assert out.startswith(f"Q,normalized_count\n{q},") and out.count("\n") == 2
+            got, out, err = run(capsys, *table.split(), *field, "--qmax", str(q), "--plot-data")
+            assert got == code, (table, q, err)
+            if code:
+                assert _error_detail(err) == f"--qmax must be an integer >= {qmin}, got {q}"
+            else:  # one grid point, Q itself
+                assert out.startswith(f"Q,normalized_count\n{q},") and out.count("\n") == 2
         if flag:
             got, out, err = run(capsys, "fit", "--series", series, flag, str(least - 1),
                                 "--qgrid", f"{qmin},{qmin + 1},{qmin + 2}", "--dry-run")
             assert got == 3 and _error_detail(err) == (
                 f"{flag} must be a square-free integer >= {least}, got {least - 1}")
+
+    def test_series_and_commands_agree(self):
+        # each series names a table command that takes --plot-data, and each command but
+        # fit that takes --plot-data is the table command of exactly one series
+        tables = [row[0] for row in cli.SERIES.values()]
+        assert all("--plot-data" in cli.COMMANDS[table].flags for table in tables)
+        plotted = [name for name, command in cli.COMMANDS.items()
+                   if name != "fit" and "--plot-data" in command.flags]
+        assert all(tables.count(name) == 1 for name in plotted)
 
     def test_bianchi_series_requires_d(self, capsys):
         code, _, err = run(capsys, "fit", "--series", "bianchi",
@@ -995,15 +1002,26 @@ class TestReportCommand:
             assert time.perf_counter() - t0 < 1.0
             assert code == 4 and out == "" and err.startswith("salem-error kind=capacity")
 
-    @pytest.mark.parametrize("flags", [("--ell-max", "6", "--step", "0"),
-                                       ("--ell-max", "nan", "--step", "1"),
-                                       ("--n", "5", "--ell-max", "6", "--step", "2"),
-                                       ("--ell-max", "inf", "--step", "inf"),
-                                       ("--ell-max", "inf", "--step", "1")])
+    # the detail of each refused set of flags (after --n 4): the plan makes the library's
+    # check, named by the flags
+    DETAILS = {
+        ("--ell-max", "6", "--step", "0"):
+            "need 1 <= --step <= --ell-max, both finite, got --step=0.0, --ell-max=6.0",
+        ("--ell-max", "nan", "--step", "1"):
+            "need 1 <= --step <= --ell-max, both finite, got --step=1.0, --ell-max=nan",
+        ("--n", "5", "--ell-max", "6", "--step", "2"): "--n must be an even integer >= 4, got 5",
+        ("--ell-max", "inf", "--step", "inf"):
+            "need 1 <= --step <= --ell-max, both finite, got --step=inf, --ell-max=inf",
+        ("--ell-max", "inf", "--step", "1"):
+            "need 1 <= --step <= --ell-max, both finite, got --step=1.0, --ell-max=inf",
+    }
+
+    @pytest.mark.parametrize("flags", list(DETAILS))
     def test_dry_run_validates_like_the_run(self, capsys, flags):
         for extra in ((), ("--dry-run",)):
             code, out, err = run(capsys, "report", "multiplicity", "--n", "4", *flags, *extra)
             assert code == 3 and out == "" and err.startswith("salem-error kind=domain")
+            assert _error_detail(err) == self.DETAILS[flags]
 
     def test_dry_run_counts_the_rows_of_the_run(self, capsys):
         code, out, _ = run(capsys, "report", "multiplicity", "--n", "4",
@@ -1301,6 +1319,24 @@ def _fit_argvs(*flags):
                                   ("bianchi", ("--d", "3")), ("system", ("--field", "2")))]
 
 
+# The exact plan line of each table command, --plot-data included
+TABLE_PLANS = [
+    ("census deg2 --qmax 500000", "plan command=census-deg2 qmax=500000 rows=1 work=1"),
+    ("census deg2 --qmax 1000 --plot-data",
+     "plan command=census-deg2-plot qmax=1000 grid_points=8 rows=8 work=8"),
+    ("census deg4 --qmax 1000 --plot-data",
+     "plan command=census-deg4-plot qmax=1000 grid_points=7 rows=7 work=7"),
+    ("census deg4 --qmax 130 --format json",
+     "plan command=census-deg4 qmax=130 rows=33282 work=33282"),
+    ("cocompact --field 5 --qmax 60 --verified",
+     "plan command=cocompact field=5 qmax=60 rows=8316 work=19840"),
+    ("cocompact --field 2 --qmax 100",
+     "plan command=cocompact field=2 qmax=100 rows=10860 work=24960"),
+    ("bianchi --d 3 --qmax 1000 --plot-data",
+     "plan command=bianchi-plot d=3 qmax=1000 grid_points=6 rows=6 work=125"),
+]
+
+
 class TestPlanEqualsRun:
     """The rows of a dry run are the records its run writes: CSV data lines
     (header lines, the given number, not counted) or JSON objects (None)."""
@@ -1334,6 +1370,11 @@ class TestPlanEqualsRun:
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert (len(json.loads(out)) if headers is None else out.count("\n") - headers) == rows
+
+    @pytest.mark.parametrize("argv, line", TABLE_PLANS, ids=[argv for argv, _ in TABLE_PLANS])
+    def test_each_table_command_prints_its_plan_line(self, capsys, argv, line):
+        code, out, _ = run(capsys, *argv.split(), "--dry-run")
+        assert code == 0 and out == line + "\n"
 
     def test_plot_dry_runs_plan_the_series(self, capsys):
         code, out, _ = run(capsys, "census", "sr", "--qmax", "1000", "--plot-data", "--dry-run")
