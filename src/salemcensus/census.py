@@ -11,9 +11,12 @@ same reshuffle turns the lambda cut into a lower bound on k.
 
 One kernel walks this region: _census_rows gives each row as an integer
 interval less its reducible points, and _census_blocks cuts the rows into
-blocks of members with their k and lambda.  It has two readers, the
-census table (census_table) and the records (enumerate_salem_deg4,
-enumerate_sr).  The counts do not walk it: the lambda cut binds only in
+blocks of members with their b, k column and lambda, each block computed
+over its whole interval before its reducible points are deleted.  It has
+two readers, which pass it the k column to use: the census table
+(census_table) passes each member's line tail, k's text and the rest of
+its line, and the records (enumerate_salem_deg4, enumerate_sr) pass k
+itself.  The counts do not walk it: the lambda cut binds only in
 the top four rows, the reducible points form a few explicit families, and
 what remains are closed forms, so every count is a handful of integer
 operations in exact arithmetic.  The proofs are in the docstrings of the
@@ -21,7 +24,7 @@ count functions.
 """
 
 import math
-from collections.abc import Collection, Iterator
+from collections.abc import Callable, Collection, Iterator
 from typing import NamedTuple
 
 from .errors import _check_q
@@ -40,11 +43,14 @@ __all__ = [
 
 CENSUS_CSV_HEADER = "a,b,k,lambda,source"
 
-# A census row's CSV line, and its JSON object as json.dumps(indent=2) writes
-# its record in a list; the first % fills in a = -n, a row at a time
-_CSV_ROW = "-%d,%%d,%%s,%%.12g,direct\n"
-_JSON_OBJECT = ('  {\n    "a": "-%d",\n    "b": "%%d",\n    "k": %%s,\n    "lambda": %%r,\n'
-                '    "source": "direct"\n  }')
+# A census row's CSV line and its JSON object as json.dumps(indent=2) writes
+# its record in a list, split at the k field: the head, whose first % fills
+# in a = -n a row at a time and leaves b's %d; the format of k's text; the
+# text where k is None; and the rest of the line, which leaves lambda's
+# format.  A JSON head starts with the ",\n" that joins the list's objects.
+_CSV_ROW = ("-%d,%%d,", "%d", "", ",%.12g,direct\n")
+_JSON_OBJECT = (',\n  {\n    "a": "-%d",\n    "b": "%%d",\n    "k": ', '"%d"', "null",
+                ',\n    "lambda": %r,\n    "source": "direct"\n  }')
 
 
 class CensusRecord(NamedTuple):
@@ -215,34 +221,52 @@ def _census_rows(which: str, Q: int) -> Iterator[tuple[int, int, int, Collection
                (n, max(-2 * n - 1, _deg4_lambda_floor(Q, n)), 2 * n - 2, (1 - n, 2, 1 + n)))
 
 
-def _census_blocks(which: str, Q: int, block_rows: int) -> Iterator[tuple[int, list, list, list]]:
+def _census_blocks(which: str, Q: int, block_rows: int, k_column: Callable[[int], object],
+                   no_k: object) -> Iterator[tuple[int, list, list, list]]:
     """(n, bs, ks, lambdas) for each block of at most block_rows members of a
     row a = -n of _census_rows, in row order, never empty: the members' b,
-    their k, the root of p(-1) = b + 2n + 2 where it is a square and None
-    elsewhere, and their lambda.  lambda repeats quartics.salem_value's
-    float steps on the same integer a^2 - 4b + 8 = n^2 + 8 - 4b, without its
-    exact tests, which the row intervals already pass."""
+    their k column, which is k_column(k) for the root k of p(-1) = b + 2n + 2
+    where it is a square and no_k elsewhere, and their lambda.
+
+    A block is computed over the whole interval range(start, stop) of its
+    row, and then the row's skipped points that fall in it, at most three,
+    are deleted.  Two tables indexed by k, of k^2 and of k_column(k), give
+    the values: an sr block slices both, as b = k^2 - 2n - 2, and a deg4
+    block writes k_column(k) at its O(sqrt Q) squares b = k^2 - 2n - 2.
+    The tables grow with the rows up to k = isqrt(4n - 1), the largest k of
+    row n, so they hold O(sqrt Q) entries and are first built after the
+    first row's Q check.  lambda repeats quartics.salem_value's float steps
+    on the same integer a^2 - 4b + 8 = n^2 + 8 - 4b, without its exact
+    tests, which the row intervals already pass."""
     sqrt, isqrt = math.sqrt, math.isqrt
+    squares, column = [], []
     for n, lo, hi, skip in _census_rows(which, Q):
+        for k in range(len(column), isqrt(4 * n - 1) + 1):
+            squares.append(k * k)
+            column.append(k_column(k))
         c, b0 = n * n + 8, -2 * n - 2
         for start in range(lo, hi, block_rows):
             stop = min(start + block_rows, hi)
-            if which == "sr":  # the range is over k
-                ks = [k for k in range(start, stop) if k not in skip]
-                bs = [k * k + b0 for k in ks]
+            if which == "sr":  # the range is over k; b = k^2 + b0, c - 4b = c - 4 b0 - 4 k^2
+                xs, d0, ks = squares[start:stop], c - 4 * b0, column[start:stop]
+                bs = [x + b0 for x in xs]
             else:  # over b, where p(-1) = b - b0 >= 1
-                squares = {k * k + b0: k
-                           for k in range(isqrt(start - b0 - 1) + 1, isqrt(stop - 1 - b0) + 1)}
-                bs = [b for b in range(start, stop) if b not in skip]
-                ks = [squares.get(b) for b in bs]
+                xs, d0, ks = range(start, stop), c, [no_k] * (stop - start)
+                bs = list(xs)
+                for k in range(isqrt(start - b0 - 1) + 1, isqrt(stop - 1 - b0) + 1):
+                    ks[squares[k] + b0 - start] = column[k]
+            lambdas = [(y + sqrt(y * y - 4.0)) / 2.0
+                       for x in xs for y in [(n + sqrt(d0 - 4 * x)) / 2.0]]
+            for i in sorted({s - start for s in skip if start <= s < stop}, reverse=True):
+                del bs[i], ks[i], lambdas[i]
             if bs:
-                yield n, bs, ks, [(y + sqrt(y * y - 4.0)) / 2.0
-                                  for b in bs for y in [(n + sqrt(c - 4 * b)) / 2.0]]
+                yield n, bs, ks, lambdas
 
 
 def _records(which: str, Q: int) -> Iterator[CensusRecord]:
-    """The CensusRecord of each member of _census_blocks, 1024 at a time."""
-    for n, bs, ks, lambdas in _census_blocks(which, Q, 1024):
+    """The CensusRecord of each member of _census_blocks, 1024 at a time,
+    whose k column is k itself (int(k)) or None."""
+    for n, bs, ks, lambdas in _census_blocks(which, Q, 1024, int, None):
         yield from (CensusRecord(-n, *member) for member in zip(bs, ks, lambdas))
 
 
@@ -269,17 +293,18 @@ def _census_chunks(which: str, Q: int, json_out: bool, block_rows: int) -> Itera
     """census deg4|sr formatted from the blocks of _census_blocks, with the
     bytes of census_csv_row or json.dumps(indent=2) on their records.
 
-    A chunk is one % on the row template repeated once a member, over the
-    flat (b, k, lambda) values of the block.  %d of an int is str(int), and
-    %.12g and %r of a float run the float formatter of format(x, ".12g")
-    and repr(x), which the f-string's :.12g and json.dumps call, so the
-    bytes are those of the per-member f-strings."""
-    row, sep = (_JSON_OBJECT, ",\n") if json_out else (_CSV_ROW, "")
-    for n, bs, ks, lambdas in _census_blocks(which, Q, block_rows):
-        if json_out:
-            ks = ["null" if k is None else f'"{k}"' for k in ks]
-        elif which == "deg4":  # an sr k is never None
-            ks = ["" if k is None else k for k in ks]
-        values = [0] * (3 * len(bs))
-        values[0::3], values[1::3], values[2::3] = bs, ks, lambdas
-        yield sep.join([row % n] * len(bs)) % tuple(values)
+    The k column of the blocks is each member's line tail: k's text and the
+    rest of its CSV line or JSON object, with lambda's format.  A chunk is
+    the row's head h, formatted once a block, joined with the tails, and one
+    % over the flat (b, lambda) values of the block.  %d of an int is
+    str(int), and %.12g and %r of a float run the float formatter of
+    format(x, ".12g") and repr(x), which the f-string's :.12g and
+    json.dumps call, so the bytes are those of the per-member f-strings."""
+    head, k_text, no_k, rest = _JSON_OBJECT if json_out else _CSV_ROW
+    first = 2 if json_out else 0  # a chunk's first object has no separator
+    for n, bs, tails, lambdas in _census_blocks(which, Q, block_rows,
+                                                lambda k: k_text % k + rest, no_k + rest):
+        h = head % n
+        values = [0] * (2 * len(bs))
+        values[0::2], values[1::2] = bs, lambdas
+        yield (h[first:] + h.join(tails)) % tuple(values)

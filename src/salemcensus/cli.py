@@ -61,13 +61,14 @@ PROG = "salem"
 # Budget of the work of a table (census deg4|sr, bianchi, cocompact): an
 # upper bound on the records it writes, so a file of at most several GB.
 # To /dev/null on a 2-vCPU Xeon VM, at mid sizes, a census row takes about
-# 1.3 us (census sr --qmax 20000, deg4 --qmax 2000), a cocompact row 2.7 us,
+# 1 us (census sr --qmax 20000, 3.76M rows in 4.05-4.16 s; deg4 --qmax
+# 2000, 7.99M rows in 6.4-8.2 s), a cocompact row 2.7 us,
 # 3.9 us with --verified (--field 2 --qmax 1000 and 4000), 2.5 us as JSON
 # (--field 2 --qmax 1000, 335,716 rows in 0.85 s, against 1.9-2.1 us as CSV
 # in the same runs), and a bianchi
 # member 5.3-6 us (--d 3 --qmax 1e12, 906,100 members in 4.8-5.5 s: 1.1-1.3
 # us of band-sorted member stream, the rest mostly bianchi_csv_row).  So
-# just under it a census table takes about 2 minutes, cocompact --field 2
+# just under it a census table takes under 2 minutes, cocompact --field 2
 # --qmax 33470 (65M rows) 3 minutes, 4 with --verified, and bianchi --d 3
 # --qmax 7.5e15 (78.5M members) about 7 minutes.
 MAX_ROWS = 10**8

@@ -121,10 +121,13 @@ class TestCensusTables:
             argv = ["census", which, "--qmax", str(Q), "--format", fmt]
             assert main(argv) == 0
             assert capsys.readouterr().out == want, Q
-            with monkeypatch.context() as m:  # split the rows into many chunks
-                m.setattr(cli, "BLOCK_ROWS", 7)
-                assert main([*argv, "--out", str(path)]) == 0
-            assert path.read_text() == want, Q
+            # split the rows into many chunks; with one candidate a block, each
+            # reducible point fills a block alone, which must be dropped
+            for block_rows in (7, 1) if Q < (80 if which == "sr" else 40) else (7,):
+                with monkeypatch.context() as m:
+                    m.setattr(cli, "BLOCK_ROWS", block_rows)
+                    assert main([*argv, "--out", str(path)]) == 0
+                assert path.read_text() == want, (Q, block_rows)
 
     @staticmethod
     def _chunks(argv) -> tuple[list[str], int]:
@@ -142,22 +145,25 @@ class TestCensusTables:
         # reducible b = -597, 2, 599, one in its first chunk and two in its second
         assert [n for c, n in zip(chunks[1:], sizes) if c.startswith("-598,")] == [1023, 1022, 343]
         # every table, empty ones included: an empty chunk would break _json_list's
-        # framing; each chunk holds 1..BLOCK_ROWS records, and they total the plan's rows
-        monkeypatch.setattr(cli, "BLOCK_ROWS", 7)
-        for argv in (("census", "deg4", "--qmax", "60"), ("census", "sr", "--qmax", "300"),
-                     ("census", "sr", "--qmax", "2"), ("bianchi", "--d", "3", "--qmax", "100000"),
-                     ("bianchi", "--d", "3", "--qmax", "2"),
-                     ("cocompact", "--field", "5", "--qmax", "20", "--verified"),
-                     ("cocompact", "--field", "2", "--qmax", "10"),
-                     ("report", "multiplicity", "--n", "6", "--ell-max", "30", "--step", "1")):
-            for fmt in ("csv", "json"):
-                chunks, rows = self._chunks([*argv, "--format", fmt])
-                # a CSV's first chunk is its header; a JSON chunk starts "[\n" or ",\n",
-                # and its last one closes the list
-                sizes = ([len(json.loads(f"[{c[2:]}]")) for c in chunks[:-1]] if fmt == "json"
-                         else [c.count("\n") for c in chunks[1:]])
-                assert all(0 < n <= 7 for n in sizes) and sum(sizes) == rows, (argv, fmt)
-                assert (rows == 0) == (argv[-1] == "2")
+        # framing; each chunk holds 1..BLOCK_ROWS records, and they total the plan's rows.
+        # At one candidate a block, a census block that holds only a reducible point
+        # must be dropped, not written empty
+        for block_rows in (1, 7):
+            monkeypatch.setattr(cli, "BLOCK_ROWS", block_rows)
+            for argv in (("census", "deg4", "--qmax", "60"), ("census", "sr", "--qmax", "300"),
+                         ("census", "sr", "--qmax", "2"), ("bianchi", "--d", "3", "--qmax", "100000"),
+                         ("bianchi", "--d", "3", "--qmax", "2"),
+                         ("cocompact", "--field", "5", "--qmax", "20", "--verified"),
+                         ("cocompact", "--field", "2", "--qmax", "10"),
+                         ("report", "multiplicity", "--n", "6", "--ell-max", "30", "--step", "1")):
+                for fmt in ("csv", "json"):
+                    chunks, rows = self._chunks([*argv, "--format", fmt])
+                    # a CSV's first chunk is its header; a JSON chunk starts "[\n" or ",\n",
+                    # and its last one closes the list
+                    sizes = ([len(json.loads(f"[{c[2:]}]")) for c in chunks[:-1]] if fmt == "json"
+                             else [c.count("\n") for c in chunks[1:]])
+                    assert all(0 < n <= block_rows for n in sizes), (argv, fmt, block_rows)
+                    assert sum(sizes) == rows and (rows == 0) == (argv[-1] == "2"), (argv, fmt)
 
 
 class TestCocompactTables:
