@@ -52,18 +52,29 @@ def omega_series(M: int) -> list[tuple[int, int]]:
     """[omega(1), ..., omega(M)] as (numerator, denominator) pairs in
     lowest terms, where omega(m) = 2^(m(m+1))/(m+1) *
     prod_{k=0}^{m-1} k!^2 / (2k+1)! is the leading constant of the
-    degree-2(m+1) Salem count, by one running product of O(M) integer steps:
-    omega(m + 1) / omega(m) = 4^(m+1) (m+1) m!^2 / ((m+2) (2m+1)!) and
-    m!^2 / (2m+1)! = 1 / ((2m+1) C(2m, m))."""
+    degree-2(m+1) Salem count.  Each pair is (2^e, odd), so in lowest terms
+    with no gcd:
+
+    - Product form.  (2k+1)! = (2k+1) C(2k, k) k!^2, so
+      omega(m) = 2^(m(m+1)) / ((m+1) P(m)) with
+      P(m) = prod_{k<m} (2k+1) C(2k, k).
+    - Kummer's count.  By Legendre, 2 divides n! exactly n - s(n) times,
+      s(n) the number of 1 bits of n; as s(2k) = s(k), 2 divides C(2k, k)
+      exactly 2 s(k) - s(2k) = s(k) times.  So P(m) is an odd part times
+      2^twos, twos = sum_{k<m} s(k), and the loop multiplies the odd part by
+      numbers of O(m) bits only.
+    - e = m(m+1) - twos - v2(m+1) >= 1.  s(k) <= k gives
+      twos <= m(m-1)/2, and 2^v2(m+1) <= m+1 <= 2^m gives v2(m+1) <= m, so
+      e >= m(m+1)/2 >= 1: the numerator is never 1.
+    """
     _check_q(M, 1, "m")
-    out = []
-    num, den = 2, 1
+    out, odd, twos = [], 1, 0
     for m in range(1, M + 1):
-        out.append((num, den))
-        num *= 4 ** (m + 1) * (m + 1)
-        den *= (m + 2) * (2 * m + 1) * math.comb(2 * m, m)
-        g = math.gcd(num, den)
-        num, den = num // g, den // g
+        k = m - 1  # P(m) = P(m - 1) (2k + 1) C(2k, k), and C(2k, k) holds 2^s(k)
+        odd *= (2 * k + 1) * (math.comb(2 * k, k) >> k.bit_count())
+        twos += k.bit_count()
+        t = ((m + 1) & -(m + 1)).bit_length() - 1  # v2(m + 1)
+        out.append((1 << (m * (m + 1) - twos - t), odd * ((m + 1) >> t)))
     return out
 
 

@@ -150,8 +150,12 @@ BIANCHI_CSV_HEADER = "A,B,a_lift,b_lift,k,lambda,num_witness_traces"
 
 
 class BianchiCensus(NamedTuple):
-    """The count of members, one per key, and the diagnostic tallies of
-    rejected traces; members() lists the members."""
+    """The count of members, one per key, and diagnostic tallies;
+    members() lists the members.  traces_scanned, excluded_real,
+    excluded_imag_axis and excluded_reducible count traces, while
+    excluded_over_q counts keys, as count does: one for each sign orbit
+    (+-w, +-v) of four traces.  So traces_scanned == excluded_real +
+    excluded_imag_axis + excluded_reducible + 4 (count + excluded_over_q)."""
 
     D: int
     qmax: int
@@ -370,9 +374,7 @@ def bianchi_table(D: int, Q: int, json_out: bool, block_rows: int) -> tuple[str,
     bianchi_csv_row lines or (json_out) bianchi_json_block objects.  Both
     are looked up as module globals, as bianchi_csv_row's callees are."""
     members = bianchi_census(D, Q).members()
+    blocks = iter(lambda: list(islice(members, block_rows)), [])
     if json_out:
-        blocks = iter(lambda: list(islice(members, block_rows)), [])
         return BIANCHI_CSV_HEADER, (bianchi_json_block(D, block) for block in blocks)
-    lines = map(bianchi_csv_row, members)
-    blocks = iter(lambda: list(islice(lines, block_rows)), [])
-    return BIANCHI_CSV_HEADER, ("\n".join(block) + "\n" for block in blocks)
+    return BIANCHI_CSV_HEADER, ("\n".join(map(bianchi_csv_row, block)) + "\n" for block in blocks)

@@ -84,8 +84,8 @@ MAX_ROWS = 10**8
 # long as the system fit.
 MAX_STEPS = 5 * 10**7
 
-# Largest M whose omega(M) prints: beyond it the numerator has more digits
-# than int-to-str conversion allows.
+# Largest M whose omega(M) prints at Python's default int-to-str limit of
+# 4300 digits: omega(120)'s denominator, the longer number, has 4285.
 MAX_OMEGA_M = 120
 
 # Table rows are formatted and written this many at a time: the census,
@@ -299,7 +299,12 @@ def _plan_constants(args) -> Plan:
     if args.omega is not None:
         if _check_q(args.omega, 1, "--omega") > MAX_OMEGA_M:
             raise CapacityError(f"--omega must be <= {MAX_OMEGA_M}, got {args.omega}")
-        which, lines = "omega", ["%d/%d\n" % asymptotics.omega_series(args.omega)[-1]]
+        which, pair = "omega", asymptotics.omega_series(args.omega)[-1]
+        try:
+            lines = ["%d/%d\n" % pair]
+        except ValueError as exc:
+            raise CapacityError(f"--omega {args.omega}: omega has more digits than the "
+                                f"int-to-str limit of {sys.get_int_max_str_digits()}") from exc
     elif args.marklof_c is not None:
         D = require_square_free(args.marklof_c, 1, "--marklof-c")
         which, lines = "marklof-c", [f"{bianchi.marklof_constant(D):.12g}\n"]

@@ -248,3 +248,13 @@ class TestRealQuadElem:
         sx, sy, prod = _embeddings(d, xc), _embeddings(d, yc), _embeddings(d, (z.u, z.v))
         assert prod[0] == pytest.approx(sx[0] * sy[0], rel=1e-9, abs=1e-6)
         assert prod[1] == pytest.approx(sx[1] * sy[1], rel=1e-9, abs=1e-6)
+
+    def test_product_of_two_fields_is_refused(self):
+        with pytest.raises(DomainError, match="mixed field parameters"):
+            RealQuadElem(2, 1, 1) * RealQuadElem(3, 1, 1)
+
+    def test_product_with_an_int_is_unsupported(self):
+        with pytest.raises(TypeError):
+            RealQuadElem(2, 1, 1) * 2
+        with pytest.raises(TypeError):
+            2 * RealQuadElem(2, 1, 1)

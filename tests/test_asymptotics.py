@@ -37,6 +37,17 @@ class TestOmega:
             assert omega_series(n // 2 - 1) == [(w.numerator, w.denominator)
                                                 for w in map(omega_direct, range(1, n // 2))]
 
+    def test_series_of_report_n_710_is_exact(self):
+        # report multiplicity --n 710 sums omega(1), ..., omega(354)
+        series = omega_series(354)
+        assert len(series) == 354
+        for num, den in series:
+            assert num >= 2 and num & (num - 1) == 0 and den % 2 == 1
+        for m, ((n1, d1), (n2, d2)) in enumerate(zip(series, series[1:]), start=1):
+            # omega(m + 1) (m + 2) (2m + 1) C(2m, m) = omega(m) 4^(m + 1) (m + 1)
+            assert (n2 * (m + 2) * (2 * m + 1) * math.comb(2 * m, m) * d1
+                    == n1 * 4 ** (m + 1) * (m + 1) * d2), m
+
     def test_exact_rational_no_overflow(self):
         val = omega(50)
         assert isinstance(val, Fraction) and val > 0

@@ -59,6 +59,14 @@ def _with_witnesses(D, c):
     return [(m[0], m[1], _witnesses(D, m)) for m in c.members()]
 
 
+def _tallies_sum(c):
+    """Whether census c's tallies add up to the traces it scanned: every
+    field counts traces but count and excluded_over_q, which count keys of
+    four traces each."""
+    return c.traces_scanned == (c.excluded_real + c.excluded_imag_axis + c.excluded_reducible
+                                + 4 * (c.count + c.excluded_over_q))
+
+
 class TestSalemFromTrace:
     """The oracles' per-trace map t -> (A, B), which the census applies to
     whole rows of traces."""
@@ -189,11 +197,15 @@ class TestCensus:
             assert _with_witnesses(D, c) == members, Q
             assert (c.traces_scanned, c.excluded_real, c.excluded_imag_axis,
                     c.excluded_reducible, c.excluded_over_q) == tallies, Q
+            assert _tallies_sum(c), Q
 
     def test_diagnostics_tally(self):
         c = bianchi_census(1, 50)
         assert c.excluded_real > 0 and c.excluded_imag_axis > 0
-        assert c.traces_scanned >= c.count
+        rng = random.Random(1)
+        for D in [1, 2, 3, 5, 6, 7, 11, 15, 19, 163]:
+            for Q in [*range(2, 400), *(rng.randrange(400, 10**12) for _ in range(30))]:
+                assert _tallies_sum(bianchi_census(D, Q)), (D, Q)
 
     @pytest.mark.parametrize("D", [1, 3, 7])
     def test_census_agrees_with_per_trace_map(self, D):

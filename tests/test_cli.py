@@ -557,6 +557,22 @@ class TestConstantsCommand:
             assert time.perf_counter() - t0 < 1.0
             assert code == 4 and out == "" and err.startswith("salem-error kind=capacity")
 
+    @pytest.fixture
+    def least_int_digits(self):
+        """Python's least int-to-str limit, PYTHONINTMAXSTRDIGITS=640, for one test."""
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        yield
+        sys.set_int_max_str_digits(limit)
+
+    def test_omega_past_the_int_to_str_limit(self, capsys, least_int_digits):
+        # omega(120)'s denominator has 4285 digits
+        for extra in ((), ("--dry-run",)):
+            code, out, err = run(capsys, "constants", "--omega", "120", *extra)
+            assert code == 4 and out == "" and err.startswith("salem-error kind=capacity")
+            assert _error_detail(err) == ("--omega 120: omega has more digits than the "
+                                          "int-to-str limit of 640")
+
 
 class TestFitCommand:
     def test_deg2_series_is_linear(self, capsys):
